@@ -9,9 +9,11 @@ error, 3 unknown (a cap or budget was exhausted before an answer).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import decide as decide_mod
 from .convert import (
@@ -22,9 +24,15 @@ from .convert import (
     sweep_reduce,
     to_nfa,
 )
-from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, find_accepting_trace, run
+from .core import (
+    DEFAULT_TAPE_CAP,
+    MachineError,
+    Transducer,
+    Word,
+    find_accepting_trace,
+    run,
+)
 from .hierarchy import (
-    Constructor,
     combine_add,
     combine_mul,
     expo_constructor,
@@ -35,7 +43,6 @@ from .lba import Lba, compile_lba, run_lba
 from .oracle import OracleBudgetError, compare_languages, compare_on_words
 from .textio import MachineFile, parse_machine, parse_word, serialize_machine
 from .witness import (
-    bin_lsb,
     d_word,
     gen_block,
     gen_block_nfa,
@@ -86,69 +93,35 @@ def _need_bound(t: Transducer) -> int:
     return t.sweep_bound
 
 
-def _split_spec(spec: str) -> tuple[str, list[int]]:
-    if ":" in spec:
-        name, _, raw = spec.partition(":")
-        try:
-            params = [int(p) for p in raw.split(",") if p != ""]
-        except ValueError:
-            raise CliError(f"bad family parameters in {spec!r}")
-        return name, params
-    return spec, []
+@dataclass(frozen=True)
+class Family:
+    """One witness family, named ``name[:p1,p2,...]`` on the command line.
+
+    The callable fields take the spec's integer parameters, and the
+    signature of ``make`` is the spec grammar.  ``pred`` is the reference
+    predicate for ``verify``, ``budget`` its default ``--max-len`` and
+    ``corpus`` extra words it checks; ``words`` is the word family
+    ``measure`` runs.  They look library names up when called.
+    """
+
+    kind: str
+    make: Callable[..., object]
+    pred: Optional[Callable[..., Callable[[Word], bool]]] = None
+    alphabet: tuple[str, ...] = ()
+    budget: Optional[Callable[..., int]] = None
+    corpus: Optional[Callable[..., list[Word]]] = None
+    words: Optional[Callable[..., Callable[[int], Word]]] = None
 
 
-def _gen_machine(spec: str) -> MachineFile:
-    name, params = _split_spec(spec)
-    if name == "block" and len(params) == 1:
-        return MachineFile("niufst", gen_block(params[0]))
-    if name == "block-nfa" and len(params) == 1:
-        return MachineFile("nfa", gen_block_nfa(params[0]))
-    if name == "unary" and len(params) == 2:
-        return MachineFile("iufst", gen_unary(*params))
-    if name == "e" and len(params) == 2:
-        return MachineFile("niufst", gen_e(*params))
-    if name == "copy" and not params:
-        return MachineFile("iufst", gen_copy())
-    if name == "uexpo" and not params:
-        return MachineFile("iufst", gen_uexpo())
-    if name == "d":
-        # the machine covers every block width; an optional width is
-        # accepted for symmetry with verify and ignored beyond checking
-        if params and params[0] < 2:
-            raise CliError("d needs k >= 2")
-        return MachineFile("niufst", gen_d())
-    if name == "id-ctor" and not params:
-        return MachineFile("iufst", identity_constructor(("x",)).machine)
-    if name == "expo-ctor" and not params:
-        return MachineFile("iufst", expo_constructor(("x",)).machine)
-    raise CliError(f"unknown generator spec {spec!r}")
+def _gen_d(k: int = 2) -> Transducer:
+    # the machine covers every block width; the width only selects the
+    # verification corpus and is checked for every command alike
+    if k < 2:
+        raise CliError("d needs k >= 2")
+    return gen_d()
 
 
-def _family_tools(spec: str):
-    """(machine-or-acceptor, predicate, alphabet, default budget) per family."""
-    name, params = _split_spec(spec)
-    if name == "block" and len(params) == 1:
-        k = params[0]
-        return gen_block(k), (lambda w: in_block(k, w)), ("0", "1", "#"), 2 * k + 3
-    if name == "block-nfa" and len(params) == 1:
-        k = params[0]
-        return gen_block_nfa(k), (lambda w: in_block(k, w)), ("0", "1", "#"), 2 * k + 3
-    if name == "unary" and len(params) == 2:
-        n, k = params
-        return gen_unary(n, k), (lambda w: in_unary(n, k, w)), ("a",), 2 * n**k + 2
-    if name == "e" and len(params) == 2:
-        n, k = params
-        return gen_e(n, k), (lambda w: in_e(n, k, w)), ("a", "b"), min(10, 2 * n**k + 2)
-    if name == "copy" and not params:
-        return gen_copy(), in_copy, ("a", "b", "$"), 9
-    if name == "uexpo" and not params:
-        return gen_uexpo(), in_uexpo, ("a",), 64
-    if name == "d":
-        return gen_d(), in_d, ("a", "b", "0", "1"), 8
-    raise CliError(f"unknown family spec {spec!r}")
-
-
-def _d_corpus(k: int) -> list[tuple[str, ...]]:
+def _d_corpus(k: int = 2) -> list[Word]:
     """Every width-k member plus one single-mutation negative each."""
     words = []
     payload_space = list(product(product("ab", repeat=k), repeat=2**k))
@@ -163,47 +136,97 @@ def _d_corpus(k: int) -> list[tuple[str, ...]]:
     return words
 
 
-def _measure_family(spec: str):
-    """(machine, param -> word, printable name) for sweep measurement."""
-    name, params = _split_spec(spec)
-    if name == "unary" and len(params) == 2:
-        n, k = params
-        return gen_unary(n, k), lambda c: ("a",) * (c * n**k)
-    if name == "e" and len(params) == 2:
-        n, k = params
-        return gen_e(n, k), lambda c: ("b",) + ("a",) * (c * n**k - 1)
-    if name == "block" and len(params) == 1:
-        k = params[0]
+def _block_word(k: int, m: int) -> Word:
+    return ((("0",) * k + ("#",)) * max(2, m))[:-1]
 
-        def block_word(m):
-            block = ("0",) * k
-            out: list[str] = []
-            for _ in range(max(2, m)):
-                out += list(block) + ["#"]
-            return tuple(out[:-1])
 
-        return gen_block(k), block_word
-    if name == "copy" and not params:
-        def copy_word(j):
-            u = tuple("ab"[(i % 2)] for i in range(j))
-            return u + ("$",) + u
+def _copy_word(j: int) -> Word:
+    u = tuple("ab"[i % 2] for i in range(j))
+    return u + ("$",) + u
 
-        return gen_copy(), copy_word
-    if name == "uexpo" and not params:
-        return gen_uexpo(), lambda j: ("a",) * (2**j)
-    if name == "d" and not params:
-        def dw(k):
-            pays = [tuple("ab"[(j + i) % 2] for i in range(k)) for j in range(2**k)]
-            return d_word(k, pays, 1)
 
-        return gen_d(), dw
-    if name == "id-ctor" and not params:
-        c = identity_constructor(("x",))
-        return c.machine, lambda m: ("a",) * m + ("x",) * m
-    if name == "expo-ctor" and not params:
-        c = expo_constructor(("x",))
-        return c.machine, lambda m: ("a",) * m + ("x",) * (2**m)
-    raise CliError(f"no measurement family for {spec!r}")
+def _d_measure_word(k: int) -> Word:
+    pays = [tuple("ab"[(j + i) % 2] for i in range(k)) for j in range(2**k)]
+    return d_word(k, pays, 1)
+
+
+FAMILIES: dict[str, Family] = {
+    "block": Family(
+        "niufst", lambda k: gen_block(k),
+        pred=lambda k: lambda w: in_block(k, w), alphabet=("0", "1", "#"),
+        budget=lambda k: 2 * k + 3, words=lambda k: lambda m: _block_word(k, m),
+    ),
+    "block-nfa": Family(
+        "nfa", lambda k: gen_block_nfa(k),
+        pred=lambda k: lambda w: in_block(k, w), alphabet=("0", "1", "#"),
+        budget=lambda k: 2 * k + 3,
+    ),
+    "unary": Family(
+        "iufst", lambda n, k: gen_unary(n, k),
+        pred=lambda n, k: lambda w: in_unary(n, k, w), alphabet=("a",),
+        budget=lambda n, k: 2 * n**k + 2,
+        words=lambda n, k: lambda c: ("a",) * (c * n**k),
+    ),
+    "e": Family(
+        "niufst", lambda n, k: gen_e(n, k),
+        pred=lambda n, k: lambda w: in_e(n, k, w), alphabet=("a", "b"),
+        budget=lambda n, k: min(10, 2 * n**k + 2),
+        words=lambda n, k: lambda c: ("b",) + ("a",) * (c * n**k - 1),
+    ),
+    "copy": Family(
+        "iufst", lambda: gen_copy(),
+        pred=lambda: in_copy, alphabet=("a", "b", "$"), budget=lambda: 9,
+        words=lambda: _copy_word,
+    ),
+    "uexpo": Family(
+        "iufst", lambda: gen_uexpo(),
+        pred=lambda: in_uexpo, alphabet=("a",), budget=lambda: 64,
+        words=lambda: lambda j: ("a",) * (2**j),
+    ),
+    "d": Family(
+        "niufst", _gen_d,
+        pred=lambda k=2: in_d, alphabet=("a", "b", "0", "1"), budget=lambda k=2: 8,
+        corpus=_d_corpus, words=lambda k=2: _d_measure_word,
+    ),
+    "id-ctor": Family(
+        "iufst", lambda: identity_constructor(("x",)).machine,
+        words=lambda: lambda m: ("a",) * m + ("x",) * m,
+    ),
+    "expo-ctor": Family(
+        "iufst", lambda: expo_constructor(("x",)).machine,
+        words=lambda: lambda m: ("a",) * m + ("x",) * (2**m),
+    ),
+}
+
+
+def _family(spec: str, use: str) -> tuple[Family, list[int]]:
+    """The family a ``name[:p1,p2,...]`` spec names, if it offers ``use``,
+    with the spec's parameters."""
+    name, _, raw = spec.partition(":")
+    fam = FAMILIES.get(name)
+    if fam is None or getattr(fam, use) is None:
+        raise CliError(f"no family {spec!r} for this command")
+    try:
+        params = [int(p) for p in raw.split(",") if p != ""]
+        inspect.signature(fam.make).bind(*params)
+    except (TypeError, ValueError):
+        raise CliError(f"bad family parameters in {spec!r}") from None
+    return fam, params
+
+
+def _specs(use: str) -> str:
+    """The spec grammar of every family that offers ``use``."""
+    out = []
+    for name, fam in FAMILIES.items():
+        if getattr(fam, use) is not None:
+            params = inspect.signature(fam.make).parameters.values()
+            grammar = ",".join(p.name.upper() for p in params)
+            if any(p.default is not p.empty for p in params):
+                name += f"[:{grammar}]"
+            elif grammar:
+                name += f":{grammar}"
+            out.append(name)
+    return " | ".join(out)
 
 
 def cmd_run(args) -> int:
@@ -267,51 +290,37 @@ def cmd_convert(args) -> int:
 
 
 def cmd_decide(args) -> int:
-    mf = _load(args.machine)
-    t = _need_transducer(mf)
+    t = _need_transducer(_load(args.machine))
     k = _need_bound(t)
-    if args.question in ("equiv", "subset"):
+    question = args.question
+    if question == "empty":
+        answer = decide_mod.emptiness_witness(t, k)
+    elif question == "finite":
+        answer = decide_mod.infiniteness_witness(t, k)
+    elif question == "universal":
+        answer = decide_mod.universality_witness(t, k, args.state_cap)
+    else:
         if not args.other:
-            raise CliError(f"decide {args.question} needs -n OTHER_MACHINE")
-        mf2 = _load(args.other)
-        t2 = _need_transducer(mf2)
+            raise CliError(f"decide {question} needs -n OTHER_MACHINE")
+        t2 = _need_transducer(_load(args.other))
         k2 = _need_bound(t2)
-        if args.question == "equiv":
-            witness = decide_mod.equivalence_witness(t, k, t2, k2, args.state_cap)
+        if question == "equiv":
+            answer = decide_mod.equivalence_witness(t, k, t2, k2, args.state_cap)
         else:
-            witness = decide_mod.inclusion_witness(t, k, t2, k2, args.state_cap)
-        if witness is None:
-            print("true")
-            return OK
-        print(f"false witness={','.join(witness) if witness else 'λ'}")
-        return REJECT
-    if args.question == "empty":
-        witness = decide_mod.emptiness_witness(t, k)
-        if witness is None:
-            print("true")
-            return OK
-        print(f"false witness={','.join(witness) if witness else 'λ'}")
-        return REJECT
-    if args.question == "finite":
-        pumped = decide_mod.infiniteness_witness(t, k)
-        if pumped is None:
-            print("true")
-            return OK
-        pre, cyc, suf = pumped
-        print(f"false pump=({','.join(pre)};{','.join(cyc)};{','.join(suf)})")
-        return REJECT
-    if args.question == "universal":
-        witness = decide_mod.universality_witness(t, k, args.state_cap)
-        if witness is None:
-            print("true")
-            return OK
-        print(f"false witness={','.join(witness) if witness else 'λ'}")
-        return REJECT
-    raise CliError(f"unknown decision question {args.question!r}")
+            answer = decide_mod.inclusion_witness(t, k, t2, k2, args.state_cap)
+    if answer is None:
+        print("true")
+        return OK
+    if question == "finite":
+        print(f"false pump=({';'.join(','.join(part) for part in answer)})")
+    else:
+        print(f"false witness={','.join(answer) or 'λ'}")
+    return REJECT
 
 
 def cmd_gen(args) -> int:
-    _save(_gen_machine(args.family), args.output)
+    fam, params = _family(args.family, "make")
+    _save(MachineFile(fam.kind, fam.make(*params)), args.output)
     return OK
 
 
@@ -346,21 +355,14 @@ def cmd_lba(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    name, params = _split_spec(args.lang)
-    if name == "d":
-        k = params[0] if params else 2
-        if k < 2:
-            raise CliError("d needs k >= 2")
-        machine = gen_d()
-        corpus = _d_corpus(k)
-        disagreements = compare_on_words(machine, in_d, corpus)
-        disagreements += compare_languages(
-            machine, in_d, ("a", "b", "0", "1"), min(args.max_len or 8, 8)
-        )
-    else:
-        machine, pred, alphabet, budget = _family_tools(args.lang)
-        max_len = args.max_len if args.max_len is not None else budget
-        disagreements = compare_languages(machine, pred, alphabet, max_len)
+    fam, params = _family(args.lang, "pred")
+    machine = fam.make(*params)
+    pred = fam.pred(*params)
+    disagreements = []
+    if fam.corpus is not None:
+        disagreements += compare_on_words(machine, pred, fam.corpus(*params))
+    max_len = args.max_len if args.max_len is not None else fam.budget(*params)
+    disagreements += compare_languages(machine, pred, fam.alphabet, max_len)
     if disagreements:
         for w in disagreements[:20]:
             print("disagree:", ",".join(w) if w else "λ")
@@ -371,9 +373,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    machine, family = _measure_family(args.lang)
+    fam, params = _family(args.lang, "words")
     lo, hi = args.min_param, args.max_param
-    rows = measure_sweep_growth(machine, family, range(lo, hi + 1))
+    rows = measure_sweep_growth(fam.make(*params), fam.words(*params), range(lo, hi + 1))
     print("param,length,sweeps")
     holes = 0
     for p, length, sweeps in rows:
@@ -415,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("gen", help="generate a machine family member")
-    p.add_argument("family",
-                   help="block:K | block-nfa:K | unary:N,K | e:N,K | copy | "
-                        "uexpo | d[:K] | id-ctor | expo-ctor")
+    p.add_argument("family", help=_specs("make"))
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_gen)
 
@@ -437,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lba)
 
     p = sub.add_parser("verify", help="compare a family machine against its definition")
-    p.add_argument("--lang", required=True)
+    p.add_argument("--lang", required=True, help=_specs("pred"))
     p.add_argument("--max-len", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("measure", help="sweep growth table as CSV")
-    p.add_argument("--lang", required=True)
+    p.add_argument("--lang", required=True, help=_specs("words"))
     p.add_argument("--min-param", type=int, default=1)
     p.add_argument("--max-param", type=int, default=6)
     p.set_defaults(fn=cmd_measure)

@@ -18,15 +18,14 @@ from typing import Optional, Sequence
 from .core import (
     MachineError,
     MalformedInputError,
+    ResourceBudgetError,
     Transducer,
+    _bfs,
     _check_token,
     _check_unique,
+    _shortest_word,
     build_transducer,
 )
-
-
-class ResourceBudgetError(MachineError):
-    """A construction exceeded its configured state budget."""
 
 
 @dataclass(frozen=True)
@@ -213,33 +212,22 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
                 out.append((tup, y))
         return out
 
-    start = (t.initial,) * i
-    reduced = _materialize_reduced(
-        t, delta, start, out_alpha, dummy_state, accepting, i, k
-    )
-    return reduced
-
-
-def _materialize_reduced(t, delta, start, out_alpha, dummy_state, accepting, i, k):
-    universe = reduced_state_universe(len(t.states), i)
-    bound = -(-k // i)  # ceil(k / i)
-    machine = build_transducer(
-        start=start,
+    return build_transducer(
+        start=(t.initial,) * i,
         delta=delta,
         input_alphabet=t.input_alphabet,
         output_alphabet=out_alpha,
         endmarker=t.endmarker,
         accepting=lambda tup: any(q in accepting for q in tup),
         name_of=_tuple_name,
-        sweep_bound=bound,
+        sweep_bound=-(-k // i),  # ceil(k / i)
         meta={
-            "universe_states": universe,
+            "universe_states": reduced_state_universe(len(t.states), i),
             "lanes": i,
             "source_states": len(t.states),
             "source_bound": k,
         },
     )
-    return machine
 
 
 def to_nfa(t: Transducer, k: int) -> Nfa:
@@ -320,33 +308,31 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     def name(subset: frozenset[str]) -> str:
         return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
 
+    rows: dict[frozenset[str], list[tuple[frozenset[str], str]]] = {}
+
+    def succ(cur: frozenset[str]) -> list[tuple[frozenset[str], str]]:
+        rows[cur] = [
+            (frozenset(r for q in cur for r in n.transitions.get((q, x), ())), x)
+            for x in n.alphabet
+        ]
+        return rows[cur]
+
     start = frozenset({n.initial})
-    seen: dict[frozenset[str], str] = {start: name(start)}
-    queue = [start]
-    transitions: dict[tuple[str, str], str] = {}
-    states_in_order = [start]
-    while queue:
-        cur = queue.pop(0)
-        for x in n.alphabet:
-            nxt = frozenset(r for q in cur for r in n.transitions.get((q, x), ()))
-            if nxt not in seen:
-                if len(seen) >= state_cap:
-                    raise ResourceBudgetError(
-                        f"powerset construction exceeded {state_cap} states"
-                    )
-                seen[nxt] = name(nxt)
-                states_in_order.append(nxt)
-                queue.append(nxt)
-            transitions[(seen[cur], x)] = seen[nxt]
-    accepting = tuple(
-        seen[sub] for sub in states_in_order if sub & n.accepting_set
-    )
+    try:
+        subsets, _ = _bfs((start,), succ, limit=state_cap)
+    except ResourceBudgetError:
+        raise ResourceBudgetError(
+            f"powerset construction exceeded {state_cap} states"
+        ) from None
+    names = {sub: name(sub) for sub in subsets}
     return Dfa(
-        states=tuple(seen[sub] for sub in states_in_order),
+        states=tuple(names.values()),
         alphabet=tuple(n.alphabet),
-        initial=seen[start],
-        accepting=accepting,
-        transitions=transitions,
+        initial=names[start],
+        accepting=tuple(names[sub] for sub in subsets if sub & n.accepting_set),
+        transitions={
+            (names[cur], x): names[nxt] for cur, row in rows.items() for nxt, x in row
+        },
     )
 
 
@@ -368,19 +354,15 @@ def dfa_complete(d: Dfa) -> Dfa:
     )
 
 
+def _dfa_edges(d: Dfa):
+    """Successor function of a (possibly partial) DFA for ``_bfs``."""
+    return lambda q: [
+        (d.transitions[(q, x)], x) for x in d.alphabet if (q, x) in d.transitions
+    ]
+
+
 def _reachable(d: Dfa) -> list[str]:
-    seen = {d.initial}
-    order = [d.initial]
-    queue = [d.initial]
-    while queue:
-        q = queue.pop(0)
-        for x in d.alphabet:
-            r = d.transitions.get((q, x))
-            if r is not None and r not in seen:
-                seen.add(r)
-                order.append(r)
-                queue.append(r)
-    return order
+    return list(_bfs((d.initial,), _dfa_edges(d))[0])
 
 
 def dfa_minimize(d: Dfa) -> Dfa:
@@ -415,22 +397,11 @@ def dfa_minimize(d: Dfa) -> Dfa:
     rep: dict[int, str] = {}
     for q in reach:
         rep.setdefault(block[q], q)
-    names: dict[int, str] = {}
-    order: list[int] = []
-
-    def visit(b: int) -> None:
-        if b not in names:
-            names[b] = f"m{len(names)}"
-            order.append(b)
-
-    visit(block[d.initial])
-    idx = 0
-    while idx < len(order):
-        b = order[idx]
-        idx += 1
-        q = rep[b]
-        for x in d.alphabet:
-            visit(block[d.transitions[(q, x)]])
+    order, _ = _bfs(
+        (block[d.initial],),
+        lambda b: [(block[d.transitions[(rep[b], x)]], x) for x in d.alphabet],
+    )
+    names = {b: f"m{i}" for i, b in enumerate(order)}
     transitions = {
         (names[b], x): names[block[d.transitions[(rep[b], x)]]]
         for b in order
@@ -452,18 +423,10 @@ def dfa_minimize(d: Dfa) -> Dfa:
 
 def _dead_states(d: Dfa) -> set[str]:
     """States from which no accepting state is reachable."""
-    rev: dict[str, set[str]] = {q: set() for q in d.states}
-    for (q, _x), r in d.transitions.items():
-        rev[r].add(q)
-    alive = set(d.accepting)
-    queue = list(alive)
-    while queue:
-        q = queue.pop()
-        for p in rev[q]:
-            if p not in alive:
-                alive.add(p)
-                queue.append(p)
-    return set(d.states) - alive
+    rev: dict[str, list[tuple[str, str]]] = {q: [] for q in d.states}
+    for (q, x), r in d.transitions.items():
+        rev[r].append((q, x))
+    return set(d.states).difference(_bfs(d.accepting, rev.__getitem__)[0])
 
 
 def dfa_complement(d: Dfa) -> Dfa:
@@ -481,28 +444,25 @@ def dfa_product(a: Dfa, b: Dfa, op: str = "intersection") -> Dfa:
     """Product automaton; ``op`` is intersection, union, or difference."""
     if op not in ("intersection", "union", "difference"):
         raise MachineError(f"unknown product op {op!r}")
-    if tuple(a.alphabet) != tuple(b.alphabet):
+    if set(a.alphabet) != set(b.alphabet):
         raise MachineError("product requires identical alphabets")
     a = dfa_complete(a)
     b = dfa_complete(b)
     start = (a.initial, b.initial)
-    seen = {start}
-    order = [start]
-    queue = [start]
     transitions: dict[tuple[str, str], str] = {}
 
     def name(pq: tuple[str, str]) -> str:
         return f"({pq[0]};{pq[1]})"
 
-    while queue:
-        p, q = queue.pop(0)
-        for x in a.alphabet:
-            nxt = (a.transitions[(p, x)], b.transitions[(q, x)])
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-            transitions[(name((p, q)), x)] = name(nxt)
+    def succ(pq: tuple[str, str]) -> list[tuple[tuple[str, str], str]]:
+        p, q = pq
+        edges = [((a.transitions[(p, x)], b.transitions[(q, x)]), x) for x in a.alphabet]
+        for nxt, x in edges:
+            transitions[(name(pq), x)] = name(nxt)
+        return edges
+
+    order, _ = _bfs((start,), succ)
+
     def accept(pq: tuple[str, str]) -> bool:
         ina = pq[0] in a.accepting_set
         inb = pq[1] in b.accepting_set
@@ -523,21 +483,7 @@ def dfa_product(a: Dfa, b: Dfa, op: str = "intersection") -> Dfa:
 
 def dfa_shortest_accepted(d: Dfa) -> Optional[tuple[str, ...]]:
     """Length-lexicographically first accepted word, or None if L is empty."""
-    if d.initial in d.accepting_set:
-        return ()
-    seen = {d.initial}
-    queue: list[tuple[str, tuple[str, ...]]] = [(d.initial, ())]
-    while queue:
-        q, w = queue.pop(0)
-        for x in d.alphabet:
-            r = d.transitions.get((q, x))
-            if r is None or r in seen:
-                continue
-            if r in d.accepting_set:
-                return w + (x,)
-            seen.add(r)
-            queue.append((r, w + (x,)))
-    return None
+    return _shortest_word((d.initial,), _dfa_edges(d), d.accepting_set.__contains__)
 
 
 def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:

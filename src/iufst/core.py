@@ -14,6 +14,7 @@ current computation branch halts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -36,6 +37,10 @@ class MalformedInputError(MachineError):
 
 class NotDeterministicError(MachineError):
     """A deterministic-only operation was applied to a nondeterministic machine."""
+
+
+class ResourceBudgetError(MachineError):
+    """A construction exceeded its configured state budget."""
 
 
 def _check_token(tok: str, what: str) -> None:
@@ -483,20 +488,18 @@ def build_transducer(
     symbols = tuple(input_alphabet) + tuple(
         y for y in output_alphabet if y not in set(input_alphabet)
     )
-    order: dict[Hashable, int] = {start: 0}
-    queue = [start]
     raw: dict[tuple[Hashable, str], tuple[tuple[Hashable, str], ...]] = {}
-    while queue:
-        state = queue.pop(0)
+
+    def succ(state):
+        edges: list[tuple[Hashable, str]] = []
         for x in symbols:
             choices = tuple(delta(state, x))
-            if not choices:
-                continue
-            raw[(state, x)] = choices
-            for p, _y in choices:
-                if p not in order:
-                    order[p] = len(order)
-                    queue.append(p)
+            if choices:
+                raw[(state, x)] = choices
+                edges += choices
+        return edges
+
+    order, _ = _bfs((start,), succ)
     names = {s: name_of(s) for s in order}
     if len(set(names.values())) != len(names):
         raise MachineError("state naming is not injective on reachable states")
@@ -514,3 +517,54 @@ def build_transducer(
         sweep_bound=sweep_bound,
         meta=meta or {},
     )
+
+
+def _bfs(
+    starts: Iterable[Hashable],
+    succ: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
+    goal: Optional[Callable[[Hashable], bool]] = None,
+    limit: Optional[int] = None,
+) -> tuple[dict, Optional[Hashable]]:
+    """Breadth-first search from ``starts``; ``succ(node)`` lists the
+    node's (successor, label) edges in a fixed order.
+
+    Returns ``(parent, hit)``.  ``parent`` maps every discovered node, in
+    discovery order, to the (node, label) edge that first reached it
+    (``None`` for a start).  With ``goal`` the search stops at the first
+    discovered node satisfying it, returned as ``hit``.  Discovering more
+    than ``limit`` nodes raises ``ResourceBudgetError``.
+    """
+    parent: dict = dict.fromkeys(starts)
+    if goal is not None:
+        for s in parent:
+            if goal(s):
+                return parent, s
+    queue = deque(parent)
+    while queue:
+        q = queue.popleft()
+        for r, x in succ(q):
+            if r not in parent:
+                if limit is not None and len(parent) >= limit:
+                    raise ResourceBudgetError(f"search exceeded {limit} states")
+                parent[r] = (q, x)
+                if goal is not None and goal(r):
+                    return parent, r
+                queue.append(r)
+    return parent, None
+
+
+def _shortest_word(
+    starts: Iterable[Hashable],
+    succ: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
+    goal: Callable[[Hashable], bool],
+) -> Optional[Word]:
+    """Labels along a shortest path to a ``goal`` node, breadth-first
+    first-found; ``None`` when no goal node is reachable."""
+    parent, hit = _bfs(starts, succ, goal)
+    if hit is None:
+        return None
+    word = []
+    while parent[hit] is not None:
+        hit, x = parent[hit]
+        word.append(x)
+    return tuple(reversed(word))

@@ -21,40 +21,34 @@ from .convert import (
     nfa_to_dfa,
     to_nfa,
 )
-from .core import Transducer
+from .core import Transducer, _bfs, _shortest_word
 
 DEFAULT_DFA_CAP = 2**20
 
 Word = tuple[str, ...]
 
 
+def _nfa_edges(n: Nfa, within: Optional[set[str]] = None):
+    """Successor function of an NFA for ``_bfs``, optionally restricted to
+    the states in ``within``."""
+    return lambda q: [
+        (r, x)
+        for x in n.alphabet
+        for r in n.transitions.get((q, x), ())
+        if within is None or r in within
+    ]
+
+
 def _nfa_reachable(n: Nfa) -> set[str]:
-    seen = {n.initial}
-    queue = [n.initial]
-    while queue:
-        q = queue.pop()
-        for x in n.alphabet:
-            for r in n.transitions.get((q, x), ()):
-                if r not in seen:
-                    seen.add(r)
-                    queue.append(r)
-    return seen
+    return set(_bfs((n.initial,), _nfa_edges(n))[0])
 
 
 def _nfa_coaccessible(n: Nfa) -> set[str]:
-    rev: dict[str, set[str]] = {q: set() for q in n.states}
-    for (q, _x), rs in n.transitions.items():
+    rev: dict[str, list[tuple[str, str]]] = {q: [] for q in n.states}
+    for (q, x), rs in n.transitions.items():
         for r in rs:
-            rev[r].add(q)
-    seen = set(n.accepting)
-    queue = list(seen)
-    while queue:
-        q = queue.pop()
-        for p in rev[q]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return seen
+            rev[r].append((q, x))
+    return set(_bfs(n.accepting, rev.__getitem__)[0])
 
 
 def is_empty(t: Transducer, k: int) -> bool:
@@ -65,21 +59,7 @@ def is_empty(t: Transducer, k: int) -> bool:
 def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     """Shortest accepted word, or None when the language is empty."""
     n = to_nfa(t, k)
-    if n.initial in n.accepting_set:
-        return ()
-    seen = {n.initial}
-    queue: list[tuple[str, Word]] = [(n.initial, ())]
-    while queue:
-        q, w = queue.pop(0)
-        for x in n.alphabet:
-            for r in n.transitions.get((q, x), ()):
-                if r in seen:
-                    continue
-                if r in n.accepting_set:
-                    return w + (x,)
-                seen.add(r)
-                queue.append((r, w + (x,)))
-    return None
+    return _shortest_word((n.initial,), _nfa_edges(n), n.accepting_set.__contains__)
 
 
 def is_finite(t: Transducer, k: int) -> bool:
@@ -96,82 +76,52 @@ def infiniteness_witness(t: Transducer, k: int) -> Optional[tuple[Word, Word, Wo
     words, or None when the language is finite."""
     n = to_nfa(t, k)
     live = _nfa_reachable(n) & _nfa_coaccessible(n)
-    # Cycle detection restricted to live states, with path recovery.
-    colors: dict[str, int] = {}
-    edge_to: dict[str, tuple[str, str]] = {}
-    cycle: Optional[list[tuple[str, str]]] = None
-
-    def dfs(q: str) -> Optional[str]:
-        nonlocal cycle
-        colors[q] = 1
-        for x in n.alphabet:
-            for r in n.transitions.get((q, x), ()):
-                if r not in live:
-                    continue
-                if colors.get(r, 0) == 1:
-                    # walk back from q to r collecting the loop
-                    loop = [(x, r)]
-                    cur = q
-                    while cur != r:
-                        px, pq = edge_to[cur]
-                        loop.append((px, cur))
-                        cur = pq
-                    loop.reverse()
-                    cycle = loop
-                    return r
-                if colors.get(r, 0) == 0:
-                    edge_to[r] = (x, q)
-                    hit = dfs(r)
-                    if hit is not None:
-                        return hit
-        colors[q] = 2
+    cycle = _live_cycle(n, live)
+    if cycle is None:
         return None
-
-    if n.initial not in live:
-        return None
-    start = dfs(n.initial)
-    if start is None:
-        return None
-    cyc_word = tuple(sym for sym, _q in cycle)
-    prefix = _nfa_path(n, n.initial, start, live)
-    suffix = _nfa_path_to_accepting(n, start, live)
+    q, cyc_word = cycle
+    edges = _nfa_edges(n, live)
+    prefix = _shortest_word((n.initial,), edges, q.__eq__)
+    suffix = _shortest_word((q,), edges, n.accepting_set.__contains__)
     return (prefix, cyc_word, suffix)
 
 
-def _nfa_path(n: Nfa, src: str, dst: str, live: set[str]) -> Word:
-    if src == dst:
-        return ()
-    seen = {src}
-    queue: list[tuple[str, Word]] = [(src, ())]
-    while queue:
-        q, w = queue.pop(0)
-        for x in n.alphabet:
-            for r in n.transitions.get((q, x), ()):
-                if r not in live or r in seen:
-                    continue
-                if r == dst:
-                    return w + (x,)
-                seen.add(r)
-                queue.append((r, w + (x,)))
-    raise AssertionError("dst not reachable inside live subgraph")
+def _live_cycle(n: Nfa, live: set[str]) -> Optional[tuple[str, Word]]:
+    """A state on a cycle of the live subgraph and the cycle's word, or
+    None when that subgraph is acyclic.
 
-
-def _nfa_path_to_accepting(n: Nfa, src: str, live: set[str]) -> Word:
-    if src in n.accepting_set:
-        return ()
-    seen = {src}
-    queue: list[tuple[str, Word]] = [(src, ())]
-    while queue:
-        q, w = queue.pop(0)
-        for x in n.alphabet:
-            for r in n.transitions.get((q, x), ()):
-                if r not in live or r in seen:
-                    continue
-                if r in n.accepting_set:
-                    return w + (x,)
-                seen.add(r)
-                queue.append((r, w + (x,)))
-    raise AssertionError("no accepting state reachable inside live subgraph")
+    Kahn peeling removes every state without a predecessor left; each
+    remaining state keeps a remaining predecessor, so walking
+    predecessors back from one must close a cycle.
+    """
+    states = [q for q in n.states if q in live]
+    edges = _nfa_edges(n, live)
+    preds: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
+    for q in states:
+        for r, x in edges(q):
+            preds[r].append((q, x))
+    indegree = {q: len(preds[q]) for q in states}
+    peeled = [q for q in states if not indegree[q]]
+    for q in peeled:
+        for r, _x in edges(q):
+            indegree[r] -= 1
+            if not indegree[r]:
+                peeled.append(r)
+    rest = live.difference(peeled)
+    if not rest:
+        return None
+    back: dict[str, tuple[str, str]] = {}
+    q = next(q for q in states if q in rest)
+    while q not in back:
+        back[q] = next((p, x) for p, x in preds[q] if p in rest)
+        q = back[q][0]
+    word = []
+    p = q
+    while True:
+        p, x = back[p]
+        word.append(x)
+        if p == q:
+            return q, tuple(reversed(word))
 
 
 def _to_dfa(t: Transducer, k: int, state_cap: int) -> Dfa:

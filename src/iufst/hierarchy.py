@@ -41,8 +41,7 @@ class Constructor:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if "a" in self.payload_alphabet:
-            raise MachineError("payload alphabet must not contain the prefix symbol a")
+        _check_payload(self.payload_alphabet)
         for sym in self.payload_alphabet:
             if sym not in self.machine.input_set:
                 raise MachineError(f"payload symbol {sym!r} unknown to the machine")
@@ -56,7 +55,6 @@ def identity_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructo
     giving m + 1 sweeps on accepted words.
     """
     payload = tuple(payload_alphabet)
-    _check_payload(payload)
     marked = {t: t + "'" for t in payload}
     trans: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     trans[("q0", "a'")] = (("q0", "a'"),)
@@ -98,7 +96,6 @@ def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
     confirms the single survivor, for m + 1 sweeps in total.
     """
     payload = tuple(payload_alphabet)
-    _check_payload(payload)
     marked = {t: t + "'" for t in payload}
     trans: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     # qz: at least one marked a seen, so the verification sweep is legal
@@ -159,6 +156,11 @@ def _check_payload(payload: tuple[str, ...]) -> None:
     bad = {"a", "b", "$"} & set(payload)
     if bad:
         raise MachineError(f"payload alphabet must avoid {sorted(bad)!r}")
+    # the two-track encoding below joins tracks with these characters, so
+    # _unpair would split inside a payload symbol holding one
+    for sym in payload:
+        if any(c in sym for c in "[]|!"):
+            raise MachineError(f"payload symbol {sym!r} uses a track-encoding character")
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +416,6 @@ def build_lf(cf: Constructor) -> Transducer:
     from .witness import gen_copy
 
     payload = tuple(cf.payload_alphabet)
-    if {"a", "b", "$"} & set(payload):
-        raise MachineError("payload alphabet must be disjoint from {a, b, $}")
     tf = cf.machine
     tc = gen_copy(("a", "b"))
     acc_f, acc_c = tf.accepting_set, tc.accepting_set

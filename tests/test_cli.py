@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, piping through files, output
 stability."""
 
+import inspect
+
 import pytest
 
-from iufst.cli import main
+from iufst.cli import FAMILIES, main
 
 
 def run_cli(capsys, *argv):
@@ -170,3 +172,40 @@ class TestVerifyMeasure:
         assert lines[0] == "param,length,sweeps"
         assert lines[1] == "1,2,1"
         assert lines[4] == "4,16,4"
+
+
+class TestFamilyRegistry:
+    @pytest.mark.parametrize(
+        "name", [name for name, fam in FAMILIES.items() if fam.pred is not None]
+    )
+    def test_verify_every_family(self, capsys, name):
+        arity = len(inspect.signature(FAMILIES[name].make).parameters)
+        spec = name + (":" + ",".join(["2"] * arity) if arity else "")
+        code, out, _ = run_cli(capsys, "verify", "--lang", spec, "--max-len", "5")
+        assert code == 0 and out.strip() == "ok"
+
+    def test_verify_honours_max_len(self, capsys, monkeypatch):
+        import iufst.cli
+
+        seen = []
+        monkeypatch.setattr(iufst.cli, "compare_on_words", lambda m, p, words: [])
+        monkeypatch.setattr(
+            iufst.cli, "compare_languages",
+            lambda m, p, alphabet, max_len: seen.append(max_len) or [],
+        )
+        for max_len in ("0", "12"):
+            code, out, _ = run_cli(capsys, "verify", "--lang", "d:2", "--max-len", max_len)
+            assert code == 0 and out.strip() == "ok"
+        run_cli(capsys, "verify", "--lang", "d:2")
+        assert seen == [0, 12, 8]
+
+    def test_subset_with_reordered_alphabet(self, tmp_path, capsys, e21_file):
+        universal = tmp_path / "all.m"
+        universal.write_text(
+            "kind niufst\nstates q\ninput b a\noutput b a <\nendmarker <\n"
+            "initial q\naccept q\nsweeps 1\n"
+            "trans q a -> q a\ntrans q b -> q b\ntrans q < -> q <\n"
+        )
+        code, out, _ = run_cli(capsys, "decide", "subset", "-m", e21_file,
+                               "-n", str(universal))
+        assert code == 0 and out.strip() == "true"

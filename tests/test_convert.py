@@ -174,3 +174,21 @@ class TestNfaEmbedding:
         for length in range(9):
             for w in itertools.product("01#", repeat=length):
                 assert back.accepts(w) == block_nfa2.accepts(w), w
+
+
+class TestProductAlphabets:
+    def test_reordered_alphabet_is_the_same_alphabet(self):
+        from iufst import Dfa
+
+        ab = predicate_to_min_dfa(lambda w: w.count("a") % 2 == 0, ("a", "b"), 6)
+        ba = Dfa(("q",), ("b", "a"), "q", ("q",), {("q", "a"): "q", ("q", "b"): "q"})
+        inter = dfa_product(ab, ba, "intersection")
+        assert inter.alphabet == ("a", "b")
+        for w in itertools.product("ab", repeat=4):
+            assert inter.accepts(w) == ab.accepts(w)
+
+    def test_different_symbols_rejected(self):
+        a = predicate_to_min_dfa(lambda w: True, ("a",), 4)
+        ab = predicate_to_min_dfa(lambda w: True, ("a", "b"), 4)
+        with pytest.raises(MachineError):
+            dfa_product(a, ab)

@@ -255,3 +255,38 @@ class TestFuzzAgreement:
             (t1, k1), (t2, k2), (t3, k3) = rng.sample(sample, 3)
             if equivalent(t1, k1, t2, k2) and equivalent(t2, k2, t3, k3):
                 assert equivalent(t1, k1, t3, k3)
+
+
+class TestWitnessOrder:
+    """Witnesses are the first qualifying word in length-lexicographic
+    enumeration order, as breadth-first search in alphabet order finds them."""
+
+    def test_emptiness_witness_is_first_accepted_word(self, fuzz_corpus):
+        from iufst.oracle import enumerate_words
+
+        for t, k, _size, budget, lang in fuzz_corpus:
+            first = next((w for w in enumerate_words(("a", "b"), budget) if w in lang), None)
+            if first is not None:
+                assert emptiness_witness(t, k) == first, (t, k)
+
+    def test_universality_witness_is_first_rejected_word(self, fuzz_corpus):
+        from iufst.oracle import enumerate_words
+
+        checked = 0
+        for t, k, _size, budget, lang in fuzz_corpus:
+            first = next((w for w in enumerate_words(("a", "b"), budget) if w not in lang), None)
+            if first is not None:
+                assert universality_witness(t, k) == first, (t, k)
+                checked += 1
+        assert checked
+
+
+class TestDeepInfiniteness:
+    def test_unary_2_10_pumps_without_recursion(self):
+        # to_nfa gives 2,047 states; a recursive cycle search overflows the stack
+        from iufst import in_unary
+
+        x, y, z = infiniteness_witness(gen_unary(2, 10), 10)
+        assert len(y) > 0
+        for i in range(3):
+            assert in_unary(2, 10, x + y * i + z), i

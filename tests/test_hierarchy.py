@@ -251,3 +251,16 @@ class TestMeasure:
     def test_holes_reported(self, uexpo_machine):
         rows = measure_sweep_growth(uexpo_machine, lambda j: ("a",) * (2**j + 1), range(1, 4))
         assert all(s is None for _p, _l, s in rows)
+
+
+class TestPayloadEncoding:
+    @pytest.mark.parametrize("sym", ["x|", "x!", "[x", "x]"])
+    def test_track_characters_rejected(self, sym):
+        # the two-track encoding would split inside such a symbol, so the
+        # combined machine would silently reject its own members
+        with pytest.raises(MachineError):
+            combine_add(identity_constructor((sym,)), identity_constructor(("y",)))
+
+    def test_plain_payload_accepted(self):
+        c = combine_add(identity_constructor(("x",)), identity_constructor(("y",)))
+        assert run(c.machine, ("a", "x", "y"), 8).accepted
