@@ -101,7 +101,7 @@ class Family:
     signature of ``make`` is the spec grammar.  ``pred`` is the reference
     predicate for ``verify``, ``budget`` its default ``--max-len`` and
     ``corpus`` extra words it checks; ``words`` is the word family
-    ``measure`` runs.  They look library names up when called.
+    ``measure`` runs from ``least`` on.  They look library names up when called.
     """
 
     kind: str
@@ -111,13 +111,18 @@ class Family:
     budget: Optional[Callable[..., int]] = None
     corpus: Optional[Callable[..., list[Word]]] = None
     words: Optional[Callable[..., Callable[[int], Word]]] = None
+    least: int = 1
+
+
+def _check_d_width(k: int) -> None:
+    if k < 2:
+        raise CliError("d needs k >= 2")
 
 
 def _gen_d(k: int = 2) -> Transducer:
     # the machine covers every block width; the width only selects the
     # verification corpus and is checked for every command alike
-    if k < 2:
-        raise CliError("d needs k >= 2")
+    _check_d_width(k)
     return gen_d()
 
 
@@ -146,6 +151,7 @@ def _copy_word(j: int) -> Word:
 
 
 def _d_measure_word(k: int) -> Word:
+    _check_d_width(k)
     pays = [tuple("ab"[(j + i) % 2] for i in range(k)) for j in range(2**k)]
     return d_word(k, pays, 1)
 
@@ -186,7 +192,7 @@ FAMILIES: dict[str, Family] = {
     "d": Family(
         "niufst", _gen_d,
         pred=lambda k=2: in_d, alphabet=("a", "b", "0", "1"), budget=lambda k=2: 8,
-        corpus=_d_corpus, words=lambda k=2: _d_measure_word,
+        corpus=_d_corpus, words=lambda k=2: _d_measure_word, least=2,
     ),
     "id-ctor": Family(
         "iufst", lambda: identity_constructor(("x",)).machine,
@@ -374,8 +380,9 @@ def cmd_verify(args) -> int:
 
 def cmd_measure(args) -> int:
     fam, params = _family(args.lang, "words")
-    lo, hi = args.min_param, args.max_param
-    rows = measure_sweep_growth(fam.make(*params), fam.words(*params), range(lo, hi + 1))
+    lo = fam.least if args.min_param is None else args.min_param
+    rows = measure_sweep_growth(fam.make(*params), fam.words(*params),
+                                range(lo, args.max_param + 1))
     print("param,length,sweeps")
     holes = 0
     for p, length, sweeps in rows:
@@ -443,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="sweep growth table as CSV")
     p.add_argument("--lang", required=True, help=_specs("words"))
-    p.add_argument("--min-param", type=int, default=1)
+    p.add_argument("--min-param", type=int, help="first parameter (default 2 for d, else 1)")
     p.add_argument("--max-param", type=int, default=6)
     p.set_defaults(fn=cmd_measure)
     return ap

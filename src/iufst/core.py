@@ -10,6 +10,13 @@ Both deterministic and nondeterministic machines are supported; the
 transition relation maps (state, symbol) to a finite set of
 (state, output symbol) choices and may be undefined, in which case the
 current computation branch halts.
+
+Execution has one kernel and one driver.  ``_sweep``, the only loop over
+cells, keeps a lone branch in a list and forked branches in a trie of
+output chunks of up to ``_CHUNK`` symbols, so each completed output costs
+time linear in the tape.  ``_search``, the only search over the tapes at
+sweep boundaries, yields its rounds to ``run``, ``find_accepting_trace``
+and ``check_accept_mode``; ``sweep`` and ``run_deterministic`` call the kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from itertools import chain
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
 Tape = tuple[str, ...]
@@ -137,9 +145,19 @@ class Transducer:
     def is_deterministic(self) -> bool:
         return all(len(v) <= 1 for v in self.transitions.values())
 
+    @cached_property
+    def _indexed(self) -> tuple[int, list[dict[str, tuple[tuple[int, str], ...]]], list[bool]]:
+        """(initial, delta, accepting) over indices into ``states``; ``delta[q][x]``
+        holds the distinct choices in order.  Built lazily: only sweeps use it."""
+        index = {q: i for i, q in enumerate(self.states)}
+        delta: list[dict] = [{} for _ in self.states]
+        for (q, x), choices in self.transitions.items():
+            delta[index[q]][x] = tuple(dict.fromkeys((index[p], y) for p, y in choices))
+        return index[self.initial], delta, [q in self.accepting_set for q in self.states]
+
     def initial_tape(self, word: Sequence[str]) -> Tape:
-        bad = [a for a in word if a not in self.input_set]
-        if bad:
+        if not self.input_set.issuperset(word):
+            bad = [a for a in word if a not in self.input_set]
             raise MalformedInputError(f"word symbols {bad!r} outside the input alphabet")
         return tuple(word) + (self.endmarker,)
 
@@ -197,56 +215,112 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
     bad = [x for x in tape if x not in t.symbol_set]
     if bad:
         raise MalformedInputError(f"tape symbols {bad!r} outside the machine alphabets")
-    outcomes: set[SweepOutcome] = set()
-    frontier: set[tuple[str, Tape]] = {(t.initial, ())}
-    trans = t.transitions
-    for i, x in enumerate(tape):
-        nxt: set[tuple[str, Tape]] = set()
-        for q, out in frontier:
-            choices = trans.get((q, x))
-            if not choices:
-                outcomes.add(Stuck(i, q))
-                continue
-            for p, y in choices:
-                nxt.add((p, out + (y,)))
-        frontier = nxt
+    stuck: list[tuple[int, int]] = []
+    done = _sweep(t, tape, stuck)
+    name = t.states
+    return {Stuck(i, name[q]) for i, q in stuck} | {Completed(name[q], out) for q, out in done}
+
+
+def _sweep(
+    t: Transducer, tape: Tape, stuck: Optional[list[tuple[int, int]]] = None
+) -> list[tuple[int, Tape]]:
+    """The completed (state index, output) pairs of one sweep over
+    ``tape``, deduplicated per cell on (state, output so far), in
+    declaration order (frontier order, then choice order); ``stuck``
+    collects the (position, state index) of halted branches.  A forked
+    branch is (state, trie node, tail), node -1 being the end of ``head``."""
+    q, delta, _ = t._indexed
+    head: list[str] = []
+    n = len(tape)
+    i = 0
+    while i < n:
+        choices = delta[q].get(tape[i])
+        if choices is None:
+            if stuck is not None:
+                stuck.append((i, q))
+            return []
+        if len(choices) == 1:
+            q, y = choices[0]
+            head.append(y)
+            i += 1
+            continue
+        fork = i
+        nodes: dict[tuple[int, Tape], int] = {}  # (parent node, tail) -> node
+        frontier: dict[tuple[int, int, Tape], None] = {(q, -1, ()): None}
+        while True:
+            x = tape[i]
+            nxt: dict[tuple[int, int, Tape], None] = {}
+            for q, node, tail in frontier:
+                choices = delta[q].get(x)
+                if choices is None:
+                    if stuck is not None:
+                        stuck.append((i, q))
+                    continue
+                for p, y in choices:
+                    nxt[p, node, tail + (y,)] = None
+            i += 1
+            frontier = nxt
+            if len(frontier) <= 1 or i == n:
+                break
+            if (i - fork) % _CHUNK == 0:
+                frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ()): None
+                            for p, node, tail in nxt}
         if not frontier:
-            break
-    for q, out in frontier:
-        outcomes.add(Completed(q, out))
-    return outcomes
+            return []
+        chunks = list(nodes)
+        if len(frontier) > 1:
+            h = tuple(head)
+            return [(p, h + _trie_path(chunks, c, tail)) for p, c, tail in frontier]
+        (q, node, tail), = frontier
+        head += _trie_path(chunks, node, tail)
+    return [(q, tuple(head))]
 
 
-def _sweep_split(
-    t: Transducer, tape: Tape
-) -> tuple[list[tuple[str, Tape]], list[Completed]]:
-    """Completed outcomes of one sweep, split into continuing and accepting.
+_CHUNK = 16
 
-    Deterministic insertion order (transition choices in declaration
-    order) so exploration and traces are reproducible.
-    """
-    trans = t.transitions
-    acc = t.accepting_set
-    frontier: dict[tuple[str, Tape], None] = {(t.initial, ()): None}
-    for i, x in enumerate(tape):
-        nxt: dict[tuple[str, Tape], None] = {}
-        for q, out in frontier:
-            choices = trans.get((q, x))
-            if not choices:
-                continue
-            for p, y in choices:
-                nxt[(p, out + (y,))] = None
+
+def _trie_path(chunks: list[tuple[int, Tape]], node: int, tail: Tape) -> Tape:
+    parts = [tail]
+    while node >= 0:
+        node, part = chunks[node]
+        parts.append(part)
+    return tuple(chain.from_iterable(reversed(parts)))
+
+
+def _search(
+    t: Transducer, tape0: Tape, rounds: int, tape_cap: int, seen: Optional[dict] = None
+) -> Iterator[tuple[int, int, Optional[tuple[Tape, Tape]], Optional[list[Tape]]]]:
+    """Breadth-first search over sweep-boundary tapes, yielding ``(r,
+    explored, hit, frontier)`` after each round r <= ``rounds``: tapes swept
+    so far, the round's first accepting (tape, output) or ``None``, and the
+    next round's tapes.  With ``seen`` (tape -> tape it came from), tapes are
+    deduplicated globally and a round ends at its first hit; without it, per
+    round, and rounds are swept whole.  Once ``tape_cap`` tapes are swept it
+    yields a ``None`` frontier; it stops after that or an empty frontier."""
+    acc = t._indexed[2]
+    frontier = [tape0]
+    explored = 0
+    for r in range(1, rounds + 1):
+        known = {} if seen is None else seen
+        nxt: list[Tape] = []
+        hit = None
+        for tape in frontier:
+            if explored >= tape_cap:
+                yield r, explored, hit, None
+                return
+            explored += 1
+            for q, out in _sweep(t, tape):
+                if acc[q]:
+                    hit = hit or (tape, out)
+                elif out not in known:
+                    known[out] = tape
+                    nxt.append(out)
+            if hit is not None and seen is not None:
+                break
+        yield r, explored, hit, nxt
+        if not nxt:
+            return
         frontier = nxt
-        if not frontier:
-            break
-    continuing: list[tuple[str, Tape]] = []
-    accepting: list[Completed] = []
-    for q, out in frontier:
-        if q in acc:
-            accepting.append(Completed(q, out))
-        else:
-            continuing.append((q, out))
-    return continuing, accepting
 
 
 def run(
@@ -267,26 +341,12 @@ def run(
     if max_sweeps < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
     tape0 = t.initial_tape(word)
-    seen: set[Tape] = {tape0}
-    frontier: list[Tape] = [tape0]
-    explored = 0
-    for s in range(1, max_sweeps + 1):
-        if not frontier:
-            return RunReport(False, None, explored, False, exhausted=True)
-        nxt: list[Tape] = []
-        for tape in frontier:
-            if explored >= tape_cap:
-                return RunReport(False, None, explored, True)
-            explored += 1
-            continuing, accepting = _sweep_split(t, tape)
-            if accepting:
-                return RunReport(True, s, explored, False)
-            for q, out in continuing:
-                if out not in seen:
-                    seen.add(out)
-                    nxt.append(out)
-        frontier = nxt
-    return RunReport(False, None, explored, False, exhausted=not frontier)
+    explored, frontier = 0, [tape0]
+    for s, explored, hit, frontier in _search(t, tape0, max_sweeps, tape_cap, {tape0: None}):
+        if hit is not None:
+            return RunReport(True, s, explored, False)
+    # a None frontier means the tape cap stopped the search
+    return RunReport(False, None, explored, frontier is None, exhausted=frontier == [])
 
 
 def run_deterministic(
@@ -304,24 +364,14 @@ def run_deterministic(
     tape = t.initial_tape(word)
     trace = [tape]
     seen = {tape}
-    acc = t.accepting_set
-    trans = t.transitions
+    acc = t._indexed[2]
     for s in range(1, max_sweeps + 1):
-        out: list[str] = []
-        q = t.initial
-        stuck = False
-        for x in tape:
-            choices = trans.get((q, x))
-            if not choices:
-                stuck = True
-                break
-            q, y = choices[0]
-            out.append(y)
-        if stuck:
+        done = _sweep(t, tape)
+        if not done:
             return RunReport(False, None, s, False, exhausted=True), trace
-        tape = tuple(out)
+        (q, tape), = done
         trace.append(tape)
-        if q in acc:
+        if acc[q]:
             return RunReport(True, s, s, False), trace
         if tape in seen:
             return RunReport(False, None, s, False, exhausted=True), trace
@@ -343,30 +393,12 @@ def find_accepting_trace(
     """
     tape0 = t.initial_tape(word)
     parent: dict[Tape, Optional[Tape]] = {tape0: None}
-    frontier: list[Tape] = [tape0]
-    explored = 0
-    for _ in range(1, max_sweeps + 1):
-        if not frontier:
-            return None
-        nxt: list[Tape] = []
-        for tape in frontier:
-            if explored >= tape_cap:
-                return None
-            explored += 1
-            continuing, accepting = _sweep_split(t, tape)
-            if accepting:
-                path = [accepting[0].output]
-                cur: Optional[Tape] = tape
-                while cur is not None:
-                    path.append(cur)
-                    cur = parent[cur]
-                path.reverse()
-                return path
-            for q, out in continuing:
-                if out not in parent:
-                    parent[out] = tape
-                    nxt.append(out)
-        frontier = nxt
+    for _, _, hit, _ in _search(t, tape0, max_sweeps, tape_cap, parent):
+        if hit is not None:
+            path = [hit[1], hit[0]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
     return None
 
 
@@ -410,60 +442,30 @@ def check_accept_mode(
     for w in words:
         word = tuple(w)
         bound = bound_fn(len(word))
-        frontier: frozenset[Tape] = frozenset({t.initial_tape(word)})
-        seen_frontiers: dict[frozenset[Tape], int] = {frontier: 0}
-        explored = 0
-        concluded = False
-        for r in range(1, sweep_cap + 1):
-            nxt: set[Tape] = set()
-            accepted_this_round = False
-            for tape in frontier:
-                explored += 1
-                if explored > tape_cap:
-                    break
-                continuing, accepting = _sweep_split(t, tape)
-                if accepting:
-                    accepted_this_round = True
-                for q, out in continuing:
-                    nxt.add(out)
-            if explored > tape_cap:
+        tape0 = t.initial_tape(word)
+        seen_frontiers: dict[frozenset[Tape], int] = {frozenset((tape0,)): 0}
+        accepted = [False]  # accepted[r]: some branch accepted at sweep r
+        for r, _, hit, frontier in _search(t, tape0, sweep_cap, tape_cap):
+            if frontier is None:
+                inconclusive.append(word)
                 break
-            if accepted_this_round and r > bound:
+            accepted.append(hit is not None)
+            if hit is not None and r > bound:
                 violations.append(AcceptModeViolation(word, r, bound))
-                concluded = True
                 break
-            if not nxt:
-                concluded = True
+            if not frontier:
                 break
-            fnxt = frozenset(nxt)
-            prev = seen_frontiers.get(fnxt)
-            if prev is not None:
+            prev = seen_frontiers.setdefault(frozenset(frontier), r)
+            if prev != r:
                 # Periodic from boundary `prev`: rounds prev+1..r repeat
                 # forever.  Any accepting halt in that window therefore
                 # happens at unboundedly many sweep counts.
-                if _cycle_accepts(t, fnxt, r - prev):
+                if any(accepted[prev + 1:]):
                     violations.append(AcceptModeViolation(word, None, bound))
-                concluded = True
                 break
-            seen_frontiers[fnxt] = r
-            frontier = fnxt
-        if not concluded:
+        else:
             inconclusive.append(word)
     return AcceptModeReport(tuple(violations), tuple(inconclusive))
-
-
-def _cycle_accepts(t: Transducer, frontier: frozenset[Tape], period: int) -> bool:
-    """Whether any accepting halt occurs within one period of the cycle."""
-    for _ in range(period):
-        nxt: set[Tape] = set()
-        for tape in frontier:
-            continuing, accepting = _sweep_split(t, tape)
-            if accepting:
-                return True
-            for q, out in continuing:
-                nxt.add(out)
-        frontier = frozenset(nxt)
-    return False
 
 
 def build_transducer(

@@ -10,20 +10,19 @@ returning a silently wrong answer.
 
 from __future__ import annotations
 
+from collections import abc
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, Nfa
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
 
 Word = tuple[str, ...]
-Acceptor = Union[
-    Transducer,
-    Nfa,
-    Dfa,
-    Callable[[Sequence[str]], bool],
-    tuple[Transducer, int],
-]
+# Built with | over builtin generics: a typing.Union would sit in typing's
+# cache and keep every imported copy of these classes alive.
+Acceptor = (
+    Transducer | Nfa | Dfa | abc.Callable[[abc.Sequence[str]], bool] | tuple[Transducer, int]
+)
 
 
 class OracleBudgetError(MachineError):

@@ -173,6 +173,21 @@ class TestVerifyMeasure:
         assert lines[1] == "1,2,1"
         assert lines[4] == "4,16,4"
 
+    def test_measure_d_starts_at_width_2(self, capsys):
+        # L_d has no width-1 words, so a width-1 row could only be a hole
+        code, out, _ = run_cli(capsys, "measure", "--lang", "d", "--max-param", "3")
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+        assert all(line.split(",")[2] for line in lines[1:])
+
+    def test_measure_d_width_1_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "--lang", "d", "--min-param", "1",
+                                 "--max-param", "3")
+        assert code == 2 and out == ""
+        _, _, gen_err = run_cli(capsys, "gen", "d:1")
+        assert "d needs k >= 2" in err and err == gen_err
+
 
 class TestFamilyRegistry:
     @pytest.mark.parametrize(

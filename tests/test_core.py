@@ -6,6 +6,7 @@ import random
 import pytest
 
 from iufst import (
+    AcceptModeViolation,
     Completed,
     MachineError,
     MalformedInputError,
@@ -270,6 +271,59 @@ class TestAcceptMode:
         report = check_accept_mode(t, [("a",)], lambda n: 50)
         assert not report.ok
         assert any(v.sweeps is None for v in report.violations)
+
+
+def cycling_machine(accept_first: bool) -> Transducer:
+    """Round 1 rewrites a< to c< and round 2 c< to cb; round 3 turns cb
+    back into c<, so the frontier after round 3 repeats the one after
+    round 1.  ``accept_first`` accepts in round 1 only (before the cycle),
+    otherwise in round 2 only (the cycle's first round)."""
+    first = (("f", "<"), ("q0", "<")) if accept_first else (("q0", "<"),)
+    second = (("q1", "b"),) if accept_first else (("f", "<"), ("q1", "b"))
+    return Transducer(
+        states=("q0", "q1", "f"),
+        input_alphabet=("a",),
+        output_alphabet=("a", "b", "c", "<"),
+        endmarker="<",
+        initial="q0",
+        accepting=("f",),
+        transitions={
+            ("q0", "a"): (("q0", "c"),),
+            ("q0", "<"): first,
+            ("q0", "c"): (("q1", "c"),),
+            ("q1", "<"): second,
+            ("q1", "b"): (("q1", "<"),),
+        },
+    )
+
+
+class TestAcceptModeCycle:
+    def test_acceptance_at_first_round_of_cycle(self):
+        # the cycle spans rounds 2..3 (frontier after 3 == after 1); its
+        # only acceptance is in round 2, so it recurs forever
+        report = check_accept_mode(cycling_machine(False), [("a",)], lambda n: 50)
+        assert report.violations == (AcceptModeViolation(("a",), None, 50),)
+
+    def test_acceptance_before_cycle(self):
+        # round 1 accepts, then the cycle 2..3 never does: bound 1 holds
+        t = cycling_machine(True)
+        assert check_accept_mode(t, [("a",)], lambda n: 1).ok
+        assert run(t, ("a",), 5).min_accept_sweeps == 1
+
+
+class TestLongTapes:
+    """Answer checks on tapes long enough that a sweep costing quadratic
+    time per branch would take tens of seconds."""
+
+    def test_uexpo_2_14(self, uexpo_machine):
+        word = ("a",) * 2**14
+        report = run(uexpo_machine, word, 4 * 2**14)
+        assert report.accepted and report.min_accept_sweeps == 14
+        assert run_deterministic(uexpo_machine, word, 4 * 2**14)[0] == report
+
+    def test_e23_b_800(self):
+        report = run(gen_e(2, 3), ("b",) * 800, 3)
+        assert report.accepted and report.min_accept_sweeps == 3
 
 
 def test_one_sweep_machines_match_their_nfa(e21):
