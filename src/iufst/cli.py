@@ -29,7 +29,7 @@ from .core import (
     MachineError,
     Transducer,
     Word,
-    find_accepting_trace,
+    _run_traced,
     run,
 )
 from .hierarchy import (
@@ -245,13 +245,14 @@ def cmd_run(args) -> int:
             max_sweeps = t.sweep_bound
         else:
             max_sweeps = 4 * len(word) + 16
-    report = run(t, word, max_sweeps, args.tape_cap)
+    if args.trace:
+        report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
+    else:
+        report, trace = run(t, word, max_sweeps, args.tape_cap), None
     if report.accepted:
         print(f"accepted sweeps={report.min_accept_sweeps}")
-        if args.trace:
-            trace = find_accepting_trace(t, word, max_sweeps, args.tape_cap)
-            for tape in trace or []:
-                print(" ".join(tape))
+        for tape in trace or []:
+            print(" ".join(tape))
         return OK
     definite = report.exhausted or (
         isinstance(t.sweep_bound, int) and max_sweeps >= t.sweep_bound
@@ -420,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question", choices=["empty", "finite", "universal", "equiv", "subset"])
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("-n", "--other", default=None)
-    p.add_argument("--state-cap", type=int, default=2**20)
+    p.add_argument("--state-cap", type=int, default=decide_mod.DEFAULT_SEARCH_CAP,
+                   help="nodes (NFA state, subset) each inclusion search may find "
+                        "for universal, equiv and subset, not DFA subsets; "
+                        "exit 3 when exceeded (default %(default)s)")
     p.set_defaults(fn=cmd_decide)
 
     p = sub.add_parser("gen", help="generate a machine family member")

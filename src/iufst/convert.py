@@ -6,7 +6,8 @@ branches that died.  Reducing a k-sweep machine all the way to one
 sweep and then dropping the endmarker yields an NFA, and the usual
 powerset construction takes it to a DFA.  Standard DFA plumbing
 (completion, minimization, complement, products) lives here too because
-the decision procedures and the lower-bound checks need it.
+the lower-bound checks and ``iufst convert`` need it; the decision
+procedures in ``decide`` search subsets on the fly instead.
 """
 
 from __future__ import annotations

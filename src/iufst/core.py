@@ -15,8 +15,9 @@ Execution has one kernel and one driver.  ``_sweep``, the only loop over
 cells, keeps a lone branch in a list and forked branches in a trie of
 output chunks of up to ``_CHUNK`` symbols, so each completed output costs
 time linear in the tape.  ``_search``, the only search over the tapes at
-sweep boundaries, yields its rounds to ``run``, ``find_accepting_trace``
-and ``check_accept_mode``; ``sweep`` and ``run_deterministic`` call the kernel.
+sweep boundaries, yields its rounds to ``_run_traced`` (behind ``run``
+and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
+``run_deterministic`` call the kernel.
 """
 
 from __future__ import annotations
@@ -338,15 +339,30 @@ def run(
     output tape.  Tapes are deduplicated globally: the sweep relation
     depends only on the tape, so a tape seen before yields nothing new.
     """
+    return _run_traced(t, word, max_sweeps, tape_cap)[0]
+
+
+def _run_traced(
+    t: Transducer,
+    word: Sequence[str],
+    max_sweeps: int,
+    tape_cap: int,
+) -> tuple[RunReport, Optional[list[Tape]]]:
+    """``run``'s report and ``find_accepting_trace``'s path (None unless
+    accepted) from one search."""
     if max_sweeps < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
     tape0 = t.initial_tape(word)
+    parent: dict[Tape, Optional[Tape]] = {tape0: None}
     explored, frontier = 0, [tape0]
-    for s, explored, hit, frontier in _search(t, tape0, max_sweeps, tape_cap, {tape0: None}):
+    for s, explored, hit, frontier in _search(t, tape0, max_sweeps, tape_cap, parent):
         if hit is not None:
-            return RunReport(True, s, explored, False)
+            path = [hit[1], hit[0]]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return RunReport(True, s, explored, False), path[::-1]
     # a None frontier means the tape cap stopped the search
-    return RunReport(False, None, explored, frontier is None, exhausted=frontier == [])
+    return RunReport(False, None, explored, frontier is None, exhausted=frontier == []), None
 
 
 def run_deterministic(
@@ -389,17 +405,10 @@ def find_accepting_trace(
 
     The first element is the initial tape and the length is the minimum
     accepting sweep count plus one.  ``None`` if no accepting run exists
-    within the budgets.
+    within the budgets.  Raises ``ValueError`` on the budgets ``run``
+    rejects.
     """
-    tape0 = t.initial_tape(word)
-    parent: dict[Tape, Optional[Tape]] = {tape0: None}
-    for _, _, hit, _ in _search(t, tape0, max_sweeps, tape_cap, parent):
-        if hit is not None:
-            path = [hit[1], hit[0]]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path[::-1]
-    return None
+    return _run_traced(t, word, max_sweeps, tape_cap)[1]
 
 
 @dataclass(frozen=True)
@@ -559,10 +568,12 @@ def _shortest_word(
     starts: Iterable[Hashable],
     succ: Callable[[Hashable], Iterable[tuple[Hashable, Hashable]]],
     goal: Callable[[Hashable], bool],
+    limit: Optional[int] = None,
 ) -> Optional[Word]:
     """Labels along a shortest path to a ``goal`` node, breadth-first
-    first-found; ``None`` when no goal node is reachable."""
-    parent, hit = _bfs(starts, succ, goal)
+    first-found; ``None`` when no goal node is reachable.  ``limit`` is
+    ``_bfs``'s node budget."""
+    parent, hit = _bfs(starts, succ, goal, limit)
     if hit is None:
         return None
     word = []

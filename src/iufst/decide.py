@@ -1,29 +1,28 @@
 """Exact decision procedures for machines with a declared constant
 sweep bound.
 
-Everything goes through the NFA conversion: emptiness and finiteness
-are graph questions on the NFA, while universality, inclusion, and
-equivalence determinize first and pay the exponential price, guarded by
-a configurable state budget.  Each predicate also produces a witness
-word where one exists, so tests can validate answers independently.
+Everything goes through the NFA conversion.  Emptiness and finiteness
+are graph questions on the NFA.  Universality, inclusion and
+equivalence never determinize: each is one or two inclusion checks,
+answered by a breadth-first antichain search over pairs of a state of
+one NFA and a subset of the other's states (De Wulf, Doyen, Henzinger &
+Raskin, CAV 2006), guarded by a configurable budget of search nodes.
+Each predicate also produces a witness word where one exists, so tests
+can validate answers independently.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import combinations
+from math import comb
 from typing import Optional
 
-from .convert import (
-    Dfa,
-    Nfa,
-    dfa_complement,
-    dfa_product,
-    dfa_shortest_accepted,
-    nfa_to_dfa,
-    to_nfa,
-)
-from .core import Transducer, _bfs, _shortest_word
+from .convert import Nfa, to_nfa
+from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
-DEFAULT_DFA_CAP = 2**20
+# Budget of nodes (NFA state, subset) of one inclusion search.
+DEFAULT_SEARCH_CAP = 2**20
 
 Word = tuple[str, ...]
 
@@ -124,26 +123,106 @@ def _live_cycle(n: Nfa, live: set[str]) -> Optional[tuple[str, Word]]:
             return q, tuple(reversed(word))
 
 
-def _to_dfa(t: Transducer, k: int, state_cap: int) -> Dfa:
-    return nfa_to_dfa(to_nfa(t, k), state_cap=state_cap)
+def _inclusion_witness(n1: Nfa, n2: Nfa, state_cap: int) -> Optional[Word]:
+    """First word of L(n1) minus L(n2) in length-lexicographic order over
+    n1's alphabet, or None when L(n1) is a subset of L(n2).
+
+    Breadth-first search in alphabet order over nodes (p, S): p a state
+    of n1 and S the set of n2 states reached by the same word, states
+    indexed as ints.  The first node with p accepting and no accepting
+    state in S ends the search.  A new node is dropped when a node found
+    earlier has the same p and a subset of S: every word leading from
+    (p, S) to a goal leads there from the earlier node too, and its word
+    is no later in length-lexicographic order.  Earlier nodes are never
+    evicted, so the witness stays the first one.  Kept subsets are stored
+    per p by size: an equal set costs one lookup, and the smaller sets of
+    each size are either scanned or looked up among S's own subsets of
+    that size, whichever are fewer.  Finding more than ``state_cap`` nodes
+    raises ``ResourceBudgetError``.
+    """
+    if n1.alphabet_set != n2.alphabet_set:
+        raise MachineError("inclusion requires identical alphabets")
+    sigma = n1.alphabet
+    i1 = {q: i for i, q in enumerate(n1.states)}
+    i2 = {q: i for i, q in enumerate(n2.states)}
+    succ1 = [[[i1[r] for r in n1.transitions.get((q, x), ())] for x in sigma] for q in n1.states]
+    succ2 = [
+        [frozenset(i2[r] for r in n2.transitions.get((q, x), ())) for x in sigma]
+        for q in n2.states
+    ]
+    acc1 = [q in n1.accepting_set for q in n1.states]
+    acc2 = frozenset(i2[q] for q in n2.accepting)
+    # per n1 state, the subsets kept so far by size
+    kept: defaultdict[int, dict[int, set[frozenset[int]]]] = defaultdict(dict)
+
+    def keep(r: int, s: frozenset[int]) -> bool:
+        by_size, n = kept[r], len(s)
+        if s in by_size.get(n, ()):
+            return False
+        for m, us in by_size.items():
+            if m >= n:
+                continue
+            if comb(n, m) <= len(us):
+                if any(frozenset(c) in us for c in combinations(s, m)):
+                    return False
+            elif any(u <= s for u in us):
+                return False
+        by_size.setdefault(n, set()).add(s)
+        return True
+
+    def succ(node):
+        p, s = node
+        for j, x in enumerate(sigma):
+            if not succ1[p][j]:
+                continue
+            nxt = frozenset().union(*(succ2[q][j] for q in s))
+            for r in succ1[p][j]:
+                if keep(r, nxt):
+                    yield (r, nxt), x
+
+    start = (i1[n1.initial], frozenset((i2[n2.initial],)))
+    keep(*start)
+    try:
+        return _shortest_word(
+            (start,), succ, lambda node: acc1[node[0]] and acc2.isdisjoint(node[1]),
+            limit=state_cap,
+        )
+    except ResourceBudgetError:
+        raise ResourceBudgetError(
+            f"inclusion search exceeded state_cap={state_cap}: "
+            f"{state_cap + 1} search nodes found"
+        ) from None
+
+
+def _sigma_star(alphabet: tuple[str, ...]) -> Nfa:
+    return Nfa(
+        states=("all",),
+        alphabet=alphabet,
+        initial="all",
+        accepting=("all",),
+        transitions={("all", x): ("all",) for x in alphabet},
+    )
 
 
 def is_universal(
-    t: Transducer, k: int, state_cap: int = DEFAULT_DFA_CAP
+    t: Transducer, k: int, state_cap: int = DEFAULT_SEARCH_CAP
 ) -> bool:
     return universality_witness(t, k, state_cap) is None
 
 
 def universality_witness(
-    t: Transducer, k: int, state_cap: int = DEFAULT_DFA_CAP
+    t: Transducer, k: int, state_cap: int = DEFAULT_SEARCH_CAP
 ) -> Optional[Word]:
-    """Shortest rejected word, or None when every word is accepted."""
-    return dfa_shortest_accepted(dfa_complement(_to_dfa(t, k, state_cap)))
+    """Shortest rejected word (length-lexicographically first), or None
+    when every word is accepted.  ``state_cap`` bounds the nodes of the
+    inclusion search of Sigma* in L(t)."""
+    n = to_nfa(t, k)
+    return _inclusion_witness(_sigma_star(n.alphabet), n, state_cap)
 
 
 def includes(
     t1: Transducer, k1: int, t2: Transducer, k2: int,
-    state_cap: int = DEFAULT_DFA_CAP,
+    state_cap: int = DEFAULT_SEARCH_CAP,
 ) -> bool:
     """Whether L(t1) is a subset of L(t2)."""
     return inclusion_witness(t1, k1, t2, k2, state_cap) is None
@@ -151,29 +230,35 @@ def includes(
 
 def inclusion_witness(
     t1: Transducer, k1: int, t2: Transducer, k2: int,
-    state_cap: int = DEFAULT_DFA_CAP,
+    state_cap: int = DEFAULT_SEARCH_CAP,
 ) -> Optional[Word]:
-    """Shortest word accepted by t1 but not t2, or None."""
-    d1 = _to_dfa(t1, k1, state_cap)
-    d2 = _to_dfa(t2, k2, state_cap)
-    return dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
+    """Shortest word accepted by t1 but not t2 (length-lexicographically
+    first), or None.  ``state_cap`` bounds the search nodes, not DFA
+    subsets."""
+    return _inclusion_witness(to_nfa(t1, k1), to_nfa(t2, k2), state_cap)
 
 
 def equivalent(
     t1: Transducer, k1: int, t2: Transducer, k2: int,
-    state_cap: int = DEFAULT_DFA_CAP,
+    state_cap: int = DEFAULT_SEARCH_CAP,
 ) -> bool:
     return equivalence_witness(t1, k1, t2, k2, state_cap) is None
 
 
 def equivalence_witness(
     t1: Transducer, k1: int, t2: Transducer, k2: int,
-    state_cap: int = DEFAULT_DFA_CAP,
+    state_cap: int = DEFAULT_SEARCH_CAP,
 ) -> Optional[Word]:
-    """Shortest word in the symmetric difference, or None when equal."""
-    d1 = _to_dfa(t1, k1, state_cap)
-    d2 = _to_dfa(t2, k2, state_cap)
-    w = dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
+    """A word accepted by exactly one machine, or None when the languages
+    are equal.
+
+    This is the length-lexicographically first word of L(t1) minus L(t2);
+    only when that set is empty, the first word of L(t2) minus L(t1).  It
+    is not always the shortest word of the symmetric difference.  Each of
+    the two inclusion searches may find up to ``state_cap`` nodes.
+    """
+    n1, n2 = to_nfa(t1, k1), to_nfa(t2, k2)
+    w = _inclusion_witness(n1, n2, state_cap)
     if w is not None:
         return w
-    return dfa_shortest_accepted(dfa_product(d2, d1, "difference"))
+    return _inclusion_witness(n2, n1, state_cap)

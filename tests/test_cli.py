@@ -49,6 +49,21 @@ class TestRun:
         assert lines[1] == "a b a <0"
         assert len(lines) == 3  # header plus two sweep boundaries
 
+    def test_trace_searches_once(self, capsys, e21_file, monkeypatch):
+        from iufst import core
+
+        calls = []
+        search = core._search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_search", counted)
+        code, out, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace")
+        assert code == 0 and out.splitlines()[1] == "a b a <0"
+        assert len(calls) == 1
+
     def test_usage_error(self, capsys, e21_file):
         code, _, err = run_cli(capsys, "run", "-m", "missing-file.m", "-w", "a")
         assert code == 2 and "error" in err
@@ -104,6 +119,19 @@ class TestConvertDecide:
         assert code == 0  # multiples of 4 are multiples of 2 (plus b)
         code, out, _ = run_cli(capsys, "decide", "subset", "-m", str(b), "-n", str(a))
         assert code == 1
+
+    def test_state_cap_exhausted_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "e23.m"
+        red = tmp_path / "red.m"
+        assert main(["gen", "e:2,3", "-o", str(src)]) == 0
+        assert main(["convert", "-m", str(src), "--to", "reduce:2", "-o", str(red)]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, "decide", "equiv", "-m", str(src), "-n", str(red),
+                                 "--state-cap", "4")
+        assert code == 3 and out == "" and "state_cap=4" in err
+        code, out, _ = run_cli(capsys, "decide", "equiv", "-m", str(src), "-n", str(red),
+                               "--state-cap", "1024")
+        assert code == 0 and out.strip() == "true"
 
     def test_missing_bound_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "nb.m"

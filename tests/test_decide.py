@@ -290,3 +290,135 @@ class TestDeepInfiniteness:
         assert len(y) > 0
         for i in range(3):
             assert in_unary(2, 10, x + y * i + z), i
+
+
+def powerset_inclusion(t1, k1, t2, k2):
+    """First word of L1 minus L2 by determinizing both sides."""
+    from iufst.convert import dfa_product, dfa_shortest_accepted, nfa_to_dfa
+
+    d1, d2 = nfa_to_dfa(to_nfa(t1, k1)), nfa_to_dfa(to_nfa(t2, k2))
+    return dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
+
+
+class TestPowersetCrossCheck:
+    """The antichain searches give the powerset construction's witnesses
+    word for word."""
+
+    def test_universality_on_fuzz_corpus(self, fuzz_corpus):
+        from iufst.convert import dfa_complement, dfa_shortest_accepted, nfa_to_dfa
+
+        universal = 0
+        for t, k, *_ in fuzz_corpus:
+            ref = dfa_shortest_accepted(dfa_complement(nfa_to_dfa(to_nfa(t, k))))
+            assert universality_witness(t, k) == ref, (t, k)
+            universal += ref is None
+        assert 0 < universal < len(fuzz_corpus)
+
+    def test_inclusion_and_equivalence_on_seeded_pairs(self, fuzz_corpus):
+        rng = random.Random(4)
+        outcomes = {"equal": 0, "first": 0, "second": 0}
+        for _ in range(160):
+            (t1, k1, *_), (t2, k2, *_) = rng.choice(fuzz_corpus), rng.choice(fuzz_corpus)
+            forward = powerset_inclusion(t1, k1, t2, k2)
+            backward = powerset_inclusion(t2, k2, t1, k1)
+            assert inclusion_witness(t1, k1, t2, k2) == forward, (t1, t2)
+            assert inclusion_witness(t2, k2, t1, k1) == backward, (t1, t2)
+            expected = forward if forward is not None else backward
+            assert equivalence_witness(t1, k1, t2, k2) == expected, (t1, t2)
+            key = "first" if forward is not None else "second" if backward is not None else "equal"
+            outcomes[key] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_paper_families(self, e21, e22, unary22, block2):
+        e32 = gen_e(3, 2)
+        machines = [(e21, 1), (e22, 2), (e32, 2), (unary22, 2), (block2, 2)]
+        for t1, k1 in machines:
+            for t2, k2 in machines:
+                if set(t1.input_alphabet) == set(t2.input_alphabet):
+                    assert inclusion_witness(t1, k1, t2, k2) == powerset_inclusion(t1, k1, t2, k2)
+
+
+def k_subset_machine(n, k, grow=False, rejecting=()):
+    """One-sweep machine of an NFA whose reachable subsets are all
+    k-subsets of n states, pairwise incomparable: a start state standing
+    for {0..k-1}, ``a`` turns the n-cycle, ``b`` swaps 0 and 1; with
+    ``grow``, ``c`` adds 1 to every set holding 0.  Every state but those
+    in ``rejecting`` accepts."""
+    from iufst.convert import Nfa, nfa_to_1niufst
+
+    moves = {"a": lambda i: [(i + 1) % n], "b": lambda i: [{0: 1, 1: 0}.get(i, i)]}
+    if grow:
+        moves["c"] = lambda i: [i, 1] if i == 0 else [i]
+    transitions = {}
+    for x, move in moves.items():
+        for i in range(n):
+            transitions[str(i), x] = tuple(str(j) for j in move(i))
+        transitions["s", x] = tuple(dict.fromkeys(str(j) for i in range(k) for j in move(i)))
+    states = ("s",) + tuple(str(i) for i in range(n))
+    return nfa_to_1niufst(Nfa(
+        states=states, alphabet=tuple(moves), initial="s",
+        accepting=tuple(q for q in states if q not in {str(i) for i in rejecting}),
+        transitions=transitions,
+    ))
+
+
+class TestSearchBudget:
+    """``state_cap`` counts the nodes of one inclusion search."""
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_large_antichain_node_count(self, grow):
+        # C(16,8) + 1 = 12,871 incomparable nodes; with grow, c turns each
+        # 8-set holding 0 but not 1 into a 9-set, dropped against the 8-sets
+        from iufst import ResourceBudgetError
+
+        t = k_subset_machine(16, 8, grow)
+        assert universality_witness(t, 1, state_cap=12_871) is None
+        with pytest.raises(ResourceBudgetError, match="state_cap=12870"):
+            universality_witness(t, 1, state_cap=12_870)
+
+    def test_deep_witness_matches_powerset(self):
+        from iufst.convert import dfa_complement, dfa_shortest_accepted, nfa_to_dfa
+
+        t = k_subset_machine(12, 6, grow=True, rejecting=range(0, 12, 2))
+        w = universality_witness(t, 1)
+        assert len(w) > 10
+        assert w == dfa_shortest_accepted(dfa_complement(nfa_to_dfa(to_nfa(t, 1))))
+
+    @pytest.fixture(scope="class")
+    def e23_pair(self):
+        from iufst import sweep_reduce
+
+        e23 = gen_e(2, 3)
+        return e23, sweep_reduce(e23, 3, 2)
+
+    def test_former_unknowns_answer_within_small_cap(self, e23_pair):
+        from iufst import gen_block, in_block
+
+        cap = 2**10
+        e23, red = e23_pair
+        assert equivalence_witness(e23, 3, red, 2, state_cap=cap) is None
+        for n, k in ((3, 3), (3, 4)):
+            e = gen_e(n, k)
+            assert equivalence_witness(e, k, e, k, state_cap=cap) is None
+        b4 = gen_block(4)
+        w = universality_witness(b4, 4, state_cap=cap)
+        assert w == () and not in_block(4, w) and not run(b4, w, 4, 1000).accepted
+
+    def test_cap_exceeded_raises_and_names_the_cap(self, e23_pair):
+        from iufst import ResourceBudgetError
+
+        e23, red = e23_pair
+        with pytest.raises(ResourceBudgetError) as info:
+            equivalence_witness(e23, 3, red, 2, state_cap=4)
+        msg = str(info.value)
+        assert "state_cap=4" in msg and "5 search nodes" in msg
+
+
+class TestEquivalenceWitnessOrder:
+    def test_first_word_of_left_difference_wins(self):
+        # aaa is in L1 \ L2; the shorter a of L2 \ L1 comes only second
+        l1, l2 = word_machine([("a", "a", "a")]), word_machine([("a",)])
+        assert equivalence_witness(l1, 1, l2, 1) == ("a", "a", "a")
+        assert equivalence_witness(l2, 1, l1, 1) == ("a",)
+        sub = word_machine([("a",), ("b",)])
+        assert equivalence_witness(l2, 1, sub, 1) == ("b",)
