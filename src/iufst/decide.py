@@ -235,7 +235,7 @@ def inclusion_witness(
     """Shortest word accepted by t1 but not t2 (length-lexicographically
     first), or None.  ``state_cap`` bounds the search nodes, not DFA
     subsets."""
-    return _inclusion_witness(to_nfa(t1, k1), to_nfa(t2, k2), state_cap)
+    return _inclusion_witness(*_to_nfas(t1, k1, t2, k2), state_cap)
 
 
 def equivalent(
@@ -255,10 +255,18 @@ def equivalence_witness(
     This is the length-lexicographically first word of L(t1) minus L(t2);
     only when that set is empty, the first word of L(t2) minus L(t1).  It
     is not always the shortest word of the symmetric difference.  Each of
-    the two inclusion searches may find up to ``state_cap`` nodes.
+    the two inclusion searches may find up to ``state_cap`` nodes; equal
+    operands need only the first.
     """
-    n1, n2 = to_nfa(t1, k1), to_nfa(t2, k2)
+    n1, n2 = _to_nfas(t1, k1, t2, k2)
     w = _inclusion_witness(n1, n2, state_cap)
-    if w is not None:
+    if w is not None or n2 is n1:
         return w
     return _inclusion_witness(n2, n1, state_cap)
+
+
+def _to_nfas(t1: Transducer, k1: int, t2: Transducer, k2: int) -> tuple[Nfa, Nfa]:
+    """Both operands as NFAs; equal operands are converted once and give
+    the same object."""
+    n1 = to_nfa(t1, k1)
+    return n1, n1 if (t1, k1) == (t2, k2) else to_nfa(t2, k2)

@@ -6,12 +6,22 @@ These are the independent checks behind every equivalence claim in the
 test suite.  Budgets are data owned by the callers; whenever a budget
 turns out to be too small the functions fail loudly instead of
 returning a silently wrong answer.
+
+``compare_languages`` answers most words of a transducer without running
+it.  A sweep reads the tape left to right, so what the first sweep does
+on a prefix does not depend on the rest of the tape: once every branch
+of the first sweep has halted inside a word, ``run`` halts in round one
+with nothing left to explore, a definite rejection of that word and of
+every word extending it.  The comparison walks the word tree level by
+level, carrying for each word the set of states the first sweep can be
+in after reading it, and calls ``run`` only on words whose set is not
+empty.
 """
 
 from __future__ import annotations
 
 from collections import abc
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, Nfa
@@ -91,10 +101,65 @@ def compare_languages(
 ) -> list[Word]:
     """Words of length up to ``max_len`` on which the two acceptors
     disagree, in length-lexicographic order; empty means they agree on
-    the whole budget."""
+    the whole budget.
+
+    Each word is asked of ``a``, then of ``b``, so errors come out at the
+    same word as with per-word calls, and a predicate sees every word.  A
+    transducer acceptor answers a word on which its first sweep has
+    halted on every branch with a rejection, without running it: that is
+    ``run``'s definite answer (see the module docstring).  The shortcut
+    is off, and every word runs, when the alphabet is empty or has a
+    symbol outside the machine's input alphabet (so ``run`` raises at the
+    same word), when a ``(t, k)`` pair has ``k`` below 1 (``run`` never
+    sweeps, or raises) or when ``tape_cap`` is below 1 (``run`` raises).
+    """
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
-    return [w for w in enumerate_words(alphabet, max_len) if fa(w) != fb(w)]
+    alive_a = _first_sweep_states(a, alphabet, max_len, tape_cap)
+    alive_b = _first_sweep_states(b, alphabet, max_len, tape_cap)
+    return [
+        w for w, sa, sb in zip(enumerate_words(alphabet, max_len), alive_a, alive_b)
+        if (fa(w) if sa else False) != (fb(w) if sb else False)
+    ]
+
+
+def _first_sweep_states(
+    acceptor: Acceptor, alphabet: Sequence[str], max_len: int, tape_cap: int
+) -> Iterator[frozenset[int] | bool]:
+    """For each word in ``enumerate_words`` order, the states (as indices)
+    the first sweep of a transducer acceptor can be in after reading it,
+    or ``True`` for every word where ``compare_languages`` runs them all."""
+    t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
+    alphabet = tuple(alphabet)
+    if not (
+        isinstance(t, Transducer) and alphabet and t.input_set.issuperset(alphabet)
+        and (k is None or isinstance(k, int) and k >= 1)
+        and isinstance(tape_cap, int) and tape_cap >= 1
+    ):
+        return repeat(True)
+    return _walk_word_tree(t, alphabet, max_len)
+
+
+def _walk_word_tree(t: Transducer, alphabet: Word, max_len: int) -> Iterator[frozenset[int]]:
+    """Word j of a level extends word j // |alphabet| of the level above by
+    symbol j % |alphabet|, so each level is stepped from the one before,
+    through a memo of (subset, symbol) steps; the last level is not kept."""
+    q0, delta, _ = t._indexed
+    step: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+    level = [frozenset((q0,))]
+    yield level[0]
+    for length in range(1, max_len + 1):
+        keep = length < max_len
+        nxt = []
+        for s in level:
+            for x in alphabet:
+                r = step.get((s, x))
+                if r is None:
+                    r = step[s, x] = frozenset(p for q in s for p, _y in delta[q].get(x, ()))
+                yield r
+                if keep:
+                    nxt.append(r)
+        level = nxt
 
 
 def compare_on_words(
@@ -105,7 +170,7 @@ def compare_on_words(
     languages whose interesting members are too long to enumerate."""
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
-    return [tuple(w) for w in words if fa(tuple(w)) != fb(tuple(w))]
+    return [w for w in map(tuple, words) if fa(w) != fb(w)]
 
 
 def min_accept_sweeps(

@@ -227,6 +227,21 @@ class TestFamilyRegistry:
         code, out, _ = run_cli(capsys, "verify", "--lang", spec, "--max-len", "5")
         assert code == 0 and out.strip() == "ok"
 
+    def test_verify_runs_only_live_prefixes(self, capsys, monkeypatch):
+        import iufst.cli
+        import iufst.oracle
+
+        fed, runs = [], []
+        in_block, run = iufst.cli.in_block, iufst.oracle.run
+        monkeypatch.setattr(iufst.cli, "in_block", lambda k, w: fed.append(w) or in_block(k, w))
+        monkeypatch.setattr(iufst.oracle, "run", lambda *a: runs.append(a) or run(*a))
+        code, out, _ = run_cli(capsys, "verify", "--lang", "block:3")
+        assert code == 0 and out.strip() == "ok"
+        # every word up to 2k + 3 = 9 symbols over 0, 1, #
+        assert len(fed) == 29_524 and len(set(fed)) == len(fed)
+        # the first sweep of block(3) halts inside 29,197 of them
+        assert len(runs) == 327
+
     def test_verify_honours_max_len(self, capsys, monkeypatch):
         import iufst.cli
 

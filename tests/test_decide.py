@@ -414,6 +414,38 @@ class TestSearchBudget:
         assert "state_cap=4" in msg and "5 search nodes" in msg
 
 
+class TestEqualOperands:
+    """Equal operands are converted to an NFA once, with the witnesses of
+    two conversions."""
+
+    def test_one_conversion(self, monkeypatch, e22, block2):
+        import iufst.decide
+
+        calls = []
+        convert = iufst.decide.to_nfa
+        monkeypatch.setattr(iufst.decide, "to_nfa", lambda t, k: calls.append(t) or convert(t, k))
+        cases = [
+            (lambda: equivalence_witness(e22, 2, e22, 2), None, 1),
+            (lambda: equivalence_witness(e22, 2, gen_e(2, 2), 2), None, 1),
+            (lambda: inclusion_witness(block2, 2, block2, 2), None, 1),
+            (lambda: inclusion_witness(e22, 2, e22, 1), powerset_inclusion(e22, 2, e22, 1), 2),
+            (lambda: equivalence_witness(e22, 1, e22, 2), powerset_inclusion(e22, 2, e22, 1), 2),
+        ]
+        assert powerset_inclusion(e22, 1, e22, 2) is None
+        for ask, witness, conversions in cases:
+            calls.clear()
+            assert ask() == witness
+            assert len(calls) == conversions
+
+    def test_self_inclusion_of_one_object(self, block2):
+        from iufst import gen_block
+        from iufst.decide import _inclusion_witness
+
+        for t, k in [(gen_block(3), 3), (block2, 2), (gen_e(2, 2), 2), (gen_e(3, 4), 4)]:
+            n = to_nfa(t, k)
+            assert _inclusion_witness(n, n, 2**10) is None
+
+
 class TestEquivalenceWitnessOrder:
     def test_first_word_of_left_difference_wins(self):
         # aaa is in L1 \ L2; the shorter a of L2 \ L1 comes only second

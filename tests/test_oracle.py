@@ -1,21 +1,36 @@
 """Brute-force oracle plumbing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iufst import (
+    MalformedInputError,
     OracleBudgetError,
+    Transducer,
     compare_languages,
+    compile_lba,
     dfa_isomorphic,
     enumerate_words,
+    gen_block,
+    gen_copy,
+    gen_d,
     gen_e,
     gen_uexpo,
+    in_block,
+    in_copy,
+    in_d,
     in_e,
     in_unary,
+    lba_copy,
     min_accept_sweeps,
     predicate_to_min_dfa,
 )
+from iufst.oracle import make_acceptor
+
+from test_decide import fuzz_machine
 
 
 class TestEnumerate:
@@ -55,23 +70,102 @@ class TestCompare:
         assert a == b and a  # the languages differ
 
     def test_budget_error_on_unbounded_inconclusive(self):
-        from iufst import Transducer
-
-        spin = Transducer(
-            states=("q", "f"),
-            input_alphabet=("a",),
-            output_alphabet=("a", "b", "<"),
-            endmarker="<",
-            initial="q",
-            accepting=("f",),
-            transitions={
-                ("q", "a"): (("q", "b"), ("q", "a")),
-                ("q", "b"): (("q", "a"), ("q", "b")),
-                ("q", "<"): (("q", "<"),),
-            },
-        )
         with pytest.raises(OracleBudgetError):
-            compare_languages(spin, lambda w: False, ("a",), 30, tape_cap=50)
+            compare_languages(spin_machine(), lambda w: False, ("a",), 30, tape_cap=50)
+
+
+def spin_machine():
+    return Transducer(
+        states=("q", "f"),
+        input_alphabet=("a",),
+        output_alphabet=("a", "b", "<"),
+        endmarker="<",
+        initial="q",
+        accepting=("f",),
+        transitions={
+            ("q", "a"): (("q", "b"), ("q", "a")),
+            ("q", "b"): (("q", "a"), ("q", "b")),
+            ("q", "<"): (("q", "<"),),
+        },
+    )
+
+
+def per_word(a, b, alphabet, max_len, tape_cap=200_000):
+    """The reference comparison: every word asked of both acceptors."""
+    fa = make_acceptor(a, tape_cap=tape_cap)
+    fb = make_acceptor(b, tape_cap=tape_cap)
+    return [w for w in enumerate_words(alphabet, max_len) if fa(w) != fb(w)]
+
+
+def outcome(compare, *args, **kwargs):
+    try:
+        return compare(*args, **kwargs)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def assert_same(*args, **kwargs):
+    expected = outcome(per_word, *args, **kwargs)
+    assert outcome(compare_languages, *args, **kwargs) == expected, args
+    return expected
+
+
+@pytest.fixture(scope="module")
+def fuzz_machines():
+    """The 200 seeded machines of the decide tests' fuzz corpus."""
+    rng = random.Random(20240811)
+    return [fuzz_machine(rng) for _ in range(200)]
+
+
+def even(w):
+    return len(w) % 2 == 0
+
+
+class TestWordTreeWalk:
+    """``compare_languages`` skips words whose first sweep dies inside
+    them and still returns what asking every word of both sides gives."""
+
+    def test_fuzz_corpus_pairs_and_bare_machines(self, fuzz_machines):
+        differing = 0
+        for (t1, k1), (t2, k2) in zip(fuzz_machines, fuzz_machines[1:] + fuzz_machines[:1]):
+            differing += bool(assert_same((t1, k1), (t2, k2), ("a", "b"), 6))
+            assert_same(t1, even, ("b", "a"), 6)
+            assert_same(even, t1, ("a",), 6)
+        assert differing > 100
+
+    @pytest.mark.parametrize("name, make, alphabet, max_len, pred", [
+        ("block(2)", lambda: gen_block(2), "01#", 7, lambda w: in_block(2, w)),
+        ("copy", gen_copy, "ab$", 7, in_copy),
+        ("d", gen_d, "ab01", 6, in_d),
+        ("e(2,3)", lambda: gen_e(2, 3), "ab", 9, lambda w: in_e(2, 3, w)),
+        # unbounded: len + 8 sweeps leave words of length 3 inconclusive
+        ("lba(copy)", lambda: (compile_lba(lba_copy()), 80), "ab$", 5, in_copy),
+    ])
+    def test_paper_families(self, name, make, alphabet, max_len, pred):
+        a = make()
+        assert assert_same(a, pred, alphabet, max_len) == []
+        assert assert_same(a, even, alphabet, max_len)
+        t = a[0] if isinstance(a, tuple) else a
+        assert_same(a, (t, 1), alphabet, max_len)
+
+    def test_errors_match(self, fuzz_machines):
+        t, k = fuzz_machines[0]
+        block = gen_block(2)
+        for a, alphabet in [(t, ("a", "b", "<")), (block, ("0", "_", "1")), ((t, k), ("a", "<"))]:
+            assert assert_same(a, even, alphabet, 3)[0] is MalformedInputError
+        assert assert_same(t, even, ("a", "b"), 3, tape_cap=0)[0] is ValueError
+        assert assert_same((block, 2), (block, -1), "01#", 3)[0] is ValueError
+        spin = assert_same(spin_machine(), lambda w: False, ("a",), 30, tape_cap=50)
+        assert spin[0] is OracleBudgetError
+
+    def test_zero_sweeps_and_empty_alphabet(self, fuzz_machines):
+        block = gen_block(2)
+        assert assert_same((block, 0), lambda w: False, "01#", 4) == []
+        assert assert_same((block, 2), lambda w: True, (), 4) == [()]
+        assert assert_same((block, 2), lambda w: True, "01#", -1) == []
+        for t, k in fuzz_machines[:20]:
+            assert_same((t, 0), (t, k), ("a", "b"), 4)
+            assert_same((t, k), even, (), 3)
 
 
 class TestMinAcceptSweeps:
