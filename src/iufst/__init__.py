@@ -35,9 +35,9 @@ from .core import (
     RunReport,
     Stuck,
     Transducer,
-    build_transducer,
     check_accept_mode,
     find_accepting_trace,
+    materialize,
     run,
     run_deterministic,
     sweep,

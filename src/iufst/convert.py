@@ -25,7 +25,7 @@ from .core import (
     _check_token,
     _check_unique,
     _shortest_word,
-    build_transducer,
+    materialize,
 )
 
 
@@ -213,9 +213,10 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
                 out.append((tup, y))
         return out
 
-    return build_transducer(
+    symbols = tuple(dict.fromkeys(t.input_alphabet + out_alpha))
+    return materialize(
         start=(t.initial,) * i,
-        delta=delta,
+        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
         input_alphabet=t.input_alphabet,
         output_alphabet=out_alpha,
         endmarker=t.endmarker,

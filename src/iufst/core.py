@@ -18,6 +18,16 @@ time linear in the tape.  ``_search``, the only search over the tapes at
 sweep boundaries, yields its rounds to ``_run_traced`` (behind ``run``
 and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
 ``run_deterministic`` call the kernel.
+
+Constructions build machines through ``materialize``, which explores the
+enabled moves of abstract states breadth-first.  A construction's
+``moves(state)`` yields (symbol read, next state, symbol written) triples
+only for the moves that exist, over states and symbols that may be tuples;
+each declared symbol is rendered to its token once, so no construction
+parses token strings.  Moves reading an undeclared symbol are skipped,
+writing one raises ``MachineError``, and moves are ordered by the declared
+rank of the symbol read, so state names and transition order do not depend
+on the order a construction yields them in.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
@@ -477,54 +488,74 @@ def check_accept_mode(
     return AcceptModeReport(tuple(violations), tuple(inconclusive))
 
 
-def build_transducer(
+def materialize(
     start: Hashable,
-    delta: Callable[[Hashable, str], Iterable[tuple[Hashable, str]]],
-    input_alphabet: Sequence[str],
-    output_alphabet: Sequence[str],
-    endmarker: str,
+    moves: Callable[[Hashable], Iterable[tuple[Hashable, Hashable, Hashable]]],
+    input_alphabet: Sequence[Hashable],
+    output_alphabet: Sequence[Hashable],
+    endmarker: Hashable,
     accepting: Callable[[Hashable], bool],
     name_of: Callable[[Hashable], str] = str,
+    symbol_name: Callable[[Hashable], str] = str,
     sweep_bound: int | str | None = None,
     meta: Optional[dict] = None,
 ) -> Transducer:
-    """Materialize a transducer from a transition function over abstract states.
+    """Materialize a transducer from the enabled moves of abstract states.
 
-    Explores states reachable from ``start`` under every symbol of the
-    input and output alphabets, in a deterministic breadth-first order,
-    then renders states through ``name_of``.  Constructions can thus be
-    written against structured state objects (tuples, small records)
-    without committing to token names.
+    ``moves(state)`` yields the (symbol read, next state, symbol written)
+    triples enabled in ``state``.  States are explored breadth-first from
+    ``start``; within a state, moves are taken in the declared rank of the
+    symbol read (the input alphabet, then the output-only symbols), choice
+    order kept per symbol.  States and symbols may be structured values:
+    each declared symbol is rendered once through ``symbol_name`` and each
+    reachable state through ``name_of``, and two values rendering alike
+    raise ``MachineError``.  A move reading an undeclared symbol is
+    skipped; one writing an undeclared symbol raises ``MachineError``.
     """
-    symbols = tuple(input_alphabet) + tuple(
-        y for y in output_alphabet if y not in set(input_alphabet)
-    )
-    raw: dict[tuple[Hashable, str], tuple[tuple[Hashable, str], ...]] = {}
+    rank = {x: r for r, x in enumerate(dict.fromkeys(chain(input_alphabet, output_alphabet)))}
+    sym: dict[Hashable, str] = {}
+    rendered: dict[str, Hashable] = {}
+    for x in rank:
+        sym[x] = tok = symbol_name(x)
+        if rendered.setdefault(tok, x) != x:
+            raise MachineError(f"symbols {rendered[tok]!r} and {x!r} both render {tok!r}")
+    toks = tuple(sym.values())
+    n = len(toks)
+    # per state in BFS order, its moves as (next state, rank read * n + rank written)
+    raw: list[tuple[Hashable, list[tuple[Hashable, int]]]] = []
 
     def succ(state):
-        edges: list[tuple[Hashable, str]] = []
-        for x in symbols:
-            choices = tuple(delta(state, x))
-            if choices:
-                raw[(state, x)] = choices
-                edges += choices
-        return edges
+        try:
+            enabled = [(p, r * n + rank[y]) for x, p, y in moves(state)
+                       if (r := rank.get(x)) is not None]
+        except KeyError:
+            undeclared = [(rank[x], y) for x, _, y in moves(state) if x in rank and y not in rank]
+            if not undeclared:
+                raise
+            y = min(undeclared, key=itemgetter(0))[1]
+            raise MachineError(f"transition writes undeclared output symbol {symbol_name(y)!r}") from None
+        enabled.sort(key=lambda move: move[1] // n)
+        raw.append((state, enabled))
+        return enabled
 
     order, _ = _bfs((start,), succ)
     names = {s: name_of(s) for s in order}
     if len(set(names.values())) != len(names):
         raise MachineError("state naming is not injective on reachable states")
+    transitions: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for state, enabled in raw:
+        q = names[state]
+        for p, code in enabled:
+            r, y = divmod(code, n)
+            transitions.setdefault((q, toks[r]), []).append((names[p], toks[y]))
     return Transducer(
-        states=tuple(names[s] for s in order),
-        input_alphabet=tuple(input_alphabet),
-        output_alphabet=tuple(output_alphabet),
-        endmarker=endmarker,
+        states=tuple(names.values()),
+        input_alphabet=tuple(sym[x] for x in input_alphabet),
+        output_alphabet=tuple(sym[y] for y in output_alphabet),
+        endmarker=symbol_name(endmarker),
         initial=names[start],
         accepting=tuple(names[s] for s in order if accepting(s)),
-        transitions={
-            (names[q], x): tuple((names[p], y) for p, y in choices)
-            for (q, x), choices in raw.items()
-        },
+        transitions={key: tuple(choices) for key, choices in transitions.items()},
         sweep_bound=sweep_bound,
         meta=meta or {},
     )

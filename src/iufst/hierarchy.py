@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     MachineError,
     Transducer,
-    build_transducer,
     find_accepting_trace,
+    materialize,
 )
 
 Word = tuple[str, ...]
@@ -153,46 +153,42 @@ def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
 def _check_payload(payload: tuple[str, ...]) -> None:
     if not payload:
         raise MachineError("payload alphabet must be non-empty")
-    bad = {"a", "b", "$"} & set(payload)
+    # "a" and "-" fill track slots of the constructions below, and "b" and
+    # "$" spell build_lf's copy prefix
+    bad = {"a", "b", "$", "-"} & set(payload)
     if bad:
         raise MachineError(f"payload alphabet must avoid {sorted(bad)!r}")
-    # the two-track encoding below joins tracks with these characters, so
-    # _unpair would split inside a payload symbol holding one
-    for sym in payload:
-        if any(c in sym for c in "[]|!"):
-            raise MachineError(f"payload symbol {sym!r} uses a track-encoding character")
 
 
 # ---------------------------------------------------------------------------
-# two-track pair encoding; '|' joins ordinary track pairs, '!' marks the
-# cells where a factor of the multiplicative construction ends (its
-# stored virtual endmarker sits on the left track)
+# two-track tape symbols are (sep, left, right) tuples over the component
+# machines' symbols, with "-" blanking a track; sep is "|" on ordinary
+# cells and "!" on the cells where a factor of the multiplicative
+# construction ends (its stored virtual endmarker sits on the left track).
+# Each declared tuple is rendered once, as [left|right] or [left!right], and
+# materialize rejects two tuples that render alike.
 
 
-def _pair(left: str, right: str, sep: str = "|") -> str:
-    return f"[{left}{sep}{right}]"
+def _track_name(sym) -> str:
+    return sym if isinstance(sym, str) else f"[{sym[1]}{sym[0]}{sym[2]}]"
 
 
-def _unpair(tok: str) -> Optional[tuple[str, str, str]]:
-    if not (tok.startswith("[") and tok.endswith("]")):
-        return None
-    body = tok[1:-1]
-    depth = 0
-    for i, ch in enumerate(body):
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch in "|!" and depth == 0:
-            return body[:i], body[i + 1 :], ch
-    return None
+def _track(t: Transducer) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(t.output_alphabet + ("-", "a")))
 
 
-def _step(t: Transducer, q: str, x: str) -> Optional[tuple[str, str]]:
-    choices = t.transitions.get((q, x))
-    if not choices:
-        return None
-    return choices[0]
+def _pair_universe(tf: Transducer, tg: Transducer, muls: bool) -> tuple[tuple[str, str, str], ...]:
+    seps = ("|", "!") if muls else ("|",)
+    return tuple((sep, l, r) for sep in seps for l in _track(tf) for r in _track(tg))
+
+
+def _moves_of(t: Transducer) -> dict[str, list[tuple[str, str, str]]]:
+    """Per state, the (read, next state, written) moves of a machine, first
+    choice only: constructors are deterministic."""
+    index: dict[str, list[tuple[str, str, str]]] = {q: [] for q in t.states}
+    for (q, x), ((p, y), *_) in t.transitions.items():
+        index[q].append((x, p, y))
+    return index
 
 
 def _check_disjoint(cf: Constructor, cg: Constructor) -> None:
@@ -204,21 +200,6 @@ def _check_disjoint(cf: Constructor, cg: Constructor) -> None:
             raise MachineError("constructors must be deterministic")
 
 
-def _pair_universe(tf: Transducer, tg: Transducer, muls: bool) -> tuple[str, ...]:
-    lefts = tuple(tf.output_alphabet) + ("-", "a")
-    rights = tuple(tg.output_alphabet) + ("-", "a")
-    out = [_pair(l, r) for l in lefts for r in rights]
-    if muls:
-        out += [_pair(l, r, "!") for l in lefts for r in rights]
-    seen = set()
-    uniq = []
-    for tok in out:
-        if tok not in seen:
-            seen.add(tok)
-            uniq.append(tok)
-    return tuple(uniq)
-
-
 def _combine_bound(tf: Transducer, tg: Transducer) -> str:
     tags = {tf.sweep_bound, tg.sweep_bound}
     if "unbounded" in tags:
@@ -226,6 +207,21 @@ def _combine_bound(tf: Transducer, tg: Transducer) -> str:
     if "linear" in tags or any(isinstance(b, int) for b in tags):
         return "linear"
     return "log"
+
+
+def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound, meta) -> Transducer:
+    return materialize(
+        start=("q0",),
+        moves=moves,
+        input_alphabet=input_alphabet,
+        output_alphabet=out + ("<",),
+        endmarker="<",
+        accepting=accepting,
+        name_of=lambda s: ";".join(str(x) for x in s),
+        symbol_name=_track_name,
+        sweep_bound=sweep_bound,
+        meta=meta,
+    )
 
 
 def combine_add(cf: Constructor, cg: Constructor) -> Constructor:
@@ -240,59 +236,40 @@ def combine_add(cf: Constructor, cg: Constructor) -> Constructor:
     """
     _check_disjoint(cf, cg)
     tf, tg = cf.machine, cg.machine
-    sf, sg = set(cf.payload_alphabet), set(cg.payload_alphabet)
     acc_f, acc_g = tf.accepting_set, tg.accepting_set
+    moves_f, moves_g = _moves_of(tf), _moves_of(tg)
 
-    def sim(qf, qg, l, r):
-        if l == "-" and r == "-":
-            return []
-        if l == "-":
-            g = _step(tg, qg, r)
-            return [] if g is None else [(("sim", qf, g[0]), _pair("-", g[1]))]
-        if r == "-":
-            f = _step(tf, qf, l)
-            return [] if f is None else [(("sim", f[0], qg), _pair(f[1], "-"))]
-        f = _step(tf, qf, l)
-        g = _step(tg, qg, r)
-        if f is None or g is None:
-            return []
-        return [(("sim", f[0], g[0]), _pair(f[1], g[1]))]
+    def sim(qf, qg):
+        for r, pg, yg in moves_g[qg]:
+            yield ("|", "-", r), ("sim", qf, pg), ("|", "-", yg)
+        for l, pf, yf in moves_f[qf]:
+            yield ("|", l, "-"), ("sim", pf, qg), ("|", yf, "-")
+            for r, pg, yg in moves_g[qg]:
+                yield ("|", l, r), ("sim", pf, pg), ("|", yf, yg)
 
-    def delta(state, tok):
+    def moves(state):
         mode = state[0]
         if mode == "q0":
-            if tok == "a":
-                return [(("sp", "a"), _pair("a", "a"))]
-            parts = _unpair(tok)
-            if parts:
-                return sim(tf.initial, tg.initial, parts[0], parts[1])
-            return []
-        if mode == "sp":
+            yield "a", ("sp", "a"), ("|", "a", "a")
+            yield from sim(tf.initial, tg.initial)
+        elif mode == "sp":
             region = state[1]
-            if tok == "a" and region == "a":
-                return [(("sp", "a"), _pair("a", "a"))]
-            if tok in sf and region in ("a", "f"):
-                return [(("sp", "f"), _pair(tok, "-"))]
-            if tok in sg:
-                return [(("sp", "g"), _pair("-", tok))]
-            if tok == "<":
-                return [(("fin",), _pair(tf.endmarker, tg.endmarker))]
-            return []
-        if mode == "sim":
-            parts = _unpair(tok)
-            if parts:
-                return sim(state[1], state[2], parts[0], parts[1])
-            return []
-        return []
+            if region == "a":
+                yield "a", ("sp", "a"), ("|", "a", "a")
+            if region in ("a", "f"):
+                for x in cf.payload_alphabet:
+                    yield x, ("sp", "f"), ("|", x, "-")
+            for x in cg.payload_alphabet:
+                yield x, ("sp", "g"), ("|", "-", x)
+            yield "<", ("fin",), ("|", tf.endmarker, tg.endmarker)
+        elif mode == "sim":
+            yield from sim(state[1], state[2])
 
-    machine = build_transducer(
-        start=("q0",),
-        delta=delta,
-        input_alphabet=("a",) + cf.payload_alphabet + cg.payload_alphabet,
-        output_alphabet=_pair_universe(tf, tg, muls=False) + ("<",),
-        endmarker="<",
+    machine = _materialize_tracks(
+        moves,
+        ("a",) + cf.payload_alphabet + cg.payload_alphabet,
+        _pair_universe(tf, tg, muls=False),
         accepting=lambda s: s[0] == "sim" and s[1] in acc_f and s[2] in acc_g,
-        name_of=lambda s: ";".join(str(x) for x in s),
         sweep_bound=_combine_bound(tf, tg),
         meta={"family": "add", "components": (cf.name, cg.name)},
     )
@@ -319,79 +296,55 @@ def combine_mul(cf: Constructor, cg: Constructor) -> Constructor:
     """
     _check_disjoint(cf, cg)
     tf, tg = cf.machine, cg.machine
-    sf, sg = set(cf.payload_alphabet), set(cg.payload_alphabet)
     acc_f, acc_g = tf.accepting_set, tg.accepting_set
+    moves_f, moves_g = _moves_of(tf), _moves_of(tg)
+    lefts = _track(tf)
 
-    def delta(state, tok):
-        mode = state[0]
-        if mode == "q0":
-            if tok == "a":
-                return [(("sp", "a"), _pair("a", "a"))]
-            parts = _unpair(tok)
-            if parts:
-                return pre(tf.initial, tg.initial, *parts)
-            return []
-        if mode == "sp":
-            region = state[1]
-            if tok == "a" and region == "a":
-                return [(("sp", "a"), _pair("a", "a"))]
-            if tok in sg and region in ("a", "f"):
-                return [(("sp", "g"), _pair(tf.endmarker, tok, "!"))]
-            if tok in sf and region in ("g", "f"):
-                return [(("sp", "f"), _pair(tok, "-"))]
-            if tok == "<" and region == "f":
-                return [(("fin",), _pair(tf.endmarker, tg.endmarker, "!"))]
-            return []
-        parts = _unpair(tok)
-        if parts is None:
-            return []
-        l, r, sep = parts
-        if mode == "pre":
-            return pre(state[1], state[2], l, r, sep)
-        if mode == "fact":
-            qpref, qf, qg, okf = state[1], state[2], state[3], state[4]
-            if sep == "|":
-                # a factor cell: the f component alone advances
-                if r != "-":
-                    return []
-                f = _step(tf, qf, l)
-                if f is None:
-                    return []
-                return [(("fact", qpref, f[0], qg, okf), _pair(f[1], "-"))]
-            # '!': the running factor takes its endmarker step here and
-            # the next one restarts from the shared prefix state
-            f = _step(tf, qf, l)
-            g = _step(tg, qg, r)
-            if f is None or g is None:
-                return []
-            ok = okf and f[0] in acc_f
-            return [(("fact", qpref, qpref, g[0], ok), _pair(f[1], g[1], "!"))]
-        return []
-
-    def pre(qf, qg, l, r, sep):
-        if sep == "!":
+    def pre(qf, qg):
+        for r, pg, yg in moves_g[qg]:
             # first x-cell: the shared prefix ends; its left slot backs
             # no factor and passes through unchanged
-            g = _step(tg, qg, r)
-            if g is None:
-                return []
-            return [(("fact", qf, qf, g[0], True), _pair(l, g[1], "!"))]
-        if l == "-" or r == "-":
-            return []
-        f = _step(tf, qf, l)
-        g = _step(tg, qg, r)
-        if f is None or g is None:
-            return []
-        return [(("pre", f[0], g[0]), _pair(f[1], g[1]))]
+            for l in lefts:
+                yield ("!", l, r), ("fact", qf, qf, pg, True), ("!", l, yg)
+        for l, pf, yf in moves_f[qf]:
+            for r, pg, yg in moves_g[qg]:
+                yield ("|", l, r), ("pre", pf, pg), ("|", yf, yg)
 
-    machine = build_transducer(
-        start=("q0",),
-        delta=delta,
-        input_alphabet=("a",) + cf.payload_alphabet + cg.payload_alphabet,
-        output_alphabet=_pair_universe(tf, tg, muls=True) + ("<",),
-        endmarker="<",
+    def moves(state):
+        mode = state[0]
+        if mode == "q0":
+            yield "a", ("sp", "a"), ("|", "a", "a")
+            yield from pre(tf.initial, tg.initial)
+        elif mode == "sp":
+            region = state[1]
+            if region == "a":
+                yield "a", ("sp", "a"), ("|", "a", "a")
+            if region in ("a", "f"):
+                for x in cg.payload_alphabet:
+                    yield x, ("sp", "g"), ("!", tf.endmarker, x)
+            if region in ("g", "f"):
+                for x in cf.payload_alphabet:
+                    yield x, ("sp", "f"), ("|", x, "-")
+            if region == "f":
+                yield "<", ("fin",), ("!", tf.endmarker, tg.endmarker)
+        elif mode == "pre":
+            yield from pre(state[1], state[2])
+        elif mode == "fact":
+            _, qpref, qf, qg, okf = state
+            for l, pf, yf in moves_f[qf]:
+                # a factor cell: the f component alone advances
+                yield ("|", l, "-"), ("fact", qpref, pf, qg, okf), ("|", yf, "-")
+                # '!': the running factor takes its endmarker step here and
+                # the next one restarts from the shared prefix state
+                ok = okf and pf in acc_f
+                for r, pg, yg in moves_g[qg]:
+                    yield ("!", l, r), ("fact", qpref, qpref, pg, ok), ("!", yf, yg)
+
+    machine = _materialize_tracks(
+        moves,
+        ("a",) + cf.payload_alphabet + cg.payload_alphabet,
+        _pair_universe(tf, tg, muls=True),
         accepting=lambda s: s[0] == "fact" and s[4] and s[3] in acc_g,
-        name_of=lambda s: ";".join(str(x) for x in s),
         sweep_bound=_combine_bound(tf, tg),
         meta={"family": "mul", "components": (cf.name, cg.name)},
     )
@@ -419,80 +372,57 @@ def build_lf(cf: Constructor) -> Transducer:
     tf = cf.machine
     tc = gen_copy(("a", "b"))
     acc_f, acc_c = tf.accepting_set, tc.accepting_set
-    prefix_syms = {"a", "b", "$"}
+    moves_c, moves_f = _moves_of(tc), _moves_of(tf)
 
-    def delta(state, tok):
+    def sim(qc, qf):
+        for l, pc, yc in moves_c[qc]:
+            for r, pf, yf in moves_f[qf]:
+                yield ("|", l, r), ("sim", pc, pf), ("|", yc, yf)
+                # '!': the copy component reads its endmarker slot and settles
+                yield ("!", l, r), ("simv", pc in acc_c, pf), ("!", yc, yf)
+
+    def moves(state):
         mode = state[0]
+        if mode in ("q0", "sp"):
+            for x in ("a", "b", "$"):
+                yield x, ("sp",), ("|", x, "a")
         if mode == "q0":
-            if tok in prefix_syms:
-                return [(("sp",), _pair(tok, "a"))]
-            parts = _unpair(tok)
-            if parts:
-                return sim(tc.initial, tf.initial, *parts)
-            return []
-        if mode == "sp":
-            if tok in prefix_syms:
-                return [(("sp",), _pair(tok, "a"))]
-            if tok in payload:
-                return [(("spv",), _pair(tc.endmarker, tok, "!"))]
-            return []
-        if mode == "spv":
-            if tok in payload:
-                return [(("spv",), _pair("-", tok))]
-            if tok == "<":
-                return [(("fin",), _pair("-", tf.endmarker))]
-            return []
-        parts = _unpair(tok)
-        if parts is None:
-            return []
-        if mode == "sim":
-            return sim(state[1], state[2], *parts)
-        if mode == "simv":
-            okc, qf = state[1], state[2]
-            l, r, sep = parts
-            if sep != "|" or l != "-":
-                return []
-            f = _step(tf, qf, r)
-            if f is None:
-                return []
-            return [(("simv", okc, f[0]), _pair("-", f[1]))]
-        return []
+            yield from sim(tc.initial, tf.initial)
+        elif mode == "sp":
+            for x in payload:
+                yield x, ("spv",), ("!", tc.endmarker, x)
+        elif mode == "spv":
+            for x in payload:
+                yield x, ("spv",), ("|", "-", x)
+            yield "<", ("fin",), ("|", "-", tf.endmarker)
+        elif mode == "sim":
+            yield from sim(state[1], state[2])
+        elif mode == "simv":
+            _, okc, qf = state
+            for r, pf, yf in moves_f[qf]:
+                yield ("|", "-", r), ("simv", okc, pf), ("|", "-", yf)
 
-    def sim(qc, qf, l, r, sep):
-        if sep == "!":
-            # the copy component reads its endmarker slot and settles
-            c = _step(tc, qc, l)
-            f = _step(tf, qf, r)
-            if c is None or f is None:
-                return []
-            return [(("simv", c[0] in acc_c, f[0]), _pair(c[1], f[1], "!"))]
-        if l == "-" or r == "-":
-            return []
-        c = _step(tc, qc, l)
-        f = _step(tf, qf, r)
-        if c is None or f is None:
-            return []
-        return [(("sim", c[0], f[0]), _pair(c[1], f[1]))]
-
-    out = _pair_universe(tc, tf, muls=True)
-    machine = build_transducer(
-        start=("q0",),
-        delta=delta,
-        input_alphabet=("a", "b", "$") + payload,
-        output_alphabet=out + ("<",),
-        endmarker="<",
+    return _materialize_tracks(
+        moves,
+        ("a", "b", "$") + payload,
+        _pair_universe(tc, tf, muls=True),
         accepting=lambda s: s[0] == "simv" and s[1] and s[2] in acc_f,
-        name_of=lambda s: ";".join(str(x) for x in s),
         sweep_bound=tf.sweep_bound if isinstance(tf.sweep_bound, str) else "linear",
         meta={"family": "lf", "component": cf.name},
     )
-    return machine
 
 
 def in_lf(
     fn: Callable[[int], int], payload_alphabet: Sequence[str], w: Sequence[str]
 ) -> bool:
-    """Reference predicate for the language built by ``build_lf``."""
+    """Reference predicate for the language built by ``build_lf``.
+
+    It checks the payload length only, so it is exact only for a
+    constructor that accepts every payload word of length f(m), as the
+    identity and expo constructors do.  A combined constructor also fixes
+    which payload symbols go where (``combine_add`` wants f(m) f-payload
+    symbols, then g(m) g-payload symbols), which this predicate ignores.
+    """
     payload = set(payload_alphabet)
     text = list(w)
     first = next((i for i, c in enumerate(text) if c in payload), len(text))

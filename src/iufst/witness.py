@@ -27,7 +27,7 @@ from itertools import product
 from typing import Sequence
 
 from .convert import Nfa
-from .core import MachineError, Transducer, build_transducer
+from .core import MachineError, Transducer, materialize
 
 Word = tuple[str, ...]
 
@@ -237,11 +237,12 @@ def gen_block(k: int) -> Transducer:
             return [(("ACC",), "<")] if tok == "<" else []
         return []
 
-    return build_transducer(
+    symbols = ("0", "1", "#", "_", "0f", "1f", "_f", "<")
+    return materialize(
         start=("q0",),
-        delta=delta,
+        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
         input_alphabet=("0", "1", "#"),
-        output_alphabet=("0", "1", "#", "_", "0f", "1f", "_f", "<"),
+        output_alphabet=symbols,
         endmarker="<",
         accepting=lambda s: s == ("ACC",),
         name_of=lambda s: "-".join(str(p) for p in s),
@@ -484,26 +485,28 @@ def in_d(w: Sequence[str]) -> bool:
 _BITS = ("0", "1")
 _AB = ("a", "b")
 _T2 = ("a", "b", "0", "1", "-")
+_END = ("end",)
 
 
-def _cell(base: str, m1=False, sel=False, m2=False, t2="-") -> str:
+def _cell(base: str, m1=False, sel=False, m2=False, t2="-") -> tuple:
+    return ("cell", base, m1, sel, m2, t2)
+
+
+def _c0(phase: str, m1: bool, t2: str) -> tuple:
+    return ("c0", phase, m1, t2)
+
+
+def _d_name(sym: tuple) -> str:
+    """Token of a gen_d symbol: ("raw", c), the endmarker ``_END``, a cell or a cell-0 tuple."""
+    if sym[0] == "raw":
+        return sym[1]
+    if sym == _END:
+        return "<"
+    if sym[0] == "c0":
+        _, phase, m1, t2 = sym
+        return f"@{phase}a{'*' if m1 else ''}/{t2}"
+    _, base, m1, sel, m2, t2 = sym
     return f"{base}{'*' if m1 else ''}{'!' if sel else ''}{'=' if m2 else ''}/{t2}"
-
-
-def _c0(phase: str, m1: bool, t2: str) -> str:
-    return f"@{phase}a{'*' if m1 else ''}/{t2}"
-
-
-def _parse_tok(tok: str):
-    if tok in _BITS or tok in _AB:
-        return ("raw", tok)
-    if tok == "<":
-        return ("end",)
-    if tok.startswith("@"):
-        body = tok[2:]
-        return ("c0", tok[1], "*" in body, body.split("/", 1)[1])
-    head, t2 = tok.split("/", 1)
-    return ("cell", head[0], "*" in head, "!" in head, "=" in head, t2)
 
 
 def gen_d() -> Transducer:
@@ -526,8 +529,7 @@ def gen_d() -> Transducer:
     separate guess sweep.
     """
 
-    def delta(state, tok):
-        p = _parse_tok(tok)
+    def delta(state, p):
         mode = state[0]
 
         # sweep-type dispatch at cell 0 -----------------------------------
@@ -581,7 +583,7 @@ def gen_d() -> Transducer:
                     return []
                 return [(("s1", nxt), _cell(ch, t2=ch))]
             if p[0] == "end" and region == "pay":
-                return [(("fin",), "<")]
+                return [(("fin",), _END)]
             return []
 
         if p[0] == "c0":
@@ -787,7 +789,7 @@ def gen_d() -> Transducer:
             return []
         if mode in ("gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"):
             if p[0] == "end":
-                return [(("fin",), "<")] if mode == "gdone" else []
+                return [(("fin",), _END)] if mode == "gdone" else []
             if p[0] != "cell":
                 return []
             _, base, m1, sel, m2, t2 = p
@@ -863,9 +865,9 @@ def gen_d() -> Transducer:
             a_state, b_state = state[1], state[2]
             if p[0] == "end":
                 if a_state == ("done",):
-                    return [(("fin",), "<")]
+                    return [(("fin",), _END)]
                 if a_state == ("accarm",):
-                    return [(("ACC",), "<")]
+                    return [(("ACC",), _END)]
                 return []
             if p[0] != "cell":
                 return []
@@ -882,9 +884,9 @@ def gen_d() -> Transducer:
             final, kind, got, just = state[1], state[2], state[3], state[4]
             if not got:
                 return []
-            return [(("fin",), "<")]
+            return [(("fin",), _END)]
         if mode in ("shx", "adskpay"):
-            return [(("fin",), "<")]
+            return [(("fin",), _END)]
         return []
 
     def _b_step(final, acc, p, carry):
@@ -981,19 +983,22 @@ def gen_d() -> Transducer:
         for t2 in _T2
     ]
     c0s = [_c0(ph, m1, t2) for ph in "CDP" for m1 in (False, True) for t2 in ("a", "-")]
-    out_alpha = tuple(cells) + tuple(c0s) + ("<",)
+    raws = tuple(("raw", c) for c in ("a", "b", "0", "1"))
+    out_alpha = tuple(cells) + tuple(c0s) + (_END,)
+    symbols = raws + out_alpha
 
     def name(s):
         if isinstance(s, tuple):
             return "(" + ",".join(name(x) for x in s) + ")"
         return str(s)
 
-    return build_transducer(
+    return materialize(
         start=("q0",),
-        delta=delta,
-        input_alphabet=("a", "b", "0", "1"),
+        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
+        input_alphabet=raws,
         output_alphabet=out_alpha,
-        endmarker="<",
+        endmarker=_END,
+        symbol_name=_d_name,
         accepting=lambda s: s == ("ACC",),
         name_of=name,
         sweep_bound="log",

@@ -17,6 +17,7 @@ from iufst import (
     find_accepting_trace,
     gen_e,
     gen_unary,
+    materialize,
     run,
     run_deterministic,
     sweep,
@@ -331,3 +332,52 @@ def test_one_sweep_machines_match_their_nfa(e21):
     for length in range(0, 9):
         for w in itertools.product("ab", repeat=length):
             assert nfa.accepts(w) == run(e21, w, 1, 10_000).accepted, w
+
+
+class TestMaterialize:
+    """The moves contract, on a mod-3 counter over tuple symbols."""
+
+    A, B, C = ("in", "a"), ("in", "b"), ("in", "c")
+
+    def moves(self, s):
+        return [
+            (self.A, (s + 1) % 3, ("out", "a")),
+            (self.B, s, ("out", "b")),
+            (self.B, (s + 2) % 3, ("out", "a")),
+            ("<", s, "<"),
+        ]
+
+    def build(self, moves, symbol_name=lambda x: x if isinstance(x, str) else x[1] + "'" * (x[0] == "out")):
+        return materialize(
+            start=0,
+            moves=moves,
+            input_alphabet=(self.A, self.B),
+            output_alphabet=(("out", "a"), ("out", "b"), "<"),
+            endmarker="<",
+            accepting=lambda s: s == 0,
+            name_of=lambda s: f"q{s}",
+            symbol_name=symbol_name,
+        )
+
+    def test_moves_ordered_by_rank_of_symbol_read(self):
+        t = self.build(self.moves)
+        assert t.states == ("q0", "q1", "q2")
+        assert t.input_alphabet == ("a", "b") and t.output_alphabet == ("a'", "b'", "<")
+        assert t.transitions[("q0", "b")] == (("q0", "b'"), ("q2", "a'"))
+        # the endmarker, then b's choices in order, then a: same machine
+        shuffled = self.build(lambda s: [self.moves(s)[i] for i in (3, 1, 0, 2)])
+        assert list(shuffled.transitions.items()) == list(t.transitions.items())
+
+    def test_undeclared_read_skipped(self):
+        t = self.build(lambda s: self.moves(s) + [(self.C, 7, ("out", "a"))])
+        assert t == self.build(self.moves)
+
+    def test_undeclared_write_raises(self):
+        # the first undeclared write in the rank of the symbol read is named
+        extra = lambda s: [(self.B, s, ("out", "d")), (self.A, s, ("out", "c"))]
+        with pytest.raises(MachineError, match="undeclared output symbol \"c'\""):
+            self.build(lambda s: extra(s) + self.moves(s))
+
+    def test_render_collision_raises(self):
+        with pytest.raises(MachineError, match="both render 'a'"):
+            self.build(self.moves, symbol_name=lambda x: x if isinstance(x, str) else x[1])

@@ -1,8 +1,12 @@
 """Constructors, closure combinators, and the prefix-copy language."""
 
+import functools
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iufst import (
     MachineError,
@@ -80,6 +84,8 @@ class TestPrimitiveConstructors:
     def test_alphabet_clash_rejected(self):
         with pytest.raises(MachineError):
             identity_constructor(("a",))
+        with pytest.raises(MachineError):  # "-" blanks a track
+            identity_constructor(("-",))
         with pytest.raises(MachineError):
             combine_add(identity_constructor(("x",)), identity_constructor(("x",)))
 
@@ -255,12 +261,69 @@ class TestMeasure:
 
 class TestPayloadEncoding:
     @pytest.mark.parametrize("sym", ["x|", "x!", "[x", "x]"])
-    def test_track_characters_rejected(self, sym):
-        # the two-track encoding would split inside such a symbol, so the
-        # combined machine would silently reject its own members
-        with pytest.raises(MachineError):
-            combine_add(identity_constructor((sym,)), identity_constructor(("y",)))
+    def test_track_characters_accepted(self, sym):
+        # two-track symbols are tuples rendered once, so a payload symbol
+        # holding a rendering character is never split
+        c = combine_add(identity_constructor((sym,)), identity_constructor(("y",)))
+        w = ("a", "a", sym, sym, "y", "y")
+        assert run(c.machine, w, 10, 1000).accepted
+        assert not run(c.machine, w[:-1], 10, 1000).accepted
+
+    def test_render_collision_rejected(self):
+        # ("|", "p", "q|r") and ("|", "p|q", "r") both render [p|q|r]
+        with pytest.raises(MachineError, match=re.escape("render '[p|q|r]'")):
+            combine_add(identity_constructor(("p", "p|q")), identity_constructor(("r", "q|r")))
 
     def test_plain_payload_accepted(self):
         c = combine_add(identity_constructor(("x",)), identity_constructor(("y",)))
         assert run(c.machine, ("a", "x", "y"), 8).accepted
+
+
+CTORS = {"id": identity_constructor, "expo": expo_constructor}
+
+
+@functools.cache
+def track_machine(op, f, g, x="x", y="y"):
+    """The machine ``op`` builds over payload x for the f constructor and
+    payload y for the g constructor (unused by build_lf)."""
+    cf = CTORS[f]((x,))
+    if op == "lf":
+        return build_lf(cf)
+    return {"add": combine_add, "mul": combine_mul}[op](cf, CTORS[g]((y,))).machine
+
+
+def member(op, f, g, m):
+    """A member of the plain-payload language with prefix parameter m."""
+    fn_f, fn_g = CTORS[f]().fn, CTORS[g]().fn
+    if op == "add":
+        return ("a",) * m + ("x",) * fn_f(m) + ("y",) * fn_g(m)
+    if op == "mul":
+        return ("a",) * m + (("y",) + ("x",) * fn_f(m)) * fn_g(m)
+    u = ("a", "b")[: m // 2]
+    return u + ("$",) + u + ("x",) * fn_f(2 * len(u) + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["add", "mul", "lf"]),
+    st.sampled_from(sorted(CTORS)),
+    st.sampled_from(sorted(CTORS)),
+    st.integers(1, 3),
+    st.lists(st.text("[]|!;(),./*=~'", min_size=1, max_size=3), min_size=2, max_size=2,
+             unique=True),
+)
+def test_constructions_commute_with_payload_renaming(op, f, g, m, names):
+    x, y = names
+    try:
+        renamed = track_machine(op, f, g, x, y)
+    except MachineError as exc:
+        assert "both render" in str(exc)
+        return
+    plain = track_machine(op, f, g)
+    w = member(op, f, g, m)
+    rename = {"x": x, "y": y}
+    for word in (w, w[:-1]):
+        budget = 4 * len(word) + 16
+        expected = run(plain, word, budget).accepted
+        assert expected == (word == w)
+        assert run(renamed, tuple(rename.get(s, s) for s in word), budget).accepted == expected
