@@ -301,41 +301,74 @@ def nfa_to_1niufst(n: Nfa) -> Transducer:
 def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     """Powerset construction over reachable subsets.
 
-    The result is complete: the empty subset appears as an explicit dead
-    state whenever some (subset, symbol) has no successor.  Raises
-    ``ResourceBudgetError`` beyond ``state_cap`` discovered subsets.
+    A subset is an int bitmask over the NFA's state order (bit i is
+    ``n.states[i]``), so one step ORs precomputed successor masks.
+    Subsets are discovered breadth-first from ``{initial}``, symbols in
+    alphabet order; each is named ``{q1,q2,...}`` with its members in
+    the NFA's state order (``{}`` for the empty subset).  The result is
+    complete: the empty subset appears as an explicit dead state
+    whenever some (subset, symbol) has no successor.  ``state_cap``
+    counts discovered subsets, the dead one included; discovering more
+    raises ``ResourceBudgetError``.
     """
-    order = {s: i for i, s in enumerate(n.states)}
+    index = {q: i for i, q in enumerate(n.states)}
+    # step[x][i]: successor mask of state i on symbol x
+    step = {x: [0] * len(n.states) for x in n.alphabet}
+    for (q, x), rs in n.transitions.items():
+        mask = 0
+        for r in rs:
+            mask |= 1 << index[r]
+        step[x][index[q]] = mask
+    # per subset in discovery order, its members and its (successor, symbol) row
+    expanded: list[tuple[list[int], list[tuple[int, str]]]] = []
 
-    def name(subset: frozenset[str]) -> str:
-        return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
+    def succ(cur: int) -> list[tuple[int, str]]:
+        members = _bits(cur)
+        row = []
+        for x, moves in step.items():
+            nxt = 0
+            for i in members:
+                nxt |= moves[i]
+            row.append((nxt, x))
+        expanded.append((members, row))
+        return row
 
-    rows: dict[frozenset[str], list[tuple[frozenset[str], str]]] = {}
-
-    def succ(cur: frozenset[str]) -> list[tuple[frozenset[str], str]]:
-        rows[cur] = [
-            (frozenset(r for q in cur for r in n.transitions.get((q, x), ())), x)
-            for x in n.alphabet
-        ]
-        return rows[cur]
-
-    start = frozenset({n.initial})
+    start = 1 << index[n.initial]
     try:
         subsets, _ = _bfs((start,), succ, limit=state_cap)
     except ResourceBudgetError:
         raise ResourceBudgetError(
             f"powerset construction exceeded {state_cap} states"
         ) from None
-    names = {sub: name(sub) for sub in subsets}
+    names = {
+        sub: "{" + ",".join(map(n.states.__getitem__, members)) + "}"
+        for sub, (members, _row) in zip(subsets, expanded)
+    }
+    accepting = 0
+    for q in n.accepting:
+        accepting |= 1 << index[q]
     return Dfa(
         states=tuple(names.values()),
         alphabet=tuple(n.alphabet),
         initial=names[start],
-        accepting=tuple(names[sub] for sub in subsets if sub & n.accepting_set),
+        accepting=tuple(names[sub] for sub in subsets if sub & accepting),
         transitions={
-            (names[cur], x): names[nxt] for cur, row in rows.items() for nxt, x in row
+            (names[cur], x): names[nxt]
+            for cur, (_members, row) in zip(subsets, expanded)
+            for nxt, x in row
         },
     )
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, low to high."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def dfa_complete(d: Dfa) -> Dfa:
@@ -363,72 +396,67 @@ def _dfa_edges(d: Dfa):
     ]
 
 
-def _reachable(d: Dfa) -> list[str]:
-    return list(_bfs((d.initial,), _dfa_edges(d))[0])
-
-
 def dfa_minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA via Moore partition refinement.
 
-    States are renumbered canonically (breadth-first from the initial
-    state in alphabet order), so two minimal DFAs for the same language
-    are structurally equal.  ``meta`` reports both the complete state
-    count and the partial count (without a dead state, when one exists).
+    The reachable states are indexed once, breadth-first from the initial
+    state, and refinement runs over that index with one int successor
+    list per symbol, until a round leaves the number of blocks unchanged.
+    The blocks are then renumbered canonically (breadth-first from the
+    initial state in alphabet order, named ``m0``, ``m1``, ...), so two
+    minimal DFAs for the same language are structurally equal.  ``meta``
+    reports both the complete state count and the partial count (without
+    a dead state, when one exists).
     """
     d = dfa_complete(d)
-    reach = _reachable(d)
-    acc = d.accepting_set
-    block: dict[str, int] = {q: (1 if q in acc else 0) for q in reach}
+    alphabet = d.alphabet
+    index = {q: i for i, q in enumerate(d.states)}
+    full = [[index[d.transitions[(q, x)]] for q in d.states] for x in alphabet]
+    reach, _ = _bfs(
+        (index[d.initial],), lambda i: [(row[i], x) for row, x in zip(full, alphabet)]
+    )
+    position = dict(zip(reach, range(len(reach))))
+    succ = [[position[row[i]] for i in reach] for row in full]
+    final = [d.states[i] in d.accepting_set for i in reach]
+    block = [int(f) for f in final]
+    count = len(set(block))
     while True:
-        signature = {
-            q: (block[q],) + tuple(block[d.transitions[(q, x)]] for x in d.alphabet)
-            for q in reach
-        }
-        renum: dict[tuple, int] = {}
-        nxt: dict[str, int] = {}
-        for q in reach:
-            sig = signature[q]
-            if sig not in renum:
-                renum[sig] = len(renum)
-            nxt[q] = renum[sig]
-        if len(set(nxt.values())) == len(set(block.values())):
-            block = nxt
+        sigs = list(zip(block, *[list(map(block.__getitem__, row)) for row in succ]))
+        # number the signatures by first appearance
+        renum = dict(zip(dict.fromkeys(sigs), range(len(sigs))))
+        block = list(map(renum.__getitem__, sigs))
+        if len(renum) == count:
             break
-        block = nxt
-    # Canonical renumbering by BFS from the initial block.
-    rep: dict[int, str] = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
+        count = len(renum)
+    # Blocks are numbered by first appearance, so each block's first
+    # member comes up in block order and stands for the block.
+    rep: list[int] = []
+    for i, b in enumerate(block):
+        if b == len(rep):
+            rep.append(i)
+    moves = [[block[row[i]] for i in rep] for row in succ]
     order, _ = _bfs(
-        (block[d.initial],),
-        lambda b: [(block[d.transitions[(rep[b], x)]], x) for x in d.alphabet],
+        (block[0],), lambda b: [(row[b], x) for row, x in zip(moves, alphabet)]
     )
     names = {b: f"m{i}" for i, b in enumerate(order)}
-    transitions = {
-        (names[b], x): names[block[d.transitions[(rep[b], x)]]]
-        for b in order
-        for x in d.alphabet
-    }
-    accepting = tuple(names[b] for b in order if rep[b] in acc)
     out = Dfa(
-        states=tuple(names[b] for b in order),
-        alphabet=d.alphabet,
-        initial=names[block[d.initial]],
-        accepting=accepting,
-        transitions=transitions,
+        states=tuple(names.values()),
+        alphabet=alphabet,
+        initial=names[block[0]],
+        accepting=tuple(names[b] for b in order if final[rep[b]]),
+        transitions={
+            (names[b], x): names[row[b]] for b in order for row, x in zip(moves, alphabet)
+        },
     )
-    dead = _dead_states(out)
+    # the partial count leaves out blocks that reach no accepting block
+    preds: list[list[tuple[int, str]]] = [[] for _ in rep]
+    for row, x in zip(moves, alphabet):
+        for b, r in enumerate(row):
+            preds[r].append((b, x))
+    live, _ = _bfs((b for b in order if final[rep[b]]), preds.__getitem__)
     out.meta["complete_states"] = len(out.states)
-    out.meta["partial_states"] = len(out.states) - len(dead)
+    out.meta["partial_states"] = len(live)
     return out
-
-
-def _dead_states(d: Dfa) -> set[str]:
-    """States from which no accepting state is reachable."""
-    rev: dict[str, list[tuple[str, str]]] = {q: [] for q in d.states}
-    for (q, x), r in d.transitions.items():
-        rev[r].append((q, x))
-    return set(d.states).difference(_bfs(d.accepting, rev.__getitem__)[0])
 
 
 def dfa_complement(d: Dfa) -> Dfa:

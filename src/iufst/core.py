@@ -66,7 +66,7 @@ class ResourceBudgetError(MachineError):
 def _check_token(tok: str, what: str) -> None:
     # tokens must survive the whitespace-separated text format, where %
     # opens a comment and -> separates transition sides
-    if not isinstance(tok, str) or not tok or any(c.isspace() for c in tok):
+    if not isinstance(tok, str) or not tok or tok.split() != [tok]:
         raise MachineError(f"{what} must be a non-empty whitespace-free string, got {tok!r}")
     if "%" in tok or tok == "->":
         raise MachineError(f"{what} {tok!r} cannot be written in the text format")

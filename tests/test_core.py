@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from iufst import (
     sweep,
     to_nfa,
 )
+from iufst.core import _check_token
 
 
 def identity_machine(accepting=("q",)):
@@ -40,6 +42,45 @@ def identity_machine(accepting=("q",)):
         },
         sweep_bound=1,
     )
+
+
+class TestCheckToken:
+    BLANK = "state must be a non-empty whitespace-free string, got {!r}"
+
+    def test_rejects_exactly_the_whitespace_code_points(self):
+        rejected = []
+        for c in range(sys.maxunicode + 1):
+            if c == ord("%"):
+                continue  # rejected for the text format, below
+            tok = "a" + chr(c) + "b"
+            try:
+                _check_token(tok, "state")
+            except MachineError as err:
+                assert str(err) == self.BLANK.format(tok)
+                rejected.append(c)
+        assert rejected == [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+    @pytest.mark.parametrize(
+        "tok, message",
+        [
+            ("", BLANK.format("")),
+            (3, BLANK.format(3)),
+            (None, BLANK.format(None)),
+            (" q", BLANK.format(" q")),
+            ("q\u2028", BLANK.format("q\u2028")),
+            ("a%b", "state 'a%b' cannot be written in the text format"),
+            ("%", "state '%' cannot be written in the text format"),
+            ("->", "state '->' cannot be written in the text format"),
+        ],
+    )
+    def test_messages(self, tok, message):
+        with pytest.raises(MachineError) as err:
+            _check_token(tok, "state")
+        assert str(err.value) == message
+
+    def test_accepts_arrow_inside_a_token(self):
+        _check_token("a->b", "state")
+        _check_token("->>", "state")
 
 
 class TestConstruction:

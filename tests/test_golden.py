@@ -6,23 +6,30 @@ A digest should change only with a deliberate change to its construction.
 """
 
 import hashlib
+from functools import cache
 
 import pytest
 
 from iufst import (
     MachineFile,
+    ResourceBudgetError,
     build_lf,
     combine_add,
     combine_mul,
     compile_lba,
+    dfa_minimize,
     expo_constructor,
     gen_block,
+    gen_block_nfa,
     gen_d,
     gen_e,
+    gen_unary,
     identity_constructor,
     lba_copy,
+    nfa_to_dfa,
     serialize_machine,
     sweep_reduce,
+    to_nfa,
 )
 
 CTORS = {"id": identity_constructor, "expo": expo_constructor}
@@ -82,3 +89,56 @@ def digest(machine):
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_serialization_pinned(name):
     assert digest(MACHINES[name]()) == DIGESTS[name]
+
+
+# Powerset and minimal DFAs: subset names list NFA states in declaration
+# order, minimal states are m0, m1, ... in breadth-first order.
+NFAS = {
+    "to_nfa(block(3),3)": lambda: to_nfa(gen_block(3), 3),
+    "block_nfa(3)": lambda: gen_block_nfa(3),
+    "to_nfa(unary(2,3),3)": lambda: to_nfa(gen_unary(2, 3), 3),
+    "to_nfa(e(2,3),3)": lambda: to_nfa(gen_e(2, 3), 3),
+}
+
+DFA_DIGESTS = {
+    "to_nfa(block(3),3)": (
+        "c524a51ea14ca3d073758eb9ae28035511a627747bbe1bc8eb53af9c25628fb2",
+        "de9813f34e6d545d5814e51dc51cc9fc761ca3ff847126aed881ffb48eae6021",
+    ),
+    "block_nfa(3)": (
+        "f747434e62ad6f24fc7d7ff3e83121dbb4743ebe327379e288e8e13eda85e798",
+        "de9813f34e6d545d5814e51dc51cc9fc761ca3ff847126aed881ffb48eae6021",
+    ),
+    "to_nfa(unary(2,3),3)": (
+        "927bc5d29a285fb2cfe677f07db5606fd52d8e98f59002e06a1aa236c4c2d7b2",
+        "17d9c3339d964c1f84ed32fa91853f3d94c90c5e5657d9fde8456275f8058860",
+    ),
+    "to_nfa(e(2,3),3)": (
+        "b88b61b54855f5ec639f47baac99e967dec82409d1f718e98850ab28c30ef4ee",
+        "3f3a36dfc1be82c292ec9bc50aad9008f25a2e029c3276132149e185231ac7fe",
+    ),
+}
+
+
+@cache
+def _nfa(name):
+    return NFAS[name]()
+
+
+def dfa_digest(dfa):
+    text = serialize_machine(MachineFile("dfa", dfa))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(NFAS))
+def test_dfa_serialization_pinned(name):
+    powerset = nfa_to_dfa(_nfa(name))
+    assert (dfa_digest(powerset), dfa_digest(dfa_minimize(powerset))) == DFA_DIGESTS[name]
+
+
+def test_state_cap_counts_discovered_subsets():
+    nfa = _nfa("to_nfa(block(3),3)")
+    assert len(nfa_to_dfa(nfa, state_cap=4201).states) == 4201
+    with pytest.raises(ResourceBudgetError) as err:
+        nfa_to_dfa(nfa, state_cap=4200)
+    assert str(err.value) == "powerset construction exceeded 4200 states"
