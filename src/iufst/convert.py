@@ -319,8 +319,8 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
         for r in rs:
             mask |= 1 << index[r]
         step[x][index[q]] = mask
-    # per subset in discovery order, its members and its (successor, symbol) row
-    expanded: list[tuple[list[int], list[tuple[int, str]]]] = []
+    # per subset, its members and its (successor, symbol) row
+    rows: dict[int, tuple[list[int], list[tuple[int, str]]]] = {}
 
     def succ(cur: int) -> list[tuple[int, str]]:
         members = _bits(cur)
@@ -330,7 +330,7 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
             for i in members:
                 nxt |= moves[i]
             row.append((nxt, x))
-        expanded.append((members, row))
+        rows[cur] = (members, row)
         return row
 
     start = 1 << index[n.initial]
@@ -341,8 +341,8 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
             f"powerset construction exceeded {state_cap} states"
         ) from None
     names = {
-        sub: "{" + ",".join(map(n.states.__getitem__, members)) + "}"
-        for sub, (members, _row) in zip(subsets, expanded)
+        sub: "{" + ",".join(map(n.states.__getitem__, rows[sub][0])) + "}"
+        for sub in subsets
     }
     accepting = 0
     for q in n.accepting:
@@ -353,9 +353,7 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
         initial=names[start],
         accepting=tuple(names[sub] for sub in subsets if sub & accepting),
         transitions={
-            (names[cur], x): names[nxt]
-            for cur, (_members, row) in zip(subsets, expanded)
-            for nxt, x in row
+            (names[cur], x): names[nxt] for cur, (_, row) in rows.items() for nxt, x in row
         },
     )
 
@@ -364,10 +362,9 @@ def _bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, low to high."""
     out = []
     while mask:
-        top = mask.bit_length() - 1
-        out.append(top)
-        mask ^= 1 << top
-    out.reverse()
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

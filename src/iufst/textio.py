@@ -164,7 +164,7 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
             bound = int(tok)
         else:
             raise p.error(f"sweeps must be a positive integer or unbounded/log/linear, got {tok!r}")
-    transitions: dict = {}
+    transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     sym_set = input_set | output_set
     while p.peek_directive() is not None:
         line, toks = p.next_row()
@@ -179,7 +179,7 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
             raise MachineParseError(f"undeclared symbol {x!r}", line)
         if y not in output_set:
             raise MachineParseError(f"output symbol {y!r} not in the output alphabet", line)
-        _add(transitions, (q, x), (r, y))
+        transitions[(q, x)] = transitions.get((q, x), ()) + ((r, y),)
     t = Transducer(
         states=tuple(states),
         input_alphabet=tuple(inputs),
@@ -187,7 +187,7 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
         endmarker=endmarker,
         initial=initial,
         accepting=tuple(accepting),
-        transitions=_tuples(transitions),
+        transitions=transitions,
         sweep_bound=bound,
     )
     if kind == "iufst" and not t.is_deterministic:
@@ -203,8 +203,7 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
     for q in accepting:
         if q not in state_set:
             raise p.error(f"undeclared accepting state {q!r}")
-    nfa_trans: dict = {}
-    seen: set[tuple[str, str, str]] = set()
+    nfa_trans: dict[tuple[str, str], tuple[str, ...]] = {}
     while p.peek_directive() is not None:
         line, toks = p.next_row()
         if toks[0] != "trans":
@@ -218,10 +217,9 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
             raise MachineParseError(f"undeclared symbol {x!r}", line)
         if kind == "dfa" and (q, x) in nfa_trans:
             raise MachineParseError(f"duplicate dfa transition for ({q!r}, {x!r})", line)
-        if (q, x, r) in seen:
+        if r in nfa_trans.get((q, x), ()):
             raise MachineParseError(f"duplicate transition ({q!r}, {x!r}) -> {r!r}", line)
-        seen.add((q, x, r))
-        _add(nfa_trans, (q, x), r)
+        nfa_trans[(q, x)] = nfa_trans.get((q, x), ()) + (r,)
     if kind == "dfa":
         dfa = Dfa(
             states=tuple(states),
@@ -236,7 +234,7 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
         alphabet=tuple(inputs),
         initial=initial,
         accepting=tuple(accepting),
-        transitions=_tuples(nfa_trans),
+        transitions=nfa_trans,
     )
     return MachineFile(kind, nfa)
 
@@ -253,8 +251,7 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
     for q in accepting:
         if q not in state_set:
             raise p.error(f"undeclared accepting state {q!r}")
-    transitions: dict = {}
-    seen: set[tuple[str, str, tuple[str, str]]] = set()
+    transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     while p.peek_directive() is not None:
         line, toks = p.next_row()
         if toks[0] != "trans":
@@ -271,10 +268,9 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
                 f"lba action must be a tape symbol, L, or R, got {act!r}", line
             )
         entry = (r, act)
-        if (q, x, entry) in seen:
+        if entry in transitions.get((q, x), ()):
             raise MachineParseError(f"duplicate lba transition for ({q!r}, {x!r})", line)
-        seen.add((q, x, entry))
-        _add(transitions, (q, x), entry)
+        transitions[(q, x)] = transitions.get((q, x), ()) + (entry,)
     lba = Lba(
         states=tuple(states),
         input_alphabet=tuple(inputs),
@@ -283,31 +279,9 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
         right_end=rend,
         initial=initial,
         accepting=tuple(accepting),
-        transitions=_tuples(transitions),
+        transitions=transitions,
     )
     return MachineFile("lba", lba)
-
-
-def _add(groups: dict, key: tuple[str, str], choice) -> None:
-    """Append ``choice`` to ``key``'s choices in parse order.  A key holds
-    a 1-tuple until its second choice and a list after that, so appends
-    take constant time and single-choice keys cost no more than their
-    final tuple."""
-    have = groups.get(key)
-    if have is None:
-        groups[key] = (choice,)
-    elif type(have) is tuple:
-        groups[key] = [*have, choice]
-    else:
-        have.append(choice)
-
-
-def _tuples(groups: dict) -> dict:
-    """Freeze, in place, the keys that hold a list of choices."""
-    for key, choices in groups.items():
-        if type(choices) is list:
-            groups[key] = tuple(choices)
-    return groups
 
 
 def _exactly(p, toks, n, what):

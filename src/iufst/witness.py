@@ -992,20 +992,9 @@ def gen_d() -> Transducer:
             return "(" + ",".join(name(x) for x in s) + ")"
         return str(s)
 
-    def reading(*tags):
-        return tuple(x for x in symbols if x[0] in tags)
-
-    # delta answers [] for every symbol kind its mode does not read:
-    # q0 reads the raw tape or cell 0, sweep 1 the raw tape and the
-    # endmarker, every later mode a cell or the endmarker
-    reads = {"q0": reading("raw", "c0"), "s1": reading("raw", "end")}
-    later = reading("cell", "end")
-
     return materialize(
         start=("q0",),
-        moves=lambda state: [
-            (x, p, y) for x in reads.get(state[0], later) for p, y in delta(state, x)
-        ],
+        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
         input_alphabet=raws,
         output_alphabet=out_alpha,
         endmarker=_END,
