@@ -2,12 +2,15 @@
 
 The central construction simulates several sweeps of a machine in
 parallel inside one sweep, using tuple states with a dummy lane for
-branches that died.  Reducing a k-sweep machine all the way to one
-sweep and then dropping the endmarker yields an NFA, and the usual
-powerset construction takes it to a DFA.  Standard DFA plumbing
+branches that died.  One function, ``_lane_step``, gives the moves of a
+tuple of lanes over the machine's state indices.  ``sweep_reduce``
+materializes the tuples it reaches as a transducer; reducing a k-sweep
+machine all the way to one sweep and then dropping the endmarker yields
+an NFA (``to_nfa``), and the usual powerset construction takes it to a
+DFA.  The decision procedures in ``decide`` expand the same tuples on
+demand and search subsets on the fly instead.  Standard DFA plumbing
 (completion, minimization, complement, products) lives here too because
-the lower-bound checks and ``iufst convert`` need it; the decision
-procedures in ``decide`` search subsets on the fly instead.
+the lower-bound checks and ``iufst convert`` need it.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class Dfa:
     def __post_init__(self) -> None:
         for s in self.states:
             _check_token(s, "state")
+        for a in self.alphabet:
+            _check_token(a, "symbol")
         _check_unique(self.states, "states")
         _check_unique(self.alphabet, "symbols")
         state_set = set(self.states)
@@ -141,16 +146,20 @@ class Dfa:
 
 _DUMMY = "d"
 
+# The dummy lane state and the dummy symbol of ``_lane_step``.  The state is
+# index -1, which reads the entries ``_lanes`` appends to the machine's
+# per-state lists: no moves and not accepting.  The symbol is an int, so no
+# transition of the machine reads it.
+_DUMMY_STATE = -1
+_DUMMY_SYMBOL = -1
+_DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
+
 
 def _fresh(base: str, taken: set[str]) -> str:
     tok = base
     while tok in taken:
         tok += "'"
     return tok
-
-
-def _tuple_name(parts: tuple[str, ...]) -> str:
-    return "(" + ",".join(parts) + ")"
 
 
 def reduced_state_universe(n_states: int, i: int) -> int:
@@ -163,65 +172,69 @@ def reduced_state_universe(n_states: int, i: int) -> int:
     return sum(n_states**t for t in range(i + 1))
 
 
-def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
-    """Equivalent machine running ceil(k/i) sweeps by simulating i at a time.
-
-    Lane t of a tuple state carries sweep t of the current block of i
-    sweeps; lane t reads lane t-1's output (lane 1 reads the tape).  A
-    lane whose transition set is empty collapses to the dummy state and
-    prints the dummy symbol, which forces every later lane of later
-    sweeps into the dummy as well.  A tuple is accepting when any lane
-    holds an accepting original state.  Determinism is preserved, and
-    the full tuple-state universe has at most 2 n^i members for n >= 2
-    (the constructed machine materializes only reachable tuples; the
-    universe size is recorded in ``meta["universe_states"]``).
-    """
+def _check_lanes(k: int, i: int) -> None:
     if not isinstance(k, int) or k < 1:
         raise MachineError(f"declared sweep bound must be a positive integer, got {k!r}")
     if not 1 <= i <= k:
         raise MachineError(f"lane count i={i} must satisfy 1 <= i <= k={k}")
-    taken_states = set(t.states)
-    taken_syms = set(t.input_alphabet) | set(t.output_alphabet)
-    dummy_state = _fresh(_DUMMY, taken_states)
-    dummy_sym = _fresh(_DUMMY, taken_syms)
-    out_alpha = tuple(t.output_alphabet) + (dummy_sym,)
-    trans = t.transitions
-    accepting = t.accepting_set
 
-    def delta(state: tuple[str, ...], x: str):
-        results: list[tuple[tuple[str, ...], str]] = [((), x)]
-        for lane in range(i):
-            nxt: list[tuple[tuple[str, ...], str]] = []
-            for prefix, y_prev in results:
-                s_t = state[lane]
-                if s_t == dummy_state or y_prev == dummy_sym:
-                    nxt.append((prefix + (dummy_state,), dummy_sym))
-                    continue
-                choices = trans.get((s_t, y_prev))
-                if not choices:
-                    nxt.append((prefix + (dummy_state,), dummy_sym))
-                else:
-                    for r_t, y_t in choices:
-                        nxt.append((prefix + (r_t,), y_t))
-            results = nxt
-        # Dedup while keeping declaration order stable.
-        seen = set()
-        out = []
-        for tup, y in results:
-            if (tup, y) not in seen:
-                seen.add((tup, y))
-                out.append((tup, y))
-        return out
 
+def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
+    """``t._indexed`` with the dummy lane state appended at index -1."""
+    q0, delta, acc = t._indexed
+    return q0, delta + [{}], acc + [False]
+
+
+def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
+    """The moves of lane tuple ``state`` reading ``x``: the distinct
+    (next tuple, symbol the last lane writes) pairs, as the keys of a
+    dict, in choice order.
+
+    Lane t of a tuple carries one sweep of a block of parallel sweeps and
+    reads what lane t-1 writes (lane 1 reads ``x``).  A lane without a
+    move collapses to the dummy state and writes the dummy symbol, which
+    no state reads, so every later lane collapses as well.  ``delta``
+    comes from ``_lanes``.
+    """
+    moves = [((), x)]
+    for s in state:
+        row = delta[s]
+        nxt = []
+        for lanes, y in moves:
+            for r, z in row.get(y, _DEAD):
+                nxt.append((lanes + (r,), z))
+        moves = nxt
+    return dict.fromkeys(moves)
+
+
+def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
+    """Equivalent machine running ceil(k/i) sweeps by simulating i at a time.
+
+    The states are the lane tuples ``_lane_step`` reaches, explored over
+    every symbol; a dead lane shows as the dummy state ``d`` and its
+    output as the dummy symbol ``d`` (primed until fresh).  A tuple is
+    accepting when any lane holds an accepting original state.
+    Determinism is preserved, and the full tuple-state universe has at
+    most 2 n^i members for n >= 2 (the constructed machine materializes
+    only reachable tuples; the universe size is recorded in
+    ``meta["universe_states"]``).
+    """
+    _check_lanes(k, i)
+    dummy_state = _fresh(_DUMMY, set(t.states))
+    dummy_sym = _fresh(_DUMMY, set(t.input_alphabet) | set(t.output_alphabet))
+    q0, delta, acc = _lanes(t)
+    names = list(t.states) + [dummy_state]
+    out_alpha = tuple(t.output_alphabet) + (_DUMMY_SYMBOL,)
     symbols = tuple(dict.fromkeys(t.input_alphabet + out_alpha))
     return materialize(
-        start=(t.initial,) * i,
-        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
+        start=(q0,) * i,
+        moves=lambda state: [(x, p, y) for x in symbols for p, y in _lane_step(delta, state, x)],
         input_alphabet=t.input_alphabet,
         output_alphabet=out_alpha,
         endmarker=t.endmarker,
-        accepting=lambda tup: any(q in accepting for q in tup),
-        name_of=_tuple_name,
+        accepting=lambda tup: any(map(acc.__getitem__, tup)),
+        name_of=lambda tup: "(" + ",".join(map(names.__getitem__, tup)) + ")",
+        symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else y,
         sweep_bound=-(-k // i),  # ceil(k / i)
         meta={
             "universe_states": reduced_state_universe(len(t.states), i),
@@ -240,7 +253,7 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
     reach a tuple containing an accepting original state.  Applying the
     same rule to the initial state makes the NFA accept the empty word
     exactly when the transducer does.  The state universe stays within
-    2 n^k.
+    2 n^k.  ``decide.LaneNfa`` expands the same NFA on demand.
     """
     reduced = sweep_reduce(t, k, k)
     end = reduced.endmarker

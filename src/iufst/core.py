@@ -160,7 +160,8 @@ class Transducer:
     @cached_property
     def _indexed(self) -> tuple[int, list[dict[str, tuple[tuple[int, str], ...]]], list[bool]]:
         """(initial, delta, accepting) over indices into ``states``; ``delta[q][x]``
-        holds the distinct choices in order.  Built lazily: only sweeps use it."""
+        holds the distinct choices in order.  Built lazily: sweeps and lane
+        tuples use it."""
         index = {q: i for i, q in enumerate(self.states)}
         delta: list[dict] = [{} for _ in self.states]
         for (q, x), choices in self.transitions.items():

@@ -1,14 +1,23 @@
 """Exact decision procedures for machines with a declared constant
 sweep bound.
 
-Everything goes through the NFA conversion.  Emptiness and finiteness
-are graph questions on the NFA.  Universality, inclusion and
-equivalence never determinize: each is one or two inclusion checks,
-answered by a breadth-first antichain search over pairs of a state of
-one NFA and a subset of the other's states (De Wulf, Doyen, Henzinger &
-Raskin, CAV 2006), guarded by a configurable budget of search nodes.
-Each predicate also produces a witness word where one exists, so tests
-can validate answers independently.
+A machine that runs at most k sweeps accepts the language of the NFA
+``to_nfa(t, k)``, whose states are the lane tuples of k sweeps simulated
+in parallel in one (``convert._lane_step``).  Emptiness, universality,
+inclusion and equivalence search that NFA without building it:
+``LaneNfa`` expands a lane tuple, its successors on each input symbol
+and its acceptance, only when a search first visits it, and numbers the
+tuples as it discovers them.  Emptiness is a breadth-first search for an
+accepting state.  Universality, inclusion and equivalence never
+determinize: each is one or two inclusion checks, answered by a
+breadth-first antichain search over pairs of a state of one NFA and a
+subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
+2006), guarded by a configurable budget of search nodes.  The searches
+read an automaton through ``alphabet``, ``initial``, ``step(q)`` and
+``accepting(q)`` only; ``NfaView`` gives a materialized ``Nfa`` the same
+four names.  Finiteness needs co-reachability, so it works on the
+materialized ``to_nfa``.  Each predicate also produces a witness word
+where one exists, so tests can validate answers independently.
 """
 
 from __future__ import annotations
@@ -18,13 +27,83 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .convert import Nfa, to_nfa
+from .convert import Nfa, _check_lanes, _lane_step, _lanes, to_nfa
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
 DEFAULT_SEARCH_CAP = 2**20
 
 Word = tuple[str, ...]
+
+
+class LaneNfa:
+    """The NFA ``to_nfa(t, k)``, expanded on demand.
+
+    States are ints numbering the lane tuples in the order they are
+    discovered, the initial tuple being 0.  The first ``step`` or
+    ``accepting`` call on a tuple expands it: ``_lane_step`` on each
+    input symbol gives its successors, numbered as they are discovered,
+    and one endmarker step gives its acceptance, which holds when a lane
+    can reach an accepting state.  Both are kept for later calls.
+    """
+
+    def __init__(self, t: Transducer, k: int) -> None:
+        _check_lanes(k, k)
+        q0, self._delta, self._acc = _lanes(t)
+        self._end = t.endmarker
+        self._tuples = [(q0,) * k]
+        self._ids = {self._tuples[0]: 0}
+        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {}
+        self.alphabet = t.input_alphabet
+        self.initial = 0
+
+    @property
+    def discovered(self) -> int:
+        """Lane tuples numbered so far."""
+        return len(self._tuples)
+
+    @property
+    def expanded(self) -> int:
+        """Lane tuples whose successors and acceptance were computed."""
+        return len(self._rows)
+
+    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
+        return (self._rows.get(q) or self._expand(q))[0]
+
+    def accepting(self, q: int) -> bool:
+        return (self._rows.get(q) or self._expand(q))[1]
+
+    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
+        row = []
+        for x in self.alphabet:
+            succ = []
+            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
+                i = ids.setdefault(p, len(tuples))
+                if i == len(tuples):
+                    tuples.append(p)
+                succ.append(i)
+            row.append(tuple(succ))
+        acc = self._acc
+        final = any(any(map(acc.__getitem__, p)) for p, _y in _lane_step(delta, state, self._end))
+        self._rows[q] = entry = (tuple(row), final)
+        return entry
+
+
+class NfaView:
+    """An ``Nfa`` through the interface of ``LaneNfa``, its states
+    numbered in declaration order."""
+
+    def __init__(self, n: Nfa) -> None:
+        index = {q: i for i, q in enumerate(n.states)}
+        self.alphabet = n.alphabet
+        self.initial = index[n.initial]
+        self.step = [
+            tuple(tuple(index[r] for r in n.transitions.get((q, x), ())) for x in n.alphabet)
+            for q in n.states
+        ].__getitem__
+        self.accepting = [q in n.accepting_set for q in n.states].__getitem__
 
 
 def _nfa_edges(n: Nfa, within: Optional[set[str]] = None):
@@ -57,8 +136,12 @@ def is_empty(t: Transducer, k: int) -> bool:
 
 def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     """Shortest accepted word, or None when the language is empty."""
-    n = to_nfa(t, k)
-    return _shortest_word((n.initial,), _nfa_edges(n), n.accepting_set.__contains__)
+    n = LaneNfa(t, k)
+    sigma = n.alphabet
+    return _shortest_word(
+        (n.initial,), lambda q: [(r, x) for x, rs in zip(sigma, n.step(q)) for r in rs],
+        n.accepting,
+    )
 
 
 def is_finite(t: Transducer, k: int) -> bool:
@@ -123,36 +206,32 @@ def _live_cycle(n: Nfa, live: set[str]) -> Optional[tuple[str, Word]]:
             return q, tuple(reversed(word))
 
 
-def _inclusion_witness(n1: Nfa, n2: Nfa, state_cap: int) -> Optional[Word]:
-    """First word of L(n1) minus L(n2) in length-lexicographic order over
-    n1's alphabet, or None when L(n1) is a subset of L(n2).
+def _inclusion_witness(
+    a: LaneNfa | NfaView, b: LaneNfa | NfaView, state_cap: int
+) -> Optional[Word]:
+    """First word of L(a) minus L(b) in length-lexicographic order over
+    a's alphabet, or None when L(a) is a subset of L(b).
 
     Breadth-first search in alphabet order over nodes (p, S): p a state
-    of n1 and S the set of n2 states reached by the same word, states
-    indexed as ints.  The first node with p accepting and no accepting
-    state in S ends the search.  A new node is dropped when a node found
-    earlier has the same p and a subset of S: every word leading from
-    (p, S) to a goal leads there from the earlier node too, and its word
-    is no later in length-lexicographic order.  Earlier nodes are never
-    evicted, so the witness stays the first one.  Kept subsets are stored
-    per p by size: an equal set costs one lookup, and the smaller sets of
-    each size are either scanned or looked up among S's own subsets of
-    that size, whichever are fewer.  Finding more than ``state_cap`` nodes
-    raises ``ResourceBudgetError``.
+    of a and S the set of b states reached by the same word.  The first
+    node with p accepting and no accepting state in S ends the search.
+    A new node is dropped when a node found earlier has the same p and a
+    subset of S: every word leading from (p, S) to a goal leads there
+    from the earlier node too, and its word is no later in
+    length-lexicographic order.  Earlier nodes are never evicted, so the
+    witness stays the first one.  Kept subsets are stored per p by size:
+    an equal set costs one lookup, and the smaller sets of each size are
+    either scanned or looked up among S's own subsets of that size,
+    whichever are fewer.  Finding more than ``state_cap`` nodes raises
+    ``ResourceBudgetError``.
     """
-    if n1.alphabet_set != n2.alphabet_set:
+    if set(a.alphabet) != set(b.alphabet):
         raise MachineError("inclusion requires identical alphabets")
-    sigma = n1.alphabet
-    i1 = {q: i for i, q in enumerate(n1.states)}
-    i2 = {q: i for i, q in enumerate(n2.states)}
-    succ1 = [[[i1[r] for r in n1.transitions.get((q, x), ())] for x in sigma] for q in n1.states]
-    succ2 = [
-        [frozenset(i2[r] for r in n2.transitions.get((q, x), ())) for x in sigma]
-        for q in n2.states
-    ]
-    acc1 = [q in n1.accepting_set for q in n1.states]
-    acc2 = frozenset(i2[q] for q in n2.accepting)
-    # per n1 state, the subsets kept so far by size
+    sigma = a.alphabet
+    # position in b's rows of each symbol of sigma
+    column = [b.alphabet.index(x) for x in sigma]
+    step1, step2, acc1, acc2 = a.step, b.step, a.accepting, b.accepting
+    # per state of a, the subsets kept so far by size
     kept: defaultdict[int, dict[int, set[frozenset[int]]]] = defaultdict(dict)
 
     def keep(r: int, s: frozenset[int]) -> bool:
@@ -172,19 +251,20 @@ def _inclusion_witness(n1: Nfa, n2: Nfa, state_cap: int) -> Optional[Word]:
 
     def succ(node):
         p, s = node
-        for j, x in enumerate(sigma):
-            if not succ1[p][j]:
+        rows = [step2(q) for q in s]
+        for x, rs, j in zip(sigma, step1(p), column):
+            if not rs:
                 continue
-            nxt = frozenset().union(*(succ2[q][j] for q in s))
-            for r in succ1[p][j]:
+            nxt = frozenset().union(*[row[j] for row in rows])
+            for r in rs:
                 if keep(r, nxt):
                     yield (r, nxt), x
 
-    start = (i1[n1.initial], frozenset((i2[n2.initial],)))
+    start = (a.initial, frozenset((b.initial,)))
     keep(*start)
     try:
         return _shortest_word(
-            (start,), succ, lambda node: acc1[node[0]] and acc2.isdisjoint(node[1]),
+            (start,), succ, lambda node: acc1(node[0]) and not any(map(acc2, node[1])),
             limit=state_cap,
         )
     except ResourceBudgetError:
@@ -194,14 +274,14 @@ def _inclusion_witness(n1: Nfa, n2: Nfa, state_cap: int) -> Optional[Word]:
         ) from None
 
 
-def _sigma_star(alphabet: tuple[str, ...]) -> Nfa:
-    return Nfa(
+def _sigma_star(alphabet: tuple[str, ...]) -> NfaView:
+    return NfaView(Nfa(
         states=("all",),
         alphabet=alphabet,
         initial="all",
         accepting=("all",),
         transitions={("all", x): ("all",) for x in alphabet},
-    )
+    ))
 
 
 def is_universal(
@@ -216,7 +296,7 @@ def universality_witness(
     """Shortest rejected word (length-lexicographically first), or None
     when every word is accepted.  ``state_cap`` bounds the nodes of the
     inclusion search of Sigma* in L(t)."""
-    n = to_nfa(t, k)
+    n = LaneNfa(t, k)
     return _inclusion_witness(_sigma_star(n.alphabet), n, state_cap)
 
 
@@ -235,7 +315,7 @@ def inclusion_witness(
     """Shortest word accepted by t1 but not t2 (length-lexicographically
     first), or None.  ``state_cap`` bounds the search nodes, not DFA
     subsets."""
-    return _inclusion_witness(*_to_nfas(t1, k1, t2, k2), state_cap)
+    return _inclusion_witness(*_operands(t1, k1, t2, k2), state_cap)
 
 
 def equivalent(
@@ -258,15 +338,17 @@ def equivalence_witness(
     the two inclusion searches may find up to ``state_cap`` nodes; equal
     operands need only the first.
     """
-    n1, n2 = _to_nfas(t1, k1, t2, k2)
+    n1, n2 = _operands(t1, k1, t2, k2)
     w = _inclusion_witness(n1, n2, state_cap)
     if w is not None or n2 is n1:
         return w
     return _inclusion_witness(n2, n1, state_cap)
 
 
-def _to_nfas(t1: Transducer, k1: int, t2: Transducer, k2: int) -> tuple[Nfa, Nfa]:
-    """Both operands as NFAs; equal operands are converted once and give
-    the same object."""
-    n1 = to_nfa(t1, k1)
-    return n1, n1 if (t1, k1) == (t2, k2) else to_nfa(t2, k2)
+def _operands(
+    t1: Transducer, k1: int, t2: Transducer, k2: int
+) -> tuple[LaneNfa, LaneNfa]:
+    """Both operands as lane NFAs; equal operands give the same object,
+    so their tuples are expanded once."""
+    n1 = LaneNfa(t1, k1)
+    return n1, n1 if (t1, k1) == (t2, k2) else LaneNfa(t2, k2)

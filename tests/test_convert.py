@@ -192,3 +192,11 @@ class TestProductAlphabets:
         ab = predicate_to_min_dfa(lambda w: True, ("a", "b"), 4)
         with pytest.raises(MachineError):
             dfa_product(a, ab)
+
+
+class TestDfaTokens:
+    def test_symbol_with_whitespace_rejected(self):
+        from iufst import Dfa
+
+        with pytest.raises(MachineError, match="symbol must be a non-empty whitespace-free"):
+            Dfa(("p",), ("a b",), "p", ("p",), {("p", "a b"): "p"})

@@ -19,6 +19,7 @@ from iufst import (
     to_nfa,
 )
 from iufst.decide import (
+    DEFAULT_SEARCH_CAP,
     emptiness_witness,
     equivalence_witness,
     inclusion_witness,
@@ -414,16 +415,25 @@ class TestSearchBudget:
         assert "state_cap=4" in msg and "5 search nodes" in msg
 
 
+def record_lane_nfas(monkeypatch) -> list:
+    """Make ``decide`` append every ``LaneNfa`` it constructs to the
+    returned list."""
+    import iufst.decide
+
+    made = []
+    lane_nfa = iufst.decide.LaneNfa
+    monkeypatch.setattr(
+        iufst.decide, "LaneNfa", lambda t, k: made.append(lane_nfa(t, k)) or made[-1]
+    )
+    return made
+
+
 class TestEqualOperands:
     """Equal operands are converted to an NFA once, with the witnesses of
     two conversions."""
 
     def test_one_conversion(self, monkeypatch, e22, block2):
-        import iufst.decide
-
-        calls = []
-        convert = iufst.decide.to_nfa
-        monkeypatch.setattr(iufst.decide, "to_nfa", lambda t, k: calls.append(t) or convert(t, k))
+        calls = record_lane_nfas(monkeypatch)
         cases = [
             (lambda: equivalence_witness(e22, 2, e22, 2), None, 1),
             (lambda: equivalence_witness(e22, 2, gen_e(2, 2), 2), None, 1),
@@ -439,10 +449,10 @@ class TestEqualOperands:
 
     def test_self_inclusion_of_one_object(self, block2):
         from iufst import gen_block
-        from iufst.decide import _inclusion_witness
+        from iufst.decide import NfaView, _inclusion_witness
 
         for t, k in [(gen_block(3), 3), (block2, 2), (gen_e(2, 2), 2), (gen_e(3, 4), 4)]:
-            n = to_nfa(t, k)
+            n = NfaView(to_nfa(t, k))
             assert _inclusion_witness(n, n, 2**10) is None
 
 
@@ -454,3 +464,104 @@ class TestEquivalenceWitnessOrder:
         assert equivalence_witness(l2, 1, l1, 1) == ("a",)
         sub = word_machine([("a",), ("b",)])
         assert equivalence_witness(l2, 1, sub, 1) == ("b",)
+
+
+def outcome(ask):
+    """The witness ``ask()`` returns, or the type and message it raises."""
+    from iufst import MachineError
+
+    try:
+        return ask()
+    except MachineError as err:
+        return type(err), str(err)
+
+
+class TestLaneCrossCheck:
+    """Searching lane tuples expanded on demand gives the answers of
+    searching the materialized ``to_nfa`` through the same interface:
+    the same witness, or the same exception and message."""
+
+    CAPS = (3, 4, 7, DEFAULT_SEARCH_CAP)
+
+    @staticmethod
+    def agree(monkeypatch, questions):
+        import iufst.decide
+        from iufst.decide import NfaView
+
+        fast = [outcome(ask) for ask in questions]
+        nfas = {}  # (id of machine, k) -> (machine, view); holding the machine keeps its id
+
+        def view(t, k):
+            if (id(t), k) not in nfas:
+                nfas[id(t), k] = t, NfaView(to_nfa(t, k))
+            return nfas[id(t), k][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(iufst.decide, "LaneNfa", view)
+            reference = [outcome(ask) for ask in questions]
+        assert fast == reference
+        kinds = {"none" if a is None else "error" if a and isinstance(a[0], type) else "word"
+                 for a in fast}
+        assert kinds == {"none", "word", "error"}
+
+    def questions(self, machines, pairs):
+        asks = []
+        for t, k in machines:
+            asks.append(lambda t=t, k=k: emptiness_witness(t, k))
+            asks += [lambda t=t, k=k, c=c: universality_witness(t, k, c) for c in self.CAPS]
+        for (t1, k1), (t2, k2) in pairs:
+            for c in self.CAPS:
+                asks.append(lambda t1=t1, k1=k1, t2=t2, k2=k2, c=c:
+                            inclusion_witness(t1, k1, t2, k2, c))
+                asks.append(lambda t1=t1, k1=k1, t2=t2, k2=k2, c=c:
+                            equivalence_witness(t1, k1, t2, k2, c))
+        return asks
+
+    def test_fuzz_corpus(self, monkeypatch, fuzz_corpus):
+        machines = [(t, k) for t, k, *_ in fuzz_corpus]
+        rng = random.Random(8)
+        pairs = [(rng.choice(machines), rng.choice(machines)) for _ in range(150)]
+        self.agree(monkeypatch, self.questions(machines, pairs))
+
+    def test_paper_families(self, monkeypatch):
+        from iufst import gen_block, sweep_reduce
+
+        machines = [(gen_block(k), k) for k in (2, 3, 4)]
+        machines += [(gen_e(n, k), k) for n in (2, 3) for k in (1, 2, 3, 4)]
+        machines += [(gen_unary(2, 2), 2), (gen_unary(2, 3), 3), (gen_unary(3, 2), 2)]
+        e23 = gen_e(2, 3)
+        machines.append((sweep_reduce(e23, 3, 2), 2))
+        pairs = [(m1, m2) for m1 in machines for m2 in machines]
+        self.agree(monkeypatch, self.questions(machines, pairs))
+
+
+class TestLazyExpansion:
+    """Work counters of the on-demand searches."""
+
+    def test_universality_of_block4_expands_one_tuple(self, monkeypatch):
+        from iufst import gen_block
+
+        made = record_lane_nfas(monkeypatch)
+        assert universality_witness(gen_block(4), 4) == ()
+        assert [n.expanded for n in made] == [1]
+
+    def test_emptiness_of_block5_discovers_fewer_tuples_than_to_nfa(self, monkeypatch):
+        from iufst import gen_block, in_block
+
+        b5 = gen_block(5)
+        made = record_lane_nfas(monkeypatch)
+        w = emptiness_witness(b5, 5)
+        assert in_block(5, w)
+        (n,) = made
+        assert n.discovered < len(to_nfa(b5, 5).states)
+
+    def test_e45_equivalence_discovers_no_more_tuples_than_to_nfa(self, monkeypatch):
+        from iufst import sweep_reduce
+
+        e45 = gen_e(4, 5)
+        red = sweep_reduce(e45, 5, 2)
+        made = record_lane_nfas(monkeypatch)
+        assert equivalence_witness(e45, 5, red, 3) is None
+        assert len(made) == 2
+        materialized = len(to_nfa(e45, 5).states) + len(to_nfa(red, 3).states)
+        assert sum(n.discovered for n in made) <= materialized
