@@ -253,7 +253,11 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
     reach a tuple containing an accepting original state.  Applying the
     same rule to the initial state makes the NFA accept the empty word
     exactly when the transducer does.  The state universe stays within
-    2 n^k.  ``decide.LaneNfa`` expands the same NFA on demand.
+    2 n^k.  The states are the tuples ``sweep_reduce`` reaches over every
+    symbol, so some may be unreachable on input symbols, and state names
+    whose tuple names render alike raise ``MachineError``.  The decision
+    procedures do not build it: ``decide.LaneNfa`` expands the same NFA
+    on demand, over input symbols only, without naming its states.
     """
     reduced = sweep_reduce(t, k, k)
     end = reduced.endmarker

@@ -3,21 +3,22 @@ sweep bound.
 
 A machine that runs at most k sweeps accepts the language of the NFA
 ``to_nfa(t, k)``, whose states are the lane tuples of k sweeps simulated
-in parallel in one (``convert._lane_step``).  Emptiness, universality,
-inclusion and equivalence search that NFA without building it:
-``LaneNfa`` expands a lane tuple, its successors on each input symbol
-and its acceptance, only when a search first visits it, and numbers the
-tuples as it discovers them.  Emptiness is a breadth-first search for an
-accepting state.  Universality, inclusion and equivalence never
+in parallel in one (``convert._lane_step``).  Every procedure searches
+that NFA without building it: ``LaneNfa`` expands a lane tuple, its
+successors on each input symbol and its acceptance, only when a search
+first visits it, and numbers the tuples as it discovers them.  The
+searches read an automaton through ``alphabet``, ``initial``,
+``step(q)`` and ``accepting(q)`` only; ``NfaView`` gives a materialized
+``Nfa`` the same four names.  Emptiness is a breadth-first search for an
+accepting state.  Finiteness looks for a cycle among the live states,
+those reachable and co-reachable, found by one search forwards and one
+over the reversed edges.  Universality, inclusion and equivalence never
 determinize: each is one or two inclusion checks, answered by a
 breadth-first antichain search over pairs of a state of one NFA and a
 subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
-2006), guarded by a configurable budget of search nodes.  The searches
-read an automaton through ``alphabet``, ``initial``, ``step(q)`` and
-``accepting(q)`` only; ``NfaView`` gives a materialized ``Nfa`` the same
-four names.  Finiteness needs co-reachability, so it works on the
-materialized ``to_nfa``.  Each predicate also produces a witness word
-where one exists, so tests can validate answers independently.
+2006), guarded by a configurable budget of search nodes.  Each predicate
+also produces a witness word where one exists, so tests can validate
+answers independently.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .convert import Nfa, _check_lanes, _lane_step, _lanes, to_nfa
+from .convert import Nfa, _check_lanes, _lane_step, _lanes
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
@@ -106,29 +107,6 @@ class NfaView:
         self.accepting = [q in n.accepting_set for q in n.states].__getitem__
 
 
-def _nfa_edges(n: Nfa, within: Optional[set[str]] = None):
-    """Successor function of an NFA for ``_bfs``, optionally restricted to
-    the states in ``within``."""
-    return lambda q: [
-        (r, x)
-        for x in n.alphabet
-        for r in n.transitions.get((q, x), ())
-        if within is None or r in within
-    ]
-
-
-def _nfa_reachable(n: Nfa) -> set[str]:
-    return set(_bfs((n.initial,), _nfa_edges(n))[0])
-
-
-def _nfa_coaccessible(n: Nfa) -> set[str]:
-    rev: dict[str, list[tuple[str, str]]] = {q: [] for q in n.states}
-    for (q, x), rs in n.transitions.items():
-        for r in rs:
-            rev[r].append((q, x))
-    return set(_bfs(n.accepting, rev.__getitem__)[0])
-
-
 def is_empty(t: Transducer, k: int) -> bool:
     """True iff the machine accepts no word at all (the empty word included)."""
     return emptiness_witness(t, k) is None
@@ -137,11 +115,28 @@ def is_empty(t: Transducer, k: int) -> bool:
 def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     """Shortest accepted word, or None when the language is empty."""
     n = LaneNfa(t, k)
-    sigma = n.alphabet
-    return _shortest_word(
-        (n.initial,), lambda q: [(r, x) for x, rs in zip(sigma, n.step(q)) for r in rs],
-        n.accepting,
-    )
+    return _shortest_word((n.initial,), _edges(n), n.accepting)
+
+
+def _edges(n: LaneNfa | NfaView):
+    """Successor function of ``n`` for ``_bfs``: a state's (successor,
+    symbol) edges in alphabet order, then choice order."""
+    sigma, step = n.alphabet, n.step
+    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]
+
+
+def _live(n: LaneNfa | NfaView) -> dict[int, list[tuple[int, str]]]:
+    """The live states of ``n`` (reachable from the initial state and
+    co-reachable to an accepting one) in breadth-first discovery order,
+    each with its edges into live states."""
+    edges = _edges(n)
+    out = {q: edges(q) for q in _bfs((n.initial,), edges)[0]}
+    rev: dict[int, list[tuple[int, str]]] = {q: [] for q in out}
+    for q, es in out.items():
+        for r, x in es:
+            rev[r].append((q, x))
+    co = _bfs([q for q in out if n.accepting(q)], rev.__getitem__)[0]
+    return {q: [(r, x) for r, x in es if r in co] for q, es in out.items() if q in co}
 
 
 def is_finite(t: Transducer, k: int) -> bool:
@@ -155,45 +150,50 @@ def is_finite(t: Transducer, k: int) -> bool:
 
 def infiniteness_witness(t: Transducer, k: int) -> Optional[tuple[Word, Word, Word]]:
     """A pumpable decomposition (prefix, cycle, suffix) of accepted
-    words, or None when the language is finite."""
-    n = to_nfa(t, k)
-    live = _nfa_reachable(n) & _nfa_coaccessible(n)
-    cycle = _live_cycle(n, live)
+    words, or None when the language is finite.
+
+    Breadth-first discovery order from the initial state, edges in
+    alphabet then choice order, fixes the pump: the cycle closes on the
+    walk back from the first live state that Kahn peeling leaves, and
+    the prefix and suffix are the first-found shortest words over live
+    states from the initial state to the cycle's state and from it to
+    an accepting state."""
+    n = LaneNfa(t, k)
+    live = _live(n)
+    cycle = _live_cycle(live)
     if cycle is None:
         return None
     q, cyc_word = cycle
-    edges = _nfa_edges(n, live)
-    prefix = _shortest_word((n.initial,), edges, q.__eq__)
-    suffix = _shortest_word((q,), edges, n.accepting_set.__contains__)
+    prefix = _shortest_word((n.initial,), live.__getitem__, q.__eq__)
+    suffix = _shortest_word((q,), live.__getitem__, n.accepting)
     return (prefix, cyc_word, suffix)
 
 
-def _live_cycle(n: Nfa, live: set[str]) -> Optional[tuple[str, Word]]:
-    """A state on a cycle of the live subgraph and the cycle's word, or
-    None when that subgraph is acyclic.
+def _live_cycle(live: dict[int, list[tuple[int, str]]]) -> Optional[tuple[int, Word]]:
+    """A state on a cycle of the live subgraph (``_live``) and the
+    cycle's word, or None when that subgraph is acyclic.
 
     Kahn peeling removes every state without a predecessor left; each
     remaining state keeps a remaining predecessor, so walking
-    predecessors back from one must close a cycle.
+    predecessors back from the first one in ``live``'s order must close
+    a cycle.
     """
-    states = [q for q in n.states if q in live]
-    edges = _nfa_edges(n, live)
-    preds: dict[str, list[tuple[str, str]]] = {q: [] for q in states}
-    for q in states:
-        for r, x in edges(q):
+    preds: dict[int, list[tuple[int, str]]] = {q: [] for q in live}
+    for q, es in live.items():
+        for r, x in es:
             preds[r].append((q, x))
-    indegree = {q: len(preds[q]) for q in states}
-    peeled = [q for q in states if not indegree[q]]
+    indegree = {q: len(ps) for q, ps in preds.items()}
+    peeled = [q for q in live if not indegree[q]]
     for q in peeled:
-        for r, _x in edges(q):
+        for r, _x in live[q]:
             indegree[r] -= 1
             if not indegree[r]:
                 peeled.append(r)
-    rest = live.difference(peeled)
+    rest = live.keys() - peeled
     if not rest:
         return None
-    back: dict[str, tuple[str, str]] = {}
-    q = next(q for q in states if q in rest)
+    q = next(q for q in live if q in rest)
+    back: dict[int, tuple[int, str]] = {}
     while q not in back:
         back[q] = next((p, x) for p, x in preds[q] if p in rest)
         q = back[q][0]

@@ -17,12 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    MachineError,
-    Transducer,
-    find_accepting_trace,
-    materialize,
-)
+from .core import MachineError, Transducer, materialize, run
 
 Word = tuple[str, ...]
 
@@ -457,6 +452,5 @@ def measure_sweep_growth(
     for p in params:
         word = tuple(word_family(p))
         cap = sweep_cap if sweep_cap is not None else len(word) + 16
-        trace = find_accepting_trace(machine, word, cap, tape_cap)
-        rows.append((p, len(word), None if trace is None else len(trace) - 1))
+        rows.append((p, len(word), run(machine, word, cap, tape_cap).min_accept_sweeps))
     return rows

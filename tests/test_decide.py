@@ -183,10 +183,9 @@ def brute_language(t: Transducer, k: int, max_len: int) -> set:
 
 
 def live_nfa_size(t: Transducer, k: int) -> int:
-    from iufst.decide import _nfa_coaccessible, _nfa_reachable
+    from iufst.decide import NfaView, _live
 
-    nfa = to_nfa(t, k)
-    return max(1, len(_nfa_reachable(nfa) & _nfa_coaccessible(nfa)))
+    return max(1, len(_live(NfaView(to_nfa(t, k)))))
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +507,7 @@ class TestLaneCrossCheck:
         asks = []
         for t, k in machines:
             asks.append(lambda t=t, k=k: emptiness_witness(t, k))
+            asks.append(lambda t=t, k=k: infiniteness_witness(t, k))
             asks += [lambda t=t, k=k, c=c: universality_witness(t, k, c) for c in self.CAPS]
         for (t1, k1), (t2, k2) in pairs:
             for c in self.CAPS:
@@ -565,3 +565,47 @@ class TestLazyExpansion:
         assert len(made) == 2
         materialized = len(to_nfa(e45, 5).states) + len(to_nfa(red, 3).states)
         assert sum(n.discovered for n in made) <= materialized
+
+    def test_infiniteness_of_block5_discovers_fewer_tuples_than_to_nfa(self, monkeypatch):
+        from iufst import gen_block
+
+        b5 = gen_block(5)
+        made = record_lane_nfas(monkeypatch)
+        assert infiniteness_witness(b5, 5) is not None
+        (n,) = made
+        assert n.discovered < len(to_nfa(b5, 5).states)
+
+
+class TestCommaNamedStates:
+    """The searches never name a lane tuple, so state names that make two
+    tuple names render alike in ``to_nfa`` do not stop them."""
+
+    @pytest.fixture
+    def comma_machine(self):
+        return Transducer(
+            states=("p", "p,p", "q"),
+            input_alphabet=("a",),
+            output_alphabet=("a", "<"),
+            endmarker="<",
+            initial="p",
+            accepting=("q",),
+            transitions={
+                ("p", "a"): (("p", "a"), ("p,p", "a")),
+                ("p,p", "a"): (("p", "a"),),
+                ("p", "<"): (("q", "<"),),
+                ("p,p", "<"): (("q", "<"),),
+            },
+            sweep_bound=3,
+        )
+
+    def test_infiniteness_witness_pumps(self, comma_machine):
+        pre, cyc, suf = infiniteness_witness(comma_machine, 3)
+        assert (pre, cyc, suf) == ((), ("a",), ())
+        for j in (0, 1, 2, 3):
+            assert run(comma_machine, pre + cyc * j + suf, 3).accepted, j
+
+    def test_to_nfa_still_rejects_the_naming(self, comma_machine):
+        from iufst import MachineError
+
+        with pytest.raises(MachineError, match="not injective"):
+            to_nfa(comma_machine, 3)
