@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import MachineError, Transducer, materialize, run
+from .witness import gen_copy
 
 Word = tuple[str, ...]
 
@@ -361,8 +362,6 @@ def build_lf(cf: Constructor) -> Transducer:
     as an a.  The machine accepts once a sweep ends with the copy check
     settled positive and the constructor accepting.
     """
-    from .witness import gen_copy
-
     payload = tuple(cf.payload_alphabet)
     tf = cf.machine
     tc = gen_copy(("a", "b"))

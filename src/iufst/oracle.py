@@ -24,7 +24,7 @@ from collections import abc
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, Nfa
+from .convert import Dfa, Nfa, dfa_minimize
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
 
 Word = tuple[str, ...]
@@ -276,8 +276,6 @@ def predicate_to_min_dfa(
         accepting=tuple(names[c] for c in range(n_classes) if member(trans_rep[c])),
         transitions=transitions,
     )
-    from .convert import dfa_minimize
-
     dfa = dfa_minimize(dfa)
     witness = _verify_dfa_against_pred(dfa, pred, alphabet, max_len)
     if witness is not None:

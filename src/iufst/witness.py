@@ -496,6 +496,44 @@ def _c0(phase: str, m1: bool, t2: str) -> tuple:
     return ("c0", phase, m1, t2)
 
 
+def _prefix_region(region: str, base: str, m1: bool, pay: str) -> str | None:
+    """Next region of the walk a^k -> b^(2^k) -> index 0 -> first payload
+    (region ``pay``) on reading a cell of ``base``; None where the walk
+    is stuck.  An ``a`` passes only when ``m1`` is true.  The exit at the
+    first index bit after the payload is left to the caller."""
+    if region == "a":
+        if base == "a" and m1:
+            return "a"
+        if base == "b":
+            return "b"
+    elif region == "b":
+        if base == "b":
+            return "b"
+        if base == "0":
+            return "z"
+    elif region == "z":
+        if base == "0":
+            return "z"
+        if base in _AB:
+            return pay
+    elif region == pay and base in _AB:
+        return pay
+    return None
+
+
+def _tail(mode: str, base: str, names: tuple[str, str, str]) -> str | None:
+    """Next mode of the walk from the payload of the all-ones entry
+    (``names[0]``) across the index (``names[1]``) and payload
+    (``names[2]``) of the repeated entry that ends the word; None where
+    the walk is stuck."""
+    fin, index, pay = names
+    if mode == fin:
+        return fin if base in _AB else index
+    if mode == index:
+        return index if base in _BITS else pay
+    return pay if base in _AB else None
+
+
 def _d_name(sym: tuple) -> str:
     """Token of a gen_d symbol: ("raw", c), the endmarker ``_END``, a cell or a cell-0 tuple."""
     if sym[0] == "raw":
@@ -527,6 +565,15 @@ def gen_d() -> Transducer:
     against the final entry symbol by symbol.  Accepting computations
     take exactly (1 + k + k + 1 + 2k) + 1 sweeps; the extra sweep is the
     separate guess sweep.
+
+    Two tape regions are crossed the same way by several sweep types.
+    The prefix a^k b^(2^k) bin(0) u_0 is walked by the waiting sweeps,
+    the adder, the guess sweep and the comparison sweeps alike
+    (``_prefix_region``); each starts its own work at the first index
+    bit after u_0.  The tail u_(2^k-1) bin(i) u_i, from the payload of
+    the all-ones entry to the end of the word, is walked alike by the
+    adder once its count is done and by a guess sweep that passed every
+    entry without guessing (``_tail``).
     """
 
     def delta(state, p):
@@ -599,14 +646,8 @@ def gen_d() -> Transducer:
                 return []
             _, base, m1, sel, m2, t2 = p
 
-            def w(**mods):
-                return _cell(
-                    mods.get("base", base),
-                    mods.get("m1", m1),
-                    sel,
-                    m2,
-                    carry,
-                )
+            def w(m1=m1):
+                return _cell(base, m1, sel, m2, carry)
 
             def go(*core):
                 return core + (t2,)
@@ -636,13 +677,13 @@ def gen_d() -> Transducer:
                 if base == "b":
                     return _b_step(False, state[1], p, carry)
                 if base == "0" and state[1] == 0:
-                    return _blk_step(False, "bin", False, False, p, carry)
+                    return _blk_step(False, "bin", p, carry)
                 return []
             if mode == "mbf":
                 if base == "b":
                     return _b_step(True, state[1], p, carry)
                 if base == "0" and state[1] == 2:
-                    return _blk_step(True, "bin", False, False, p, carry)
+                    return _blk_step(True, "bin", p, carry)
                 return []
             if mode == "mblk":
                 final, kind, got, just = state[1], state[2], state[3], state[4]
@@ -656,68 +697,20 @@ def gen_d() -> Transducer:
                 if not got:
                     return []
                 nk = "pay" if kind == "bin" else "bin"
-                return _blk_step(final, nk, False, False, p, carry)
+                return _blk_step(final, nk, p, carry)
 
-            if mode == "sh":
+            if mode in ("sh", "ad"):
                 region = state[1]
-                if region == "a":
-                    if base == "a" and m1:
-                        return [(go("sh", "a"), w())]
-                    if base == "b":
-                        return [(go("sh", "b"), w())]
-                    return []
-                if region == "b":
-                    if base == "b":
-                        return [(go("sh", "b"), w())]
-                    if base == "0":
-                        return [(go("sh", "z"), w())]
-                    return []
-                if region == "z":
-                    if base == "0":
-                        return [(go("sh", "z"), w())]
-                    if base in _AB:
-                        return [(go("sh", "p"), w())]
-                    return []
-                if region == "p":
-                    if base in _AB:
-                        return [(go("sh", "p"), w())]
-                    if base in _BITS:
-                        aligned = carry in _AB and t2 in _BITS
-                        if aligned:
-                            return []
-                        return [(go("shx"), w())]
-                    return []
+                if region == "p" and base in _BITS:
+                    aligned = carry in _AB and t2 in _BITS
+                    if mode == "sh":
+                        return [] if aligned else [(go("shx"), w())]
+                    return _add_step(1, True, p, carry) if aligned else []
+                nxt = _prefix_region(region, base, m1, "p")
+                return [(go(mode, nxt), w())] if nxt else []
             if mode == "shx":
                 return [(go("shx"), w())]
 
-            if mode == "ad":
-                region = state[1]
-                if region == "a":
-                    if base == "a" and m1:
-                        return [(go("ad", "a"), w())]
-                    if base == "b":
-                        return [(go("ad", "b"), w())]
-                    return []
-                if region == "b":
-                    if base == "b":
-                        return [(go("ad", "b"), w())]
-                    if base == "0":
-                        return [(go("ad", "z"), w())]
-                    return []
-                if region == "z":
-                    if base == "0":
-                        return [(go("ad", "z"), w())]
-                    if base in _AB:
-                        return [(go("ad", "p"), w())]
-                    return []
-                if region == "p":
-                    if base in _AB:
-                        return [(go("ad", "p"), w())]
-                    if base in _BITS:
-                        if carry in _AB and t2 in _BITS:
-                            return _add_step(1, True, p, carry)
-                        return []
-                    return []
             if mode == "add":
                 c, all1 = state[1], state[2]
                 if base in _BITS:
@@ -735,132 +728,37 @@ def gen_d() -> Transducer:
                 if base in _BITS:
                     return _add_step(1, True, p, carry)
                 return []
-            if mode == "adfin":
-                if base in _AB:
-                    return [(go("adfin"), w())]
-                if base in _BITS:
-                    return [(go("adskip"), w())]
-                return []
-            if mode == "adskip":
-                if base in _BITS:
-                    return [(go("adskip"), w())]
-                if base in _AB:
-                    return [(go("adskpay"), w())]
-                return []
-            if mode == "adskpay":
-                if base in _AB:
-                    return [(go("adskpay"), w())]
-                return []
-            return []
+            nxt = _tail(mode, base, ("adfin", "adskip", "adskpay"))
+            return [(go(nxt), w())] if nxt else []
 
-        # guess sweep ------------------------------------------------------
-        if mode == "g":
-            if p[0] == "end":
-                return []
-            if p[0] != "cell":
-                return []
-            _, base, m1, sel, m2, t2 = p
-            keep = _cell(base, m1, sel, m2, t2)
-            region = state[1]
-            if region == "a":
-                if base == "a":
-                    return [(("g", "a"), keep)]
-                if base == "b":
-                    return [(("g", "b"), keep)]
-                return []
-            if region == "b":
-                if base == "b":
-                    return [(("g", "b"), keep)]
-                if base == "0":
-                    return [(("g", "z"), keep)]
-                return []
-            if region == "z":
-                if base == "0":
-                    return [(("g", "z"), keep)]
-                if base in _AB:
-                    return [(("g", "p0"), keep)]
-                return []
-            if region == "p0":
-                if base in _AB:
-                    return [(("g", "p0"), keep)]
-                if base in _BITS:
-                    return _guess_point(p)
-                return []
-            return []
-        if mode in ("gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"):
+        # guess and comparison sweeps ----------------------------------------
+        if mode in ("g", "c", "gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"):
             if p[0] == "end":
                 return [(("fin",), _END)] if mode == "gdone" else []
             if p[0] != "cell":
                 return []
-            _, base, m1, sel, m2, t2 = p
-            keep = _cell(base, m1, sel, m2, t2)
+            base = p[1]
+            if mode in ("g", "c"):
+                region = state[1]
+                if region == "p0" and base in _BITS:
+                    if mode == "g":
+                        return _guess_point(p)
+                    return _cmp_entry(("seek",), ("bin", base == "1"), p, True)
+                nxt = _prefix_region(region, base, True, "p0")
+                return [((mode, nxt), p)] if nxt else []
             if mode == "gdone":
-                return [(("gdone",), keep)]
+                return [(("gdone",), p)]
             if mode == "gbin":
                 all1 = state[1]
                 if base in _BITS:
-                    return [(("gbin", all1 and base == "1"), keep)]
-                if base in _AB:
-                    return [((("gpfin",) if all1 else ("gpay",)), keep)]
-                return []
+                    return [(("gbin", all1 and base == "1"), p)]
+                return [((("gpfin",) if all1 else ("gpay",)), p)]
             if mode == "gpay":
                 if base in _AB:
-                    return [(("gpay",), keep)]
-                if base in _BITS:
-                    return _guess_point(p)
-                return []
-            if mode == "gpfin":
-                if base in _AB:
-                    return [(("gpfin",), keep)]
-                if base in _BITS:
-                    return [(("gfbin",), keep)]
-                return []
-            if mode == "gfbin":
-                if base in _BITS:
-                    return [(("gfbin",), keep)]
-                if base in _AB:
-                    return [(("gfpay",), keep)]
-                return []
-            if mode == "gfpay":
-                if base in _AB:
-                    return [(("gfpay",), keep)]
-                return []
-            return []
-
-        # comparison sweeps --------------------------------------------
-        if mode == "c":
-            if p[0] == "end":
-                return []
-            if p[0] != "cell":
-                return []
-            _, base, m1, sel, m2, t2 = p
-            keep = _cell(base, m1, sel, m2, t2)
-            region = state[1]
-            if region == "a":
-                if base == "a":
-                    return [(("c", "a"), keep)]
-                if base == "b":
-                    return [(("c", "b"), keep)]
-                return []
-            if region == "b":
-                if base == "b":
-                    return [(("c", "b"), keep)]
-                if base == "0":
-                    return [(("c", "z"), keep)]
-                return []
-            if region == "z":
-                if base == "0":
-                    return [(("c", "z"), keep)]
-                if base in _AB:
-                    return [(("c", "p0"), keep)]
-                return []
-            if region == "p0":
-                if base in _AB:
-                    return [(("c", "p0"), keep)]
-                if base in _BITS:
-                    return _cmp_entry(("seek",), ("bin", base == "1"), p, True)
-                return []
-            return []
+                    return [(("gpay",), p)]
+                return _guess_point(p)
+            nxt = _tail(mode, base, ("gpfin", "gfbin", "gfpay"))
+            return [((nxt,), p)] if nxt else []
         if mode == "cs":
             a_state, b_state = state[1], state[2]
             if p[0] == "end":
@@ -877,15 +775,11 @@ def gen_d() -> Transducer:
 
     def _shift_end(state):
         # A shifting sweep reaching the endmarker: the marking sweeps
-        # must have completed their per-block checks (handled in mblk),
-        # waiting sweeps and the adder end here as well.
+        # must have completed their per-block checks (handled in mblk;
+        # state[3] says the last block had a cell marked), waiting sweeps
+        # and the adder end here as well.
         mode = state[0]
-        if mode == "mblk":
-            final, kind, got, just = state[1], state[2], state[3], state[4]
-            if not got:
-                return []
-            return [(("fin",), _END)]
-        if mode in ("shx", "adskpay"):
+        if mode in ("shx", "adskpay") or mode == "mblk" and state[3]:
             return [(("fin",), _END)]
         return []
 
@@ -904,10 +798,10 @@ def gen_d() -> Transducer:
             return [(("mbn", 1, t2), _cell(base, m1, sel, m2, carry))]
         return [(("mbn", 0, t2), _cell(base, True, sel, m2, carry))]
 
-    def _blk_step(final, kind, got, just, p, carry):
+    def _blk_step(final, kind, p, carry):
         _, base, m1, sel, m2, t2 = p
         if m1:
-            return [(("mblk", final, kind, got, False, t2), _cell(base, m1, sel, m2, carry))]
+            return [(("mblk", final, kind, False, False, t2), _cell(base, m1, sel, m2, carry))]
         return [(("mblk", final, kind, True, True, t2), _cell(base, True, sel, m2, carry))]
 
     def _add_step(c, all1, p, carry):
@@ -925,14 +819,13 @@ def gen_d() -> Transducer:
     def _guess_point(p):
         _, base, m1, sel, m2, t2 = p
         return [
-            (("gbin", base == "1"), _cell(base, m1, sel, m2, t2)),
+            (("gbin", base == "1"), p),
             (("gdone",), _cell(base, m1, True, m2, t2)),
         ]
 
     def _cmp_entry(a_state, b_state, p, entry_start):
         """Process one cell in the entry region of a comparison sweep."""
         _, base, m1, sel, m2, t2 = p
-        keep = _cell(base, m1, sel, m2, t2)
         mark = _cell(base, m1, sel, True, t2)
         # resolve a pending last-cell question from the previous cell
         if a_state[0] == "post" and a_state[2] is None:
@@ -943,18 +836,18 @@ def gen_d() -> Transducer:
             a_state = ("enter",)
         if a_state == ("enter",) or a_state == ("skip",):
             if m2:
-                return [(("cs", ("skip",), b_state), keep)]
+                return [(("cs", ("skip",), b_state), p)]
             pend = base in _AB
             return [(("cs", ("post", base, None, pend), b_state), mark)]
         if a_state[0] == "fskip":
             sigma, last = a_state[1], a_state[2]
             if m2:
-                return [(("cs", a_state, b_state), keep)]
+                return [(("cs", a_state, b_state), p)]
             if base != sigma:
                 return []
             nxt = ("accarm",) if last else ("done",)
             return [(("cs", nxt, b_state), mark)]
-        return [(("cs", a_state, b_state), keep)]
+        return [(("cs", a_state, b_state), p)]
 
     def _cmp_cell(a_state, b_state, p):
         _, base, m1, sel, m2, t2 = p

@@ -74,10 +74,9 @@ class TestParse:
             parse_machine(text)
 
     def test_line_numbers_in_errors(self):
-        try:
+        with pytest.raises(MachineParseError) as info:
             parse_machine(IDENTITY + "trans q a -> zz a\n")
-        except MachineParseError as exc:
-            assert exc.line == 10
+        assert info.value.line == 10
 
     def test_comments_and_blank_lines(self):
         text = "% header comment\n\n" + IDENTITY.replace(

@@ -290,3 +290,15 @@ class TestDirectory:
         assert in_d(w)
         r = run(d_machine, w, 15, 400_000)
         assert r.accepted and r.min_accept_sweeps == 15
+
+    @pytest.mark.parametrize("i", range(1, 8))
+    def test_k3_each_repeat_index(self, d_machine, i):
+        pays = [tuple("ab"[int(c)] for c in bin_lsb(j, 3)) for j in range(8)]
+        w = d_word(3, pays, i)
+        assert in_d(w)
+        r = run(d_machine, w, 15, 400_000)
+        assert r.accepted and r.min_accept_sweeps == 15
+        flipped = w[:-1] + ({"a": "b", "b": "a"}[w[-1]],)
+        assert not in_d(flipped)
+        r = run(d_machine, flipped, 17, 400_000)
+        assert not r.accepted and r.exhausted
