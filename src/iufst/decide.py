@@ -18,7 +18,8 @@ breadth-first antichain search over pairs of a state of one NFA and a
 subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
 2006), guarded by a configurable budget of search nodes.  Each predicate
 also produces a witness word where one exists, so tests can validate
-answers independently.
+answers independently.  ``oracle.compare_languages`` is the second
+client of ``LaneNfa``: it walks the word tree over sets of lane tuples.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ class LaneNfa:
     ``accepting`` call on a tuple expands it: ``_lane_step`` on each
     input symbol gives its successors, numbered as they are discovered,
     and one endmarker step gives its acceptance, which holds when a lane
-    can reach an accepting state.  Both are kept for later calls.
+    can reach an accepting state.  Both are kept for later calls.  Besides
+    the decision procedures, the oracle's word-tree walk reads it, with k
+    lanes for a constant declared bound and one lane (the first sweep)
+    otherwise.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:

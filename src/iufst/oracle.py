@@ -8,14 +8,17 @@ turns out to be too small the functions fail loudly instead of
 returning a silently wrong answer.
 
 ``compare_languages`` answers most words of a transducer without running
-it.  A sweep reads the tape left to right, so what the first sweep does
-on a prefix does not depend on the rest of the tape: once every branch
-of the first sweep has halted inside a word, ``run`` halts in round one
-with nothing left to explore, a definite rejection of that word and of
-every word extending it.  The comparison walks the word tree level by
-level, carrying for each word the set of states the first sweep can be
-in after reading it, and calls ``run`` only on words whose set is not
-empty.
+it, by walking the word tree over the lane tuples of ``decide.LaneNfa``.
+A machine that declares a constant sweep bound k accepts exactly the
+language of its k-lane NFA (the paper's reduction), so the walk answers
+all its words and ``run`` is never called.  Any other machine walks its
+1-lane NFA, the first sweep: a sweep reads the tape left to right, so a
+word inside which every branch has halted is one ``run`` rejects
+definitely, as it does every extension; only the other words run.  The
+reduction holds for every k, but only the machine's own declared bound
+turns the exact walk on, never the k of a pair: lane tuples grow like
+n^k, and ``LaneNfa(compile_lba(lba_copy()), 12)`` finds 59,307 of them
+on words of at most 5 symbols, where pairs of that machine ask for 80.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from collections import abc
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, Nfa, dfa_minimize
+from .convert import _DUMMY_STATE, Dfa, Nfa, dfa_minimize
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
+from .decide import LaneNfa, NfaView
 
 Word = tuple[str, ...]
 # Built with | over builtin generics: a typing.Union would sit in typing's
@@ -105,30 +109,32 @@ def compare_languages(
 
     Each word is asked of ``a``, then of ``b``, so errors come out at the
     same word as with per-word calls, and a predicate sees every word.  A
-    transducer acceptor answers a word on which its first sweep has
-    halted on every branch with a rejection, without running it: that is
-    ``run``'s definite answer (see the module docstring).  The shortcut
-    is off, and every word runs, when the alphabet is empty or has a
-    symbol outside the machine's input alphabet (so ``run`` raises at the
-    same word), when a ``(t, k)`` pair has ``k`` below 1 (``run`` never
-    sweeps, or raises) or when ``tape_cap`` is below 1 (``run`` raises).
+    transducer acceptor is answered by the lane walk of the module
+    docstring: on every word when the machine declares an int bound, bare
+    or in a ``(t, k)`` pair, with no tape budget (where ``run`` would hit
+    ``tape_cap`` and raise, the walk answers), else on the words inside
+    which its first sweep halts.  The walk is off, and every word runs,
+    when the alphabet is empty or has a symbol outside the machine's
+    input alphabet (so ``run`` raises at the same word), when a ``(t, k)``
+    pair has ``k`` below 1 (``run`` never sweeps, or raises) or when
+    ``tape_cap`` is below 1 (``run`` raises).
     """
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
-    alive_a = _first_sweep_states(a, alphabet, max_len, tape_cap)
-    alive_b = _first_sweep_states(b, alphabet, max_len, tape_cap)
+    known_a = _known_answers(a, alphabet, max_len, tape_cap)
+    known_b = _known_answers(b, alphabet, max_len, tape_cap)
     return [
-        w for w, sa, sb in zip(enumerate_words(alphabet, max_len), alive_a, alive_b)
-        if (fa(w) if sa else False) != (fb(w) if sb else False)
+        w for w, xa, xb in zip(enumerate_words(alphabet, max_len), known_a, known_b)
+        if (fa(w) if xa is None else xa) != (fb(w) if xb is None else xb)
     ]
 
 
-def _first_sweep_states(
+def _known_answers(
     acceptor: Acceptor, alphabet: Sequence[str], max_len: int, tape_cap: int
-) -> Iterator[frozenset[int] | bool]:
-    """For each word in ``enumerate_words`` order, the states (as indices)
-    the first sweep of a transducer acceptor can be in after reading it,
-    or ``True`` for every word where ``compare_languages`` runs them all."""
+) -> Iterator[Optional[bool]]:
+    """For each word in ``enumerate_words`` order, the answer of a
+    transducer acceptor that the lane-NFA walk gives, or None where
+    ``run`` must answer (every word, when the walk is off)."""
     t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
     alphabet = tuple(alphabet)
     if not (
@@ -136,29 +142,42 @@ def _first_sweep_states(
         and (k is None or isinstance(k, int) and k >= 1)
         and isinstance(tape_cap, int) and tape_cap >= 1
     ):
-        return repeat(True)
-    return _walk_word_tree(t, alphabet, max_len)
+        return repeat(None)
+    if isinstance(t.sweep_bound, int):
+        n = LaneNfa(t, k or t.sweep_bound)
+        return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
+    # a halted branch is the 1-lane tuple of the dummy state (convert._lanes)
+    n, halted = LaneNfa(t, 1), (_DUMMY_STATE,)
+    return _walk_word_tree(
+        n, alphabet, max_len, lambda s: None if any(n._tuples[q] != halted for q in s) else False
+    )
 
 
-def _walk_word_tree(t: Transducer, alphabet: Word, max_len: int) -> Iterator[frozenset[int]]:
-    """Word j of a level extends word j // |alphabet| of the level above by
-    symbol j % |alphabet|, so each level is stepped from the one before,
-    through a memo of (subset, symbol) steps; the last level is not kept."""
-    q0, delta, _ = t._indexed
-    step: dict[tuple[frozenset[int], str], frozenset[int]] = {}
-    level = [frozenset((q0,))]
-    yield level[0]
+def _walk_word_tree(
+    n: LaneNfa | NfaView, alphabet: Word, max_len: int,
+    answer: Callable[[frozenset], Optional[bool]],
+) -> Iterator[Optional[bool]]:
+    """``answer`` of the set of ``n``'s states reached on each word.  Word
+    j of a level extends word j // |alphabet| of the level above by symbol
+    j % |alphabet|, so each level is stepped from the one before (the last
+    is not kept), through a memo that maps a set to its row: the
+    successor set and its answer per symbol."""
+    cols = [n.alphabet.index(x) for x in alphabet]
+    rows: dict[frozenset, tuple[list, list]] = {}
+    level = [frozenset((n.initial,))]
+    yield answer(level[0])
     for length in range(1, max_len + 1):
         keep = length < max_len
-        nxt = []
+        nxt: list[frozenset] = []
         for s in level:
-            for x in alphabet:
-                r = step.get((s, x))
-                if r is None:
-                    r = step[s, x] = frozenset(p for q in s for p, _y in delta[q].get(x, ()))
-                yield r
-                if keep:
-                    nxt.append(r)
+            row = rows.get(s)
+            if row is None:
+                steps = [n.step(q) for q in s]
+                succ = [frozenset(r for rs in steps for r in rs[c]) for c in cols]
+                row = rows[s] = succ, list(map(answer, succ))
+            yield from row[1]
+            if keep:
+                nxt += row[0]
         level = nxt
 
 
@@ -289,33 +308,13 @@ def _verify_dfa_against_pred(
     dfa: Dfa, pred: Callable[[Sequence[str]], bool],
     alphabet: Sequence[str], max_len: int,
 ) -> Optional[Word]:
-    """Depth-first sweep of the whole word tree, threading the DFA state
-    so each node costs one table lookup plus one predicate call."""
+    """The first word in ``enumerate_words`` order on which the DFA and
+    the predicate disagree, from the word-tree walk over the DFA's states,
+    so each word costs one predicate call."""
     if not dfa.is_complete:
         raise MachineError("verification requires a complete DFA")
-    idx = {q: i for i, q in enumerate(dfa.states)}
-    sym_ix = {a: j for j, a in enumerate(alphabet)}
-    width = len(alphabet)
-    table = [0] * (len(dfa.states) * width)
-    for (q, a), r in dfa.transitions.items():
-        table[idx[q] * width + sym_ix[a]] = idx[r]
-    accepting = [q in dfa.accepting_set for q in dfa.states]
-    word: list[str] = []
-    if accepting[idx[dfa.initial]] != bool(pred(())):
-        return ()
-    # stack entries: (state, next symbol index to try at this depth)
-    stack: list[tuple[int, int]] = [(idx[dfa.initial], 0)]
-    while stack:
-        state, j = stack[-1]
-        if j >= width or len(word) >= max_len:
-            stack.pop()
-            if word:
-                word.pop()
-            continue
-        stack[-1] = (state, j + 1)
-        nxt = table[state * width + j]
-        word.append(alphabet[j])
-        if accepting[nxt] != bool(pred(tuple(word))):
-            return tuple(word)
-        stack.append((nxt, 0))
-    return None
+    n = NfaView(Nfa(dfa.states, dfa.alphabet, dfa.initial, dfa.accepting,
+                    {qa: (r,) for qa, r in dfa.transitions.items()}))
+    walk = _walk_word_tree(n, tuple(alphabet), max_len, lambda s: any(map(n.accepting, s)))
+    words = enumerate_words(alphabet, max_len)
+    return next((w for w, acc in zip(words, walk) if acc != bool(pred(w))), None)

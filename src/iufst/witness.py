@@ -867,18 +867,21 @@ def gen_d() -> Transducer:
                 entry_start = True
         return _cmp_entry(a_state, b_state, p, entry_start)
 
-    cells = [
+    cells = tuple(
         _cell(b, m1, sel, m2, t2)
         for b in _BITS + _AB
         for m1 in (False, True)
         for sel in (False, True)
         for m2 in (False, True)
         for t2 in _T2
-    ]
-    c0s = [_c0(ph, m1, t2) for ph in "CDP" for m1 in (False, True) for t2 in ("a", "-")]
+    )
+    c0s = tuple(_c0(ph, m1, t2) for ph in "CDP" for m1 in (False, True) for t2 in ("a", "-"))
     raws = tuple(("raw", c) for c in ("a", "b", "0", "1"))
-    out_alpha = tuple(cells) + tuple(c0s) + (_END,)
-    symbols = raws + out_alpha
+    out_alpha = cells + c0s + (_END,)
+    # what each mode's branch of ``delta`` can read, in rank order; the
+    # other modes read nothing but cells and the endmarker
+    readable = {"q0": raws + c0s, "s1": raws + (_END,), "fin": (), "ACC": ()}
+    cells_end = cells + (_END,)
 
     def name(s):
         if isinstance(s, tuple):
@@ -887,7 +890,9 @@ def gen_d() -> Transducer:
 
     return materialize(
         start=("q0",),
-        moves=lambda state: [(x, p, y) for x in symbols for p, y in delta(state, x)],
+        moves=lambda state: [
+            (x, p, y) for x in readable.get(state[0], cells_end) for p, y in delta(state, x)
+        ],
         input_alphabet=raws,
         output_alphabet=out_alpha,
         endmarker=_END,

@@ -231,16 +231,25 @@ class TestFamilyRegistry:
         import iufst.cli
         import iufst.oracle
 
-        fed, runs = [], []
-        in_block, run = iufst.cli.in_block, iufst.oracle.run
-        monkeypatch.setattr(iufst.cli, "in_block", lambda k, w: fed.append(w) or in_block(k, w))
-        monkeypatch.setattr(iufst.oracle, "run", lambda *a: runs.append(a) or run(*a))
-        code, out, _ = run_cli(capsys, "verify", "--lang", "block:3")
-        assert code == 0 and out.strip() == "ok"
-        # every word up to 2k + 3 = 9 symbols over 0, 1, #
-        assert len(fed) == 29_524 and len(set(fed)) == len(fed)
-        # the first sweep of block(3) halts inside 29,197 of them
-        assert len(runs) == 327
+        fed, ran = [], []
+        run = iufst.oracle.run
+        monkeypatch.setattr(iufst.oracle, "run", lambda *a: ran.append(a) or run(*a))
+        for argv, pred, words, runs in [
+            # block(3) declares 3 sweeps: its lane NFA answers every word of
+            # up to 2k + 3 = 9 symbols over 0, 1, #
+            (["block:3"], "in_block", 29_524, 0),
+            # copy's bound is tagged: only the words on which its first
+            # sweep stays alive run
+            (["copy", "--max-len", "8"], "in_copy", 9_841, 1_408),
+        ]:
+            fed.clear()
+            ran.clear()
+            ref = getattr(iufst.cli, pred)
+            monkeypatch.setattr(iufst.cli, pred, lambda *a, ref=ref: fed.append(a[-1]) or ref(*a))
+            code, out, _ = run_cli(capsys, "verify", "--lang", *argv)
+            assert code == 0 and out.strip() == "ok"
+            assert len(fed) == words and len(set(fed)) == len(fed)
+            assert len(ran) == runs
 
     def test_verify_honours_max_len(self, capsys, monkeypatch):
         import iufst.cli

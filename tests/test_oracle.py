@@ -19,6 +19,7 @@ from iufst import (
     gen_d,
     gen_e,
     gen_uexpo,
+    gen_unary,
     in_block,
     in_copy,
     in_d,
@@ -28,7 +29,7 @@ from iufst import (
     min_accept_sweeps,
     predicate_to_min_dfa,
 )
-from iufst.oracle import make_acceptor
+from iufst.oracle import _known_answers, make_acceptor
 
 from test_decide import fuzz_machine
 
@@ -166,6 +167,84 @@ class TestWordTreeWalk:
         for t, k in fuzz_machines[:20]:
             assert_same((t, 0), (t, k), ("a", "b"), 4)
             assert_same((t, k), even, (), 3)
+
+
+def walk_against_run(a, alphabet, max_len):
+    """Check every answer the lane-NFA walk gives against ``run`` on the
+    same word; return how many words the walk answered."""
+    ask = make_acceptor(a)
+    answered = 0
+    for w, known in zip(enumerate_words(alphabet, max_len),
+                        _known_answers(a, alphabet, max_len, 200_000)):
+        if known is not None:
+            answered += 1
+            assert known == ask(w), (a, w)
+    return answered
+
+
+def word_count(alphabet, max_len):
+    return len(list(enumerate_words(alphabet, max_len)))
+
+
+class TestLaneWalk:
+    """The walk answers every word of a machine with a declared constant
+    bound, as ``run`` does, and never runs a tagged bound's lanes."""
+
+    def test_fuzz_corpus(self, fuzz_machines):
+        everything = word_count("ab", 6)
+        for t, k in fuzz_machines:
+            for a in [(t, k), (t, k + 1), t]:
+                assert walk_against_run(a, "ab", 6) == everything
+            assert walk_against_run((t, k), "ba", 4) == word_count("ba", 4)
+
+    @pytest.mark.parametrize("make, alphabet, max_len", [
+        (lambda: gen_e(2, 3), "ab", 9),
+        (lambda: gen_block(2), "01#", 7),
+        (lambda: gen_block(3), "#10", 8),
+        (lambda: gen_unary(2, 3), "a", 60),
+        (lambda: gen_unary(3, 2), "a", 60),
+    ])
+    def test_constant_sweep_families(self, make, alphabet, max_len):
+        t = make()
+        assert isinstance(t.sweep_bound, int)
+        assert walk_against_run(t, alphabet, max_len) == word_count(alphabet, max_len)
+        assert walk_against_run((t, 1), alphabet, max_len) == word_count(alphabet, max_len)
+
+    @pytest.mark.parametrize("make, alphabet, max_len", [
+        (gen_copy, "ab$", 7),
+        (gen_d, "ab01", 6),
+    ])
+    def test_tagged_families_filter_dead_prefixes(self, make, alphabet, max_len):
+        assert 0 < walk_against_run(make(), alphabet, max_len) < word_count(alphabet, max_len)
+
+    def test_tagged_bound_walks_one_lane(self, monkeypatch):
+        import iufst.oracle
+
+        made = []
+        lane_nfa = iufst.oracle.LaneNfa
+
+        def record(t, k):
+            made.append(k)
+            if not isinstance(t.sweep_bound, int) and k > 1:
+                raise AssertionError(f"{k} lanes for bound {t.sweep_bound!r}")
+            return lane_nfa(t, k)
+
+        monkeypatch.setattr(iufst.oracle, "LaneNfa", record)
+        lba = compile_lba(lba_copy())
+        assert compare_languages((lba, 80), in_copy, "ab$", 4) == []
+        assert compare_languages((lba, 40), gen_copy(), "ab$", 4) == []
+        assert compare_languages((gen_e(2, 3), 5), (gen_e(2, 2), 4), "ab", 4)
+        assert made == [1, 1, 1, 5, 4]
+
+    def test_constant_bound_needs_no_tape_budget(self):
+        # under tape_cap=1, run hits the cap on ba, which the oracle turns
+        # into OracleBudgetError; the walk keeps no tapes and answers
+        e23 = gen_e(2, 3)
+        pred = lambda w: in_e(2, 3, w)
+        with pytest.raises(OracleBudgetError, match="tape cap 1 hit on word of length 2"):
+            per_word(e23, pred, "ab", 6, tape_cap=1)
+        assert compare_languages(e23, pred, "ab", 6, tape_cap=1) == []
+        assert compare_languages(pred, (e23, 3), "ab", 6, tape_cap=1) == []
 
 
 class TestMinAcceptSweeps:
