@@ -12,9 +12,12 @@ transition relation maps (state, symbol) to a finite set of
 current computation branch halts.
 
 Execution has one kernel and one driver.  ``_sweep``, the only loop over
-cells, keeps a lone branch in a list and forked branches in a trie of
-output chunks of up to ``_CHUNK`` symbols, so each completed output costs
-time linear in the tape.  ``_search``, the only search over the tapes at
+cells, walks a lone branch along per-state rows of single-choice moves
+and keeps forked branches in a trie of output chunks of up to ``_CHUNK``
+symbols, so each completed output costs time linear in the tape.  Unless
+it reports halts (for ``sweep``), it drops every choice into a state that
+cannot read the rest of the tape, found by a backward pass (``_live``)
+memoized on the machine.  ``_search``, the only search over the tapes at
 sweep boundaries, yields its rounds to ``_run_traced`` (behind ``run``
 and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
 ``run_deterministic`` call the kernel.
@@ -155,7 +158,8 @@ class Transducer:
 
     @cached_property
     def is_deterministic(self) -> bool:
-        return all(len(v) <= 1 for v in self.transitions.values())
+        # distinct choices, as in ``_indexed``: a repeated choice is one move
+        return all(len(v) <= 1 or len(set(v)) == 1 for v in self.transitions.values())
 
     @cached_property
     def _indexed(self) -> tuple[int, list[dict[str, tuple[tuple[int, str], ...]]], list[bool]]:
@@ -167,6 +171,22 @@ class Transducer:
         for (q, x), choices in self.transitions.items():
             delta[index[q]][x] = tuple(dict.fromkeys((index[p], y) for p, y in choices))
         return index[self.initial], delta, [q in self.accepting_set for q in self.states]
+
+    @cached_property
+    def _single(self) -> list[dict[str, tuple[dict, int, str]]]:
+        """Per state, its single-choice moves: symbol -> (next state's
+        row, next state, output).  ``_sweep`` walks these rows."""
+        single: list[dict] = [{} for _ in self.states]
+        for row, moves in zip(self._indexed[1], single):
+            for x, choices in row.items():
+                if len(choices) == 1:
+                    (p, y), = choices
+                    moves[x] = (single[p], p, y)
+        return single
+
+    # ``_live``'s tables, filled as it needs them: per symbol, the states
+    # with a move on it and the bitmask of their next states; a row per mask
+    _back = cached_property(lambda self: ({}, {}))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
         if not self.input_set.issuperset(word):
@@ -220,7 +240,8 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
 
     Branches fork at every nondeterministic choice; a branch completes
     when the last cell is rewritten and is stuck at the first cell whose
-    transition set is empty.  Outcomes are deduplicated.
+    transition set is empty.  Outcomes are deduplicated.  Every halt is
+    reported: with a ``stuck`` list the kernel keeps dead branches.
     """
     tape = tuple(tape)
     if not tape:
@@ -240,44 +261,57 @@ def _sweep(
     """The completed (state index, output) pairs of one sweep over
     ``tape``, deduplicated per cell on (state, output so far), in
     declaration order (frontier order, then choice order); ``stuck``
-    collects the (position, state index) of halted branches.  A forked
-    branch is (state, trie node, tail), node -1 being the end of ``head``."""
+    collects the (position, state index) of halted branches.  A lone
+    branch walks ``Transducer._single`` until a fork or a halt; a forked
+    one is (state, trie node, tail), node -1 being the end of ``head``.
+    Without ``stuck``, a choice into a state outside ``_live`` is dropped:
+    it completes nothing and never merges with a kept branch (same state
+    at a cell, same liveness), so pairs and order are unchanged."""
     q, delta, _ = t._indexed
+    single = t._single
+    row = single[q]
     head: list[str] = []
     n = len(tape)
-    i = 0
-    while i < n:
+    i, live = 0, None
+    while True:
+        for i in range(i, n):
+            move = row.get(tape[i])
+            if move is None:
+                break
+            row, q, y = move
+            head.append(y)
+        else:
+            return [(q, tuple(head))]
         choices = delta[q].get(tape[i])
         if choices is None:
             if stuck is not None:
                 stuck.append((i, q))
             return []
-        if len(choices) == 1:
-            q, y = choices[0]
-            head.append(y)
-            i += 1
-            continue
+        if live is None:  # -1 has every state's bit: with ``stuck`` nothing is dropped
+            live = [-1] * (n + 1) if stuck is not None else _live(t, tape, i)
         fork = i
+        i += 1
+        m = live[i]
         nodes: dict[tuple[int, Tape], int] = {}  # (parent node, tail) -> node
-        frontier: dict[tuple[int, int, Tape], None] = {(q, -1, ()): None}
-        while True:
+        frontier = {(p, -1, (y,)): None for p, y in choices if m >> p & 1}
+        while len(frontier) > 1 and i < n:
+            if (i - fork) % _CHUNK == 0:
+                frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ()): None
+                            for p, node, tail in frontier}
             x = tape[i]
+            i += 1
+            m = live[i]
             nxt: dict[tuple[int, int, Tape], None] = {}
             for q, node, tail in frontier:
                 choices = delta[q].get(x)
                 if choices is None:
                     if stuck is not None:
-                        stuck.append((i, q))
+                        stuck.append((i - 1, q))
                     continue
                 for p, y in choices:
-                    nxt[p, node, tail + (y,)] = None
-            i += 1
+                    if m >> p & 1:
+                        nxt[p, node, tail + (y,)] = None
             frontier = nxt
-            if len(frontier) <= 1 or i == n:
-                break
-            if (i - fork) % _CHUNK == 0:
-                frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ()): None
-                            for p, node, tail in nxt}
         if not frontier:
             return []
         chunks = list(nodes)
@@ -285,10 +319,36 @@ def _sweep(
             h = tuple(head)
             return [(p, h + _trie_path(chunks, c, tail)) for p, c, tail in frontier]
         (q, node, tail), = frontier
-        head += _trie_path(chunks, node, tail)
-    return [(q, tuple(head))]
+        head += _trie_path(chunks, node, tail) if nodes else tail
+        row = single[q]
 
 
+def _live(t: Transducer, tape: Tape, fork: int) -> list[int]:
+    """``live[j]``, for ``fork < j <= len(tape)``, is the bitmask of the
+    states from which some branch reads ``tape[j:]`` to the end.  Steps
+    back are memoized on the machine, a row per mask from symbol to (next
+    mask, its row), up to ``_LIVE_MEMO_CAP`` masks."""
+    (pre, memo), delta = t._back, t._indexed[1]
+    live = [0] * (len(tape) + 1)
+    m = live[-1] = (1 << len(t.states)) - 1
+    row = memo.setdefault(m, {})
+    for j in range(len(tape) - 1, fork, -1):
+        step = row.get(tape[j])
+        if step is None:
+            x = tape[j]
+            if x not in pre:
+                pre[x] = [(q, sum({1 << p for p, _ in r[x]}))
+                          for q, r in enumerate(delta) if x in r]
+            p = sum(1 << q for q, succ in pre[x] if succ & m)
+            if len(memo) >= _LIVE_MEMO_CAP:
+                memo.clear()
+            step = row[x] = (p, memo.setdefault(p, {}))
+        m, row = step
+        live[j] = m
+    return live
+
+
+_LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 
 

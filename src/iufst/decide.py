@@ -29,7 +29,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .convert import Nfa, _check_lanes, _lane_step, _lanes
+from .convert import _DUMMY_STATE, Nfa, _check_lanes, _lane_step, _lanes
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
@@ -49,7 +49,8 @@ class LaneNfa:
     can reach an accepting state.  Both are kept for later calls.  Besides
     the decision procedures, the oracle's word-tree walk reads it, with k
     lanes for a constant declared bound and one lane (the first sweep)
-    otherwise.
+    otherwise, where a set of tuples that are all ``halted`` is a word
+    inside which every branch has halted.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -78,6 +79,10 @@ class LaneNfa:
 
     def accepting(self, q: int) -> bool:
         return (self._rows.get(q) or self._expand(q))[1]
+
+    def halted(self, q: int) -> bool:
+        """Every lane of ``q`` has halted: it is the dummy state."""
+        return all(p == _DUMMY_STATE for p in self._tuples[q])
 
     def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
         state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
@@ -279,13 +284,8 @@ def _inclusion_witness(
 
 
 def _sigma_star(alphabet: tuple[str, ...]) -> NfaView:
-    return NfaView(Nfa(
-        states=("all",),
-        alphabet=alphabet,
-        initial="all",
-        accepting=("all",),
-        transitions={("all", x): ("all",) for x in alphabet},
-    ))
+    return NfaView(Nfa(states=("all",), alphabet=alphabet, initial="all", accepting=("all",),
+                       transitions={("all", x): ("all",) for x in alphabet}))
 
 
 def is_universal(

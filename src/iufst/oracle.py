@@ -27,7 +27,7 @@ from collections import abc
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import _DUMMY_STATE, Dfa, Nfa, dfa_minimize
+from .convert import Dfa, Nfa, dfa_minimize
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
 from .decide import LaneNfa, NfaView
 
@@ -146,11 +146,8 @@ def _known_answers(
     if isinstance(t.sweep_bound, int):
         n = LaneNfa(t, k or t.sweep_bound)
         return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
-    # a halted branch is the 1-lane tuple of the dummy state (convert._lanes)
-    n, halted = LaneNfa(t, 1), (_DUMMY_STATE,)
-    return _walk_word_tree(
-        n, alphabet, max_len, lambda s: None if any(n._tuples[q] != halted for q in s) else False
-    )
+    n = LaneNfa(t, 1)
+    return _walk_word_tree(n, alphabet, max_len, lambda s: False if all(map(n.halted, s)) else None)
 
 
 def _walk_word_tree(

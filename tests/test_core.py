@@ -15,16 +15,22 @@ from iufst import (
     Stuck,
     Transducer,
     check_accept_mode,
+    compile_lba,
     find_accepting_trace,
     gen_e,
     gen_unary,
+    lba_copy,
     materialize,
     run,
     run_deterministic,
     sweep,
     to_nfa,
 )
-from iufst.core import _check_token
+from iufst import core
+from iufst.core import _check_token, _live, _search, _sweep
+
+from test_decide import fuzz_machine
+from test_sweep_reference import FAMILIES, WORDS_TO_6, random_tapes
 
 
 def identity_machine(accepting=("q",)):
@@ -238,6 +244,30 @@ class TestRunDeterministic:
                     if det.accepted:
                         assert det.min_accept_sweeps == nd.min_accept_sweeps
 
+    def test_repeated_choice_is_one_move(self):
+        # the kernel deduplicates choices, so a key listing one choice twice
+        # is deterministic: a -> b twice, then b -> q accepting on the endmarker
+        t = Transducer(
+            states=("p", "q"),
+            input_alphabet=("a", "b"),
+            output_alphabet=("a", "b", "<"),
+            endmarker="<",
+            initial="p",
+            accepting=("q",),
+            transitions={
+                ("p", "a"): (("p", "b"), ("p", "b")),
+                ("p", "b"): (("q", "b"),),
+                ("p", "<"): (("p", "<"),),
+                ("q", "<"): (("q", "<"),),
+            },
+        )
+        assert t.is_deterministic
+        for w in [(), ("a",), ("b",), ("a", "a"), ("a", "b")]:
+            report, trace = run_deterministic(t, w, 5)
+            assert report == run(t, w, 5), w
+            assert (trace if report.accepted else None) == find_accepting_trace(t, w, 5), w
+        assert run(t, ("a",), 5).min_accept_sweeps == 2
+
 
 class TestTrace:
     def test_accepting_trace_shape(self, e21):
@@ -422,3 +452,69 @@ class TestMaterialize:
     def test_render_collision_raises(self):
         with pytest.raises(MachineError, match="both render 'a'"):
             self.build(self.moves, symbol_name=lambda x: x if isinstance(x, str) else x[1])
+
+
+def assert_pruning_keeps_pairs(t, tapes):
+    """Without a ``stuck`` list the kernel drops branches that cannot
+    finish the sweep; the completed pairs, in order, must not change."""
+    for tape in tapes:
+        assert _sweep(t, tape) == _sweep(t, tape, []), tape
+
+
+def reached_tapes(t, words, sweeps, cap=300):
+    """The distinct tapes at the sweep boundaries of searches from
+    ``words``, where a compiled LBA's head has moved into the tape."""
+    tapes: dict = {}
+    for w in words:
+        for _, _, _, frontier in _search(t, t.initial_tape(w), sweeps, cap):
+            tapes.update(dict.fromkeys(frontier or ()))
+    return list(tapes)
+
+
+class TestPrunedSweep:
+    def test_fuzz_machines(self):
+        rng, tape_rng = random.Random(20261018), random.Random(12)
+        for _ in range(200):
+            t, k = fuzz_machine(rng)
+            tapes = [t.initial_tape(w) for w in WORDS_TO_6]
+            assert_pruning_keeps_pairs(t, tapes + random_tapes(tape_rng, t, 20, 60))
+            assert_pruning_keeps_pairs(t, reached_tapes(t, WORDS_TO_6, k + 1))
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_families(self, name):
+        make, alphabet, max_len, sweeps = FAMILIES[name]
+        t = make()
+        words = [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
+        words = words[:: max(1, len(words) // 100)]
+        tapes = [t.initial_tape(w) for w in words] + random_tapes(random.Random(name), t, 30, 40)
+        assert_pruning_keeps_pairs(t, tapes + reached_tapes(t, words[-10:], sweeps))
+
+    def test_every_choice_dead_at_the_fork(self):
+        # the simulated head is in s1 on the right endmarker, where the LBA
+        # has no move: the initial state's ten guesses at cell 0 all die
+        t = compile_lba(lba_copy())
+        tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
+        q0, delta, _ = t._indexed
+        choices = delta[q0][tape[0]]
+        assert len(choices) == 10
+        assert not any(_live(t, tape, 0)[1] >> p & 1 for p, _ in choices)
+        stuck = []
+        assert _sweep(t, tape) == [] == _sweep(t, tape, stuck)
+        # sweep() passes a stuck list, so every halted branch is reported
+        outcomes = sweep(t, tape)
+        assert len(stuck) == len(outcomes) == 46
+        assert all(isinstance(o, Stuck) for o in outcomes)
+
+    def test_memo_cleared_mid_run(self, monkeypatch):
+        make, _, _, sweeps = FAMILIES["lba(copy)"]
+        words = [tuple("ab$ab"), tuple("ab$aa"), tuple("ba$ba")]
+        expected = [(run(make(), w, sweeps), find_accepting_trace(make(), w, sweeps))
+                    for w in words]
+        t = make()
+        assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
+        assert len(t._back[1]) > 2
+        # a cap of 2 masks empties the memo on most misses of the live pass
+        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
+        t = make()
+        assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
+        assert 0 < len(t._back[1]) <= 2

@@ -20,6 +20,7 @@ from iufst import (
 )
 from iufst.decide import (
     DEFAULT_SEARCH_CAP,
+    LaneNfa,
     emptiness_witness,
     equivalence_witness,
     inclusion_witness,
@@ -574,6 +575,26 @@ class TestLazyExpansion:
         assert infiniteness_witness(b5, 5) is not None
         (n,) = made
         assert n.discovered < len(to_nfa(b5, 5).states)
+
+
+def test_halted_tuples_are_all_dummy_lanes():
+    # q rewrites a to b and has no move on b: on a, the first lane reads on
+    # and the second halts on the b it is fed; on b, both lanes halt
+    t = Transducer(
+        states=("q",),
+        input_alphabet=("a", "b"),
+        output_alphabet=("a", "b", "<"),
+        endmarker="<",
+        initial="q",
+        accepting=("q",),
+        transitions={("q", "a"): (("q", "b"),), ("q", "<"): (("q", "<"),)},
+        sweep_bound=2,
+    )
+    n = LaneNfa(t, 2)
+    (after_a,), (after_b,) = n.step(n.initial)
+    assert [n.halted(q) for q in (n.initial, after_a, after_b)] == [False, False, True]
+    one = LaneNfa(t, 1)
+    assert [one.halted(q) for (q,) in one.step(one.initial)] == [False, True]
 
 
 class TestCommaNamedStates:
