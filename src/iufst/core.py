@@ -169,7 +169,11 @@ class Transducer:
         index = {q: i for i, q in enumerate(self.states)}
         delta: list[dict] = [{} for _ in self.states]
         for (q, x), choices in self.transitions.items():
-            delta[index[q]][x] = tuple(dict.fromkeys((index[p], y) for p, y in choices))
+            if len(choices) == 1:
+                (p, y), = choices
+                delta[index[q]][x] = ((index[p], y),)
+            else:
+                delta[index[q]][x] = tuple(dict.fromkeys((index[p], y) for p, y in choices))
         return index[self.initial], delta, [q in self.accepting_set for q in self.states]
 
     @cached_property

@@ -5,13 +5,17 @@ DFAs, and LBAs, discriminated by a ``kind`` directive, so converted
 machines can be piped through files.  Serialization is canonical:
 directives in a fixed order, states, symbols and transitions in
 declaration order, one transition per line, LF endings.  Comments start
-with ``%`` (``#`` is a live alphabet symbol in the block language).
+with ``%`` (``#`` is a live alphabet symbol in the block language) and
+run to the end of the line.  Parsing is one lazy pass over the rows:
+a line is tokenized only when its row is taken, and rows are numbered
+as ``str.splitlines`` counts lines, from 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .convert import Dfa, Nfa
 from .core import MachineError, MalformedInputError, Transducer
@@ -50,57 +54,61 @@ class MachineFile:
             raise MachineError("kind lba requires an LBA")
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    rows = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0]
-        toks = line.split()
+def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each line with a token left once its ``%``
+    comment is cut, tokenized only when taken; ``splitlines`` numbers the
+    lines from 1, so CRLF and LF files number alike."""
+    for line, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.partition("%")[0].split()
         if toks:
-            rows.append((i, toks))
-    return rows
+            yield line, toks
 
 
 class _Parser:
+    """Takes the header directives in order, one row ahead of them;
+    ``rest()`` then yields the rows not yet taken."""
+
     def __init__(self, text: str):
-        self.rows = _tokenize(text)
-        self.pos = 0
+        self.rows = _rows(text)
+        self.line = 0  # line of the last row taken
+        self.ahead = next(self.rows, None)
 
-    def error(self, msg: str, line: int | None = None) -> MachineParseError:
-        if line is None:
-            line = self.rows[self.pos - 1][0] if self.pos else 0
-        return MachineParseError(msg, line)
-
-    def next_row(self) -> tuple[int, list[str]]:
-        if self.pos >= len(self.rows):
-            raise MachineParseError("unexpected end of file", self.rows[-1][0] if self.rows else 0)
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    def peek_directive(self) -> str | None:
-        if self.pos >= len(self.rows):
-            return None
-        return self.rows[self.pos][1][0]
+    def error(self, msg: str) -> MachineParseError:
+        return MachineParseError(msg, self.line)
 
     def take(self, directive: str, required: bool = True) -> list[str] | None:
-        if self.peek_directive() != directive:
-            if required:
-                line = self.rows[self.pos][0] if self.pos < len(self.rows) else 0
-                got = self.peek_directive()
-                raise MachineParseError(
-                    f"expected directive {directive!r}, got {got!r}", line
-                )
+        if self.ahead is not None and self.ahead[1][0] == directive:
+            self.line, toks = self.ahead
+            self.ahead = next(self.rows, None)
+            return toks[1:]
+        if not required:
             return None
-        _line, toks = self.next_row()
-        return toks[1:]
+        if self.ahead is None:
+            raise self.error("unexpected end of file")
+        line, toks = self.ahead
+        raise MachineParseError(f"expected directive {directive!r}, got {toks[0]!r}", line)
+
+    def check_tokens(self, toks: list[str]) -> None:
+        for tok in toks:
+            if tok in RESERVED:
+                raise self.error(f"{tok!r} is a reserved token")
+
+    def rest(self) -> Iterator[tuple[int, list[str]]]:
+        return self.rows if self.ahead is None else chain((self.ahead,), self.rows)
 
 
 def parse_machine(text: str) -> MachineFile:
     """Parse the text format, validating every machine invariant.
 
+    One pass: the header directives are taken in their fixed order, then
+    one loop reads the transition rows as ``_rows`` yields them.  A
+    ``%`` starts a comment; blank and comment-only lines are skipped but
+    still counted, so a line number is the one ``splitlines`` gives.
     Distinct diagnostics (each with a line number): unknown directive,
-    undeclared state or symbol, an endmarker that is also an input
-    symbol, duplicate DFA transitions, and malformed LBA actions.
+    missing directive or unexpected end of file, undeclared state or
+    symbol, a reserved token in a declaration, an endmarker that is also
+    an input symbol, a sweep bound that is not ASCII digits or a tag,
+    duplicate DFA transitions, and malformed LBA actions.
     """
     p = _Parser(text)
     kind_ops = p.take("kind")
@@ -114,16 +122,10 @@ def parse_machine(text: str) -> MachineFile:
     state_set = set(states)
     if len(state_set) != len(states):
         raise p.error("duplicate state declared")
+    p.check_tokens(states)
     inputs = p.take("input") or []
+    p.check_tokens(inputs)
     input_set = set(inputs)
-
-    def check_tokens(toks: list[str]) -> None:
-        for tok in toks:
-            if tok in RESERVED:
-                raise p.error(f"{tok!r} is a reserved token")
-
-    check_tokens(states)
-    check_tokens(inputs)
 
     try:
         if kind in ("niufst", "iufst"):
@@ -139,6 +141,7 @@ def parse_machine(text: str) -> MachineFile:
 
 def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineFile:
     outputs = p.take("output")
+    p.check_tokens(outputs)
     if not outputs:
         raise p.error("transducers need a non-empty output alphabet")
     output_set = set(outputs)
@@ -160,14 +163,14 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
         (tok,) = _exactly(p, sweeps, 1, "sweeps")
         if tok in ("unbounded", "log", "linear"):
             bound = tok
-        elif tok.isdigit() and int(tok) >= 1:
+        elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
             bound = int(tok)
         else:
             raise p.error(f"sweeps must be a positive integer or unbounded/log/linear, got {tok!r}")
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     sym_set = input_set | output_set
-    while p.peek_directive() is not None:
-        line, toks = p.next_row()
+    line = p.line
+    for line, toks in p.rest():
         if toks[0] != "trans":
             raise MachineParseError(f"unknown directive {toks[0]!r}", line)
         if len(toks) != 6 or toks[3] != "->":
@@ -179,7 +182,8 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
             raise MachineParseError(f"undeclared symbol {x!r}", line)
         if y not in output_set:
             raise MachineParseError(f"output symbol {y!r} not in the output alphabet", line)
-        transitions[(q, x)] = transitions.get((q, x), ()) + ((r, y),)
+        key = q, x
+        transitions[key] = transitions.get(key, ()) + ((r, y),)
     t = Transducer(
         states=tuple(states),
         input_alphabet=tuple(inputs),
@@ -191,7 +195,8 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
         sweep_bound=bound,
     )
     if kind == "iufst" and not t.is_deterministic:
-        raise p.error("iufst machines must have at most one choice per (state, symbol)")
+        msg = "iufst machines must have at most one choice per (state, symbol)"
+        raise MachineParseError(msg, line)
     return MachineFile(kind, t)
 
 
@@ -204,8 +209,7 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
         if q not in state_set:
             raise p.error(f"undeclared accepting state {q!r}")
     nfa_trans: dict[tuple[str, str], tuple[str, ...]] = {}
-    while p.peek_directive() is not None:
-        line, toks = p.next_row()
+    for line, toks in p.rest():
         if toks[0] != "trans":
             raise MachineParseError(f"unknown directive {toks[0]!r}", line)
         if len(toks) != 5 or toks[3] != "->":
@@ -241,6 +245,7 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
 
 def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
     tape = p.take("tape")
+    p.check_tokens(tape)
     tape_set = set(tape)
     (lend,) = _exactly(p, p.take("lend"), 1, "lend")
     (rend,) = _exactly(p, p.take("rend"), 1, "rend")
@@ -252,8 +257,7 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
         if q not in state_set:
             raise p.error(f"undeclared accepting state {q!r}")
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    while p.peek_directive() is not None:
-        line, toks = p.next_row()
+    for line, toks in p.rest():
         if toks[0] != "trans":
             raise MachineParseError(f"unknown directive {toks[0]!r}", line)
         if len(toks) != 6 or toks[3] != "->":

@@ -27,6 +27,7 @@ from iufst import (
     identity_constructor,
     lba_copy,
     nfa_to_dfa,
+    parse_machine,
     serialize_machine,
     sweep_reduce,
     to_nfa,
@@ -80,15 +81,17 @@ DIGESTS = {
 }
 
 
-def digest(machine):
+def machine_text(machine):
     kind = "iufst" if machine.is_deterministic else "niufst"
-    text = serialize_machine(MachineFile(kind, machine))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return serialize_machine(MachineFile(kind, machine))
 
 
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_serialization_pinned(name):
-    assert digest(MACHINES[name]()) == DIGESTS[name]
+    machine = MACHINES[name]()
+    text = machine_text(machine)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+    assert parse_machine(text).machine == machine
 
 
 # Powerset and minimal DFAs: subset names list NFA states in declaration

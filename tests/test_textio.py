@@ -73,10 +73,33 @@ class TestParse:
         with pytest.raises(MachineParseError, match="lba action"):
             parse_machine(text)
 
-    def test_line_numbers_in_errors(self):
-        with pytest.raises(MachineParseError) as info:
-            parse_machine(IDENTITY + "trans q a -> zz a\n")
-        assert info.value.line == 10
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            (IDENTITY + "trans q a -> zz a\n", 10, "undeclared state"),
+            (IDENTITY + "% note\n\ntrans q a -> zz a\n", 12, "undeclared state"),
+            (IDENTITY + "trans q a -> zz a", 10, "undeclared state"),
+            ("kind niufst\nstates q\ninput a\noutput a <\n", 4, "unexpected end of file"),
+            (IDENTITY.replace("initial q", "inital q"), 6, "expected directive 'initial'"),
+            ((IDENTITY + "trans q a -> zz a\n").replace("\n", "\r\n"), 10, "undeclared state"),
+            (IDENTITY.replace("accept q\n", "accept q\nsweeps \u00b2\n"), 8, "sweeps must be"),
+            (IDENTITY.replace("accept q\n", "accept q\nsweeps \u0661\n"), 8, "sweeps must be"),
+            (IDENTITY.replace("output a <", "output a -> <"), 4, "'->' is a reserved token"),
+            (
+                "kind lba\nstates p\ninput a\ntape a > < ->\nlend >\nrend <\n"
+                "initial p\naccept\ntrans p a -> p R\n",
+                4,
+                "'->' is a reserved token",
+            ),
+        ],
+        ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
+             "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
+             "reserved-output", "reserved-tape"],
+    )
+    def test_line_numbers_in_errors(self, text, line, message):
+        with pytest.raises(MachineParseError, match=message) as info:
+            parse_machine(text)
+        assert info.value.line == line
 
     def test_comments_and_blank_lines(self):
         text = "% header comment\n\n" + IDENTITY.replace(
