@@ -2,13 +2,14 @@
 
 The central construction simulates several sweeps of a machine in
 parallel inside one sweep, using tuple states with a dummy lane for
-branches that died.  One function, ``_lane_step``, gives the moves of a
-tuple of lanes over the machine's state indices.  ``sweep_reduce``
-materializes the tuples it reaches as a transducer; reducing a k-sweep
-machine all the way to one sweep and then dropping the endmarker yields
-an NFA (``to_nfa``), and the usual powerset construction takes it to a
-DFA.  The decision procedures in ``decide`` expand the same tuples on
-demand and search subsets on the fly instead.  Standard DFA plumbing
+branches that died; this module is their one home.  ``_lane_step``
+gives the moves of a tuple of lanes over the machine's state indices.
+``sweep_reduce`` materializes the tuples it reaches as a transducer.
+``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
+input symbols; ``NfaView`` gives a materialized ``Nfa`` its interface.
+``to_nfa`` renders a ``LaneNfa`` with named states, and the powerset
+construction takes that to a DFA; ``decide`` and the oracle search
+``LaneNfa`` itself.  Standard DFA plumbing
 (completion, minimization, complement, products) lives here too because
 the lower-bound checks and ``iufst convert`` need it.
 """
@@ -207,23 +208,39 @@ def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
     return dict.fromkeys(moves)
 
 
+def _lane_names(t: Transducer):
+    """Injective names of ``t``'s lane tuples, ``(q1,q2,...)``: ``\\`` and
+    ``,`` are escaped by a ``\\`` inside each lane's state name, and the
+    dummy lane is ``d`` (primed until fresh)."""
+    names = [q.replace("\\", "\\\\").replace(",", "\\,") for q in t.states]
+    names.append(_fresh(_DUMMY, set(t.states)))
+    return lambda tup: "(" + ",".join(map(names.__getitem__, tup)) + ")"
+
+
+def _lane_meta(t: Transducer, k: int, i: int) -> dict:
+    return {
+        "universe_states": reduced_state_universe(len(t.states), i),
+        "lanes": i,
+        "source_states": len(t.states),
+        "source_bound": k,
+    }
+
+
 def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     """Equivalent machine running ceil(k/i) sweeps by simulating i at a time.
 
     The states are the lane tuples ``_lane_step`` reaches, explored over
-    every symbol; a dead lane shows as the dummy state ``d`` and its
-    output as the dummy symbol ``d`` (primed until fresh).  A tuple is
-    accepting when any lane holds an accepting original state.
-    Determinism is preserved, and the full tuple-state universe has at
-    most 2 n^i members for n >= 2 (the constructed machine materializes
-    only reachable tuples; the universe size is recorded in
-    ``meta["universe_states"]``).
+    every symbol and named by ``_lane_names``; a dead lane shows as the
+    dummy state ``d`` and its output as the dummy symbol ``d`` (both
+    primed until fresh).  A tuple is accepting when any lane holds an
+    accepting original state.  Determinism is preserved, and the full
+    tuple-state universe has at most 2 n^i members for n >= 2 (the
+    constructed machine materializes only reachable tuples; the universe
+    size is recorded in ``meta["universe_states"]``).
     """
     _check_lanes(k, i)
-    dummy_state = _fresh(_DUMMY, set(t.states))
     dummy_sym = _fresh(_DUMMY, set(t.input_alphabet) | set(t.output_alphabet))
     q0, delta, acc = _lanes(t)
-    names = list(t.states) + [dummy_state]
     out_alpha = tuple(t.output_alphabet) + (_DUMMY_SYMBOL,)
     symbols = tuple(dict.fromkeys(t.input_alphabet + out_alpha))
     return materialize(
@@ -233,57 +250,124 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
         output_alphabet=out_alpha,
         endmarker=t.endmarker,
         accepting=lambda tup: any(map(acc.__getitem__, tup)),
-        name_of=lambda tup: "(" + ",".join(map(names.__getitem__, tup)) + ")",
+        name_of=_lane_names(t),
         symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else y,
         sweep_bound=-(-k // i),  # ceil(k / i)
-        meta={
-            "universe_states": reduced_state_universe(len(t.states), i),
-            "lanes": i,
-            "source_states": len(t.states),
-            "source_bound": k,
-        },
+        meta=_lane_meta(t, k, i),
     )
+
+
+class LaneNfa:
+    """The NFA of k sweeps run as k lanes of one sweep, over input
+    symbols, expanded on demand.
+
+    States are ints numbering the lane tuples in discovery order, the
+    initial tuple being 0.  The first ``step`` or ``accepting`` call on a
+    tuple expands it and keeps the result: ``_lane_step`` on each input
+    symbol gives its successors, and one endmarker step its acceptance,
+    which holds when a lane can reach an accepting state.  ``to_nfa``
+    renders it with named states.  The oracle reads it with one lane
+    (the first sweep) for a machine without a constant bound: a set of
+    tuples that are all ``halted`` is a word inside which every branch
+    has halted.
+    """
+
+    def __init__(self, t: Transducer, k: int) -> None:
+        _check_lanes(k, k)
+        q0, self._delta, self._acc = _lanes(t)
+        self._end = t.endmarker
+        self._tuples = [(q0,) * k]
+        self._ids = {self._tuples[0]: 0}
+        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {}
+        self.alphabet = t.input_alphabet
+        self.initial = 0
+
+    @property
+    def discovered(self) -> int:
+        """Lane tuples numbered so far."""
+        return len(self._tuples)
+
+    @property
+    def expanded(self) -> int:
+        """Lane tuples whose successors and acceptance were computed."""
+        return len(self._rows)
+
+    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
+        return (self._rows.get(q) or self._expand(q))[0]
+
+    def accepting(self, q: int) -> bool:
+        return (self._rows.get(q) or self._expand(q))[1]
+
+    def halted(self, q: int) -> bool:
+        """Every lane of ``q`` has halted: it is the dummy state."""
+        return all(p == _DUMMY_STATE for p in self._tuples[q])
+
+    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
+        row = []
+        for x in self.alphabet:
+            succ = []
+            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
+                i = ids.setdefault(p, len(tuples))
+                if i == len(tuples):
+                    tuples.append(p)
+                succ.append(i)
+            row.append(tuple(succ))
+        acc = self._acc
+        final = any(any(map(acc.__getitem__, p)) for p, _y in _lane_step(delta, state, self._end))
+        self._rows[q] = entry = (tuple(row), final)
+        return entry
+
+
+class NfaView:
+    """An ``Nfa`` through the interface of ``LaneNfa``, its states
+    numbered in declaration order."""
+
+    def __init__(self, n: Nfa) -> None:
+        index = {q: i for i, q in enumerate(n.states)}
+        self.alphabet = n.alphabet
+        self.initial = index[n.initial]
+        self.step = [
+            tuple(tuple(index[r] for r in n.transitions.get((q, x), ())) for x in n.alphabet)
+            for q in n.states
+        ].__getitem__
+        self.accepting = [q in n.accepting_set for q in n.states].__getitem__
+
+
+def _edges(n: LaneNfa | NfaView):
+    """Successor function of ``n`` for ``_bfs``: a state's (successor,
+    symbol) edges in alphabet order, then choice order."""
+    sigma, step = n.alphabet, n.step
+    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]
 
 
 def to_nfa(t: Transducer, k: int) -> Nfa:
     """NFA equivalent to a machine with declared constant sweep bound k.
 
-    Reduce k sweeps into one, keep the input transitions, and drop the
-    endmarker: a state is accepting when one endmarker step from it can
-    reach a tuple containing an accepting original state.  Applying the
-    same rule to the initial state makes the NFA accept the empty word
-    exactly when the transducer does.  The state universe stays within
-    2 n^k.  The states are the tuples ``sweep_reduce`` reaches over every
-    symbol, so some may be unreachable on input symbols, and state names
-    whose tuple names render alike raise ``MachineError``.  The decision
-    procedures do not build it: ``decide.LaneNfa`` expands the same NFA
-    on demand, over input symbols only, without naming its states.
+    ``LaneNfa(t, k)`` rendered: its states reachable on input symbols,
+    in breadth-first order, named by ``_lane_names`` (so the names are
+    those of ``sweep_reduce(t, k, k)``, with ``\\`` and ``,`` escaped
+    inside each lane), each accepting when one endmarker step from it
+    can reach a tuple containing an accepting original state.  Applying
+    the same rule to the initial state makes the NFA accept the empty
+    word exactly when the transducer does.  The state universe stays
+    within 2 n^k.
     """
-    reduced = sweep_reduce(t, k, k)
-    end = reduced.endmarker
-    nfa_accepting = []
-    reduced_acc = reduced.accepting_set
-    for q in reduced.states:
-        for r, _y in reduced.transitions.get((q, end), ()):
-            if r in reduced_acc:
-                nfa_accepting.append(q)
-                break
-    transitions: dict[tuple[str, str], tuple[str, ...]] = {}
-    for (q, x), choices in reduced.transitions.items():
-        if x not in reduced.input_set:
-            continue
-        seen: list[str] = []
-        for r, _y in choices:
-            if r not in seen:
-                seen.append(r)
-        transitions[(q, x)] = tuple(seen)
+    n = LaneNfa(t, k)
+    order, _ = _bfs((n.initial,), _edges(n))
+    name_of = _lane_names(t)
+    names = {q: name_of(n._tuples[q]) for q in order}
     return Nfa(
-        states=reduced.states,
-        alphabet=reduced.input_alphabet,
-        initial=reduced.initial,
-        accepting=tuple(nfa_accepting),
-        transitions=transitions,
-        meta=dict(reduced.meta),
+        states=tuple(names.values()),
+        alphabet=n.alphabet,
+        initial=names[n.initial],
+        accepting=tuple(names[q] for q in order if n.accepting(q)),
+        transitions={
+            (names[q], x): tuple(map(names.__getitem__, rs))
+            for q in order for x, rs in zip(n.alphabet, n.step(q)) if rs
+        },
+        meta=_lane_meta(t, k, k),
     )
 
 
@@ -319,23 +403,23 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     """Powerset construction over reachable subsets.
 
     A subset is an int bitmask over the NFA's state order (bit i is
-    ``n.states[i]``), so one step ORs precomputed successor masks.
-    Subsets are discovered breadth-first from ``{initial}``, symbols in
-    alphabet order; each is named ``{q1,q2,...}`` with its members in
-    the NFA's state order (``{}`` for the empty subset).  The result is
-    complete: the empty subset appears as an explicit dead state
-    whenever some (subset, symbol) has no successor.  ``state_cap``
+    ``n.states[i]``, as ``NfaView(n)`` numbers it), so one step ORs
+    precomputed successor masks.  Subsets are discovered breadth-first
+    from ``{initial}``, symbols in alphabet order; each is named
+    ``{q1,q2,...}`` with its members in the NFA's state order (``{}``
+    for the empty subset).  The result is complete: the empty subset
+    appears as an explicit dead state whenever some (subset, symbol) has
+    no successor.  ``state_cap``
     counts discovered subsets, the dead one included; discovering more
     raises ``ResourceBudgetError``.
     """
-    index = {q: i for i, q in enumerate(n.states)}
+    v = NfaView(n)
+    states = range(len(n.states))
     # step[x][i]: successor mask of state i on symbol x
-    step = {x: [0] * len(n.states) for x in n.alphabet}
-    for (q, x), rs in n.transitions.items():
-        mask = 0
-        for r in rs:
-            mask |= 1 << index[r]
-        step[x][index[q]] = mask
+    step = {
+        x: [sum(1 << r for r in set(v.step(i)[j])) for i in states]
+        for j, x in enumerate(n.alphabet)
+    }
     # per subset, its members and its (successor, symbol) row
     rows: dict[int, tuple[list[int], list[tuple[int, str]]]] = {}
 
@@ -350,7 +434,7 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
         rows[cur] = (members, row)
         return row
 
-    start = 1 << index[n.initial]
+    start = 1 << v.initial
     try:
         subsets, _ = _bfs((start,), succ, limit=state_cap)
     except ResourceBudgetError:
@@ -361,9 +445,7 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
         sub: "{" + ",".join(map(n.states.__getitem__, rows[sub][0])) + "}"
         for sub in subsets
     }
-    accepting = 0
-    for q in n.accepting:
-        accepting |= 1 << index[q]
+    accepting = sum(1 << i for i in states if v.accepting(i))
     return Dfa(
         states=tuple(names.values()),
         alphabet=tuple(n.alphabet),

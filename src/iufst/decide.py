@@ -2,24 +2,25 @@
 sweep bound.
 
 A machine that runs at most k sweeps accepts the language of the NFA
-``to_nfa(t, k)``, whose states are the lane tuples of k sweeps simulated
-in parallel in one (``convert._lane_step``).  Every procedure searches
-that NFA without building it: ``LaneNfa`` expands a lane tuple, its
-successors on each input symbol and its acceptance, only when a search
-first visits it, and numbers the tuples as it discovers them.  The
-searches read an automaton through ``alphabet``, ``initial``,
-``step(q)`` and ``accepting(q)`` only; ``NfaView`` gives a materialized
-``Nfa`` the same four names.  Emptiness is a breadth-first search for an
-accepting state.  Finiteness looks for a cycle among the live states,
-those reachable and co-reachable, found by one search forwards and one
-over the reversed edges.  Universality, inclusion and equivalence never
-determinize: each is one or two inclusion checks, answered by a
-breadth-first antichain search over pairs of a state of one NFA and a
-subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
-2006), guarded by a configurable budget of search nodes.  Each predicate
-also produces a witness word where one exists, so tests can validate
-answers independently.  ``oracle.compare_languages`` is the second
-client of ``LaneNfa``: it walks the word tree over sets of lane tuples.
+whose states are the lane tuples of k sweeps simulated in parallel in
+one.  Every procedure searches that NFA without naming its states:
+``convert.LaneNfa`` expands a lane tuple, its successors on each input
+symbol and its acceptance, only when a search first visits it, and
+numbers the tuples as it discovers them (``convert.to_nfa`` renders the
+same NFA with named states).  The searches read an automaton through
+``alphabet``, ``initial``, ``step(q)`` and ``accepting(q)`` only;
+``convert.NfaView`` gives a materialized ``Nfa`` the same four names.
+Emptiness is a breadth-first search for an accepting state.  Finiteness
+looks for a cycle among the live states, those reachable and
+co-reachable, found by one search forwards and one over the reversed
+edges.  Universality, inclusion and equivalence never determinize: each
+is one or two inclusion checks, answered by a breadth-first antichain
+search over pairs of a state of one NFA and a subset of the other's
+states (De Wulf, Doyen, Henzinger & Raskin, CAV 2006), guarded by a
+configurable budget of search nodes.  Each predicate also produces a
+witness word where one exists, so tests can validate answers
+independently.  ``oracle.compare_languages`` is the second client of
+``LaneNfa``: it walks the word tree over sets of lane tuples.
 """
 
 from __future__ import annotations
@@ -29,91 +30,13 @@ from itertools import combinations
 from math import comb
 from typing import Optional
 
-from .convert import _DUMMY_STATE, Nfa, _check_lanes, _lane_step, _lanes
+from .convert import LaneNfa, Nfa, NfaView, _edges
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
 DEFAULT_SEARCH_CAP = 2**20
 
 Word = tuple[str, ...]
-
-
-class LaneNfa:
-    """The NFA ``to_nfa(t, k)``, expanded on demand.
-
-    States are ints numbering the lane tuples in the order they are
-    discovered, the initial tuple being 0.  The first ``step`` or
-    ``accepting`` call on a tuple expands it: ``_lane_step`` on each
-    input symbol gives its successors, numbered as they are discovered,
-    and one endmarker step gives its acceptance, which holds when a lane
-    can reach an accepting state.  Both are kept for later calls.  Besides
-    the decision procedures, the oracle's word-tree walk reads it, with k
-    lanes for a constant declared bound and one lane (the first sweep)
-    otherwise, where a set of tuples that are all ``halted`` is a word
-    inside which every branch has halted.
-    """
-
-    def __init__(self, t: Transducer, k: int) -> None:
-        _check_lanes(k, k)
-        q0, self._delta, self._acc = _lanes(t)
-        self._end = t.endmarker
-        self._tuples = [(q0,) * k]
-        self._ids = {self._tuples[0]: 0}
-        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {}
-        self.alphabet = t.input_alphabet
-        self.initial = 0
-
-    @property
-    def discovered(self) -> int:
-        """Lane tuples numbered so far."""
-        return len(self._tuples)
-
-    @property
-    def expanded(self) -> int:
-        """Lane tuples whose successors and acceptance were computed."""
-        return len(self._rows)
-
-    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
-        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
-        return (self._rows.get(q) or self._expand(q))[0]
-
-    def accepting(self, q: int) -> bool:
-        return (self._rows.get(q) or self._expand(q))[1]
-
-    def halted(self, q: int) -> bool:
-        """Every lane of ``q`` has halted: it is the dummy state."""
-        return all(p == _DUMMY_STATE for p in self._tuples[q])
-
-    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
-        row = []
-        for x in self.alphabet:
-            succ = []
-            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
-                i = ids.setdefault(p, len(tuples))
-                if i == len(tuples):
-                    tuples.append(p)
-                succ.append(i)
-            row.append(tuple(succ))
-        acc = self._acc
-        final = any(any(map(acc.__getitem__, p)) for p, _y in _lane_step(delta, state, self._end))
-        self._rows[q] = entry = (tuple(row), final)
-        return entry
-
-
-class NfaView:
-    """An ``Nfa`` through the interface of ``LaneNfa``, its states
-    numbered in declaration order."""
-
-    def __init__(self, n: Nfa) -> None:
-        index = {q: i for i, q in enumerate(n.states)}
-        self.alphabet = n.alphabet
-        self.initial = index[n.initial]
-        self.step = [
-            tuple(tuple(index[r] for r in n.transitions.get((q, x), ())) for x in n.alphabet)
-            for q in n.states
-        ].__getitem__
-        self.accepting = [q in n.accepting_set for q in n.states].__getitem__
 
 
 def is_empty(t: Transducer, k: int) -> bool:
@@ -125,13 +48,6 @@ def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     """Shortest accepted word, or None when the language is empty."""
     n = LaneNfa(t, k)
     return _shortest_word((n.initial,), _edges(n), n.accepting)
-
-
-def _edges(n: LaneNfa | NfaView):
-    """Successor function of ``n`` for ``_bfs``: a state's (successor,
-    symbol) edges in alphabet order, then choice order."""
-    sigma, step = n.alphabet, n.step
-    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]
 
 
 def _live(n: LaneNfa | NfaView) -> dict[int, list[tuple[int, str]]]:

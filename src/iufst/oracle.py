@@ -8,7 +8,7 @@ turns out to be too small the functions fail loudly instead of
 returning a silently wrong answer.
 
 ``compare_languages`` answers most words of a transducer without running
-it, by walking the word tree over the lane tuples of ``decide.LaneNfa``.
+it, by walking the word tree over the lane tuples of ``convert.LaneNfa``.
 A machine that declares a constant sweep bound k accepts exactly the
 language of its k-lane NFA (the paper's reduction), so the walk answers
 all its words and ``run`` is never called.  Any other machine walks its
@@ -27,9 +27,8 @@ from collections import abc
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, Nfa, dfa_minimize
+from .convert import Dfa, LaneNfa, Nfa, NfaView, dfa_minimize
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
-from .decide import LaneNfa, NfaView
 
 Word = tuple[str, ...]
 # Built with | over builtin generics: a typing.Union would sit in typing's

@@ -88,7 +88,10 @@ class _Parser:
         line, toks = self.ahead
         raise MachineParseError(f"expected directive {directive!r}, got {toks[0]!r}", line)
 
-    def check_tokens(self, toks: list[str]) -> None:
+    def check_tokens(self, toks: list[str], what: str) -> None:
+        """Reject a duplicate or a reserved token in a list of ``what``s."""
+        if len(set(toks)) != len(toks):
+            raise self.error(f"duplicate {what} declared")
         for tok in toks:
             if tok in RESERVED:
                 raise self.error(f"{tok!r} is a reserved token")
@@ -106,8 +109,9 @@ def parse_machine(text: str) -> MachineFile:
     still counted, so a line number is the one ``splitlines`` gives.
     Distinct diagnostics (each with a line number): unknown directive,
     missing directive or unexpected end of file, undeclared state or
-    symbol, a reserved token in a declaration, an endmarker that is also
-    an input symbol, a sweep bound that is not ASCII digits or a tag,
+    symbol, a duplicate state, input or output symbol, a reserved token
+    in a declaration, an endmarker that is also an input symbol, a sweep
+    bound that is not a tag or ASCII digits without a leading zero,
     duplicate DFA transitions, and malformed LBA actions.
     """
     p = _Parser(text)
@@ -119,12 +123,10 @@ def parse_machine(text: str) -> MachineFile:
     states = p.take("states")
     if not states:
         raise p.error("at least one state is required")
+    p.check_tokens(states, "state")
     state_set = set(states)
-    if len(state_set) != len(states):
-        raise p.error("duplicate state declared")
-    p.check_tokens(states)
     inputs = p.take("input") or []
-    p.check_tokens(inputs)
+    p.check_tokens(inputs, "input symbol")
     input_set = set(inputs)
 
     try:
@@ -141,7 +143,7 @@ def parse_machine(text: str) -> MachineFile:
 
 def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineFile:
     outputs = p.take("output")
-    p.check_tokens(outputs)
+    p.check_tokens(outputs, "output symbol")
     if not outputs:
         raise p.error("transducers need a non-empty output alphabet")
     output_set = set(outputs)
@@ -163,7 +165,7 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
         (tok,) = _exactly(p, sweeps, 1, "sweeps")
         if tok in ("unbounded", "log", "linear"):
             bound = tok
-        elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
+        elif tok.isascii() and tok.isdigit() and tok[0] != "0":
             bound = int(tok)
         else:
             raise p.error(f"sweeps must be a positive integer or unbounded/log/linear, got {tok!r}")
@@ -245,7 +247,7 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
 
 def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
     tape = p.take("tape")
-    p.check_tokens(tape)
+    p.check_tokens(tape, "tape symbol")
     tape_set = set(tape)
     (lend,) = _exactly(p, p.take("lend"), 1, "lend")
     (rend,) = _exactly(p, p.take("rend"), 1, "rend")

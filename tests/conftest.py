@@ -1,6 +1,50 @@
 import pytest
 
-from iufst import gen_block, gen_block_nfa, gen_copy, gen_d, gen_e, gen_uexpo, gen_unary
+from iufst import (
+    Nfa,
+    gen_block,
+    gen_block_nfa,
+    gen_copy,
+    gen_d,
+    gen_e,
+    gen_uexpo,
+    gen_unary,
+    sweep_reduce,
+)
+
+
+def reference_nfa(t, k):
+    """The NFA of a machine with declared constant sweep bound k, read
+    off its one-sweep reduction ``sweep_reduce(t, k, k)`` instead of
+    rendered from ``LaneNfa`` as ``to_nfa`` is, so that answers of the
+    lane NFA have an independent reference.
+
+    The states are every tuple the reduction reaches over all symbols,
+    some of them unreachable on input symbols; the transitions are the
+    reduction's input moves, successors deduplicated in choice order.
+    A state accepts when one endmarker step from it can reach a tuple
+    holding an accepting original state.
+    """
+    reduced = sweep_reduce(t, k, k)
+    end = reduced.endmarker
+    reduced_acc = reduced.accepting_set
+    accepting = tuple(
+        q for q in reduced.states
+        if any(r in reduced_acc for r, _y in reduced.transitions.get((q, end), ()))
+    )
+    transitions = {
+        (q, x): tuple(dict.fromkeys(r for r, _y in choices))
+        for (q, x), choices in reduced.transitions.items()
+        if x in reduced.input_set
+    }
+    return Nfa(
+        states=reduced.states,
+        alphabet=reduced.input_alphabet,
+        initial=reduced.initial,
+        accepting=accepting,
+        transitions=transitions,
+        meta=dict(reduced.meta),
+    )
 
 
 @pytest.fixture(scope="session")

@@ -69,7 +69,32 @@ class TestRun:
         assert code == 2 and "error" in err
 
 
+# states p and p,p give lane tuples such as (p, p,p, p) and (p,p, p, p)
+COMMA_MACHINE = (
+    "kind niufst\nstates p p,p q\ninput a\noutput a <\nendmarker <\n"
+    "initial p\naccept q\nsweeps 3\ntrans p a -> p a\ntrans p a -> p,p a\n"
+    "trans p,p a -> p a\ntrans p < -> q <\ntrans p,p < -> q <\n"
+)
+
+
 class TestConvertDecide:
+    @pytest.mark.parametrize("target,kind", [("nfa", "nfa"), ("min-dfa", "dfa"),
+                                             ("reduce:2", "niufst")])
+    def test_convert_comma_named_states(self, tmp_path, capsys, target, kind):
+        from iufst import parse_machine
+        from iufst.oracle import make_acceptor
+
+        src, out_path = tmp_path / "comma.m", tmp_path / "out.m"
+        src.write_text(COMMA_MACHINE)
+        assert main(["convert", "-m", str(src), "--to", target, "-o", str(out_path)]) == 0
+        capsys.readouterr()
+        out = parse_machine(out_path.read_text())
+        assert out.kind == kind
+        source = make_acceptor(parse_machine(COMMA_MACHINE).machine)
+        converted = make_acceptor(out.machine)
+        for m in range(9):
+            assert converted(("a",) * m) == source(("a",) * m), m
+
     def test_reduce_then_equiv(self, tmp_path, capsys):
         src = tmp_path / "e22.m"
         red = tmp_path / "out.m"

@@ -89,6 +89,14 @@ class TestToNfa:
         assert not to_nfa(e21, 1).accepts(())
         assert to_nfa(unary22, 2).accepts(())
 
+    def test_keeps_input_reachable_tuples_only(self):
+        from conftest import reference_nfa
+        from iufst import gen_block
+
+        cases = [(gen_block(3), 3), (gen_block(5), 5), (gen_e(4, 5), 5)]
+        assert [len(to_nfa(t, k).states) for t, k in cases] == [62, 303, 1025]
+        assert [len(reference_nfa(t, k).states) for t, k in cases] == [153, 704, 1380]
+
     def test_identity_acceptor_keeps_lambda(self):
         from tests.test_core import identity_machine
 

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from conftest import reference_nfa
 
 from iufst import (
     Transducer,
@@ -186,7 +187,7 @@ def brute_language(t: Transducer, k: int, max_len: int) -> set:
 def live_nfa_size(t: Transducer, k: int) -> int:
     from iufst.decide import NfaView, _live
 
-    return max(1, len(_live(NfaView(to_nfa(t, k)))))
+    return max(1, len(_live(NfaView(reference_nfa(t, k)))))
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +285,7 @@ class TestWitnessOrder:
 
 class TestDeepInfiniteness:
     def test_unary_2_10_pumps_without_recursion(self):
-        # to_nfa gives 2,047 states; a recursive cycle search overflows the stack
+        # the lane NFA has 1,024 states; a recursive cycle search overflows the stack
         from iufst import in_unary
 
         x, y, z = infiniteness_witness(gen_unary(2, 10), 10)
@@ -297,7 +298,7 @@ def powerset_inclusion(t1, k1, t2, k2):
     """First word of L1 minus L2 by determinizing both sides."""
     from iufst.convert import dfa_product, dfa_shortest_accepted, nfa_to_dfa
 
-    d1, d2 = nfa_to_dfa(to_nfa(t1, k1)), nfa_to_dfa(to_nfa(t2, k2))
+    d1, d2 = nfa_to_dfa(reference_nfa(t1, k1)), nfa_to_dfa(reference_nfa(t2, k2))
     return dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
 
 
@@ -310,7 +311,7 @@ class TestPowersetCrossCheck:
 
         universal = 0
         for t, k, *_ in fuzz_corpus:
-            ref = dfa_shortest_accepted(dfa_complement(nfa_to_dfa(to_nfa(t, k))))
+            ref = dfa_shortest_accepted(dfa_complement(nfa_to_dfa(reference_nfa(t, k))))
             assert universality_witness(t, k) == ref, (t, k)
             universal += ref is None
         assert 0 < universal < len(fuzz_corpus)
@@ -383,7 +384,7 @@ class TestSearchBudget:
         t = k_subset_machine(12, 6, grow=True, rejecting=range(0, 12, 2))
         w = universality_witness(t, 1)
         assert len(w) > 10
-        assert w == dfa_shortest_accepted(dfa_complement(nfa_to_dfa(to_nfa(t, 1))))
+        assert w == dfa_shortest_accepted(dfa_complement(nfa_to_dfa(reference_nfa(t, 1))))
 
     @pytest.fixture(scope="class")
     def e23_pair(self):
@@ -452,7 +453,7 @@ class TestEqualOperands:
         from iufst.decide import NfaView, _inclusion_witness
 
         for t, k in [(gen_block(3), 3), (block2, 2), (gen_e(2, 2), 2), (gen_e(3, 4), 4)]:
-            n = NfaView(to_nfa(t, k))
+            n = NfaView(reference_nfa(t, k))
             assert _inclusion_witness(n, n, 2**10) is None
 
 
@@ -476,10 +477,22 @@ def outcome(ask):
         return type(err), str(err)
 
 
+def paper_families() -> list[tuple[Transducer, int]]:
+    """The paper's constant-bound families at small sizes, with their
+    bounds, and one reduced machine."""
+    from iufst import gen_block, sweep_reduce
+
+    machines = [(gen_block(k), k) for k in (2, 3, 4)]
+    machines += [(gen_e(n, k), k) for n in (2, 3) for k in (1, 2, 3, 4)]
+    machines += [(gen_unary(2, 2), 2), (gen_unary(2, 3), 3), (gen_unary(3, 2), 2)]
+    machines.append((sweep_reduce(gen_e(2, 3), 3, 2), 2))
+    return machines
+
+
 class TestLaneCrossCheck:
     """Searching lane tuples expanded on demand gives the answers of
-    searching the materialized ``to_nfa`` through the same interface:
-    the same witness, or the same exception and message."""
+    searching the materialized ``reference_nfa`` through the same
+    interface: the same witness, or the same exception and message."""
 
     CAPS = (3, 4, 7, DEFAULT_SEARCH_CAP)
 
@@ -493,7 +506,7 @@ class TestLaneCrossCheck:
 
         def view(t, k):
             if (id(t), k) not in nfas:
-                nfas[id(t), k] = t, NfaView(to_nfa(t, k))
+                nfas[id(t), k] = t, NfaView(reference_nfa(t, k))
             return nfas[id(t), k][1]
 
         with monkeypatch.context() as m:
@@ -525,15 +538,37 @@ class TestLaneCrossCheck:
         self.agree(monkeypatch, self.questions(machines, pairs))
 
     def test_paper_families(self, monkeypatch):
-        from iufst import gen_block, sweep_reduce
-
-        machines = [(gen_block(k), k) for k in (2, 3, 4)]
-        machines += [(gen_e(n, k), k) for n in (2, 3) for k in (1, 2, 3, 4)]
-        machines += [(gen_unary(2, 2), 2), (gen_unary(2, 3), 3), (gen_unary(3, 2), 2)]
-        e23 = gen_e(2, 3)
-        machines.append((sweep_reduce(e23, 3, 2), 2))
+        machines = paper_families()
         pairs = [(m1, m2) for m1 in machines for m2 in machines]
         self.agree(monkeypatch, self.questions(machines, pairs))
+
+
+class TestToNfaRestrictsTheReference:
+    """``to_nfa`` is ``reference_nfa`` restricted to the states reachable
+    on input symbols: the same names, the same accepting set, and the
+    same successor set per (state, symbol)."""
+
+    @staticmethod
+    def assert_restriction(t, k):
+        from iufst.core import _bfs
+
+        nfa, ref = to_nfa(t, k), reference_nfa(t, k)
+        edges = lambda q: [(r, x) for x in ref.alphabet for r in ref.transitions.get((q, x), ())]
+        reach = set(_bfs((ref.initial,), edges)[0])
+        assert (nfa.alphabet, nfa.initial) == (ref.alphabet, ref.initial)
+        assert set(nfa.states) == reach
+        assert nfa.accepting_set == ref.accepting_set & reach
+        for q in reach:
+            for x in ref.alphabet:
+                assert set(nfa.transitions.get((q, x), ())) == set(ref.transitions.get((q, x), ()))
+
+    def test_fuzz_corpus(self, fuzz_corpus):
+        for t, k, *_ in fuzz_corpus:
+            self.assert_restriction(t, k)
+
+    def test_paper_families(self):
+        for t, k in paper_families():
+            self.assert_restriction(t, k)
 
 
 class TestLazyExpansion:
@@ -547,14 +582,14 @@ class TestLazyExpansion:
         assert [n.expanded for n in made] == [1]
 
     def test_emptiness_of_block5_discovers_fewer_tuples_than_to_nfa(self, monkeypatch):
-        from iufst import gen_block, in_block
+        from iufst import gen_block, in_block, sweep_reduce
 
         b5 = gen_block(5)
         made = record_lane_nfas(monkeypatch)
         w = emptiness_witness(b5, 5)
         assert in_block(5, w)
         (n,) = made
-        assert n.discovered < len(to_nfa(b5, 5).states)
+        assert n.discovered < len(sweep_reduce(b5, 5, 5).states)
 
     def test_e45_equivalence_discovers_no_more_tuples_than_to_nfa(self, monkeypatch):
         from iufst import sweep_reduce
@@ -568,13 +603,13 @@ class TestLazyExpansion:
         assert sum(n.discovered for n in made) <= materialized
 
     def test_infiniteness_of_block5_discovers_fewer_tuples_than_to_nfa(self, monkeypatch):
-        from iufst import gen_block
+        from iufst import gen_block, sweep_reduce
 
         b5 = gen_block(5)
         made = record_lane_nfas(monkeypatch)
         assert infiniteness_witness(b5, 5) is not None
         (n,) = made
-        assert n.discovered < len(to_nfa(b5, 5).states)
+        assert n.discovered < len(sweep_reduce(b5, 5, 5).states)
 
 
 def test_halted_tuples_are_all_dummy_lanes():
@@ -598,8 +633,9 @@ def test_halted_tuples_are_all_dummy_lanes():
 
 
 class TestCommaNamedStates:
-    """The searches never name a lane tuple, so state names that make two
-    tuple names render alike in ``to_nfa`` do not stop them."""
+    """State names holding commas: the searches never name a lane tuple,
+    and ``to_nfa`` and ``sweep_reduce`` escape the commas, so tuples such
+    as (p, p,p, p) and (p,p, p, p) keep distinct names."""
 
     @pytest.fixture
     def comma_machine(self):
@@ -625,8 +661,16 @@ class TestCommaNamedStates:
         for j in (0, 1, 2, 3):
             assert run(comma_machine, pre + cyc * j + suf, 3).accepted, j
 
-    def test_to_nfa_still_rejects_the_naming(self, comma_machine):
-        from iufst import MachineError
+    def test_to_nfa_and_sweep_reduce_answer(self, comma_machine):
+        from iufst import MachineFile, parse_machine, serialize_machine, sweep_reduce
 
-        with pytest.raises(MachineError, match="not injective"):
-            to_nfa(comma_machine, 3)
+        nfa = to_nfa(comma_machine, 3)
+        reduced = [sweep_reduce(comma_machine, 3, i) for i in (1, 2, 3)]
+        for m in range(9):
+            w = ("a",) * m
+            expected = run(comma_machine, w, 3).accepted
+            assert nfa.accepts(w) == expected, w
+            for red in reduced:
+                assert run(red, w, red.sweep_bound).accepted == expected, (red.meta, w)
+        for mf in [MachineFile("nfa", nfa)] + [MachineFile("niufst", r) for r in reduced]:
+            assert parse_machine(serialize_machine(mf)).machine == mf.machine

@@ -84,6 +84,9 @@ class TestParse:
             ((IDENTITY + "trans q a -> zz a\n").replace("\n", "\r\n"), 10, "undeclared state"),
             (IDENTITY.replace("accept q\n", "accept q\nsweeps \u00b2\n"), 8, "sweeps must be"),
             (IDENTITY.replace("accept q\n", "accept q\nsweeps \u0661\n"), 8, "sweeps must be"),
+            (IDENTITY.replace("accept q\n", "accept q\nsweeps 01\n"), 8, "sweeps must be"),
+            (IDENTITY.replace("input a", "input a a"), 3, "duplicate input symbol"),
+            (IDENTITY.replace("output a <", "output a a <"), 4, "duplicate output symbol"),
             (IDENTITY.replace("output a <", "output a -> <"), 4, "'->' is a reserved token"),
             (
                 "kind lba\nstates p\ninput a\ntape a > < ->\nlend >\nrend <\n"
@@ -94,6 +97,7 @@ class TestParse:
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
+             "leading-zero-sweeps", "duplicate-input", "duplicate-output",
              "reserved-output", "reserved-tape"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
