@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import decide as decide_mod
 from .convert import (
+    Dfa,
     Nfa,
     ResourceBudgetError,
     dfa_minimize,
@@ -283,12 +284,11 @@ def cmd_convert(args) -> int:
         _save(MachineFile("nfa", out), args.output)
         return OK
     if target in ("dfa", "min-dfa"):
-        if isinstance(mf.machine, Nfa):
-            nfa = mf.machine
-        else:
+        m = mf.machine
+        if not isinstance(m, (Nfa, Dfa)):
             t = _need_transducer(mf)
-            nfa = to_nfa(t, _need_bound(t))
-        dfa = nfa_to_dfa(nfa, state_cap=args.state_cap)
+            m = to_nfa(t, _need_bound(t))
+        dfa = m if isinstance(m, Dfa) else nfa_to_dfa(m, state_cap=args.state_cap)
         if target == "min-dfa":
             dfa = dfa_minimize(dfa)
         _save(MachineFile("dfa", dfa), args.output)

@@ -11,7 +11,8 @@ input symbols; ``NfaView`` gives a materialized ``Nfa`` its interface.
 construction takes that to a DFA; ``decide`` and the oracle search
 ``LaneNfa`` itself.  Standard DFA plumbing
 (completion, minimization, complement, products) lives here too because
-the lower-bound checks and ``iufst convert`` need it.
+the lower-bound checks and ``iufst convert`` need it.  ``Nfa`` and
+``Dfa`` take their header checks from ``core`` and share ``_Fa``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,31 @@ from .core import (
     MalformedInputError,
     ResourceBudgetError,
     Transducer,
+    _Record,
     _bfs,
-    _check_token,
-    _check_unique,
+    _check_ends,
+    _check_header,
     _shortest_word,
     materialize,
 )
 
 
+class _Fa(_Record):
+    """Base of ``Nfa`` and ``Dfa``: the alphabet as a set, and the check
+    that a word is over it."""
+
+    @cached_property
+    def alphabet_set(self) -> frozenset[str]:
+        return frozenset(self.alphabet)
+
+    def _check_word(self, word: Sequence[str]) -> None:
+        bad = [a for a in word if a not in self.alphabet_set]
+        if bad:
+            raise MalformedInputError(f"symbols {bad!r} outside the alphabet")
+
+
 @dataclass(frozen=True)
-class Nfa:
+class Nfa(_Fa):
     """Classical NFA; transitions map (state, symbol) to successor tuples."""
 
     states: tuple[str, ...]
@@ -45,19 +61,9 @@ class Nfa:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for s in self.states:
-            _check_token(s, "state")
-        for a in self.alphabet:
-            _check_token(a, "symbol")
-        _check_unique(self.states, "states")
-        _check_unique(self.alphabet, "symbols")
-        state_set = set(self.states)
-        alpha = set(self.alphabet)
-        if self.initial not in state_set:
-            raise MachineError(f"initial state {self.initial!r} not declared")
-        for q in self.accepting:
-            if q not in state_set:
-                raise MachineError(f"accepting state {q!r} not declared")
+        state_set = _check_header(self.states, (self.alphabet, "symbol"))
+        _check_ends(state_set, self.initial, self.accepting)
+        alpha = self.alphabet_set
         for (q, x), rs in self.transitions.items():
             if q not in state_set or x not in alpha:
                 raise MachineError(f"bad transition key ({q!r}, {x!r})")
@@ -65,22 +71,12 @@ class Nfa:
                 if r not in state_set:
                     raise MachineError(f"transition into undeclared state {r!r}")
 
-    @cached_property
-    def accepting_set(self) -> frozenset[str]:
-        return frozenset(self.accepting)
-
-    @cached_property
-    def alphabet_set(self) -> frozenset[str]:
-        return frozenset(self.alphabet)
-
     @property
     def is_deterministic(self) -> bool:
         return all(len(v) <= 1 for v in self.transitions.values())
 
     def accepts(self, word: Sequence[str]) -> bool:
-        bad = [a for a in word if a not in self.alphabet_set]
-        if bad:
-            raise MalformedInputError(f"symbols {bad!r} outside the alphabet")
+        self._check_word(word)
         cur = {self.initial}
         for x in word:
             cur = {r for q in cur for r in self.transitions.get((q, x), ())}
@@ -90,7 +86,7 @@ class Nfa:
 
 
 @dataclass(frozen=True)
-class Dfa:
+class Dfa(_Fa):
     """Complete or partial DFA; at most one successor per (state, symbol)."""
 
     states: tuple[str, ...]
@@ -101,30 +97,12 @@ class Dfa:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for s in self.states:
-            _check_token(s, "state")
-        for a in self.alphabet:
-            _check_token(a, "symbol")
-        _check_unique(self.states, "states")
-        _check_unique(self.alphabet, "symbols")
-        state_set = set(self.states)
-        alpha = set(self.alphabet)
-        if self.initial not in state_set:
-            raise MachineError(f"initial state {self.initial!r} not declared")
-        for q in self.accepting:
-            if q not in state_set:
-                raise MachineError(f"accepting state {q!r} not declared")
+        state_set = _check_header(self.states, (self.alphabet, "symbol"))
+        _check_ends(state_set, self.initial, self.accepting)
+        alpha = self.alphabet_set
         for (q, x), r in self.transitions.items():
             if q not in state_set or x not in alpha or r not in state_set:
                 raise MachineError(f"bad transition ({q!r}, {x!r}) -> {r!r}")
-
-    @cached_property
-    def accepting_set(self) -> frozenset[str]:
-        return frozenset(self.accepting)
-
-    @cached_property
-    def alphabet_set(self) -> frozenset[str]:
-        return frozenset(self.alphabet)
 
     @property
     def is_deterministic(self) -> bool:
@@ -135,10 +113,9 @@ class Dfa:
         return all((q, x) in self.transitions for q in self.states for x in self.alphabet)
 
     def accepts(self, word: Sequence[str]) -> bool:
+        self._check_word(word)
         cur: Optional[str] = self.initial
         for x in word:
-            if x not in self.alphabet_set:
-                raise MalformedInputError(f"symbol {x!r} outside the alphabet")
             cur = self.transitions.get((cur, x))
             if cur is None:
                 return False

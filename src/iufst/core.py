@@ -31,6 +31,10 @@ parses token strings.  Moves reading an undeclared symbol are skipped,
 writing one raises ``MachineError``, and moves are ordered by the declared
 rank of the symbol read, so state names and transition order do not depend
 on the order a construction yields them in.
+
+The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` check
+their headers with ``_check_header`` and ``_check_ends`` and derive from
+``_Record``; each keeps its own transition and endmarker rules.
 """
 
 from __future__ import annotations
@@ -75,13 +79,37 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} cannot be written in the text format")
 
 
-def _check_unique(items: Sequence[str], what: str) -> None:
-    if len(set(items)) != len(items):
-        raise MachineError(f"duplicate {what} in {items!r}")
+def _check_header(states: Sequence[str], *alphabets: tuple[Sequence[str], str]) -> set[str]:
+    """Check a record's ``states`` and its (symbols, ``what``) alphabets:
+    every token first, then duplicates.  Returns the state set."""
+    named = ((states, "state"), *alphabets)
+    for items, what in named:
+        for tok in items:
+            _check_token(tok, what)
+    for items, what in named:
+        if len(set(items)) != len(items):
+            raise MachineError(f"duplicate {what}s in {items!r}")
+    return set(states)
+
+
+def _check_ends(state_set: set[str], initial: str, accepting: Sequence[str]) -> None:
+    if initial not in state_set:
+        raise MachineError(f"initial state {initial!r} not declared")
+    for q in accepting:
+        if q not in state_set:
+            raise MachineError(f"accepting state {q!r} not declared")
+
+
+class _Record:
+    """Base of the machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba``."""
+
+    @cached_property
+    def accepting_set(self) -> frozenset[str]:
+        return frozenset(self.accepting)
 
 
 @dataclass(frozen=True)
-class Transducer:
+class Transducer(_Record):
     """A length-preserving transducer iterated sweep by sweep.
 
     ``transitions`` maps (state, symbol over input or output alphabet) to
@@ -104,26 +132,14 @@ class Transducer:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for s in self.states:
-            _check_token(s, "state")
-        for a in self.input_alphabet:
-            _check_token(a, "input symbol")
-        for a in self.output_alphabet:
-            _check_token(a, "output symbol")
-        _check_unique(self.states, "states")
-        _check_unique(self.input_alphabet, "input symbols")
-        _check_unique(self.output_alphabet, "output symbols")
-        state_set = set(self.states)
+        state_set = _check_header(self.states, (self.input_alphabet, "input symbol"),
+                                  (self.output_alphabet, "output symbol"))
         out_set = set(self.output_alphabet)
         if self.endmarker not in out_set:
             raise MachineError("endmarker must be an output symbol")
         if self.endmarker in self.input_alphabet:
             raise MachineError("endmarker must not be an input symbol")
-        if self.initial not in state_set:
-            raise MachineError(f"initial state {self.initial!r} not declared")
-        for q in self.accepting:
-            if q not in state_set:
-                raise MachineError(f"accepting state {q!r} not declared")
+        _check_ends(state_set, self.initial, self.accepting)
         sym_set = set(self.input_alphabet) | out_set
         for (q, x), choices in self.transitions.items():
             if q not in state_set:
@@ -151,10 +167,6 @@ class Transducer:
     @cached_property
     def input_set(self) -> frozenset[str]:
         return frozenset(self.input_alphabet)
-
-    @cached_property
-    def accepting_set(self) -> frozenset[str]:
-        return frozenset(self.accepting)
 
     @cached_property
     def is_deterministic(self) -> bool:

@@ -22,8 +22,9 @@ from .core import (
     MachineError,
     MalformedInputError,
     Transducer,
-    _check_token,
-    _check_unique,
+    _Record,
+    _check_ends,
+    _check_header,
 )
 
 # Actions are tape symbols (stationary rewrite) or the move tokens below.
@@ -32,7 +33,7 @@ MOVE_RIGHT = "R"
 
 
 @dataclass(frozen=True)
-class Lba:
+class Lba(_Record):
     """Nondeterministic linear bounded automaton.
 
     The head stays between the endmarkers, which are never overwritten;
@@ -54,14 +55,8 @@ class Lba:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for s in self.states:
-            _check_token(s, "state")
-        for a in self.tape_alphabet:
-            _check_token(a, "tape symbol")
-        _check_unique(self.states, "states")
-        _check_unique(self.tape_alphabet, "tape symbols")
-        _check_unique(self.input_alphabet, "input symbols")
-        state_set = set(self.states)
+        state_set = _check_header(self.states, (self.tape_alphabet, "tape symbol"),
+                                  (self.input_alphabet, "input symbol"))
         tape_set = set(self.tape_alphabet)
         if MOVE_LEFT in tape_set or MOVE_RIGHT in tape_set:
             raise MachineError("tape symbols L and R are reserved for moves")
@@ -73,11 +68,7 @@ class Lba:
         for a in self.input_alphabet:
             if a not in tape_set or a in ends:
                 raise MachineError(f"input symbol {a!r} must be a non-endmarker tape symbol")
-        if self.initial not in state_set:
-            raise MachineError(f"initial state {self.initial!r} not declared")
-        for q in self.accepting:
-            if q not in state_set:
-                raise MachineError(f"accepting state {q!r} not declared")
+        _check_ends(state_set, self.initial, self.accepting)
         for (q, x), acts in self.transitions.items():
             if q not in state_set or x not in tape_set:
                 raise MachineError(f"bad transition key ({q!r}, {x!r})")
@@ -99,10 +90,6 @@ class Lba:
                         raise MachineError("endmarkers may not be written elsewhere")
                 else:
                     raise MachineError(f"action {act!r} is neither a tape symbol nor L/R")
-
-    @cached_property
-    def accepting_set(self) -> frozenset[str]:
-        return frozenset(self.accepting)
 
     @cached_property
     def input_set(self) -> frozenset[str]:

@@ -50,23 +50,19 @@ def enumerate_words(alphabet: Sequence[str], max_len: int) -> Iterator[Word]:
         yield from product(alphabet, repeat=length)
 
 
-def make_acceptor(
-    acceptor: Acceptor, sweep_budget: Optional[int] = None,
-    tape_cap: int = 200_000,
-) -> Callable[[Word], bool]:
+def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word], bool]:
     """Uniform word-membership view of machines and predicates.
 
-    Transducers run under their declared sweep bound, or under a
-    length-dependent budget for tagged bounds; an inconclusive run
+    Transducers run under their declared sweep bound, or under a budget
+    of ``len(word) + 8`` sweeps for tagged bounds; an inconclusive run
     (budget exhausted with tapes left) raises instead of guessing.
     """
     if isinstance(acceptor, tuple):
         t, k = acceptor
         return make_acceptor_transducer(t, k, tape_cap)
     if isinstance(acceptor, Transducer):
-        if isinstance(acceptor.sweep_bound, int):
-            return make_acceptor_transducer(acceptor, acceptor.sweep_bound, tape_cap)
-        return make_acceptor_transducer(acceptor, sweep_budget, tape_cap)
+        k = acceptor.sweep_bound if isinstance(acceptor.sweep_bound, int) else None
+        return make_acceptor_transducer(acceptor, k, tape_cap)
     if isinstance(acceptor, (Nfa, Dfa)):
         return acceptor.accepts
     if callable(acceptor):

@@ -8,7 +8,8 @@ declaration order, one transition per line, LF endings.  Comments start
 with ``%`` (``#`` is a live alphabet symbol in the block language) and
 run to the end of the line.  Parsing is one lazy pass over the rows:
 a line is tokenized only when its row is taken, and rows are numbered
-as ``str.splitlines`` counts lines, from 1.
+as ``str.splitlines`` counts lines, from 1.  The kind parsers share
+``_ends`` and ``_trans`` and keep only their own per-row checks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from .convert import Dfa, Nfa
 from .core import MachineError, MalformedInputError, Transducer
 from .lba import Lba
 
-KINDS = ("niufst", "iufst", "nfa", "dfa", "lba")
+# each kind's record class and the noun its mismatch message uses
+_RECORDS = {
+    "niufst": (Transducer, "a transducer"),
+    "iufst": (Transducer, "a transducer"),
+    "nfa": (Nfa, "an NFA"),
+    "dfa": (Dfa, "a DFA"),
+    "lba": (Lba, "an LBA"),
+}
+KINDS = tuple(_RECORDS)
 
 RESERVED = ("->", "%")
 
@@ -40,18 +49,13 @@ class MachineFile:
     machine: Transducer | Nfa | Dfa | Lba
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _RECORDS:
             raise MachineError(f"unknown machine kind {self.kind!r}")
         if self.kind == "iufst" and not self.machine.is_deterministic:
             raise MachineError("iufst files must be deterministic")
-        if self.kind in ("niufst", "iufst") and not isinstance(self.machine, Transducer):
-            raise MachineError(f"kind {self.kind} requires a transducer")
-        if self.kind == "nfa" and not isinstance(self.machine, Nfa):
-            raise MachineError("kind nfa requires an NFA")
-        if self.kind == "dfa" and not isinstance(self.machine, Dfa):
-            raise MachineError("kind dfa requires a DFA")
-        if self.kind == "lba" and not isinstance(self.machine, Lba):
-            raise MachineError("kind lba requires an LBA")
+        record, noun = _RECORDS[self.kind]
+        if not isinstance(self.machine, record):
+            raise MachineError(f"kind {self.kind} requires {noun}")
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -107,12 +111,16 @@ def parse_machine(text: str) -> MachineFile:
     one loop reads the transition rows as ``_rows`` yields them.  A
     ``%`` starts a comment; blank and comment-only lines are skipped but
     still counted, so a line number is the one ``splitlines`` gives.
-    Distinct diagnostics (each with a line number): unknown directive,
-    missing directive or unexpected end of file, undeclared state or
-    symbol, a duplicate state, input or output symbol, a reserved token
-    in a declaration, an endmarker that is also an input symbol, a sweep
-    bound that is not a tag or ASCII digits without a leading zero,
-    duplicate DFA transitions, and malformed LBA actions.
+    Distinct diagnostics with a line number: unknown directive, missing
+    directive or unexpected end of file, undeclared state or symbol, a
+    duplicate state, input or output symbol, a reserved token in a
+    declaration, an endmarker that is also an input symbol, a sweep bound
+    that is not a tag or ASCII digits without a leading zero, duplicate
+    DFA transitions, and malformed LBA actions.  The rules only ``Lba``
+    checks come out as line 0: an input symbol outside ``tape`` or equal
+    to an endmarker, ``lend`` or ``rend`` outside ``tape``, equal
+    endmarkers, ``L`` or ``R`` in ``tape``, a left move on ``lend`` or a
+    right move on ``rend``, and writing an endmarker or over one.
     """
     p = _Parser(text)
     kind_ops = p.take("kind")
@@ -152,13 +160,7 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
         raise p.error("endmarker must not be an input symbol")
     if endmarker not in output_set:
         raise p.error("endmarker must be a declared output symbol")
-    (initial,) = _exactly(p, p.take("initial"), 1, "initial")
-    if initial not in state_set:
-        raise p.error(f"undeclared initial state {initial!r}")
-    accepting = p.take("accept")
-    for q in accepting:
-        if q not in state_set:
-            raise p.error(f"undeclared accepting state {q!r}")
+    initial, accepting = _ends(p, state_set)
     bound: int | str | None = None
     sweeps = p.take("sweeps", required=False)
     if sweeps is not None:
@@ -172,14 +174,8 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     sym_set = input_set | output_set
     line = p.line
-    for line, toks in p.rest():
-        if toks[0] != "trans":
-            raise MachineParseError(f"unknown directive {toks[0]!r}", line)
-        if len(toks) != 6 or toks[3] != "->":
-            raise MachineParseError("transducer transitions read: trans s a -> t y", line)
-        _, q, x, _, r, y = toks
-        if q not in state_set or r not in state_set:
-            raise MachineParseError(f"undeclared state in transition {q!r} / {r!r}", line)
+    usage = "transducer transitions read: trans s a -> t y"
+    for line, (_, q, x, _, r, y) in _trans(p, 6, usage, state_set):
         if x not in sym_set:
             raise MachineParseError(f"undeclared symbol {x!r}", line)
         if y not in output_set:
@@ -203,22 +199,10 @@ def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineF
 
 
 def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
-    (initial,) = _exactly(p, p.take("initial"), 1, "initial")
-    if initial not in state_set:
-        raise p.error(f"undeclared initial state {initial!r}")
-    accepting = p.take("accept")
-    for q in accepting:
-        if q not in state_set:
-            raise p.error(f"undeclared accepting state {q!r}")
+    initial, accepting = _ends(p, state_set)
     nfa_trans: dict[tuple[str, str], tuple[str, ...]] = {}
-    for line, toks in p.rest():
-        if toks[0] != "trans":
-            raise MachineParseError(f"unknown directive {toks[0]!r}", line)
-        if len(toks) != 5 or toks[3] != "->":
-            raise MachineParseError("finite-automaton transitions read: trans s a -> t", line)
-        _, q, x, _, r = toks
-        if q not in state_set or r not in state_set:
-            raise MachineParseError(f"undeclared state in transition {q!r} / {r!r}", line)
+    usage = "finite-automaton transitions read: trans s a -> t"
+    for line, (_, q, x, _, r) in _trans(p, 5, usage, state_set):
         if x not in input_set:
             raise MachineParseError(f"undeclared symbol {x!r}", line)
         if kind == "dfa" and (q, x) in nfa_trans:
@@ -226,23 +210,14 @@ def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
         if r in nfa_trans.get((q, x), ()):
             raise MachineParseError(f"duplicate transition ({q!r}, {x!r}) -> {r!r}", line)
         nfa_trans[(q, x)] = nfa_trans.get((q, x), ()) + (r,)
-    if kind == "dfa":
-        dfa = Dfa(
-            states=tuple(states),
-            alphabet=tuple(inputs),
-            initial=initial,
-            accepting=tuple(accepting),
-            transitions={k: v[0] for k, v in nfa_trans.items()},
-        )
-        return MachineFile(kind, dfa)
-    nfa = Nfa(
+    fa = _RECORDS[kind][0](
         states=tuple(states),
         alphabet=tuple(inputs),
         initial=initial,
         accepting=tuple(accepting),
-        transitions=nfa_trans,
+        transitions={k: v[0] for k, v in nfa_trans.items()} if kind == "dfa" else nfa_trans,
     )
-    return MachineFile(kind, nfa)
+    return MachineFile(kind, fa)
 
 
 def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
@@ -251,22 +226,10 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
     tape_set = set(tape)
     (lend,) = _exactly(p, p.take("lend"), 1, "lend")
     (rend,) = _exactly(p, p.take("rend"), 1, "rend")
-    (initial,) = _exactly(p, p.take("initial"), 1, "initial")
-    if initial not in state_set:
-        raise p.error(f"undeclared initial state {initial!r}")
-    accepting = p.take("accept")
-    for q in accepting:
-        if q not in state_set:
-            raise p.error(f"undeclared accepting state {q!r}")
+    initial, accepting = _ends(p, state_set)
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for line, toks in p.rest():
-        if toks[0] != "trans":
-            raise MachineParseError(f"unknown directive {toks[0]!r}", line)
-        if len(toks) != 6 or toks[3] != "->":
-            raise MachineParseError("lba transitions read: trans s a -> t (y|L|R)", line)
-        _, q, x, _, r, act = toks
-        if q not in state_set or r not in state_set:
-            raise MachineParseError(f"undeclared state in transition {q!r} / {r!r}", line)
+    usage = "lba transitions read: trans s a -> t (y|L|R)"
+    for line, (_, q, x, _, r, act) in _trans(p, 6, usage, state_set):
         if x not in tape_set:
             raise MachineParseError(f"undeclared tape symbol {x!r}", line)
         if act not in ("L", "R") and act not in tape_set:
@@ -288,6 +251,33 @@ def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
         transitions=transitions,
     )
     return MachineFile("lba", lba)
+
+
+def _ends(p, state_set) -> tuple[str, list[str]]:
+    """The ``initial`` and ``accept`` directives, over declared states."""
+    (initial,) = _exactly(p, p.take("initial"), 1, "initial")
+    if initial not in state_set:
+        raise p.error(f"undeclared initial state {initial!r}")
+    accepting = p.take("accept")
+    for q in accepting:
+        if q not in state_set:
+            raise p.error(f"undeclared accepting state {q!r}")
+    return initial, accepting
+
+
+def _trans(p, width, usage, state_set) -> Iterator[tuple[int, list[str]]]:
+    """The rows left, each a ``trans`` row of ``width`` tokens with ``->``
+    fourth, between declared states; a row of another shape fails with
+    ``usage``."""
+    for line, toks in p.rest():
+        if toks[0] != "trans":
+            raise MachineParseError(f"unknown directive {toks[0]!r}", line)
+        if len(toks) != width or toks[3] != "->":
+            raise MachineParseError(usage, line)
+        if toks[1] not in state_set or toks[4] not in state_set:
+            msg = f"undeclared state in transition {toks[1]!r} / {toks[4]!r}"
+            raise MachineParseError(msg, line)
+        yield line, toks
 
 
 def _exactly(p, toks, n, what):

@@ -117,6 +117,19 @@ class TestConvertDecide:
         assert text.startswith("kind dfa")
         assert len([l for l in text.splitlines() if l.startswith("states")][0].split()) == 9
 
+    def test_convert_dfa_file(self, tmp_path, capsys):
+        src, dfa, small = tmp_path / "u23.m", tmp_path / "d.m", tmp_path / "m.m"
+        again = tmp_path / "again.m"
+        main(["gen", "unary:2,3", "-o", str(src)])
+        main(["convert", "-m", str(src), "--to", "dfa", "-o", str(dfa)])
+        main(["convert", "-m", str(src), "--to", "min-dfa", "-o", str(small)])
+        assert len(dfa.read_text()) > len(small.read_text())
+        # dfa takes a dfa file as it is; min-dfa minimizes it
+        for target, want in [("dfa", dfa), ("min-dfa", small)]:
+            assert main(["convert", "-m", str(dfa), "--to", target, "-o", str(again)]) == 0
+            assert again.read_text() == want.read_text()
+        capsys.readouterr()
+
     def test_decide_empty_false_with_witness(self, capsys, e21_file):
         code, out, _ = run_cli(capsys, "decide", "empty", "-m", e21_file)
         assert code == 1 and out.startswith("false witness=")

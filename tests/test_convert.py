@@ -208,3 +208,11 @@ class TestDfaTokens:
 
         with pytest.raises(MachineError, match="symbol must be a non-empty whitespace-free"):
             Dfa(("p",), ("a b",), "p", ("p",), {("p", "a b"): "p"})
+
+    def test_accepts_checks_the_whole_word_first(self):
+        from iufst import Dfa, MalformedInputError
+
+        # no move on b, so a symbol-by-symbol check would stop before zz
+        d = Dfa(("p",), ("a", "b"), "p", ("p",), {("p", "a"): "p"})
+        with pytest.raises(MalformedInputError, match=r"symbols \['zz'\] outside the alphabet"):
+            d.accepts(("b", "zz"))

@@ -3,14 +3,18 @@
 import itertools
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
 from iufst import (
     AcceptModeViolation,
     Completed,
+    Dfa,
+    Lba,
     MachineError,
     MalformedInputError,
+    Nfa,
     NotDeterministicError,
     Stuck,
     Transducer,
@@ -89,7 +93,32 @@ class TestCheckToken:
         _check_token("->>", "state")
 
 
+# one valid record of each kind, each with the single state q
+RECORDS = {
+    "transducer": Transducer(("q",), ("a",), ("a", "<"), "<", "q", ("q",), {}),
+    "nfa": Nfa(("q",), ("a",), "q", ("q",), {}),
+    "dfa": Dfa(("q",), ("a",), "q", ("q",), {}),
+    "lba": Lba(("q",), ("a",), ("a", ">", "<"), ">", "<", "q", ("q",), {}),
+}
+
+
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"initial": "z"}, "initial state 'z' not declared"),
+            ({"accepting": ("q", "z")}, "accepting state 'z' not declared"),
+            ({"states": ("q", "q")}, "duplicate states in ('q', 'q')"),
+            ({"states": ("q", " ")}, "state must be a non-empty whitespace-free string, got ' '"),
+        ],
+        ids=["undeclared-initial", "undeclared-accepting", "duplicate-state", "blank-state"],
+    )
+    @pytest.mark.parametrize("kind", RECORDS)
+    def test_header_messages(self, kind, change, message):
+        with pytest.raises(MachineError) as err:
+            replace(RECORDS[kind], **change)
+        assert str(err.value) == message
+
     def test_endmarker_must_not_be_input(self):
         with pytest.raises(MachineError):
             Transducer(

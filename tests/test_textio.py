@@ -33,6 +33,10 @@ trans q a -> q a
 trans q < -> q <
 """
 
+FA = "kind {}\nstates p q\ninput a\ninitial p\naccept q\ntrans p a -> q\n"
+NFA, DFA = FA.format("nfa"), FA.format("dfa")
+LBA = "kind lba\nstates p\ninput a\ntape a > <\nlend >\nrend <\ninitial p\naccept p\n"
+
 
 class TestParse:
     def test_identity_file(self):
@@ -94,11 +98,26 @@ class TestParse:
                 4,
                 "'->' is a reserved token",
             ),
+            (NFA.replace("initial p", "initial z"), 4, "undeclared initial state 'z'"),
+            (NFA.replace("accept q", "accept q z"), 5, "undeclared accepting state 'z'"),
+            (NFA + "frobnicate p\n", 7, "unknown directive 'frobnicate'"),
+            (NFA + "trans p a -> q q\n", 7, "finite-automaton transitions read"),
+            (DFA.replace("initial p", "initial z"), 4, "undeclared initial state 'z'"),
+            (DFA.replace("accept q", "accept q z"), 5, "undeclared accepting state 'z'"),
+            (DFA + "frobnicate p\n", 7, "unknown directive 'frobnicate'"),
+            (DFA + "trans p a -> q q\n", 7, "finite-automaton transitions read"),
+            (LBA.replace("initial p", "initial z"), 7, "undeclared initial state 'z'"),
+            (LBA.replace("accept p", "accept p z"), 8, "undeclared accepting state 'z'"),
+            (LBA + "trans p a -> p R\nfrobnicate p\n", 10, "unknown directive 'frobnicate'"),
+            (LBA + "trans p a -> p\n", 9, "lba transitions read"),
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
              "leading-zero-sweeps", "duplicate-input", "duplicate-output",
-             "reserved-output", "reserved-tape"],
+             "reserved-output", "reserved-tape",
+             "nfa-initial", "nfa-accept", "nfa-directive", "nfa-arity",
+             "dfa-initial", "dfa-accept", "dfa-directive", "dfa-arity",
+             "lba-initial", "lba-accept", "lba-directive", "lba-arity"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
         with pytest.raises(MachineParseError, match=message) as info:
