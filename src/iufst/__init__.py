@@ -13,12 +13,10 @@ from .convert import (
     Dfa,
     Nfa,
     ResourceBudgetError,
-    dfa_complement,
     dfa_complete,
-    dfa_isomorphic,
     dfa_minimize,
     dfa_product,
-    dfa_shortest_accepted,
+    min_dfa,
     nfa_to_1niufst,
     nfa_to_dfa,
     reduced_state_universe,

@@ -21,6 +21,7 @@ from .convert import (
     Nfa,
     ResourceBudgetError,
     dfa_minimize,
+    min_dfa,
     nfa_to_dfa,
     sweep_reduce,
     to_nfa,
@@ -288,10 +289,11 @@ def cmd_convert(args) -> int:
         if not isinstance(m, (Nfa, Dfa)):
             t = _need_transducer(mf)
             m = to_nfa(t, _need_bound(t))
-        dfa = m if isinstance(m, Dfa) else nfa_to_dfa(m, state_cap=args.state_cap)
-        if target == "min-dfa":
-            dfa = dfa_minimize(dfa)
-        _save(MachineFile("dfa", dfa), args.output)
+        if isinstance(m, Nfa):
+            m = (min_dfa if target == "min-dfa" else nfa_to_dfa)(m, state_cap=args.state_cap)
+        elif target == "min-dfa":
+            m = dfa_minimize(m)
+        _save(MachineFile("dfa", m), args.output)
         return OK
     raise CliError(f"unknown conversion target {target!r}")
 

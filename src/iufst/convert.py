@@ -7,12 +7,15 @@ gives the moves of a tuple of lanes over the machine's state indices.
 ``sweep_reduce`` materializes the tuples it reaches as a transducer.
 ``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
 input symbols; ``NfaView`` gives a materialized ``Nfa`` its interface.
-``to_nfa`` renders a ``LaneNfa`` with named states, and the powerset
-construction takes that to a DFA; ``decide`` and the oracle search
-``LaneNfa`` itself.  Standard DFA plumbing
-(completion, minimization, complement, products) lives here too because
-the lower-bound checks and ``iufst convert`` need it.  ``Nfa`` and
-``Dfa`` take their header checks from ``core`` and share ``_Fa``.
+``to_nfa`` renders a ``LaneNfa`` with named states; ``decide`` and the
+oracle search ``LaneNfa`` itself.  DFAs live in int tables (successor
+indices per symbol, accepting bits) between two kernels: ``_powerset``
+determinizes an NFA and ``_moore`` minimizes a table, naming only its
+result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
+``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
+``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
+``Nfa`` and ``Dfa`` take their header checks from ``core`` and share
+``_Fa``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .core import (
     _bfs,
     _check_ends,
     _check_header,
-    _shortest_word,
     materialize,
 )
 
@@ -376,62 +378,43 @@ def nfa_to_1niufst(n: Nfa) -> Transducer:
     )
 
 
-def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
-    """Powerset construction over reachable subsets.
+def _powerset(n: Nfa, state_cap: int) -> tuple[list[list[int]], list[list[int]], list[bool]]:
+    """The powerset kernel: ``n``'s subsets reachable from ``{initial}``.
 
-    A subset is an int bitmask over the NFA's state order (bit i is
-    ``n.states[i]``, as ``NfaView(n)`` numbers it), so one step ORs
-    precomputed successor masks.  Subsets are discovered breadth-first
-    from ``{initial}``, symbols in alphabet order; each is named
-    ``{q1,q2,...}`` with its members in the NFA's state order (``{}``
-    for the empty subset).  The result is complete: the empty subset
-    appears as an explicit dead state whenever some (subset, symbol) has
-    no successor.  ``state_cap``
-    counts discovered subsets, the dead one included; discovering more
-    raises ``ResourceBudgetError``.
+    A subset is an int bitmask (bit i is ``n.states[i]``), so one step
+    ORs precomputed successor masks.  Returns, in breadth-first discovery
+    order (symbols in alphabet order, the initial subset first), each
+    subset's member indices, low to high; ``succ[j][i]``, the index of
+    subset i's successor on symbol j; and the accepting bits.  The empty
+    subset is kept like any other, so the table is complete.
+    ``state_cap`` counts discovered subsets, the empty one included;
+    discovering more raises ``ResourceBudgetError``.
     """
     v = NfaView(n)
     states = range(len(n.states))
-    # step[x][i]: successor mask of state i on symbol x
-    step = {
-        x: [sum(1 << r for r in set(v.step(i)[j])) for i in states]
-        for j, x in enumerate(n.alphabet)
-    }
-    # per subset, its members and its (successor, symbol) row
-    rows: dict[int, tuple[list[int], list[tuple[int, str]]]] = {}
-
-    def succ(cur: int) -> list[tuple[int, str]]:
+    # step[j][i]: successor mask of state i on symbol j
+    step = [[sum(1 << r for r in set(v.step(i)[j])) for i in states]
+            for j in range(len(n.alphabet))]
+    masks = [1 << v.initial]
+    index = {masks[0]: 0}
+    subsets: list[list[int]] = []
+    succ: list[list[int]] = [[] for _ in step]
+    for cur in masks:  # grows while it is read: a breadth-first queue
         members = _bits(cur)
-        row = []
-        for x, moves in step.items():
+        subsets.append(members)
+        for moves, col in zip(step, succ):
             nxt = 0
             for i in members:
                 nxt |= moves[i]
-            row.append((nxt, x))
-        rows[cur] = (members, row)
-        return row
-
-    start = 1 << v.initial
-    try:
-        subsets, _ = _bfs((start,), succ, limit=state_cap)
-    except ResourceBudgetError:
-        raise ResourceBudgetError(
-            f"powerset construction exceeded {state_cap} states"
-        ) from None
-    names = {
-        sub: "{" + ",".join(map(n.states.__getitem__, rows[sub][0])) + "}"
-        for sub in subsets
-    }
+            j = index.get(nxt)
+            if j is None:
+                if len(masks) >= state_cap:
+                    raise ResourceBudgetError(f"powerset construction exceeded {state_cap} states")
+                j = index[nxt] = len(masks)
+                masks.append(nxt)
+            col.append(j)
     accepting = sum(1 << i for i in states if v.accepting(i))
-    return Dfa(
-        states=tuple(names.values()),
-        alphabet=tuple(n.alphabet),
-        initial=names[start],
-        accepting=tuple(names[sub] for sub in subsets if sub & accepting),
-        transitions={
-            (names[cur], x): names[nxt] for cur, (_, row) in rows.items() for nxt, x in row
-        },
-    )
+    return subsets, succ, [bool(sub & accepting) for sub in masks]
 
 
 def _bits(mask: int) -> list[int]:
@@ -442,6 +425,98 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
+    """Powerset construction over reachable subsets: ``_powerset``
+    rendered, each subset named ``{q1,q2,...}`` with its members in the
+    NFA's state order, in discovery order.  The result is complete: the
+    empty subset ``{}`` is an explicit dead state whenever some (subset,
+    symbol) has no successor.  ``state_cap`` is ``_powerset``'s.
+    """
+    subsets, succ, final = _powerset(n, state_cap)
+    names = ["{" + ",".join(map(n.states.__getitem__, sub)) + "}" for sub in subsets]
+    alphabet = tuple(n.alphabet)
+    return Dfa(
+        states=tuple(names),
+        alphabet=alphabet,
+        initial=names[0],
+        accepting=tuple(q for q, f in zip(names, final) if f),
+        transitions={
+            (q, x): names[col[i]] for i, q in enumerate(names) for x, col in zip(alphabet, succ)
+        },
+    )
+
+
+def _moore(
+    succ: list[list[int]], final: list[bool], initial: int, alphabet: tuple[str, ...]
+) -> Dfa:
+    """The Moore kernel: the minimal complete DFA of an int table.
+
+    ``succ[j][i]`` is state i's successor on ``alphabet[j]`` and
+    ``final[i]`` its acceptance; the table must be complete.  Partition
+    refinement runs over every state, until a round leaves the number of
+    blocks unchanged.  The blocks reachable from ``initial``'s are then
+    numbered canonically (breadth-first in alphabet order, named ``m0``,
+    ``m1``, ...), so two minimal DFAs for the same language are equal.
+    ``meta`` reports both the complete state count and the partial count
+    (without a dead state, when one exists).
+    """
+    block = [int(f) for f in final]
+    count = len(set(block))
+    while True:
+        sigs = list(zip(block, *[list(map(block.__getitem__, col)) for col in succ]))
+        # number the signatures by first appearance
+        renum = dict(zip(dict.fromkeys(sigs), range(len(sigs))))
+        block = list(map(renum.__getitem__, sigs))
+        if len(renum) == count:
+            break
+        count = len(renum)
+    # Blocks are numbered by first appearance, so each block's first
+    # member comes up in block order and stands for the block.
+    rep: list[int] = []
+    for i, b in enumerate(block):
+        if b == len(rep):
+            rep.append(i)
+    moves = [[block[col[i]] for i in rep] for col in succ]
+    order, _ = _bfs(
+        (block[initial],), lambda b: [(row[b], x) for row, x in zip(moves, alphabet)]
+    )
+    names = {b: f"m{i}" for i, b in enumerate(order)}
+    out = Dfa(
+        states=tuple(names.values()),
+        alphabet=alphabet,
+        initial=names[block[initial]],
+        accepting=tuple(names[b] for b in order if final[rep[b]]),
+        transitions={
+            (names[b], x): names[row[b]] for b in order for row, x in zip(moves, alphabet)
+        },
+    )
+    # the states that reach no accepting state form one block, which
+    # rejects and keeps itself on every move; the partial count leaves it out
+    dead = any(not final[rep[b]] and all(row[b] == b for row in moves) for b in order)
+    out.meta["complete_states"] = len(out.states)
+    out.meta["partial_states"] = len(out.states) - dead
+    return out
+
+
+def min_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
+    """``dfa_minimize(nfa_to_dfa(n, state_cap))``, from the powerset
+    table straight to the Moore kernel, with no subset named."""
+    _subsets, succ, final = _powerset(n, state_cap)
+    return _moore(succ, final, 0, tuple(n.alphabet))
+
+
+def dfa_minimize(d: Dfa) -> Dfa:
+    """Unique minimal complete DFA, named canonically: ``_moore`` over
+    ``d``'s states in declaration order plus one sink row after them for
+    every missing move (unreachable when ``d`` is complete)."""
+    index = {q: i for i, q in enumerate(d.states)}
+    sink = len(index)
+    succ = [[index.get(d.transitions.get((q, x)), sink) for q in d.states] + [sink]
+            for x in d.alphabet]
+    final = [q in d.accepting_set for q in d.states] + [False]
+    return _moore(succ, final, index[d.initial], d.alphabet)
 
 
 def dfa_complete(d: Dfa) -> Dfa:
@@ -459,87 +534,6 @@ def dfa_complete(d: Dfa) -> Dfa:
         initial=d.initial,
         accepting=d.accepting,
         transitions=transitions,
-    )
-
-
-def _dfa_edges(d: Dfa):
-    """Successor function of a (possibly partial) DFA for ``_bfs``."""
-    return lambda q: [
-        (d.transitions[(q, x)], x) for x in d.alphabet if (q, x) in d.transitions
-    ]
-
-
-def dfa_minimize(d: Dfa) -> Dfa:
-    """Unique minimal complete DFA via Moore partition refinement.
-
-    The reachable states are indexed once, breadth-first from the initial
-    state, and refinement runs over that index with one int successor
-    list per symbol, until a round leaves the number of blocks unchanged.
-    The blocks are then renumbered canonically (breadth-first from the
-    initial state in alphabet order, named ``m0``, ``m1``, ...), so two
-    minimal DFAs for the same language are structurally equal.  ``meta``
-    reports both the complete state count and the partial count (without
-    a dead state, when one exists).
-    """
-    d = dfa_complete(d)
-    alphabet = d.alphabet
-    index = {q: i for i, q in enumerate(d.states)}
-    full = [[index[d.transitions[(q, x)]] for q in d.states] for x in alphabet]
-    reach, _ = _bfs(
-        (index[d.initial],), lambda i: [(row[i], x) for row, x in zip(full, alphabet)]
-    )
-    position = dict(zip(reach, range(len(reach))))
-    succ = [[position[row[i]] for i in reach] for row in full]
-    final = [d.states[i] in d.accepting_set for i in reach]
-    block = [int(f) for f in final]
-    count = len(set(block))
-    while True:
-        sigs = list(zip(block, *[list(map(block.__getitem__, row)) for row in succ]))
-        # number the signatures by first appearance
-        renum = dict(zip(dict.fromkeys(sigs), range(len(sigs))))
-        block = list(map(renum.__getitem__, sigs))
-        if len(renum) == count:
-            break
-        count = len(renum)
-    # Blocks are numbered by first appearance, so each block's first
-    # member comes up in block order and stands for the block.
-    rep: list[int] = []
-    for i, b in enumerate(block):
-        if b == len(rep):
-            rep.append(i)
-    moves = [[block[row[i]] for i in rep] for row in succ]
-    order, _ = _bfs(
-        (block[0],), lambda b: [(row[b], x) for row, x in zip(moves, alphabet)]
-    )
-    names = {b: f"m{i}" for i, b in enumerate(order)}
-    out = Dfa(
-        states=tuple(names.values()),
-        alphabet=alphabet,
-        initial=names[block[0]],
-        accepting=tuple(names[b] for b in order if final[rep[b]]),
-        transitions={
-            (names[b], x): names[row[b]] for b in order for row, x in zip(moves, alphabet)
-        },
-    )
-    # the partial count leaves out blocks that reach no accepting block
-    preds: list[list[tuple[int, str]]] = [[] for _ in rep]
-    for row, x in zip(moves, alphabet):
-        for b, r in enumerate(row):
-            preds[r].append((b, x))
-    live, _ = _bfs((b for b in order if final[rep[b]]), preds.__getitem__)
-    out.meta["complete_states"] = len(out.states)
-    out.meta["partial_states"] = len(live)
-    return out
-
-
-def dfa_complement(d: Dfa) -> Dfa:
-    d = dfa_complete(d)
-    return Dfa(
-        states=d.states,
-        alphabet=d.alphabet,
-        initial=d.initial,
-        accepting=tuple(q for q in d.states if q not in d.accepting_set),
-        transitions=d.transitions,
     )
 
 
@@ -581,21 +575,4 @@ def dfa_product(a: Dfa, b: Dfa, op: str = "intersection") -> Dfa:
         initial=name(start),
         accepting=tuple(name(pq) for pq in order if accept(pq)),
         transitions=transitions,
-    )
-
-
-def dfa_shortest_accepted(d: Dfa) -> Optional[tuple[str, ...]]:
-    """Length-lexicographically first accepted word, or None if L is empty."""
-    return _shortest_word((d.initial,), _dfa_edges(d), d.accepting_set.__contains__)
-
-
-def dfa_isomorphic(a: Dfa, b: Dfa) -> bool:
-    """Structural equality after canonical minimization renumbering."""
-    ca, cb = dfa_minimize(a), dfa_minimize(b)
-    return (
-        ca.states == cb.states
-        and ca.alphabet == cb.alphabet
-        and ca.initial == cb.initial
-        and ca.accepting == cb.accepting
-        and ca.transitions == cb.transitions
     )

@@ -27,7 +27,7 @@ from collections import abc
 from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, LaneNfa, Nfa, NfaView, dfa_minimize
+from .convert import Dfa, LaneNfa, Nfa, NfaView, _moore
 from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
 
 Word = tuple[str, ...]
@@ -207,10 +207,12 @@ def predicate_to_min_dfa(
     (half the budget by default), separated by distinguishing suffixes
     that are discovered by refinement: whenever two merged prefixes
     disagree one symbol later, the separating suffix is extended and the
-    partition recomputed.  The caller guarantees the language is regular
-    with every state reachable and distinguishable inside the budget;
-    the final full-budget sweep turns a broken guarantee into a loud
-    ``OracleBudgetError`` carrying a counterexample.
+    partition recomputed.  The class table goes to ``convert._moore`` as
+    it is, which numbers the result canonically.  The caller guarantees
+    the language is regular with every state reachable and
+    distinguishable inside the budget; the final full-budget sweep turns
+    a broken guarantee into a loud ``OracleBudgetError`` carrying a
+    counterexample.
     """
     alphabet = tuple(alphabet)
     if prefix_len is None:
@@ -274,20 +276,9 @@ def predicate_to_min_dfa(
             "some state has only maximal-length representatives; "
             "raise prefix_len"
         )
-    names = {c: f"s{c}" for c in range(n_classes)}
-    transitions = {
-        (names[c], a): names[cls[trans_rep[c] + (a,)]]
-        for c in range(n_classes)
-        for a in alphabet
-    }
-    dfa = Dfa(
-        states=tuple(names[c] for c in range(n_classes)),
-        alphabet=alphabet,
-        initial=names[cls[()]],
-        accepting=tuple(names[c] for c in range(n_classes) if member(trans_rep[c])),
-        transitions=transitions,
-    )
-    dfa = dfa_minimize(dfa)
+    succ = [[cls[trans_rep[c] + (a,)] for c in range(n_classes)] for a in alphabet]
+    final = [member(trans_rep[c]) for c in range(n_classes)]
+    dfa = _moore(succ, final, cls[()], alphabet)
     witness = _verify_dfa_against_pred(dfa, pred, alphabet, max_len)
     if witness is not None:
         raise OracleBudgetError(

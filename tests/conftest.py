@@ -1,7 +1,9 @@
 import pytest
 
 from iufst import (
+    Dfa,
     Nfa,
+    dfa_complete,
     gen_block,
     gen_block_nfa,
     gen_copy,
@@ -11,6 +13,7 @@ from iufst import (
     gen_unary,
     sweep_reduce,
 )
+from iufst.core import _shortest_word
 
 
 def reference_nfa(t, k):
@@ -45,6 +48,31 @@ def reference_nfa(t, k):
         transitions=transitions,
         meta=dict(reduced.meta),
     )
+
+
+def _dfa_edges(d):
+    """Successor function of a (possibly partial) DFA for ``_bfs``."""
+    return lambda q: [
+        (d.transitions[(q, x)], x) for x in d.alphabet if (q, x) in d.transitions
+    ]
+
+
+def dfa_complement(d):
+    """The complete DFA of the words ``d`` rejects, over its alphabet: a
+    slow reference for the antichain searches of ``decide``."""
+    d = dfa_complete(d)
+    return Dfa(
+        states=d.states,
+        alphabet=d.alphabet,
+        initial=d.initial,
+        accepting=tuple(q for q in d.states if q not in d.accepting_set),
+        transitions=d.transitions,
+    )
+
+
+def dfa_shortest_accepted(d):
+    """Length-lexicographically first accepted word, or None if L is empty."""
+    return _shortest_word((d.initial,), _dfa_edges(d), d.accepting_set.__contains__)
 
 
 @pytest.fixture(scope="session")

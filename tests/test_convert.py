@@ -1,21 +1,26 @@
 """Sweep reduction, acceptor conversions, and DFA plumbing."""
 
 import itertools
+import random
 
 import pytest
+from conftest import dfa_complement
+from test_decide import fuzz_machine, paper_families
 
 from iufst import (
+    Dfa,
     MachineError,
     Nfa,
-    dfa_complement,
-    dfa_isomorphic,
+    ResourceBudgetError,
     dfa_minimize,
     dfa_product,
+    gen_block,
     gen_block_nfa,
     gen_e,
     gen_unary,
     in_e,
     in_unary,
+    min_dfa,
     nfa_to_1niufst,
     nfa_to_dfa,
     predicate_to_min_dfa,
@@ -135,7 +140,7 @@ class TestPowersetAndMinimize:
         # two different presentations of multiples-of-4 over a
         d1 = predicate_to_min_dfa(lambda w: len(w) % 4 == 0, ("a",), 16)
         d2 = dfa_minimize(nfa_to_dfa(to_nfa(gen_unary(2, 2), 2)))
-        assert dfa_isomorphic(d1, d2)
+        assert dfa_minimize(d1) == dfa_minimize(d2)
 
     def test_complement_and_product(self):
         d1 = predicate_to_min_dfa(lambda w: len(w) % 2 == 0, ("a",), 10)
@@ -156,6 +161,77 @@ class TestPowersetAndMinimize:
         d = predicate_to_min_dfa(lambda w: w == ("a",), ("a",), 8)
         assert d.meta["complete_states"] == 3
         assert d.meta["partial_states"] == 2
+
+
+def dfa_fields(d):
+    return d.states, d.alphabet, d.initial, d.accepting, d.transitions, d.meta
+
+
+class TestMinDfa:
+    """The fused ``min_dfa`` gives what ``dfa_minimize(nfa_to_dfa(n))``
+    gives, field by field and ``meta`` included, or the same budget
+    error."""
+
+    CAP = 5000
+
+    @classmethod
+    def assert_same(cls, n, label):
+        """Whether both routes exceeded the cap, after asserting that
+        they agree."""
+
+        def outcome(convert):
+            try:
+                return dfa_fields(convert(n, cls.CAP))
+            except ResourceBudgetError as err:
+                return str(err)
+
+        slow = outcome(lambda n, cap: dfa_minimize(nfa_to_dfa(n, cap)))
+        assert outcome(min_dfa) == slow, label
+        return isinstance(slow, str)
+
+    def test_fuzz_corpus(self):
+        rng = random.Random(20240811)
+        for _ in range(200):
+            t, k = fuzz_machine(rng)
+            assert not self.assert_same(to_nfa(t, k), (t, k))
+
+    def test_paper_families(self):
+        capped = [self.assert_same(to_nfa(t, k), (t, k)) for t, k in paper_families()]
+        capped.append(self.assert_same(gen_block_nfa(3), "block-nfa(3)"))
+        # block(4), e(2,4), e(3,3), e(3,4) and the reduced e(2,3) exceed the cap
+        assert capped.count(True) == 5
+
+    def test_state_cap(self):
+        nfa = to_nfa(gen_block(3), 3)
+        assert len(min_dfa(nfa, state_cap=4201).states) == 2221
+        with pytest.raises(ResourceBudgetError) as err:
+            min_dfa(nfa, state_cap=4200)
+        assert str(err.value) == "powerset construction exceeded 4200 states"
+
+
+class TestMinimizeSinkRow:
+    """``dfa_minimize`` sends a partial DFA's missing moves to a sink row,
+    whatever its states are named, and drops unreachable states."""
+
+    def test_partial_with_unreachable_state(self):
+        d = Dfa(("p", "q", "r", "u"), ("a", "b"), "p", ("q", "u"),
+                {("p", "a"): "q", ("q", "b"): "p", ("u", "a"): "u", ("r", "a"): "p"})
+        assert dfa_fields(dfa_minimize(d)) == (
+            ("m0", "m1", "m2"), ("a", "b"), "m0", ("m1",),
+            {("m0", "a"): "m1", ("m0", "b"): "m2", ("m1", "a"): "m2", ("m1", "b"): "m0",
+             ("m2", "a"): "m2", ("m2", "b"): "m2"},
+            {"complete_states": 3, "partial_states": 2},
+        )
+
+    def test_state_named_sink(self):
+        d = Dfa(("p", "sink", "q"), ("a", "b"), "p", ("q",),
+                {("p", "a"): "sink", ("sink", "b"): "q", ("q", "a"): "p"})
+        assert dfa_fields(dfa_minimize(d)) == (
+            ("m0", "m1", "m2", "m3"), ("a", "b"), "m0", ("m3",),
+            {("m0", "a"): "m1", ("m0", "b"): "m2", ("m1", "a"): "m2", ("m1", "b"): "m3",
+             ("m2", "a"): "m2", ("m2", "b"): "m2", ("m3", "a"): "m0", ("m3", "b"): "m2"},
+            {"complete_states": 4, "partial_states": 3},
+        )
 
 
 class TestNfaEmbedding:

@@ -296,7 +296,8 @@ class TestDeepInfiniteness:
 
 def powerset_inclusion(t1, k1, t2, k2):
     """First word of L1 minus L2 by determinizing both sides."""
-    from iufst.convert import dfa_product, dfa_shortest_accepted, nfa_to_dfa
+    from conftest import dfa_shortest_accepted
+    from iufst.convert import dfa_product, nfa_to_dfa
 
     d1, d2 = nfa_to_dfa(reference_nfa(t1, k1)), nfa_to_dfa(reference_nfa(t2, k2))
     return dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
@@ -307,7 +308,8 @@ class TestPowersetCrossCheck:
     word for word."""
 
     def test_universality_on_fuzz_corpus(self, fuzz_corpus):
-        from iufst.convert import dfa_complement, dfa_shortest_accepted, nfa_to_dfa
+        from conftest import dfa_complement, dfa_shortest_accepted
+        from iufst.convert import nfa_to_dfa
 
         universal = 0
         for t, k, *_ in fuzz_corpus:
@@ -379,7 +381,8 @@ class TestSearchBudget:
             universality_witness(t, 1, state_cap=12_870)
 
     def test_deep_witness_matches_powerset(self):
-        from iufst.convert import dfa_complement, dfa_shortest_accepted, nfa_to_dfa
+        from conftest import dfa_complement, dfa_shortest_accepted
+        from iufst.convert import nfa_to_dfa
 
         t = k_subset_machine(12, 6, grow=True, rejecting=range(0, 12, 2))
         w = universality_witness(t, 1)
