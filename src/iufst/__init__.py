@@ -63,7 +63,6 @@ from .oracle import (
 from .textio import (
     MachineFile,
     MachineParseError,
-    format_word,
     parse_machine,
     parse_word,
     serialize_machine,

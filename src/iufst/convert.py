@@ -14,15 +14,15 @@ determinizes an NFA and ``_moore`` minimizes a table, naming only its
 result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
 ``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
 ``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
-``Nfa`` and ``Dfa`` take their header checks from ``core`` and share
-``_Fa``.
+``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each keep
+their per-move rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     MachineError,
@@ -31,15 +31,22 @@ from .core import (
     Transducer,
     _Record,
     _bfs,
-    _check_ends,
-    _check_header,
+    _check_declared,
+    _check_list,
     materialize,
 )
 
 
 class _Fa(_Record):
-    """Base of ``Nfa`` and ``Dfa``: the alphabet as a set, and the check
-    that a word is over it."""
+    """Base of ``Nfa`` and ``Dfa``: their header rules, the alphabet as a
+    set, and the check that a word is over it."""
+
+    def __post_init__(self) -> None:
+        states = _check_list(self.states, "state")
+        alphabet = _check_list(self.alphabet, "symbol")
+        _check_declared(states, "initial", self.initial)
+        _check_declared(states, "accepting", *self.accepting)
+        self._check_moves(states, alphabet, self.transitions.items())
 
     @cached_property
     def alphabet_set(self) -> frozenset[str]:
@@ -62,15 +69,15 @@ class Nfa(_Fa):
     transitions: dict[tuple[str, str], tuple[str, ...]]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        state_set = _check_header(self.states, (self.alphabet, "symbol"))
-        _check_ends(state_set, self.initial, self.accepting)
-        alpha = self.alphabet_set
-        for (q, x), rs in self.transitions.items():
-            if q not in state_set or x not in alpha:
+    @staticmethod
+    def _check_moves(states: set[str], alphabet: set[str],
+                     items: Iterable[tuple[tuple[str, str], tuple[str, ...]]]) -> None:
+        """The per-move rule, over (key, successors) transition items in order."""
+        for (q, x), rs in items:
+            if q not in states or x not in alphabet:
                 raise MachineError(f"bad transition key ({q!r}, {x!r})")
             for r in rs:
-                if r not in state_set:
+                if r not in states:
                     raise MachineError(f"transition into undeclared state {r!r}")
 
     @property
@@ -98,12 +105,12 @@ class Dfa(_Fa):
     transitions: dict[tuple[str, str], str]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        state_set = _check_header(self.states, (self.alphabet, "symbol"))
-        _check_ends(state_set, self.initial, self.accepting)
-        alpha = self.alphabet_set
-        for (q, x), r in self.transitions.items():
-            if q not in state_set or x not in alpha or r not in state_set:
+    @staticmethod
+    def _check_moves(states: set[str], alphabet: set[str],
+                     items: Iterable[tuple[tuple[str, str], str]]) -> None:
+        """The per-move rule, over (key, successor) transition items in order."""
+        for (q, x), r in items:
+            if q not in states or x not in alphabet or r not in states:
                 raise MachineError(f"bad transition ({q!r}, {x!r}) -> {r!r}")
 
     @property

@@ -32,9 +32,13 @@ writing one raises ``MachineError``, and moves are ordered by the declared
 rank of the symbol read, so state names and transition order do not depend
 on the order a construction yields them in.
 
-The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` check
-their headers with ``_check_header`` and ``_check_ends`` and derive from
-``_Record``; each keeps its own transition and endmarker rules.
+The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` derive
+from ``_Record`` and are the one home of their rules.  A constructor runs
+its header rules in the order of the text format's directives:
+``_check_list`` per declared list, the record's own endmarker or tape
+rules, and ``_check_declared`` for the initial and accepting states.  It
+then runs its one per-move rule, ``_check_moves``, over its transition
+items.  ``textio`` calls the same rules at the lines they read.
 """
 
 from __future__ import annotations
@@ -79,25 +83,21 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} cannot be written in the text format")
 
 
-def _check_header(states: Sequence[str], *alphabets: tuple[Sequence[str], str]) -> set[str]:
-    """Check a record's ``states`` and its (symbols, ``what``) alphabets:
-    every token first, then duplicates.  Returns the state set."""
-    named = ((states, "state"), *alphabets)
-    for items, what in named:
-        for tok in items:
-            _check_token(tok, what)
-    for items, what in named:
-        if len(set(items)) != len(items):
-            raise MachineError(f"duplicate {what}s in {items!r}")
-    return set(states)
+def _check_list(items: Sequence[str], what: str) -> set[str]:
+    """The rule for one declared list of ``what``s: every token first,
+    then duplicates.  Returns the list as a set."""
+    for tok in items:
+        _check_token(tok, what)
+    if len(set(items)) != len(items):
+        raise MachineError(f"duplicate {what}s in {items!r}")
+    return set(items)
 
 
-def _check_ends(state_set: set[str], initial: str, accepting: Sequence[str]) -> None:
-    if initial not in state_set:
-        raise MachineError(f"initial state {initial!r} not declared")
-    for q in accepting:
+def _check_declared(state_set: set[str], what: str, *states: str) -> None:
+    """The rule that the ``what`` states (initial, accepting) are declared."""
+    for q in states:
         if q not in state_set:
-            raise MachineError(f"accepting state {q!r} not declared")
+            raise MachineError(f"{what} state {q!r} not declared")
 
 
 class _Record:
@@ -106,6 +106,17 @@ class _Record:
     @cached_property
     def accepting_set(self) -> frozenset[str]:
         return frozenset(self.accepting)
+
+    @cached_property
+    def input_set(self) -> frozenset[str]:
+        return frozenset(self.input_alphabet)
+
+    def _check_input(self, word: Sequence[str]) -> None:
+        """Reject a word over symbols outside ``input_alphabet`` (the
+        records that have one: ``Transducer`` and ``Lba``)."""
+        if not self.input_set.issuperset(word):
+            bad = [a for a in word if a not in self.input_set]
+            raise MalformedInputError(f"word symbols {bad!r} outside the input alphabet")
 
 
 @dataclass(frozen=True)
@@ -132,41 +143,47 @@ class Transducer(_Record):
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        state_set = _check_header(self.states, (self.input_alphabet, "input symbol"),
-                                  (self.output_alphabet, "output symbol"))
-        out_set = set(self.output_alphabet)
-        if self.endmarker not in out_set:
-            raise MachineError("endmarker must be an output symbol")
-        if self.endmarker in self.input_alphabet:
-            raise MachineError("endmarker must not be an input symbol")
-        _check_ends(state_set, self.initial, self.accepting)
-        sym_set = set(self.input_alphabet) | out_set
-        for (q, x), choices in self.transitions.items():
-            if q not in state_set:
-                raise MachineError(f"transition from undeclared state {q!r}")
-            if x not in sym_set:
-                raise MachineError(f"transition on undeclared symbol {x!r}")
-            if not choices:
-                raise MachineError(f"empty transition set for ({q!r}, {x!r}); omit the key instead")
-            for p, y in choices:
-                if p not in state_set:
-                    raise MachineError(f"transition into undeclared state {p!r}")
-                if y not in out_set:
-                    raise MachineError(f"transition writes undeclared output symbol {y!r}")
+        states = _check_list(self.states, "state")
+        inputs = _check_list(self.input_alphabet, "input symbol")
+        outputs = _check_list(self.output_alphabet, "output symbol")
+        self._check_endmarker(self.endmarker, inputs, outputs)
+        _check_declared(states, "initial", self.initial)
+        _check_declared(states, "accepting", *self.accepting)
         if self.sweep_bound is not None:
             if isinstance(self.sweep_bound, bool) or not (
                 (isinstance(self.sweep_bound, int) and self.sweep_bound >= 1)
                 or self.sweep_bound in BOUND_TAGS
             ):
                 raise MachineError(f"bad sweep bound {self.sweep_bound!r}")
+        self._check_moves(states, inputs | outputs, outputs, self.transitions.items())
+
+    @staticmethod
+    def _check_endmarker(endmarker: str, inputs: set[str], outputs: set[str]) -> None:
+        if endmarker not in outputs:
+            raise MachineError("endmarker must be an output symbol")
+        if endmarker in inputs:
+            raise MachineError("endmarker must not be an input symbol")
+
+    @staticmethod
+    def _check_moves(states: set[str], symbols: set[str], outputs: set[str],
+                     items: Iterable[tuple[tuple[str, str], tuple[tuple[str, str], ...]]]) -> None:
+        """The per-move rule, over (key, choices) transition items in order."""
+        for (q, x), choices in items:
+            if q not in states:
+                raise MachineError(f"transition from undeclared state {q!r}")
+            if x not in symbols:
+                raise MachineError(f"transition on undeclared symbol {x!r}")
+            if not choices:
+                raise MachineError(f"empty transition set for ({q!r}, {x!r}); omit the key instead")
+            for p, y in choices:
+                if p not in states:
+                    raise MachineError(f"transition into undeclared state {p!r}")
+                if y not in outputs:
+                    raise MachineError(f"transition writes undeclared output symbol {y!r}")
 
     @cached_property
     def symbol_set(self) -> frozenset[str]:
         return frozenset(self.input_alphabet) | frozenset(self.output_alphabet)
-
-    @cached_property
-    def input_set(self) -> frozenset[str]:
-        return frozenset(self.input_alphabet)
 
     @cached_property
     def is_deterministic(self) -> bool:
@@ -205,9 +222,7 @@ class Transducer(_Record):
     _back = cached_property(lambda self: ({}, {}))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
-        if not self.input_set.issuperset(word):
-            bad = [a for a in word if a not in self.input_set]
-            raise MalformedInputError(f"word symbols {bad!r} outside the input alphabet")
+        self._check_input(word)
         return tuple(word) + (self.endmarker,)
 
 

@@ -15,17 +15,9 @@ after the source machine accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .core import (
-    MachineError,
-    MalformedInputError,
-    Transducer,
-    _Record,
-    _check_ends,
-    _check_header,
-)
+from .core import MachineError, Transducer, _check_declared, _check_list, _Record
 
 # Actions are tape symbols (stationary rewrite) or the move tokens below.
 MOVE_LEFT = "L"
@@ -55,45 +47,58 @@ class Lba(_Record):
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        state_set = _check_header(self.states, (self.tape_alphabet, "tape symbol"),
-                                  (self.input_alphabet, "input symbol"))
-        tape_set = set(self.tape_alphabet)
-        if MOVE_LEFT in tape_set or MOVE_RIGHT in tape_set:
+        states = _check_list(self.states, "state")
+        _check_list(self.input_alphabet, "input symbol")
+        tape = self._check_tape(self.tape_alphabet)
+        self._check_endmarkers(self.left_end, self.right_end, tape, self.input_alphabet)
+        _check_declared(states, "initial", self.initial)
+        _check_declared(states, "accepting", *self.accepting)
+        self._check_moves(states, tape, self.left_end, self.right_end, self.transitions.items())
+
+    @staticmethod
+    def _check_tape(tape_alphabet: Sequence[str]) -> set[str]:
+        tape = _check_list(tape_alphabet, "tape symbol")
+        if MOVE_LEFT in tape or MOVE_RIGHT in tape:
             raise MachineError("tape symbols L and R are reserved for moves")
-        if self.left_end not in tape_set or self.right_end not in tape_set:
+        return tape
+
+    @staticmethod
+    def _check_endmarkers(left_end: str, right_end: str, tape: set[str],
+                          input_alphabet: Sequence[str]) -> None:
+        if left_end not in tape or right_end not in tape:
             raise MachineError("both endmarkers must be tape symbols")
-        if self.left_end == self.right_end:
+        if left_end == right_end:
             raise MachineError("endmarkers must be distinct")
-        ends = {self.left_end, self.right_end}
-        for a in self.input_alphabet:
-            if a not in tape_set or a in ends:
+        for a in input_alphabet:
+            if a not in tape or a in (left_end, right_end):
                 raise MachineError(f"input symbol {a!r} must be a non-endmarker tape symbol")
-        _check_ends(state_set, self.initial, self.accepting)
-        for (q, x), acts in self.transitions.items():
-            if q not in state_set or x not in tape_set:
+
+    @staticmethod
+    def _check_moves(states: set[str], tape: set[str], left_end: str, right_end: str,
+                     items: Iterable[tuple[tuple[str, str], tuple[tuple[str, str], ...]]]) -> None:
+        """The per-move rule, over (key, actions) transition items in order."""
+        ends = (left_end, right_end)
+        for (q, x), acts in items:
+            if q not in states or x not in tape:
                 raise MachineError(f"bad transition key ({q!r}, {x!r})")
             if not acts:
                 raise MachineError(f"empty transition set for ({q!r}, {x!r})")
             for r, act in acts:
-                if r not in state_set:
+                if r not in states:
                     raise MachineError(f"transition into undeclared state {r!r}")
                 if act == MOVE_LEFT:
-                    if x == self.left_end:
+                    if x == left_end:
                         raise MachineError("cannot move left on the left endmarker")
                 elif act == MOVE_RIGHT:
-                    if x == self.right_end:
+                    if x == right_end:
                         raise MachineError("cannot move right on the right endmarker")
-                elif act in tape_set:
+                elif act in tape:
                     if x in ends and act != x:
                         raise MachineError("endmarkers are never overwritten")
                     if x not in ends and act in ends:
                         raise MachineError("endmarkers may not be written elsewhere")
                 else:
                     raise MachineError(f"action {act!r} is neither a tape symbol nor L/R")
-
-    @cached_property
-    def input_set(self) -> frozenset[str]:
-        return frozenset(self.input_alphabet)
 
     @property
     def is_deterministic(self) -> bool:
@@ -114,9 +119,7 @@ def run_lba(m: Lba, word: Sequence[str], max_steps: int = 10_000) -> LbaRunRepor
     always-halts assumption is explored exhaustively; ``steps_to_accept``
     is the minimum number of steps of an accepting halting computation.
     """
-    bad = [a for a in word if a not in m.input_set]
-    if bad:
-        raise MalformedInputError(f"word symbols {bad!r} outside the input alphabet")
+    m._check_input(word)
     tape0 = (m.left_end,) + tuple(word) + (m.right_end,)
     last = len(tape0) - 1
     start = (m.initial, 0, tape0)

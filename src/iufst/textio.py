@@ -8,18 +8,27 @@ declaration order, one transition per line, LF endings.  Comments start
 with ``%`` (``#`` is a live alphabet symbol in the block language) and
 run to the end of the line.  Parsing is one lazy pass over the rows:
 a line is tokenized only when its row is taken, and rows are numbered
-as ``str.splitlines`` counts lines, from 1.  The kind parsers share
-``_ends`` and ``_trans`` and keep only their own per-row checks.
+as ``str.splitlines`` counts lines, from 1.
+
+The records own the machine rules and this module owns the text format.
+``_Parser.check`` runs a record's header rule at the line of the
+directive that completes it.  ``_Parser.build`` builds the record once
+and, when its constructor rejects a move, names the first ``trans`` row
+that the record's per-move rule rejects.  The kind parsers share
+``_ends`` and ``_trans`` and keep only the text-format rules of their
+rows: shape, duplicates, and one choice per (state, symbol) in ``iufst``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterator, Sequence
 
 from .convert import Dfa, Nfa
-from .core import MachineError, MalformedInputError, Transducer
+from .core import BOUND_TAGS, MachineError, MalformedInputError, Transducer
+from .core import _check_declared, _check_list
 from .lba import Lba
 
 # each kind's record class and the noun its mismatch message uses
@@ -31,8 +40,6 @@ _RECORDS = {
     "lba": (Lba, "an LBA"),
 }
 KINDS = tuple(_RECORDS)
-
-RESERVED = ("->", "%")
 
 
 class MachineParseError(MachineError):
@@ -73,18 +80,19 @@ class _Parser:
     ``rest()`` then yields the rows not yet taken."""
 
     def __init__(self, text: str):
+        self.text = text
         self.rows = _rows(text)
-        self.line = 0  # line of the last row taken
+        self.line = 0  # line of the last row taken or checked
         self.ahead = next(self.rows, None)
 
     def error(self, msg: str) -> MachineParseError:
         return MachineParseError(msg, self.line)
 
-    def take(self, directive: str, required: bool = True) -> list[str] | None:
+    def take(self, directive: str, required: bool = True) -> tuple[str, ...] | None:
         if self.ahead is not None and self.ahead[1][0] == directive:
             self.line, toks = self.ahead
             self.ahead = next(self.rows, None)
-            return toks[1:]
+            return tuple(toks[1:])
         if not required:
             return None
         if self.ahead is None:
@@ -92,198 +100,157 @@ class _Parser:
         line, toks = self.ahead
         raise MachineParseError(f"expected directive {directive!r}, got {toks[0]!r}", line)
 
-    def check_tokens(self, toks: list[str], what: str) -> None:
-        """Reject a duplicate or a reserved token in a list of ``what``s."""
-        if len(set(toks)) != len(toks):
-            raise self.error(f"duplicate {what} declared")
-        for tok in toks:
-            if tok in RESERVED:
-                raise self.error(f"{tok!r} is a reserved token")
+    def check(self, rule, *args):
+        """``rule(*args)``, one of a record's rules, failing at ``line``."""
+        try:
+            return rule(*args)
+        except MachineError as exc:
+            raise self.error(str(exc)) from None
+
+    def one(self, directive: str, required: bool = True) -> str | None:
+        """The operand of a directive that takes exactly one."""
+        toks = self.take(directive, required)
+        if toks is not None and len(toks) != 1:
+            raise self.error(f"directive {directive!r} takes exactly 1 operand(s)")
+        return None if toks is None else toks[0]
 
     def rest(self) -> Iterator[tuple[int, list[str]]]:
         return self.rows if self.ahead is None else chain((self.ahead,), self.rows)
 
+    def build(self, record, check_moves, item, *fields):
+        """``record(*fields)``.  When its constructor rejects a move, its
+        per-move rule ``check_moves`` walks the ``trans`` rows again in file
+        order, each read as one transition item by ``item``, and fails at
+        the first row it rejects."""
+        try:
+            return record(*fields)
+        except MachineError:
+            for self.line, toks in _rows(self.text):
+                if toks[0] == "trans":
+                    self.check(check_moves, [item(toks)])
+            raise  # not a move's fault: the header rules ran at their lines
+
 
 def parse_machine(text: str) -> MachineFile:
-    """Parse the text format, validating every machine invariant.
+    """Parse the text format into a machine file.
 
     One pass: the header directives are taken in their fixed order, then
     one loop reads the transition rows as ``_rows`` yields them.  A
     ``%`` starts a comment; blank and comment-only lines are skipped but
     still counted, so a line number is the one ``splitlines`` gives.
-    Distinct diagnostics with a line number: unknown directive, missing
-    directive or unexpected end of file, undeclared state or symbol, a
-    duplicate state, input or output symbol, a reserved token in a
-    declaration, an endmarker that is also an input symbol, a sweep bound
-    that is not a tag or ASCII digits without a leading zero, duplicate
-    DFA transitions, and malformed LBA actions.  The rules only ``Lba``
-    checks come out as line 0: an input symbol outside ``tape`` or equal
-    to an endmarker, ``lend`` or ``rend`` outside ``tape``, equal
-    endmarkers, ``L`` or ``R`` in ``tape``, a left move on ``lend`` or a
-    right move on ``rend``, and writing an endmarker or over one.
+    Every error names a line.  The records own the machine rules: each
+    header rule runs at the line of the last directive it reads, and a
+    record's per-move rule names the first ``trans`` row it rejects.
+    This module owns the text format: the kind, the order and arity of
+    the directives, the shape of a ``trans`` row, the spelling of
+    ``sweeps``, duplicate rows, and one choice per (state, symbol) in an
+    ``iufst`` file.
     """
     p = _Parser(text)
     kind_ops = p.take("kind")
     if len(kind_ops) != 1 or kind_ops[0] not in KINDS:
         raise p.error(f"kind must be one of {', '.join(KINDS)}")
     kind = kind_ops[0]
-
     states = p.take("states")
     if not states:
         raise p.error("at least one state is required")
-    p.check_tokens(states, "state")
-    state_set = set(states)
-    inputs = p.take("input") or []
-    p.check_tokens(inputs, "input symbol")
-    input_set = set(inputs)
-
-    try:
-        if kind in ("niufst", "iufst"):
-            return _parse_transducer(p, kind, states, inputs, state_set, input_set)
-        if kind in ("nfa", "dfa"):
-            return _parse_fa(p, kind, states, inputs, state_set, input_set)
-        return _parse_lba(p, states, inputs, state_set, input_set)
-    except MachineParseError:
-        raise
-    except MachineError as exc:
-        raise MachineParseError(str(exc), 0) from exc
+    state_set = p.check(_check_list, states, "state")
+    inputs = p.take("input")
+    if kind in ("niufst", "iufst"):
+        return _parse_transducer(p, kind, states, inputs, state_set)
+    if kind in ("nfa", "dfa"):
+        return _parse_fa(p, kind, states, inputs, state_set)
+    return _parse_lba(p, states, inputs, state_set)
 
 
-def _parse_transducer(p, kind, states, inputs, state_set, input_set) -> MachineFile:
+def _parse_transducer(p, kind, states, inputs, state_set) -> MachineFile:
+    input_set = p.check(_check_list, inputs, "input symbol")
     outputs = p.take("output")
-    p.check_tokens(outputs, "output symbol")
     if not outputs:
         raise p.error("transducers need a non-empty output alphabet")
-    output_set = set(outputs)
-    (endmarker,) = _exactly(p, p.take("endmarker"), 1, "endmarker")
-    if endmarker in input_set:
-        raise p.error("endmarker must not be an input symbol")
-    if endmarker not in output_set:
-        raise p.error("endmarker must be a declared output symbol")
+    output_set = p.check(_check_list, outputs, "output symbol")
+    endmarker = p.one("endmarker")
+    p.check(Transducer._check_endmarker, endmarker, input_set, output_set)
     initial, accepting = _ends(p, state_set)
-    bound: int | str | None = None
-    sweeps = p.take("sweeps", required=False)
-    if sweeps is not None:
-        (tok,) = _exactly(p, sweeps, 1, "sweeps")
-        if tok in ("unbounded", "log", "linear"):
-            bound = tok
-        elif tok.isascii() and tok.isdigit() and tok[0] != "0":
-            bound = int(tok)
-        else:
+    bound = tok = p.one("sweeps", required=False)
+    if tok is not None and tok not in BOUND_TAGS:
+        if not (tok.isascii() and tok.isdigit() and tok[0] != "0"):
             raise p.error(f"sweeps must be a positive integer or unbounded/log/linear, got {tok!r}")
+        bound = int(tok)
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    sym_set = input_set | output_set
-    line = p.line
-    usage = "transducer transitions read: trans s a -> t y"
-    for line, (_, q, x, _, r, y) in _trans(p, 6, usage, state_set):
-        if x not in sym_set:
-            raise MachineParseError(f"undeclared symbol {x!r}", line)
-        if y not in output_set:
-            raise MachineParseError(f"output symbol {y!r} not in the output alphabet", line)
-        key = q, x
-        transitions[key] = transitions.get(key, ()) + ((r, y),)
-    t = Transducer(
-        states=tuple(states),
-        input_alphabet=tuple(inputs),
-        output_alphabet=tuple(outputs),
-        endmarker=endmarker,
-        initial=initial,
-        accepting=tuple(accepting),
-        transitions=transitions,
-        sweep_bound=bound,
-    )
-    if kind == "iufst" and not t.is_deterministic:
-        msg = "iufst machines must have at most one choice per (state, symbol)"
-        raise MachineParseError(msg, line)
-    return MachineFile(kind, t)
+    iufst = kind == "iufst"
+    for line, (_, q, x, _, r, y) in _trans(p, 6, "transducer transitions read: trans s a -> t y"):
+        choices = transitions.get((q, x), ())
+        if iufst and choices and choices[0] != (r, y):
+            msg = "iufst machines must have at most one choice per (state, symbol)"
+            raise MachineParseError(msg, line)
+        transitions[q, x] = choices + ((r, y),)
+    check = partial(Transducer._check_moves, state_set, input_set | output_set, output_set)
+    return MachineFile(kind, p.build(Transducer, check, _choice, states, inputs, outputs,
+                                     endmarker, initial, accepting, transitions, bound))
 
 
-def _parse_fa(p, kind, states, inputs, state_set, input_set) -> MachineFile:
+def _parse_fa(p, kind, states, inputs, state_set) -> MachineFile:
+    alphabet = p.check(_check_list, inputs, "symbol")
     initial, accepting = _ends(p, state_set)
     nfa_trans: dict[tuple[str, str], tuple[str, ...]] = {}
-    usage = "finite-automaton transitions read: trans s a -> t"
-    for line, (_, q, x, _, r) in _trans(p, 5, usage, state_set):
-        if x not in input_set:
-            raise MachineParseError(f"undeclared symbol {x!r}", line)
+    for line, (_, q, x, _, r) in _trans(p, 5, "finite-automaton transitions read: trans s a -> t"):
         if kind == "dfa" and (q, x) in nfa_trans:
             raise MachineParseError(f"duplicate dfa transition for ({q!r}, {x!r})", line)
         if r in nfa_trans.get((q, x), ()):
             raise MachineParseError(f"duplicate transition ({q!r}, {x!r}) -> {r!r}", line)
         nfa_trans[(q, x)] = nfa_trans.get((q, x), ()) + (r,)
-    fa = _RECORDS[kind][0](
-        states=tuple(states),
-        alphabet=tuple(inputs),
-        initial=initial,
-        accepting=tuple(accepting),
-        transitions={k: v[0] for k, v in nfa_trans.items()} if kind == "dfa" else nfa_trans,
-    )
+    if kind == "dfa":
+        check = partial(Dfa._check_moves, state_set, alphabet)
+        fa = p.build(Dfa, check, lambda toks: ((toks[1], toks[2]), toks[4]), states, inputs,
+                     initial, accepting, {key: rs[0] for key, rs in nfa_trans.items()})
+    else:
+        check = partial(Nfa._check_moves, state_set, alphabet)
+        fa = p.build(Nfa, check, lambda toks: ((toks[1], toks[2]), (toks[4],)), states, inputs,
+                     initial, accepting, nfa_trans)
     return MachineFile(kind, fa)
 
 
-def _parse_lba(p, states, inputs, state_set, input_set) -> MachineFile:
+def _parse_lba(p, states, inputs, state_set) -> MachineFile:
+    p.check(_check_list, inputs, "input symbol")
     tape = p.take("tape")
-    p.check_tokens(tape, "tape symbol")
-    tape_set = set(tape)
-    (lend,) = _exactly(p, p.take("lend"), 1, "lend")
-    (rend,) = _exactly(p, p.take("rend"), 1, "rend")
+    tape_set = p.check(Lba._check_tape, tape)
+    lend, rend = p.one("lend"), p.one("rend")
+    p.check(Lba._check_endmarkers, lend, rend, tape_set, inputs)
     initial, accepting = _ends(p, state_set)
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    usage = "lba transitions read: trans s a -> t (y|L|R)"
-    for line, (_, q, x, _, r, act) in _trans(p, 6, usage, state_set):
-        if x not in tape_set:
-            raise MachineParseError(f"undeclared tape symbol {x!r}", line)
-        if act not in ("L", "R") and act not in tape_set:
-            raise MachineParseError(
-                f"lba action must be a tape symbol, L, or R, got {act!r}", line
-            )
-        entry = (r, act)
-        if entry in transitions.get((q, x), ()):
+    for line, (_, q, x, _, r, act) in _trans(p, 6, "lba transitions read: trans s a -> t (y|L|R)"):
+        if (r, act) in transitions.get((q, x), ()):
             raise MachineParseError(f"duplicate lba transition for ({q!r}, {x!r})", line)
-        transitions[(q, x)] = transitions.get((q, x), ()) + (entry,)
-    lba = Lba(
-        states=tuple(states),
-        input_alphabet=tuple(inputs),
-        tape_alphabet=tuple(tape),
-        left_end=lend,
-        right_end=rend,
-        initial=initial,
-        accepting=tuple(accepting),
-        transitions=transitions,
-    )
-    return MachineFile("lba", lba)
+        transitions[q, x] = transitions.get((q, x), ()) + ((r, act),)
+    check = partial(Lba._check_moves, state_set, tape_set, lend, rend)
+    return MachineFile("lba", p.build(Lba, check, _choice, states, inputs, tape, lend, rend,
+                                      initial, accepting, transitions))
 
 
-def _ends(p, state_set) -> tuple[str, list[str]]:
-    """The ``initial`` and ``accept`` directives, over declared states."""
-    (initial,) = _exactly(p, p.take("initial"), 1, "initial")
-    if initial not in state_set:
-        raise p.error(f"undeclared initial state {initial!r}")
+def _ends(p, state_set) -> tuple[str, tuple[str, ...]]:
+    """The ``initial`` and ``accept`` directives, each checked at its line."""
+    initial = p.one("initial")
+    p.check(_check_declared, state_set, "initial", initial)
     accepting = p.take("accept")
-    for q in accepting:
-        if q not in state_set:
-            raise p.error(f"undeclared accepting state {q!r}")
+    p.check(_check_declared, state_set, "accepting", *accepting)
     return initial, accepting
 
 
-def _trans(p, width, usage, state_set) -> Iterator[tuple[int, list[str]]]:
+def _trans(p, width, usage) -> Iterator[tuple[int, list[str]]]:
     """The rows left, each a ``trans`` row of ``width`` tokens with ``->``
-    fourth, between declared states; a row of another shape fails with
-    ``usage``."""
+    fourth; a row of another shape fails with ``usage``."""
     for line, toks in p.rest():
         if toks[0] != "trans":
             raise MachineParseError(f"unknown directive {toks[0]!r}", line)
         if len(toks) != width or toks[3] != "->":
             raise MachineParseError(usage, line)
-        if toks[1] not in state_set or toks[4] not in state_set:
-            msg = f"undeclared state in transition {toks[1]!r} / {toks[4]!r}"
-            raise MachineParseError(msg, line)
         yield line, toks
 
 
-def _exactly(p, toks, n, what):
-    if toks is None or len(toks) != n:
-        raise p.error(f"directive {what!r} takes exactly {n} operand(s)")
-    return toks
+def _choice(toks: list[str]) -> tuple[tuple[str, str], tuple[tuple[str, str]]]:
+    """A transducer or LBA ``trans`` row as one transition item."""
+    return (toks[1], toks[2]), ((toks[4], toks[5]),)
 
 
 def serialize_machine(mf: MachineFile) -> str:
@@ -313,7 +280,7 @@ def serialize_machine(mf: MachineFile) -> str:
             for (q, x), rs in m.transitions.items():
                 for r in rs:
                     lines.append(f"trans {q} {x} -> {r}")
-    elif isinstance(m, Lba):
+    else:
         lines.append("input " + " ".join(m.input_alphabet))
         lines.append("tape " + " ".join(m.tape_alphabet))
         lines.append(f"lend {m.left_end}")
@@ -323,8 +290,6 @@ def serialize_machine(mf: MachineFile) -> str:
         for (q, x), acts in m.transitions.items():
             for r, act in acts:
                 lines.append(f"trans {q} {x} -> {r} {act}")
-    else:  # pragma: no cover - MachineFile already constrains this
-        raise MachineError(f"cannot serialize {type(m).__name__}")
     return "\n".join(lines) + "\n"
 
 
@@ -349,6 +314,3 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
         raise MalformedInputError(f"symbols {bad!r} not in the alphabet {sorted(alpha)!r}")
     return tuple(syms)
 
-
-def format_word(word: Sequence[str]) -> str:
-    return ",".join(word)

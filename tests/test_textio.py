@@ -74,7 +74,7 @@ class TestParse:
             "kind lba\nstates p\ninput a\ntape a > <\nlend >\nrend <\n"
             "initial p\naccept\ntrans p a -> p Q\n"
         )
-        with pytest.raises(MachineParseError, match="lba action"):
+        with pytest.raises(MachineParseError, match="neither a tape symbol nor L/R"):
             parse_machine(text)
 
     @pytest.mark.parametrize(
@@ -91,33 +91,50 @@ class TestParse:
             (IDENTITY.replace("accept q\n", "accept q\nsweeps 01\n"), 8, "sweeps must be"),
             (IDENTITY.replace("input a", "input a a"), 3, "duplicate input symbol"),
             (IDENTITY.replace("output a <", "output a a <"), 4, "duplicate output symbol"),
-            (IDENTITY.replace("output a <", "output a -> <"), 4, "'->' is a reserved token"),
+            (IDENTITY.replace("output a <", "output a -> <"), 4,
+             "output symbol '->' cannot be written in the text format"),
             (
                 "kind lba\nstates p\ninput a\ntape a > < ->\nlend >\nrend <\n"
                 "initial p\naccept\ntrans p a -> p R\n",
                 4,
-                "'->' is a reserved token",
+                "tape symbol '->' cannot be written in the text format",
             ),
-            (NFA.replace("initial p", "initial z"), 4, "undeclared initial state 'z'"),
-            (NFA.replace("accept q", "accept q z"), 5, "undeclared accepting state 'z'"),
+            (NFA.replace("initial p", "initial z"), 4, "initial state 'z' not declared"),
+            (NFA.replace("accept q", "accept q z"), 5, "accepting state 'z' not declared"),
             (NFA + "frobnicate p\n", 7, "unknown directive 'frobnicate'"),
             (NFA + "trans p a -> q q\n", 7, "finite-automaton transitions read"),
-            (DFA.replace("initial p", "initial z"), 4, "undeclared initial state 'z'"),
-            (DFA.replace("accept q", "accept q z"), 5, "undeclared accepting state 'z'"),
+            (NFA + "trans p z -> q\n", 7, r"bad transition key \('p', 'z'\)"),
+            (DFA.replace("initial p", "initial z"), 4, "initial state 'z' not declared"),
+            (DFA.replace("accept q", "accept q z"), 5, "accepting state 'z' not declared"),
             (DFA + "frobnicate p\n", 7, "unknown directive 'frobnicate'"),
             (DFA + "trans p a -> q q\n", 7, "finite-automaton transitions read"),
-            (LBA.replace("initial p", "initial z"), 7, "undeclared initial state 'z'"),
-            (LBA.replace("accept p", "accept p z"), 8, "undeclared accepting state 'z'"),
+            (DFA + "trans q a -> z\n", 7, r"bad transition \('q', 'a'\) -> 'z'"),
+            (LBA.replace("initial p", "initial z"), 7, "initial state 'z' not declared"),
+            (LBA.replace("accept p", "accept p z"), 8, "accepting state 'z' not declared"),
             (LBA + "trans p a -> p R\nfrobnicate p\n", 10, "unknown directive 'frobnicate'"),
             (LBA + "trans p a -> p\n", 9, "lba transitions read"),
+            (LBA.replace("tape a > <", "tape a > < L"), 4, "tape symbols L and R are reserved"),
+            (LBA.replace("input a", "input a >"), 6,
+             "input symbol '>' must be a non-endmarker tape symbol"),
+            (LBA.replace("lend >", "lend x"), 6, "both endmarkers must be tape symbols"),
+            (LBA.replace("rend <", "rend >"), 6, "endmarkers must be distinct"),
+            (LBA + "trans p a -> p R\ntrans p > -> p L\n", 10, "cannot move left on the left"),
+            (LBA + "trans p a -> p R\ntrans p < -> p R\n", 10, "cannot move right on the right"),
+            (LBA + "trans p a -> p R\ntrans p > -> p a\n", 10, "endmarkers are never overwritten"),
+            (LBA + "trans p a -> p R\ntrans p a -> p <\n", 10, "may not be written elsewhere"),
+            (IDENTITY.replace("kind niufst", "kind iufst") + "trans q a -> q <\ntrans q < -> q <\n",
+             10, "iufst machines must have at most one choice per"),
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
              "leading-zero-sweeps", "duplicate-input", "duplicate-output",
              "reserved-output", "reserved-tape",
-             "nfa-initial", "nfa-accept", "nfa-directive", "nfa-arity",
-             "dfa-initial", "dfa-accept", "dfa-directive", "dfa-arity",
-             "lba-initial", "lba-accept", "lba-directive", "lba-arity"],
+             "nfa-initial", "nfa-accept", "nfa-directive", "nfa-arity", "nfa-move",
+             "dfa-initial", "dfa-accept", "dfa-directive", "dfa-arity", "dfa-move",
+             "lba-initial", "lba-accept", "lba-directive", "lba-arity",
+             "lba-reserved-move", "lba-input", "lba-endmarker-off-tape", "lba-equal-endmarkers",
+             "lba-left-of-lend", "lba-right-of-rend", "lba-overwrite-endmarker",
+             "lba-write-endmarker", "iufst-second-choice"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
         with pytest.raises(MachineParseError, match=message) as info:
