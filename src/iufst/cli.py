@@ -364,6 +364,8 @@ def cmd_lba(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_len is not None and args.max_len < 0:
+        raise CliError("--max-len must be >= 0")
     fam, params = _family(args.lang, "pred")
     machine = fam.make(*params)
     pred = fam.pred(*params)

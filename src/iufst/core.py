@@ -17,7 +17,9 @@ and keeps forked branches in a trie of output chunks of up to ``_CHUNK``
 symbols, so each completed output costs time linear in the tape.  Unless
 it reports halts (for ``sweep``), it drops every choice into a state that
 cannot read the rest of the tape, found by a backward pass (``_live``)
-memoized on the machine.  ``_search``, the only search over the tapes at
+memoized on the machine.  A fork's live choices are memoized too, per
+(state, symbol, live mask), and a fork left with one live choice never
+leaves the row walk.  ``_search``, the only search over the tapes at
 sweep boundaries, yields its rounds to ``_run_traced`` (behind ``run``
 and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
 ``run_deterministic`` call the kernel.
@@ -218,8 +220,10 @@ class Transducer(_Record):
         return single
 
     # ``_live``'s tables, filled as it needs them: per symbol, the states
-    # with a move on it and the bitmask of their next states; a row per mask
-    _back = cached_property(lambda self: ({}, {}))
+    # with a move on it and the bitmask of their next states; a row per mask.
+    # Third, ``_sweep``'s fork memo: (state, symbol, live mask) -> the
+    # choices into live states, in choice order
+    _back = cached_property(lambda self: ({}, {}, {}))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
         self._check_input(word)
@@ -297,9 +301,13 @@ def _sweep(
     one is (state, trie node, tail), node -1 being the end of ``head``.
     Without ``stuck``, a choice into a state outside ``_live`` is dropped:
     it completes nothing and never merges with a kept branch (same state
-    at a cell, same liveness), so pairs and order are unchanged."""
+    at a cell, same liveness), so pairs and order are unchanged.  A lone
+    branch's fork takes its kept choices from the memo in ``_back[2]``;
+    with one left, the branch steps on along the rows, as it would have
+    after the frontier shrank back to one."""
     q, delta, _ = t._indexed
     single = t._single
+    forks = t._back[2]
     row = single[q]
     head: list[str] = []
     n = len(tape)
@@ -313,7 +321,8 @@ def _sweep(
             head.append(y)
         else:
             return [(q, tuple(head))]
-        choices = delta[q].get(tape[i])
+        x = tape[i]
+        choices = delta[q].get(x)
         if choices is None:
             if stuck is not None:
                 stuck.append((i, q))
@@ -323,8 +332,19 @@ def _sweep(
         fork = i
         i += 1
         m = live[i]
+        key = (q, x, m)
+        kept = forks.get(key)
+        if kept is None:
+            if len(forks) >= _LIVE_MEMO_CAP:
+                forks.clear()
+            kept = forks[key] = tuple(c for c in choices if m >> c[0] & 1)
+        if len(kept) == 1:
+            (q, y), = kept
+            head.append(y)
+            row = single[q]
+            continue
         nodes: dict[tuple[int, Tape], int] = {}  # (parent node, tail) -> node
-        frontier = {(p, -1, (y,)): None for p, y in choices if m >> p & 1}
+        frontier = {(p, -1, (y,)): None for p, y in kept}
         while len(frontier) > 1 and i < n:
             if (i - fork) % _CHUNK == 0:
                 frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ()): None
@@ -359,7 +379,7 @@ def _live(t: Transducer, tape: Tape, fork: int) -> list[int]:
     states from which some branch reads ``tape[j:]`` to the end.  Steps
     back are memoized on the machine, a row per mask from symbol to (next
     mask, its row), up to ``_LIVE_MEMO_CAP`` masks."""
-    (pre, memo), delta = t._back, t._indexed[1]
+    (pre, memo, _), delta = t._back, t._indexed[1]
     live = [0] * (len(tape) + 1)
     m = live[-1] = (1 << len(t.states)) - 1
     row = memo.setdefault(m, {})
@@ -379,6 +399,8 @@ def _live(t: Transducer, tape: Tape, fork: int) -> list[int]:
     return live
 
 
+# the most entries each machine keeps in ``_live``'s masks and in
+# ``_sweep``'s fork memo; a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 

@@ -304,6 +304,13 @@ class TestFamilyRegistry:
         run_cli(capsys, "verify", "--lang", "d:2")
         assert seen == [0, 12, 8]
 
+    @pytest.mark.parametrize("spec", ["copy", "e:2,3"])
+    def test_verify_negative_max_len_is_an_error(self, capsys, spec):
+        # a negative length enumerates no word, so "ok" would compare nothing
+        code, out, err = run_cli(capsys, "verify", "--lang", spec, "--max-len", "-1")
+        assert code == 2 and out == ""
+        assert "--max-len must be >= 0" in err
+
     def test_subset_with_reordered_alphabet(self, tmp_path, capsys, e21_file):
         universal = tmp_path / "all.m"
         universal.write_text(

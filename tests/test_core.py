@@ -541,9 +541,10 @@ class TestPrunedSweep:
                     for w in words]
         t = make()
         assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
-        assert len(t._back[1]) > 2
-        # a cap of 2 masks empties the memo on most misses of the live pass
+        assert len(t._back[1]) > 2 and len(t._back[2]) > 2
+        # a cap of 2 empties the live pass's masks and the fork memo on most misses
         monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
         t = make()
         assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
         assert 0 < len(t._back[1]) <= 2
+        assert 0 < len(t._back[2]) <= 2

@@ -40,7 +40,8 @@ from iufst import (
     run,
     sweep,
 )
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word
+from iufst.cli import _d_corpus
+from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _sweep
 
 from test_decide import fuzz_machine
 
@@ -351,3 +352,37 @@ class TestLongWords:
         t = gen_copy()
         assert_same_runs(t, [good, bad], 4 * len(good), (100_000,))
         assert_same_sweeps(t, [t.initial_tape(good)])
+
+
+class TestWarmMemo:
+    """One machine object answers word after word, so the live pass's
+    masks and the fork memo carry entries over from earlier words.  Words
+    go longest first: short words meet entries that long ones left."""
+
+    def test_lba_copy_every_word(self):
+        make, alphabet, max_len, sweeps = FAMILIES["lba(copy)"]
+        t = make()
+        words = [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
+        assert_same_runs(t, words[::-1], sweeps, (100_000,))
+        assert t._back[2]
+
+    def test_d_corpus(self):
+        t, sweeps = gen_d(), FAMILIES["d"][3]
+        assert_same_runs(t, _d_corpus(2)[:200][::-1], sweeps, (100_000,))
+        assert t._back[2]
+
+    def test_fuzz_machines(self, fuzz_machines):
+        for t, k in fuzz_machines:
+            assert_same_runs(t, WORDS_TO_6[::-1], k + 1, (500,))
+
+    def test_sweep_reports_every_halt_after_a_run(self):
+        # the tape of test_core's every-choice-dead case: a warm memo holds
+        # the fork with no live choice, yet sweep() keeps every branch
+        t = compile_lba(lba_copy())
+        assert run(t, tuple("ab$ab"), 80).accepted
+        tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
+        assert _sweep(t, tape) == []
+        assert () in t._back[2].values()
+        outcomes = sweep(t, tape)
+        assert len(outcomes) == 46 and all(isinstance(o, Stuck) for o in outcomes)
+        assert outcomes == ref_sweep(t, tape)
