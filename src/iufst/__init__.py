@@ -13,9 +13,7 @@ from .convert import (
     Dfa,
     Nfa,
     ResourceBudgetError,
-    dfa_complete,
     dfa_minimize,
-    dfa_product,
     min_dfa,
     nfa_to_1niufst,
     nfa_to_dfa,
@@ -57,7 +55,6 @@ from .oracle import (
     compare_languages,
     compare_on_words,
     enumerate_words,
-    min_accept_sweeps,
     predicate_to_min_dfa,
 )
 from .textio import (

@@ -32,7 +32,6 @@ from .core import (
     Transducer,
     Word,
     _run_traced,
-    run,
 )
 from .hierarchy import (
     combine_add,
@@ -247,14 +246,12 @@ def cmd_run(args) -> int:
             max_sweeps = t.sweep_bound
         else:
             max_sweeps = 4 * len(word) + 16
-    if args.trace:
-        report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
-    else:
-        report, trace = run(t, word, max_sweeps, args.tape_cap), None
+    report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
     if report.accepted:
         print(f"accepted sweeps={report.min_accept_sweeps}")
-        for tape in trace or []:
-            print(" ".join(tape))
+        if args.trace:
+            for tape in trace:
+                print(" ".join(tape))
         return OK
     definite = report.exhausted or (
         isinstance(t.sweep_bound, int) and max_sweeps >= t.sweep_bound

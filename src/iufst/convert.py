@@ -80,10 +80,6 @@ class Nfa(_Fa):
                 if r not in states:
                     raise MachineError(f"transition into undeclared state {r!r}")
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(v) <= 1 for v in self.transitions.values())
-
     def accepts(self, word: Sequence[str]) -> bool:
         self._check_word(word)
         cur = {self.initial}
@@ -112,10 +108,6 @@ class Dfa(_Fa):
         for (q, x), r in items:
             if q not in states or x not in alphabet or r not in states:
                 raise MachineError(f"bad transition ({q!r}, {x!r}) -> {r!r}")
-
-    @property
-    def is_deterministic(self) -> bool:
-        return True
 
     @property
     def is_complete(self) -> bool:
@@ -524,62 +516,3 @@ def dfa_minimize(d: Dfa) -> Dfa:
             for x in d.alphabet]
     final = [q in d.accepting_set for q in d.states] + [False]
     return _moore(succ, final, index[d.initial], d.alphabet)
-
-
-def dfa_complete(d: Dfa) -> Dfa:
-    """Total version of a DFA; adds a dead sink only if needed."""
-    if d.is_complete:
-        return d
-    sink = _fresh("sink", set(d.states))
-    transitions = dict(d.transitions)
-    for q in tuple(d.states) + (sink,):
-        for x in d.alphabet:
-            transitions.setdefault((q, x), sink)
-    return Dfa(
-        states=tuple(d.states) + (sink,),
-        alphabet=d.alphabet,
-        initial=d.initial,
-        accepting=d.accepting,
-        transitions=transitions,
-    )
-
-
-def dfa_product(a: Dfa, b: Dfa, op: str = "intersection") -> Dfa:
-    """Product automaton; ``op`` is intersection, union, or difference."""
-    if op not in ("intersection", "union", "difference"):
-        raise MachineError(f"unknown product op {op!r}")
-    if set(a.alphabet) != set(b.alphabet):
-        raise MachineError("product requires identical alphabets")
-    a = dfa_complete(a)
-    b = dfa_complete(b)
-    start = (a.initial, b.initial)
-    transitions: dict[tuple[str, str], str] = {}
-
-    def name(pq: tuple[str, str]) -> str:
-        return f"({pq[0]};{pq[1]})"
-
-    def succ(pq: tuple[str, str]) -> list[tuple[tuple[str, str], str]]:
-        p, q = pq
-        edges = [((a.transitions[(p, x)], b.transitions[(q, x)]), x) for x in a.alphabet]
-        for nxt, x in edges:
-            transitions[(name(pq), x)] = name(nxt)
-        return edges
-
-    order, _ = _bfs((start,), succ)
-
-    def accept(pq: tuple[str, str]) -> bool:
-        ina = pq[0] in a.accepting_set
-        inb = pq[1] in b.accepting_set
-        if op == "intersection":
-            return ina and inb
-        if op == "union":
-            return ina or inb
-        return ina and not inb
-
-    return Dfa(
-        states=tuple(name(pq) for pq in order),
-        alphabet=a.alphabet,
-        initial=name(start),
-        accepting=tuple(name(pq) for pq in order if accept(pq)),
-        transitions=transitions,
-    )

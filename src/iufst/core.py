@@ -502,6 +502,8 @@ def run_deterministic(
     """
     if not t.is_deterministic:
         raise NotDeterministicError("run_deterministic requires a deterministic machine")
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be >= 0")
     tape = t.initial_tape(word)
     trace = [tape]
     seen = {tape}

@@ -364,7 +364,7 @@ def build_lf(cf: Constructor) -> Transducer:
     """
     payload = tuple(cf.payload_alphabet)
     tf = cf.machine
-    tc = gen_copy(("a", "b"))
+    tc = gen_copy()
     acc_f, acc_c = tf.accepting_set, tc.accepting_set
     moves_c, moves_f = _moves_of(tc), _moves_of(tf)
 

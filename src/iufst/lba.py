@@ -100,10 +100,6 @@ class Lba(_Record):
                 else:
                     raise MachineError(f"action {act!r} is neither a tape symbol nor L/R")
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(v) <= 1 for v in self.transitions.values())
-
 
 @dataclass(frozen=True)
 class LbaRunReport:
@@ -120,6 +116,8 @@ def run_lba(m: Lba, word: Sequence[str], max_steps: int = 10_000) -> LbaRunRepor
     is the minimum number of steps of an accepting halting computation.
     """
     m._check_input(word)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     tape0 = (m.left_end,) + tuple(word) + (m.right_end,)
     last = len(tape0) - 1
     start = (m.initial, 0, tape0)

@@ -1,6 +1,5 @@
 """Brute-force ground truth: word enumeration, language comparison up
-to a length budget, minimal-DFA construction from a bare predicate, and
-sweep measurement.
+to a length budget, and minimal-DFA construction from a bare predicate.
 
 These are the independent checks behind every equivalence claim in the
 test suite.  Budgets are data owned by the callers; whenever a budget
@@ -28,7 +27,7 @@ from itertools import product, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, LaneNfa, Nfa, NfaView, _moore
-from .core import DEFAULT_TAPE_CAP, MachineError, Transducer, run
+from .core import MachineError, Transducer, run
 
 Word = tuple[str, ...]
 # Built with | over builtin generics: a typing.Union would sit in typing's
@@ -182,15 +181,6 @@ def compare_on_words(
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
     return [w for w in map(tuple, words) if fa(w) != fb(w)]
-
-
-def min_accept_sweeps(
-    t: Transducer, word: Sequence[str], cap: int,
-    tape_cap: int = DEFAULT_TAPE_CAP,
-) -> Optional[int]:
-    """Minimum sweep count of an accepting run, or None within the cap."""
-    report = run(t, word, cap, tape_cap)
-    return report.min_accept_sweeps
 
 
 def predicate_to_min_dfa(

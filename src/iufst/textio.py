@@ -58,11 +58,11 @@ class MachineFile:
     def __post_init__(self) -> None:
         if self.kind not in _RECORDS:
             raise MachineError(f"unknown machine kind {self.kind!r}")
-        if self.kind == "iufst" and not self.machine.is_deterministic:
-            raise MachineError("iufst files must be deterministic")
         record, noun = _RECORDS[self.kind]
         if not isinstance(self.machine, record):
             raise MachineError(f"kind {self.kind} requires {noun}")
+        if self.kind == "iufst" and not self.machine.is_deterministic:
+            raise MachineError("iufst files must be deterministic")
 
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:

@@ -327,7 +327,7 @@ def in_block(k: int, w: Sequence[str]) -> bool:
 # copy language with center marker
 
 
-def gen_copy(alphabet: Sequence[str] = ("a", "b")) -> Transducer:
+def gen_copy() -> Transducer:
     """Deterministic acceptor of u$u; one symbol pair checked per sweep.
 
     Each sweep marks the leftmost unmarked symbol on both sides of $ and
@@ -336,9 +336,7 @@ def gen_copy(alphabet: Sequence[str] = ("a", "b")) -> Transducer:
     too, and the machine accepts at the endmarker; a word u$u therefore
     takes |u| + 1 sweeps.
     """
-    alphabet = tuple(alphabet)
-    if "$" in alphabet or not alphabet:
-        raise MachineError("gen_copy needs a non-empty alphabet without '$'")
+    alphabet = ("a", "b")
     marked = {t: t + "'" for t in alphabet}
     trans: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     for t in alphabet:

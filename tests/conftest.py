@@ -3,7 +3,6 @@ import pytest
 from iufst import (
     Dfa,
     Nfa,
-    dfa_complete,
     gen_block,
     gen_block_nfa,
     gen_copy,
@@ -60,7 +59,7 @@ def _dfa_edges(d):
 def dfa_complement(d):
     """The complete DFA of the words ``d`` rejects, over its alphabet: a
     slow reference for the antichain searches of ``decide``."""
-    d = dfa_complete(d)
+    assert d.is_complete
     return Dfa(
         states=d.states,
         alphabet=d.alphabet,
@@ -73,6 +72,19 @@ def dfa_complement(d):
 def dfa_shortest_accepted(d):
     """Length-lexicographically first accepted word, or None if L is empty."""
     return _shortest_word((d.initial,), _dfa_edges(d), d.accepting_set.__contains__)
+
+
+def dfa_difference_witness(d1, d2):
+    """Length-lexicographically first word ``d1`` accepts and ``d2``
+    rejects, or None: a search over pairs of states of two complete DFAs
+    on the same symbols, in ``d1``'s alphabet order."""
+    assert d1.is_complete and d2.is_complete and set(d1.alphabet) == set(d2.alphabet)
+    t1, t2 = d1.transitions, d2.transitions
+    return _shortest_word(
+        [(d1.initial, d2.initial)],
+        lambda pq: [((t1[(pq[0], x)], t2[(pq[1], x)]), x) for x in d1.alphabet],
+        lambda pq: pq[0] in d1.accepting_set and pq[1] not in d2.accepting_set,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ class TestRun:
     def test_accept(self, capsys, e21_file):
         code, out, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "a,b,a",
                                "--max-sweeps", "1")
-        assert code == 0 and out.startswith("accepted sweeps=1")
+        assert code == 0 and out == "accepted sweeps=1\n"
 
     def test_reject(self, capsys, e21_file):
         code, out, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "ab")
@@ -219,6 +219,16 @@ class TestGenCombineLba:
         code, out, _ = run_cli(capsys, "run", "-m", str(compiled), "-w", "aabb",
                                "--max-sweeps", "40")
         assert code == 0 and out.startswith("accepted sweeps=19")
+
+    def test_lba_negative_max_steps_is_an_error(self, tmp_path, capsys):
+        from iufst import MachineFile, lba_copy, serialize_machine
+
+        src = tmp_path / "copy.m"
+        src.write_text(serialize_machine(MachineFile("lba", lba_copy())))
+        code, out, err = run_cli(capsys, "lba", "run", "-m", str(src), "-w", "a,$,a",
+                                 "--max-steps", "-1")
+        assert code == 2 and out == ""
+        assert "max_steps must be >= 0" in err
 
 
 class TestVerifyMeasure:

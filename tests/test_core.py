@@ -243,6 +243,10 @@ class TestRunDeterministic:
         with pytest.raises(NotDeterministicError):
             run_deterministic(e21, ("a",), 3)
 
+    def test_negative_budget_rejected(self, copy_machine):
+        with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+            run_deterministic(copy_machine, ("a", "$", "a"), -1)
+
     def test_cycle_detection(self):
         # a fixed-point tape recurs at the first boundary already; the
         # run reports definite rejection instead of sweeping forever

@@ -296,11 +296,11 @@ class TestDeepInfiniteness:
 
 def powerset_inclusion(t1, k1, t2, k2):
     """First word of L1 minus L2 by determinizing both sides."""
-    from conftest import dfa_shortest_accepted
-    from iufst.convert import dfa_product, nfa_to_dfa
+    from conftest import dfa_difference_witness
+    from iufst.convert import nfa_to_dfa
 
     d1, d2 = nfa_to_dfa(reference_nfa(t1, k1)), nfa_to_dfa(reference_nfa(t2, k2))
-    return dfa_shortest_accepted(dfa_product(d1, d2, "difference"))
+    return dfa_difference_witness(d1, d2)
 
 
 class TestPowersetCrossCheck:

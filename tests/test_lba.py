@@ -66,6 +66,11 @@ class TestRunLba:
         report = run_lba(m, ("a",), max_steps=10)
         assert not report.accepted and report.halted
 
+    def test_negative_budget_rejected(self):
+        # a budget below 0 explores nothing, which would read as "ran out"
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            run_lba(lba_copy(), ("a", "$", "a"), max_steps=-1)
+
     def test_validation(self):
         with pytest.raises(MachineError, match="reserved"):
             Lba(

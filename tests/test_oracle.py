@@ -26,8 +26,8 @@ from iufst import (
     in_e,
     in_unary,
     lba_copy,
-    min_accept_sweeps,
     predicate_to_min_dfa,
+    run,
 )
 from iufst.oracle import _known_answers, make_acceptor
 
@@ -250,9 +250,9 @@ class TestLaneWalk:
 class TestMinAcceptSweeps:
     def test_values(self, e22, uexpo_machine):
         for w in [("b", "a", "a", "a"), ("a", "b") + ("a",) * 7]:
-            assert min_accept_sweeps(e22, w, 5) == 2
-        assert min_accept_sweeps(uexpo_machine, ("a",) * 8, 10) == 3
-        assert min_accept_sweeps(e22, ("a", "b"), 6) is None
+            assert run(e22, w, 5).min_accept_sweeps == 2
+        assert run(uexpo_machine, ("a",) * 8, 10).min_accept_sweeps == 3
+        assert run(e22, ("a", "b"), 6).min_accept_sweeps is None
 
 
 class TestPredicateToMinDfa:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iufst import (
+    MachineError,
     MachineFile,
     MachineParseError,
     Transducer,
@@ -151,6 +152,16 @@ class TestParse:
         text = IDENTITY.replace("kind niufst", "kind iufst") + "trans q a -> q <\n"
         with pytest.raises(MachineParseError, match="one choice per"):
             parse_machine(text)
+
+
+class TestMachineFile:
+    @pytest.mark.parametrize(
+        "machine", [gen_block_nfa(2), nfa_to_dfa(gen_block_nfa(2)), lba_copy()],
+        ids=["nondeterministic-nfa", "dfa", "lba"],
+    )
+    def test_iufst_kind_needs_a_transducer(self, machine):
+        with pytest.raises(MachineError, match="kind iufst requires a transducer"):
+            MachineFile("iufst", machine)
 
 
 class TestRoundTrip:

@@ -14,7 +14,6 @@ from iufst import (
     enumerate_words,
     gen_block,
     gen_block_nfa,
-    gen_copy,
     gen_d,
     gen_e,
     gen_uexpo,
@@ -192,10 +191,6 @@ class TestCopy:
         positives = [w for w in enumerate_words(("a", "b", "$"), 9) if in_copy(w)]
         report = check_accept_mode(copy_machine, positives, lambda n: (n - 1) // 2 + 1)
         assert report.ok
-
-    def test_dollar_excluded_from_alphabet(self):
-        with pytest.raises(MachineError):
-            gen_copy(("a", "$"))
 
 
 class TestUexpo:
