@@ -250,7 +250,7 @@ def cmd_run(args) -> int:
     if report.accepted:
         print(f"accepted sweeps={report.min_accept_sweeps}")
         if args.trace:
-            for tape in trace:
+            for tape in trace():
                 print(" ".join(tape))
         return OK
     definite = report.exhausted or (

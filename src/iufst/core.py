@@ -18,10 +18,14 @@ symbols, so each completed output costs time linear in the tape.  Unless
 it reports halts (for ``sweep``), it drops every choice into a state that
 cannot read the rest of the tape, found by a backward pass (``_live``)
 memoized on the machine.  A fork's live choices are memoized too, per
-(state, symbol, live mask), and a fork left with one live choice never
-leaves the row walk.  ``_search``, the only search over the tapes at
-sweep boundaries, yields its rounds to ``_run_traced`` (behind ``run``
-and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
+(state, symbol, live mask).  Branches writing different symbols never
+merge again, so there a lone branch whose live choices write pairwise
+distinct symbols splits into independent row walks, one per choice,
+taken one after another (a single live choice just steps on); the
+merging frontier serves only choices writing a common symbol.
+``_search``, the only search over the tapes at sweep boundaries, yields
+its rounds to ``_run_traced`` (behind ``run`` and
+``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
 ``run_deterministic`` call the kernel.
 
 Constructions build machines through ``materialize``, which explores the
@@ -221,8 +225,8 @@ class Transducer(_Record):
 
     # ``_live``'s tables, filled as it needs them: per symbol, the states
     # with a move on it and the bitmask of their next states; a row per mask.
-    # Third, ``_sweep``'s fork memo: (state, symbol, live mask) -> the
-    # choices into live states, in choice order
+    # Third, ``_sweep``'s fork memo: (state, symbol, live mask) -> (the
+    # choices into live states, in choice order; whether to split them)
     _back = cached_property(lambda self: ({}, {}, {}))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
@@ -302,9 +306,15 @@ def _sweep(
     Without ``stuck``, a choice into a state outside ``_live`` is dropped:
     it completes nothing and never merges with a kept branch (same state
     at a cell, same liveness), so pairs and order are unchanged.  A lone
-    branch's fork takes its kept choices from the memo in ``_back[2]``;
-    with one left, the branch steps on along the rows, as it would have
-    after the frontier shrank back to one."""
+    branch's fork takes its kept choices from the memo in ``_back[2]``,
+    with a bit set when they write pairwise distinct symbols: branches
+    whose outputs differ never merge, so the first choice steps on along
+    the rows and the others wait on ``todo`` as lone walks of their own.
+    Taken last in, first out, the walks complete in lexicographic order
+    of their choices, which is frontier order.  Only choices writing a
+    common symbol enter the merging frontier.  With ``stuck`` nothing
+    splits: there a kept branch may halt a cell later, and a split one
+    copies its prefix, which only an output of its own pays for."""
     q, delta, _ = t._indexed
     single = t._single
     forks = t._back[2]
@@ -312,6 +322,10 @@ def _sweep(
     head: list[str] = []
     n = len(tape)
     i, live = 0, None
+    done: list[tuple[int, Tape]] = []
+    # lone walks still to take, the next one last: (state, next cell, the
+    # head list holding its prefix, prefix length, symbol written)
+    todo: list[tuple[int, int, list[str], int, str]] = []
     while True:
         for i in range(i, n):
             move = row.get(tape[i])
@@ -320,26 +334,42 @@ def _sweep(
             row, q, y = move
             head.append(y)
         else:
-            return [(q, tuple(head))]
+            done.append((q, tuple(head)))
+            if not todo:
+                return done
+            q, i, head, at, y = todo.pop()
+            head = head[:at]
+            head.append(y)
+            row = single[q]
+            continue
+        # a kept choice always completes, and with ``stuck`` nothing
+        # splits: a halt or an empty frontier below finds ``todo`` empty
         x = tape[i]
         choices = delta[q].get(x)
         if choices is None:
             if stuck is not None:
                 stuck.append((i, q))
-            return []
+            return done
         if live is None:  # -1 has every state's bit: with ``stuck`` nothing is dropped
             live = [-1] * (n + 1) if stuck is not None else _live(t, tape, i)
         fork = i
         i += 1
         m = live[i]
         key = (q, x, m)
-        kept = forks.get(key)
-        if kept is None:
+        memo = forks.get(key)
+        if memo is None:
             if len(forks) >= _LIVE_MEMO_CAP:
                 forks.clear()
-            kept = forks[key] = tuple(c for c in choices if m >> c[0] & 1)
-        if len(kept) == 1:
-            (q, y), = kept
+            kept = tuple(c for c in choices if m >> c[0] & 1)
+            apart = m != -1 and 0 < len(kept) == len({y for _, y in kept})
+            memo = forks[key] = (kept, apart)
+        kept, apart = memo
+        if apart:
+            if len(kept) > 1:
+                at = len(head)
+                for p, y in kept[:0:-1]:
+                    todo.append((p, i, head, at, y))
+            q, y = kept[0]
             head.append(y)
             row = single[q]
             continue
@@ -364,12 +394,12 @@ def _sweep(
                         nxt[p, node, tail + (y,)] = None
             frontier = nxt
         if not frontier:
-            return []
+            return done
         chunks = list(nodes)
-        if len(frontier) > 1:
+        *ended, (q, node, tail) = frontier
+        if ended:  # the tape ended: the last branch completes as the lone walk
             h = tuple(head)
-            return [(p, h + _trie_path(chunks, c, tail)) for p, c, tail in frontier]
-        (q, node, tail), = frontier
+            done += [(p, h + _trie_path(chunks, c, tail)) for p, c, tail in ended]
         head += _trie_path(chunks, node, tail) if nodes else tail
         row = single[q]
 
@@ -472,9 +502,10 @@ def _run_traced(
     word: Sequence[str],
     max_sweeps: int,
     tape_cap: int,
-) -> tuple[RunReport, Optional[list[Tape]]]:
-    """``run``'s report and ``find_accepting_trace``'s path (None unless
-    accepted) from one search."""
+) -> tuple[RunReport, Callable[[], Optional[list[Tape]]]]:
+    """``run``'s report from one search, and a function building
+    ``find_accepting_trace``'s path (None unless accepted): only a caller
+    that wants the path pays for walking the parent map."""
     if max_sweeps < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
     tape0 = t.initial_tape(word)
@@ -482,12 +513,18 @@ def _run_traced(
     explored, frontier = 0, [tape0]
     for s, explored, hit, frontier in _search(t, tape0, max_sweeps, tape_cap, parent):
         if hit is not None:
-            path = [hit[1], hit[0]]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return RunReport(True, s, explored, False), path[::-1]
+            return RunReport(True, s, explored, False), lambda: _path(parent, *hit)
     # a None frontier means the tape cap stopped the search
-    return RunReport(False, None, explored, frontier is None, exhausted=frontier == []), None
+    return RunReport(False, None, explored, frontier is None, exhausted=frontier == []), lambda: None
+
+
+def _path(parent: dict[Tape, Optional[Tape]], tape: Optional[Tape], out: Tape) -> list[Tape]:
+    """The tapes from the initial one to ``tape`` along ``parent``, then ``out``."""
+    path = [out]
+    while tape is not None:
+        path.append(tape)
+        tape = parent[tape]
+    return path[::-1]
 
 
 def run_deterministic(
@@ -535,7 +572,7 @@ def find_accepting_trace(
     within the budgets.  Raises ``ValueError`` on the budgets ``run``
     rejects.
     """
-    return _run_traced(t, word, max_sweeps, tape_cap)[1]
+    return _run_traced(t, word, max_sweeps, tape_cap)[1]()
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from iufst import (
     compile_lba,
     find_accepting_trace,
     gen_e,
-    gen_unary,
     lba_copy,
     materialize,
     run,

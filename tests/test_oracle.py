@@ -18,7 +18,6 @@ from iufst import (
     gen_copy,
     gen_d,
     gen_e,
-    gen_uexpo,
     gen_unary,
     in_block,
     in_copy,

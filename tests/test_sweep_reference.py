@@ -6,6 +6,8 @@ verbatim apart from their names: every branch copies its whole output
 prefix at every cell, and each caller has its own search loop.  The
 library must give the same ``RunReport`` field by field, the same traces,
 the same ``sweep`` outcome sets and the same accept-mode reports.
+``ref_sweep_ordered``, written in the same style, pins the order of the
+kernel's completed pairs, which the search reads.
 """
 
 import itertools
@@ -98,6 +100,22 @@ def _ref_sweep_split(
         else:
             continuing.append((q, out))
     return continuing, accepting
+
+
+def ref_sweep_ordered(t: Transducer, tape: Tape) -> list[tuple[int, Tape]]:
+    """``_sweep``'s completed (state index, output) pairs, order included:
+    a frontier of (state, output) pairs deduplicated by a dict, every
+    branch kept to the end, the pairs in frontier order."""
+    index = {q: i for i, q in enumerate(t.states)}
+    trans = t.transitions
+    frontier: dict[tuple[str, Tape], None] = {(t.initial, ()): None}
+    for x in tape:
+        nxt: dict[tuple[str, Tape], None] = {}
+        for q, out in frontier:
+            for p, y in trans.get((q, x), ()):
+                nxt[(p, out + (y,))] = None
+        frontier = nxt
+    return [(index[q], out) for q, out in frontier]
 
 
 def ref_run(
@@ -243,6 +261,25 @@ def assert_same_sweeps(t, tapes):
         assert sweep(t, tape) == ref_sweep(t, tape), tape
 
 
+def assert_same_order(t, tapes, rounds=1):
+    """``_sweep`` lists the reference's pairs in its order, with and
+    without a ``stuck`` list, on ``tapes`` and on the non-accepting
+    outputs of the next ``rounds - 1`` sweeps, each tape once."""
+    acc = t._indexed[2]
+    seen = set(tapes)
+    for _ in range(rounds):
+        nxt = []
+        for tape in tapes:
+            want = ref_sweep_ordered(t, tape)
+            assert _sweep(t, tape) == want, tape
+            assert _sweep(t, tape, []) == want, tape
+            for q, out in want:
+                if not acc[q] and out not in seen:
+                    seen.add(out)
+                    nxt.append(out)
+        tapes = nxt
+
+
 def most_runs(t, tape):
     """The most runs alive at any cell of a sweep over ``tape``: a bound on
     the branches both sweeps keep, without building them."""
@@ -382,7 +419,52 @@ class TestWarmMemo:
         assert run(t, tuple("ab$ab"), 80).accepted
         tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
         assert _sweep(t, tape) == []
-        assert () in t._back[2].values()
+        assert any(not kept for kept, _ in t._back[2].values())
         outcomes = sweep(t, tape)
         assert len(outcomes) == 46 and all(isinstance(o, Stuck) for o in outcomes)
         assert outcomes == ref_sweep(t, tape)
+
+
+class TestKernelOrder:
+    """``_search`` reads ``_sweep``'s pairs in order: the first accepting
+    pair ends the trace, and the next round's tapes, where a tape cap
+    cuts, come in that order.  Lone walks split at forks writing distinct
+    symbols must keep frontier order."""
+
+    def test_fuzz_machines(self, fuzz_machines):
+        rng = random.Random(7)
+        for t, _ in fuzz_machines:
+            assert_same_order(t, [t.initial_tape(w) for w in WORDS_TO_6])
+            assert_same_order(t, random_tapes(rng, t, 20, 60))
+
+    def test_wide_forks(self):
+        # fuzz machines fork two ways at most; here up to four ways, so
+        # the order of the walks left waiting shows
+        rng = random.Random(11)
+        states, symbols = ("s0", "s1", "s2", "s3"), ("a", "b", "c", "<")
+        for _ in range(60):
+            trans = {(q, x): tuple(dict.fromkeys(
+                         (rng.choice(states), rng.choice(symbols)) for _ in range(rng.randint(1, 4))))
+                     for q in states for x in symbols if rng.random() < 0.8}
+            t = Transducer(states, ("a", "b"), symbols[:3] + ("<",), "<", "s0",
+                           (rng.choice(states),), trans)
+            assert_same_order(t, random_tapes(rng, t, 10, 30))
+
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2)])
+    def test_e_long_words(self, n, k):
+        # every b of the first sweep forks into two symbols: many splits
+        t, rng = gen_e(n, k), random.Random(n * 10 + k)
+        words = [tuple(rng.choice("abb") for _ in range(m)) for m in (201, 233, 260)]
+        words.append(("b",) * 210)
+        assert_same_order(t, [t.initial_tape(w) for w in words], k)
+
+    def test_d_corpus(self):
+        t = gen_d()
+        words = _d_corpus(2)[::16]
+        assert_same_order(t, [t.initial_tape(w) for w in words], FAMILIES["d"][3])
+
+    def test_lba_copy(self):
+        make, alphabet, max_len, sweeps = FAMILIES["lba(copy)"]
+        t = make()
+        words = [w for n in range(max_len) for w in itertools.product(alphabet, repeat=n)]
+        assert_same_order(t, [t.initial_tape(w) for w in words], sweeps)

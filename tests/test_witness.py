@@ -14,9 +14,7 @@ from iufst import (
     enumerate_words,
     gen_block,
     gen_block_nfa,
-    gen_d,
     gen_e,
-    gen_uexpo,
     gen_unary,
     in_block,
     in_copy,
