@@ -33,7 +33,9 @@ from .core import (
     _bfs,
     _check_declared,
     _check_list,
+    _fresh,
     materialize,
+    renderer,
 )
 
 
@@ -134,13 +136,6 @@ _DUMMY_SYMBOL = -1
 _DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
 
 
-def _fresh(base: str, taken: set[str]) -> str:
-    tok = base
-    while tok in taken:
-        tok += "'"
-    return tok
-
-
 def reduced_state_universe(n_states: int, i: int) -> int:
     """Size of the tuple-state universe for an i-fold parallel simulation.
 
@@ -186,13 +181,9 @@ def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
     return dict.fromkeys(moves)
 
 
-def _lane_names(t: Transducer):
-    """Injective names of ``t``'s lane tuples, ``(q1,q2,...)``: ``\\`` and
-    ``,`` are escaped by a ``\\`` inside each lane's state name, and the
-    dummy lane is ``d`` (primed until fresh)."""
-    names = [q.replace("\\", "\\\\").replace(",", "\\,") for q in t.states]
-    names.append(_fresh(_DUMMY, set(t.states)))
-    return lambda tup: "(" + ",".join(map(names.__getitem__, tup)) + ")"
+def _lane_states(t: Transducer) -> tuple[str, ...]:
+    """Each lane state's name by index, the dummy's (``d``, primed until fresh) at -1."""
+    return t.states + (_fresh(_DUMMY, set(t.states)),)
 
 
 def _lane_meta(t: Transducer, k: int, i: int) -> dict:
@@ -208,9 +199,9 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     """Equivalent machine running ceil(k/i) sweeps by simulating i at a time.
 
     The states are the lane tuples ``_lane_step`` reaches, explored over
-    every symbol and named by ``_lane_names``; a dead lane shows as the
-    dummy state ``d`` and its output as the dummy symbol ``d`` (both
-    primed until fresh).  A tuple is accepting when any lane holds an
+    every symbol and named ``(q1,q2,...)`` by ``renderer``; a dead lane shows
+    as the dummy state ``d`` and its output as the dummy symbol ``d``
+    (both primed until fresh).  A tuple is accepting when any lane holds an
     accepting original state.  Determinism is preserved, and the full
     tuple-state universe has at most 2 n^i members for n >= 2 (the
     constructed machine materializes only reachable tuples; the universe
@@ -219,6 +210,7 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     _check_lanes(k, i)
     dummy_sym = _fresh(_DUMMY, set(t.input_alphabet) | set(t.output_alphabet))
     q0, delta, acc = _lanes(t)
+    lanes, name = _lane_states(t), renderer()
     out_alpha = tuple(t.output_alphabet) + (_DUMMY_SYMBOL,)
     symbols = tuple(dict.fromkeys(t.input_alphabet + out_alpha))
     return materialize(
@@ -228,7 +220,7 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
         output_alphabet=out_alpha,
         endmarker=t.endmarker,
         accepting=lambda tup: any(map(acc.__getitem__, tup)),
-        name_of=_lane_names(t),
+        name_of=lambda tup: name(tuple(map(lanes.__getitem__, tup))),
         symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else y,
         sweep_bound=-(-k // i),  # ceil(k / i)
         meta=_lane_meta(t, k, i),
@@ -324,9 +316,8 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
     """NFA equivalent to a machine with declared constant sweep bound k.
 
     ``LaneNfa(t, k)`` rendered: its states reachable on input symbols,
-    in breadth-first order, named by ``_lane_names`` (so the names are
-    those of ``sweep_reduce(t, k, k)``, with ``\\`` and ``,`` escaped
-    inside each lane), each accepting when one endmarker step from it
+    in breadth-first order, named as ``sweep_reduce(t, k, k)`` names them,
+    each accepting when one endmarker step from it
     can reach a tuple containing an accepting original state.  Applying
     the same rule to the initial state makes the NFA accept the empty
     word exactly when the transducer does.  The state universe stays
@@ -334,8 +325,8 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
     """
     n = LaneNfa(t, k)
     order, _ = _bfs((n.initial,), _edges(n))
-    name_of = _lane_names(t)
-    names = {q: name_of(n._tuples[q]) for q in order}
+    lanes, name = _lane_states(t), renderer()
+    names = {q: name(tuple(map(lanes.__getitem__, n._tuples[q]))) for q in order}
     return Nfa(
         states=tuple(names.values()),
         alphabet=n.alphabet,
@@ -356,10 +347,8 @@ def nfa_to_1niufst(n: Nfa) -> Transducer:
     is entered exactly when the endmarker is read after the simulated
     NFA ended in one of its accepting states.
     """
-    taken = set(n.states)
-    acc_state = _fresh("qacc", taken)
-    taken_syms = set(n.alphabet)
-    end = _fresh("<", taken_syms)
+    acc_state = _fresh("qacc", set(n.states))
+    end = _fresh("<", set(n.alphabet))
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     for (q, x), rs in n.transitions.items():
         transitions[(q, x)] = tuple((r, x) for r in rs)

@@ -36,7 +36,8 @@ each declared symbol is rendered to its token once, so no construction
 parses token strings.  Moves reading an undeclared symbol are skipped,
 writing one raises ``MachineError``, and moves are ordered by the declared
 rank of the symbol read, so state names and transition order do not depend
-on the order a construction yields them in.
+on the order a construction yields them in.  ``renderer`` names every tuple,
+escaping its format's characters in each part; ``_fresh`` picks helper names.
 
 The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` derive
 from ``_Record`` and are the one home of their rules.  A constructor runs
@@ -52,7 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -91,11 +92,12 @@ def _check_token(tok: str, what: str) -> None:
 
 def _check_list(items: Sequence[str], what: str) -> set[str]:
     """The rule for one declared list of ``what``s: every token first,
-    then duplicates.  Returns the list as a set."""
+    then the first repeated one.  Returns the list as a set."""
     for tok in items:
         _check_token(tok, what)
     if len(set(items)) != len(items):
-        raise MachineError(f"duplicate {what}s in {items!r}")
+        tok = next(tok for i, tok in enumerate(items) if tok in items[:i])
+        raise MachineError(f"duplicate {what} {tok!r}")
     return set(items)
 
 
@@ -641,6 +643,54 @@ def check_accept_mode(
     return AcceptModeReport(tuple(violations), tuple(inconclusive))
 
 
+def _fresh(base: str, taken: set[str]) -> str:
+    """``base``, primed until it is not in ``taken``; it joins ``taken``."""
+    tok = base
+    while tok in taken:
+        tok += "'"
+    taken.add(tok)
+    return tok
+
+
+def renderer(sep: str = ",", frame: tuple[str, str] = ("(", ")"), delims: str = "") -> Callable[..., str]:
+    """The one renderer of states and symbols: a function naming a tuple by
+    its parts joined by ``sep`` (or a call's own, from ``delims``) inside
+    ``frame``, nested tuples alike, and any other value by ``str`` of it.
+    In a part, ``\\`` goes before ``\\`` and each character of ``sep``,
+    ``frame`` and ``delims``: a part without them reads as it is, and no two
+    tuples share a name (nested ones in an empty frame aside)."""
+    opening, closing = frame
+    chars = sep + opening + closing + delims
+    escape = _escapes(chars)
+    probe = frozenset("\\(" + chars)  # "(" starts the str of a nested tuple
+
+    def name(value: Hashable, sep: str = sep) -> str:
+        if value.__class__ is not tuple:
+            return str(value)
+        parts = list(map(str, value))
+        if not probe.isdisjoint("".join(parts)):  # most names skip this
+            parts = [name(p) if p.__class__ is tuple else str(p).translate(escape) for p in value]
+        return opening + sep.join(parts) + closing
+    return name
+
+
+def name_table(*axes: Sequence[Hashable], seps: str, frame: tuple[str, str],
+               delims: str = "") -> dict[tuple, str]:
+    """The ``renderer`` name of every tuple in the product of ``axes`` of plain
+    values, each escaped once; ``seps`` holds one separator per gap."""
+    escape = _escapes(seps + "".join(frame) + delims)
+    gaps = ("",) + tuple(seps)
+    parts = [[gap + str(v).translate(escape) for v in axis] for gap, axis in zip(gaps, axes)]
+    parts[0] = [frame[0] + p for p in parts[0]]
+    parts[-1] = [p + frame[1] for p in parts[-1]]
+    return dict(zip(product(*axes), map("".join, product(*parts))))
+
+
+def _escapes(chars: str) -> dict[int, str]:
+    """The table putting ``\\`` before ``\\`` and each of ``chars``."""
+    return str.maketrans({c: "\\" + c for c in "\\" + chars})
+
+
 def materialize(
     start: Hashable,
     moves: Callable[[Hashable], Iterable[tuple[Hashable, Hashable, Hashable]]],
@@ -648,8 +698,8 @@ def materialize(
     output_alphabet: Sequence[Hashable],
     endmarker: Hashable,
     accepting: Callable[[Hashable], bool],
-    name_of: Callable[[Hashable], str] = str,
-    symbol_name: Callable[[Hashable], str] = str,
+    name_of: Optional[Callable[[Hashable], str]] = None,
+    symbol_name: Optional[Callable[[Hashable], str]] = None,
     sweep_bound: int | str | None = None,
     meta: Optional[dict] = None,
 ) -> Transducer:
@@ -661,10 +711,12 @@ def materialize(
     symbol read (the input alphabet, then the output-only symbols), choice
     order kept per symbol.  States and symbols may be structured values:
     each declared symbol is rendered once through ``symbol_name`` and each
-    reachable state through ``name_of``, and two values rendering alike
-    raise ``MachineError``.  A move reading an undeclared symbol is
-    skipped; one writing an undeclared symbol raises ``MachineError``.
+    reachable state through ``name_of`` (both ``renderer()`` by default), and
+    two values rendering alike raise ``MachineError``.  A move reading an
+    undeclared symbol is skipped; one writing one raises ``MachineError``.
     """
+    name_of = name_of or renderer()
+    symbol_name = symbol_name or renderer()
     rank = {x: r for r, x in enumerate(dict.fromkeys(chain(input_alphabet, output_alphabet)))}
     sym: dict[Hashable, str] = {}
     rendered: dict[str, Hashable] = {}

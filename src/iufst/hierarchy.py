@@ -14,10 +14,11 @@ sweep counts plus the one splitting sweep.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import MachineError, Transducer, materialize, run
+from .core import MachineError, Transducer, materialize, renderer, run
 from .witness import gen_copy
 
 Word = tuple[str, ...]
@@ -66,21 +67,8 @@ def identity_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructo
         trans[("Z", marked[t])] = (("Z", marked[t]),)
     trans[("Done", "<")] = (("q0", "<"),)
     trans[("Z", "<")] = (("ACC", "<"),)
-    machine = Transducer(
-        states=("q0", "Ma", "Sv", "Done", "Z", "ACC"),
-        input_alphabet=("a",) + payload,
-        output_alphabet=("a", "a'")
-        + payload
-        + tuple(marked[t] for t in payload)
-        + ("<",),
-        endmarker="<",
-        initial="q0",
-        accepting=("ACC",),
-        transitions=trans,
-        sweep_bound="linear",
-        meta={"family": "id-ctor", "sweeps": "m + 1"},
-    )
-    return Constructor(machine, payload, fn=lambda m: m, name="id")
+    states = ("q0", "Ma", "Sv", "Done", "Z", "ACC")
+    return _constructor("id", lambda m: m, states, payload, marked, trans, "linear")
 
 
 def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
@@ -126,24 +114,25 @@ def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
     trans[("Hn0", "<")] = (("q0", "<"),)
     trans[("Hf2", "<")] = (("q0", "<"),)
     trans[("Z1", "<")] = (("ACC", "<"),)
+    states = ("q0", "qz", "W", "An", "Hn0", "Hn1", "Hf0", "Hf1", "Hf2", "Z0", "Z1", "ACC")
+    return _constructor("expo", lambda m: 2**m, states, payload, marked, trans, "log")
+
+
+def _constructor(name, fn, states, payload, marked, trans, sweep_bound) -> Constructor:
+    """A constructor machine over a, the payload and their marked copies,
+    from q0, accepting in ACC, with m + 1 sweeps on accepted words."""
     machine = Transducer(
-        states=(
-            "q0", "qz", "W", "An", "Hn0", "Hn1", "Hf0", "Hf1", "Hf2",
-            "Z0", "Z1", "ACC",
-        ),
+        states=states,
         input_alphabet=("a",) + payload,
-        output_alphabet=("a", "a'")
-        + payload
-        + tuple(marked[t] for t in payload)
-        + ("<",),
+        output_alphabet=("a", "a'") + payload + tuple(marked[t] for t in payload) + ("<",),
         endmarker="<",
         initial="q0",
         accepting=("ACC",),
         transitions=trans,
-        sweep_bound="log",
-        meta={"family": "expo-ctor", "sweeps": "m + 1"},
+        sweep_bound=sweep_bound,
+        meta={"family": f"{name}-ctor", "sweeps": "m + 1"},
     )
-    return Constructor(machine, payload, fn=lambda m: 2**m, name="expo")
+    return Constructor(machine, payload, fn=fn, name=name)
 
 
 def _check_payload(payload: tuple[str, ...]) -> None:
@@ -161,12 +150,8 @@ def _check_payload(payload: tuple[str, ...]) -> None:
 # machines' symbols, with "-" blanking a track; sep is "|" on ordinary
 # cells and "!" on the cells where a factor of the multiplicative
 # construction ends (its stored virtual endmarker sits on the left track).
-# Each declared tuple is rendered once, as [left|right] or [left!right], and
-# materialize rejects two tuples that render alike.
-
-
-def _track_name(sym) -> str:
-    return sym if isinstance(sym, str) else f"[{sym[1]}{sym[0]}{sym[2]}]"
+# ``renderer`` names each declared tuple once, as [left|right] or [left!right],
+# and each state as its parts joined by ";", escaping these characters.
 
 
 def _track(t: Transducer) -> tuple[str, ...]:
@@ -206,6 +191,7 @@ def _combine_bound(tf: Transducer, tg: Transducer) -> str:
 
 
 def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound, meta) -> Transducer:
+    track = renderer("|", ("[", "]"), "!")
     return materialize(
         start=("q0",),
         moves=moves,
@@ -213,8 +199,8 @@ def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound, meta
         output_alphabet=out + ("<",),
         endmarker="<",
         accepting=accepting,
-        name_of=lambda s: ";".join(str(x) for x in s),
-        symbol_name=_track_name,
+        name_of=renderer(";", ("", "")),
+        symbol_name=lambda s: track(s[1:], s[0]) if isinstance(s, tuple) else s,
         sweep_bound=sweep_bound,
         meta=meta,
     )
@@ -269,13 +255,7 @@ def combine_add(cf: Constructor, cg: Constructor) -> Constructor:
         sweep_bound=_combine_bound(tf, tg),
         meta={"family": "add", "components": (cf.name, cg.name)},
     )
-    fn_f, fn_g = cf.fn, cg.fn
-    return Constructor(
-        machine,
-        cf.payload_alphabet + cg.payload_alphabet,
-        fn=lambda m: fn_f(m) + fn_g(m),
-        name=f"({cf.name}+{cg.name})",
-    )
+    return _combined(cf, cg, machine, "+")
 
 
 def combine_mul(cf: Constructor, cg: Constructor) -> Constructor:
@@ -344,12 +324,17 @@ def combine_mul(cf: Constructor, cg: Constructor) -> Constructor:
         sweep_bound=_combine_bound(tf, tg),
         meta={"family": "mul", "components": (cf.name, cg.name)},
     )
-    fn_f, fn_g = cf.fn, cg.fn
+    return _combined(cf, cg, machine, "*")
+
+
+def _combined(cf: Constructor, cg: Constructor, machine: Transducer, op: str) -> Constructor:
+    """The constructor of ``cf`` ``op`` ``cg`` (``+`` or ``*``) that ``machine`` is."""
+    fn_f, fn_g, apply = cf.fn, cg.fn, {"+": operator.add, "*": operator.mul}[op]
     return Constructor(
         machine,
         cf.payload_alphabet + cg.payload_alphabet,
-        fn=lambda m: fn_f(m) * fn_g(m),
-        name=f"({cf.name}*{cg.name})",
+        fn=lambda m: apply(fn_f(m), fn_g(m)),
+        name=f"({cf.name}{op}{cg.name})",
     )
 
 

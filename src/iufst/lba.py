@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import MachineError, Transducer, _check_declared, _check_list, _Record
+from .core import MachineError, Transducer, _check_declared, _check_list, _fresh, _Record, name_table
 
 # Actions are tape symbols (stationary rewrite) or the move tokens below.
 MOVE_LEFT = "L"
@@ -147,17 +147,6 @@ def run_lba(m: Lba, word: Sequence[str], max_steps: int = 10_000) -> LbaRunRepor
     return LbaRunReport(False, None, not frontier)
 
 
-_BLANK = "_"
-
-
-def _pair(flag: str, sym: str) -> str:
-    return f"[{flag}.{sym}]"
-
-
-def _double(flag_l: str, flag: str, sym: str) -> str:
-    return f"[{flag_l}.>|{flag}.{sym}]"
-
-
 def compile_lba(m: Lba) -> Transducer:
     """Iterated transducer accepting the same language as the LBA.
 
@@ -167,29 +156,29 @@ def compile_lba(m: Lba) -> Transducer:
     statically.  The result has 2|Q| + 4 states, and on every accepted
     word its minimum accepting sweep count is the source machine's
     minimum accepting step count plus one.
+
+    Cells (flag, symbol) and (left flag, ``>``, flag, symbol) are named
+    ``[f.x]`` and ``[fl.>|f.x]`` by ``name_table``; the blank flag ``_``, the
+    helpers ``p0 ps p1 p+`` and each hat state ``q^`` are primed until
+    fresh.  Only an input symbol or right endmarker spelled like a cell
+    name clashes, as a duplicate output symbol.
     """
     for q in m.accepting:
         if m.transitions.get((q, m.right_end)):
-            raise MachineError(
-                f"accepting state {q!r} must halt on the right endmarker"
-            )
+            raise MachineError(f"accepting state {q!r} must halt on the right endmarker")
     Q = m.states
-    blank = _BLANK
+    blank = _fresh("_", set(Q))
     flags = (blank,) + Q
-    hat = {q: f"{q}^" for q in Q}
-    p0, ps, p1, pp = "p0", "ps", "p1", "p+"
-    taken = set(Q) | set(hat.values())
-    for tok in (p0, ps, p1, pp):
-        if tok in taken:
-            raise MachineError(f"state token {tok!r} collides with the source machine")
+    taken = set(Q)
+    p0, ps, p1, pp = (_fresh(tok, taken) for tok in ("p0", "ps", "p1", "p+"))
+    hat = {q: _fresh(q + "^", taken) for q in Q}
 
-    inner = tuple(x for x in m.tape_alphabet if x != m.left_end)
-    pairs = [_pair(f, x) for f in flags for x in inner]
-    doubles = [
-        _double(fl, f, x) for fl in flags for f in flags for x in inner
-    ]
+    lend = m.left_end
+    inner = tuple(x for x in m.tape_alphabet if x != lend)
+    pair = name_table(flags, inner, seps=".", frame=("[", "]"), delims="|")
+    double = name_table(flags, (lend,), flags, inner, seps=".|.", frame=("[", "]"))
     end = m.right_end
-    output_alphabet = tuple(pairs) + tuple(doubles) + tuple(m.input_alphabet) + (end,)
+    output_alphabet = (*pair.values(), *double.values(), *m.input_alphabet, end)
 
     delta: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
@@ -200,8 +189,8 @@ def compile_lba(m: Lba) -> Transducer:
     # First sweep: split the input into tracks; the head starts on the
     # left endmarker, carried by the first cell.
     for x in tuple(m.input_alphabet) + (end,):
-        add(p0, x, (ps, _double(m.initial, blank, x)))
-        add(ps, x, (ps, _pair(blank, x)))
+        add(p0, x, (ps, double[m.initial, lend, blank, x]))
+        add(ps, x, (ps, pair[blank, x]))
 
     src = m.transitions
     acc = m.accepting_set
@@ -216,14 +205,14 @@ def compile_lba(m: Lba) -> Transducer:
     # from the next cell (hat states verify the guess and die if wrong).
     for x in inner:
         for q in Q:
-            add(p0, _pair(blank, x), (hat[q], _pair(q, x)))
-            add(p0, _double(blank, blank, x), (hat[q], _double(blank, q, x)))
-        add(p0, _pair(blank, x), (p0, _pair(blank, x)))
-        add(p0, _double(blank, blank, x), (p0, _double(blank, blank, x)))
+            add(p0, pair[blank, x], (hat[q], pair[q, x]))
+            add(p0, double[blank, lend, blank, x], (hat[q], double[blank, lend, q, x]))
+        add(p0, pair[blank, x], (p0, pair[blank, x]))
+        add(p0, double[blank, lend, blank, x], (p0, double[blank, lend, blank, x]))
         for q in Q:
             for r, act in src.get((q, x), ()):
                 if act == MOVE_LEFT:
-                    add(hat[r], _pair(q, x), (p1, _pair(blank, x)))
+                    add(hat[r], pair[q, x], (p1, pair[blank, x]))
 
     # Head found with no pending guess: stationary and right moves.
     for x in inner:
@@ -233,20 +222,20 @@ def compile_lba(m: Lba) -> Transducer:
             choices = []
             for r, act in src.get((q, x), ()):
                 if act == MOVE_RIGHT:
-                    choices.append((r, _pair(blank, x)))
+                    choices.append((r, pair[blank, x]))
                 elif act != MOVE_LEFT:
-                    choices.append((p1, _pair(r, act)))
-            add(p0, _pair(q, x), *choices)
+                    choices.append((p1, pair[r, act]))
+            add(p0, pair[q, x], *choices)
 
     # Right-move arrival: plant the head flag one cell later.  Arriving
     # on the right endmarker in an accepting state is an accepting halt.
     for x in inner:
         for p in Q:
             if x == end and p in acc:
-                add(p, _pair(blank, x), (pp, _pair(blank, x)))
+                add(p, pair[blank, x], (pp, pair[blank, x]))
             else:
-                add(p, _pair(blank, x), (p1, _pair(p, x)))
-        add(p1, _pair(blank, x), (p1, _pair(blank, x)))
+                add(p, pair[blank, x], (p1, pair[p, x]))
+        add(p1, pair[blank, x], (p1, pair[blank, x]))
 
     # Steps on the right endmarker: stationary rewrites keep it intact,
     # entering the accepting state when the rewrite halts acceptingly;
@@ -257,12 +246,12 @@ def compile_lba(m: Lba) -> Transducer:
             if act == MOVE_LEFT:
                 continue
             if r in acc:
-                choices.append((pp, _pair(blank, end)))
+                choices.append((pp, pair[blank, end]))
             else:
-                choices.append((p1, _pair(r, end)))
+                choices.append((p1, pair[r, end]))
         if q in acc:
-            choices.append((pp, _pair(blank, end)))
-        add(p0, _pair(q, end), *choices)
+            choices.append((pp, pair[blank, end]))
+        add(p0, pair[q, end], *choices)
 
     # First-cell doubles: steps on the left endmarker and on the first
     # real cell, including left moves onto the left endmarker (same
@@ -274,25 +263,25 @@ def compile_lba(m: Lba) -> Transducer:
             for r, act in src.get((q, m.left_end), ()):
                 if act == MOVE_RIGHT:
                     if x == end and r in acc:
-                        choices.append((pp, _double(blank, blank, x)))
+                        choices.append((pp, double[blank, lend, blank, x]))
                     else:
-                        choices.append((p1, _double(blank, r, x)))
+                        choices.append((p1, double[blank, lend, r, x]))
                 elif act != MOVE_LEFT:
-                    choices.append((p1, _double(r, blank, x)))
-            add(p0, _double(q, blank, x), *choices)
+                    choices.append((p1, double[r, lend, blank, x]))
+            add(p0, double[q, lend, blank, x], *choices)
             choices = []
             for r, act in src.get((q, x), ()):
                 if act == MOVE_LEFT:
-                    choices.append((p1, _double(r, blank, x)))
+                    choices.append((p1, double[r, lend, blank, x]))
                 elif act == MOVE_RIGHT:
-                    choices.append((r, _double(blank, blank, x)))
+                    choices.append((r, double[blank, lend, blank, x]))
                 elif x == end and r in acc:
-                    choices.append((pp, _double(blank, blank, x)))
+                    choices.append((pp, double[blank, lend, blank, x]))
                 else:
-                    choices.append((p1, _double(blank, r, act)))
+                    choices.append((p1, double[blank, lend, r, act]))
             if x == end and q in acc:
-                choices.append((pp, _double(blank, blank, x)))
-            add(p0, _double(blank, q, x), *choices)
+                choices.append((pp, double[blank, lend, blank, x]))
+            add(p0, double[blank, lend, q, x], *choices)
 
     states = (p0, ps, p1, pp) + Q + tuple(hat[q] for q in Q)
     return Transducer(

@@ -256,40 +256,29 @@ def _choice(toks: list[str]) -> tuple[tuple[str, str], tuple[tuple[str, str]]]:
 def serialize_machine(mf: MachineFile) -> str:
     """Canonical text form; ``parse_machine`` inverts it structurally."""
     m = mf.machine
-    lines = [f"kind {mf.kind}"]
-    lines.append("states " + " ".join(m.states))
+    lines = [f"kind {mf.kind}", "states " + " ".join(m.states)]
     if isinstance(m, Transducer):
         lines.append("input " + " ".join(m.input_alphabet))
         lines.append("output " + " ".join(m.output_alphabet))
         lines.append(f"endmarker {m.endmarker}")
-        lines.append(f"initial {m.initial}")
-        lines.append(("accept " + " ".join(m.accepting)).rstrip())
-        if m.sweep_bound is not None:
-            lines.append(f"sweeps {m.sweep_bound}")
-        for (q, x), choices in m.transitions.items():
-            for r, y in choices:
-                lines.append(f"trans {q} {x} -> {r} {y}")
-    elif isinstance(m, (Nfa, Dfa)):
-        lines.append("input " + " ".join(m.alphabet))
-        lines.append(f"initial {m.initial}")
-        lines.append(("accept " + " ".join(m.accepting)).rstrip())
-        if isinstance(m, Dfa):
-            for (q, x), r in m.transitions.items():
-                lines.append(f"trans {q} {x} -> {r}")
-        else:
-            for (q, x), rs in m.transitions.items():
-                for r in rs:
-                    lines.append(f"trans {q} {x} -> {r}")
-    else:
+    elif isinstance(m, Lba):
         lines.append("input " + " ".join(m.input_alphabet))
         lines.append("tape " + " ".join(m.tape_alphabet))
         lines.append(f"lend {m.left_end}")
         lines.append(f"rend {m.right_end}")
-        lines.append(f"initial {m.initial}")
-        lines.append(("accept " + " ".join(m.accepting)).rstrip())
-        for (q, x), acts in m.transitions.items():
-            for r, act in acts:
-                lines.append(f"trans {q} {x} -> {r} {act}")
+    else:
+        lines.append("input " + " ".join(m.alphabet))
+    lines.append(f"initial {m.initial}")
+    lines.append(("accept " + " ".join(m.accepting)).rstrip())
+    if isinstance(m, Transducer) and m.sweep_bound is not None:
+        lines.append(f"sweeps {m.sweep_bound}")
+    items = m.transitions.items()
+    if isinstance(m, Dfa):
+        lines += [f"trans {q} {x} -> {r}" for (q, x), r in items]
+    elif isinstance(m, Nfa):
+        lines += [f"trans {q} {x} -> {r}" for (q, x), rs in items for r in rs]
+    else:  # a transducer's or an LBA's (state, symbol or action) choices
+        lines += [f"trans {q} {x} -> {r} {y}" for (q, x), choices in items for r, y in choices]
     return "\n".join(lines) + "\n"
 
 

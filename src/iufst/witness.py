@@ -27,7 +27,7 @@ from itertools import product
 from typing import Sequence
 
 from .convert import Nfa
-from .core import MachineError, Transducer, materialize
+from .core import MachineError, Transducer, materialize, renderer
 
 Word = tuple[str, ...]
 
@@ -245,7 +245,7 @@ def gen_block(k: int) -> Transducer:
         output_alphabet=symbols,
         endmarker="<",
         accepting=lambda s: s == ("ACC",),
-        name_of=lambda s: "-".join(str(p) for p in s),
+        name_of=renderer("-", ("", "")),
         sweep_bound=k,
         meta={"family": "block", "k": k, "state_envelope": (4, 19)},
     )
@@ -881,11 +881,6 @@ def gen_d() -> Transducer:
     readable = {"q0": raws + c0s, "s1": raws + (_END,), "fin": (), "ACC": ()}
     cells_end = cells + (_END,)
 
-    def name(s):
-        if isinstance(s, tuple):
-            return "(" + ",".join(name(x) for x in s) + ")"
-        return str(s)
-
     return materialize(
         start=("q0",),
         moves=lambda state: [
@@ -896,7 +891,6 @@ def gen_d() -> Transducer:
         endmarker=_END,
         symbol_name=_d_name,
         accepting=lambda s: s == ("ACC",),
-        name_of=name,
         sweep_bound="log",
         meta={"family": "d", "sweep_envelope": "(1+k+k+1+2k) + 1", "extra_sweeps": 1},
     )

@@ -107,7 +107,7 @@ class TestConstruction:
         [
             ({"initial": "z"}, "initial state 'z' not declared"),
             ({"accepting": ("q", "z")}, "accepting state 'z' not declared"),
-            ({"states": ("q", "q")}, "duplicate states in ('q', 'q')"),
+            ({"states": ("q", "q")}, "duplicate state 'q'"),
             ({"states": ("q", " ")}, "state must be a non-empty whitespace-free string, got ' '"),
         ],
         ids=["undeclared-initial", "undeclared-accepting", "duplicate-state", "blank-state"],

@@ -1,8 +1,11 @@
 """Linear bounded automata: direct simulation and compilation."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iufst import (
     Lba,
@@ -107,9 +110,40 @@ class TestRunLba:
             )
 
 
+def anbn_with(states=(), tape=()):
+    """``lba_anbn()`` with extra state and tape names; they add no move,
+    but every state is a head flag and every tape symbol a track symbol
+    of the compiled machine, so they shape its names."""
+    m = lba_anbn()
+    return replace(m, states=m.states + tuple(states), tape_alphabet=m.tape_alphabet + tuple(tape))
+
+
+# names the compiled machine's own names must stay apart from
+NAME_PROBES = {
+    "dots": anbn_with(("s1.a",), ("a.A",)),  # [s1.a.A]: pair (s1, a.A) or (s1.a, A) unescaped
+    "hat": anbn_with(("s1^",)),  # the hat state of s1
+    "helper": anbn_with(("p0",)),
+    "blank": anbn_with(("_",)),  # the blank head flag
+}
+
+
+def assert_agrees_with_source(machine, alphabet, max_len):
+    compiled = compile_lba(machine)
+    for length in range(max_len + 1):
+        for w in itertools.product(alphabet, repeat=length):
+            ref = run_lba(machine, w, 20_000)
+            assert ref.halted
+            got = run(compiled, w, 400, 400_000)
+            assert got.accepted == ref.accepted, w
+            if ref.accepted:
+                assert got.min_accept_sweeps == ref.steps_to_accept + 1, w
+            else:
+                assert got.exhausted, w
+
+
 class TestCompile:
     def test_state_count(self):
-        for m in (lba_anbn(), lba_copy()):
+        for m in (lba_anbn(), lba_copy(), *NAME_PROBES.values()):
             c = compile_lba(m)
             assert len(c.states) == 2 * len(m.states) + 4
 
@@ -133,20 +167,28 @@ class TestCompile:
 
     @pytest.mark.parametrize(
         "machine,alphabet,max_len",
-        [(lba_anbn(), "ab", 8), (lba_copy(), "ab$", 7)],
+        [
+            (lba_anbn(), "ab", 8),
+            (lba_copy(), "ab$", 7),
+            *(pytest.param(m, "ab", 6, id=name) for name, m in NAME_PROBES.items()),
+        ],
     )
     def test_differential_language_and_sweep_law(self, machine, alphabet, max_len):
-        compiled = compile_lba(machine)
-        for length in range(max_len + 1):
-            for w in itertools.product(alphabet, repeat=length):
-                ref = run_lba(machine, w, 20_000)
-                assert ref.halted
-                got = run(compiled, w, 400, 400_000)
-                assert got.accepted == ref.accepted, w
-                if ref.accepted:
-                    assert got.min_accept_sweeps == ref.steps_to_accept + 1, w
-                else:
-                    assert got.exhausted, w
+        assert_agrees_with_source(machine, alphabet, max_len)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text(".^[]|>\\_!aAbLRps01", min_size=1, max_size=4), min_size=1, max_size=2,
+                 unique=True),
+        st.lists(st.text(".^[]|>\\_!aAbLRps01", min_size=1, max_size=4), min_size=1, max_size=2,
+                 unique=True),
+    )
+    def test_drawn_names_compile(self, states, tape):
+        m = lba_anbn()
+        m = anbn_with([q for q in states if q not in m.states],
+                      [x for x in tape if x not in m.tape_alphabet and x not in ("L", "R")])
+        assert len(compile_lba(m).states) == 2 * len(m.states) + 4
+        assert_agrees_with_source(m, "ab", 6)
 
     def test_empty_word_follows_the_source(self):
         accepts_lambda = Lba(
@@ -176,3 +218,4 @@ class TestCompile:
         compiled = compile_lba(m)
         report = run(compiled, tuple("ab"), 9, 100_000)
         assert report.accepted and report.min_accept_sweeps == 9
+
