@@ -11,22 +11,25 @@ transition relation maps (state, symbol) to a finite set of
 (state, output symbol) choices and may be undefined, in which case the
 current computation branch halts.
 
-Execution has one kernel and one driver.  ``_sweep``, the only loop over
-cells, walks a lone branch along per-state rows of single-choice moves
-and keeps forked branches in a trie of output chunks of up to ``_CHUNK``
-symbols, so each completed output costs time linear in the tape.  Unless
-it reports halts (for ``sweep``), it drops every choice into a state that
+Execution has one kernel and one driver, over ``str`` tapes in the machine's
+tape code (``Transducer._code``), one character per cell: the public
+functions encode a word or tape where it enters and decode only tapes
+leaving as tuples.  ``_sweep``, the only loop over cells, walks a lone
+branch along per-state rows of single-choice moves, copying a run of
+identity moves (the state stays and writes what it reads) as one slice, and
+keeps forked branches in a trie of output chunks of up to ``_CHUNK``
+symbols, so each completed output costs time linear in the tape.  Unless it
+reports halts (for ``sweep``), it drops every choice into a state that
 cannot read the rest of the tape, found by a backward pass (``_live``)
 memoized on the machine.  A fork's live choices are memoized too, per
-(state, symbol, live mask).  Branches writing different symbols never
-merge again, so there a lone branch whose live choices write pairwise
-distinct symbols splits into independent row walks, one per choice,
-taken one after another (a single live choice just steps on); the
-merging frontier serves only choices writing a common symbol.
-``_search``, the only search over the tapes at sweep boundaries, yields
-its rounds to ``_run_traced`` (behind ``run`` and
-``find_accepting_trace``) and ``check_accept_mode``; ``sweep`` and
-``run_deterministic`` call the kernel.
+(state, symbol, live mask).  Branches writing different symbols never merge
+again, so there a lone branch whose live choices write pairwise distinct
+symbols splits into independent row walks, one per choice, taken one after
+another (a single live choice just steps on); the merging frontier serves
+only choices writing a common symbol.  ``_search``, the only search over the
+tapes at sweep boundaries, yields its rounds to ``_run_traced`` (behind
+``run`` and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep``
+and ``run_deterministic`` call the kernel.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first.  A construction's
@@ -50,14 +53,16 @@ items.  ``textio`` calls the same rules at the lines they read.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
-from operator import itemgetter
+from operator import itemgetter, length_hint
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
+# a tape as the public functions take and return it; inside, a ``str`` in the tape code
 Tape = tuple[str, ...]
 
 DEFAULT_TAPE_CAP = 1_000_000
@@ -214,22 +219,36 @@ class Transducer(_Record):
         return index[self.initial], delta, [q in self.accepting_set for q in self.states]
 
     @cached_property
-    def _single(self) -> list[dict[str, tuple[dict, int, str]]]:
-        """Per state, its single-choice moves: symbol -> (next state's
-        row, next state, output).  ``_sweep`` walks these rows."""
-        single: list[dict] = [{} for _ in self.states]
-        for row, moves in zip(self._indexed[1], single):
+    def _code(self) -> tuple[dict[str, str], dict[str, str], dict[int, str]]:
+        """The tape code by rank, its inverse and its ``str.translate`` table of one-character
+        symbols; the endmarker first, as a tape over the first 128 is ASCII, read fastest."""
+        syms = dict.fromkeys((self.endmarker,) + self.input_alphabet + self.output_alphabet)
+        enc = {x: chr(r) for r, x in enumerate(syms)}
+        return enc, dict(zip(enc.values(), enc)), str.maketrans({x: c for x, c in enc.items() if len(x) == 1})
+
+    @cached_property
+    def _rows(self) -> list[dict[str, tuple[dict, int, str, Optional[frozenset[str]]]]]:
+        """Per state, the single-choice moves ``_sweep`` walks: character read -> (next state's
+        row, next state, character written, and on an identity move all the state's loops)."""
+        enc = self._code[0]
+        rows: list[dict] = [{} for _ in self.states]
+        for q, (row, moves) in enumerate(zip(self._indexed[1], rows)):
+            loops = []
             for x, choices in row.items():
                 if len(choices) == 1:
                     (p, y), = choices
-                    moves[x] = (single[p], p, y)
-        return single
+                    if p == q and y == x:
+                        loops.append(enc[x])
+                    else:
+                        moves[enc[x]] = (rows[p], p, enc[y], None)
+            same = frozenset(loops)
+            moves.update([(c, (moves, q, c, same)) for c in loops])
+        return rows
 
-    # ``_live``'s tables, filled as it needs them: per symbol, the states
-    # with a move on it and the bitmask of their next states; a row per mask.
-    # Third, ``_sweep``'s fork memo: (state, symbol, live mask) -> (the
-    # choices into live states, in choice order; whether to split them)
-    _back = cached_property(lambda self: ({}, {}, {}))
+    # filled as needed: ``_live``'s tables (per character, the states with a move on it and
+    # the bitmask of their next states; a row per mask), ``_sweep``'s fork memo ((state,
+    # character, live mask) -> (live choices in order, whether to split)), its patterns
+    _back = cached_property(lambda self: ({}, {}, {}, {}))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
         self._check_input(word)
@@ -291,100 +310,140 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
     if bad:
         raise MalformedInputError(f"tape symbols {bad!r} outside the machine alphabets")
     stuck: list[tuple[int, int]] = []
-    done = _sweep(t, tape, stuck)
+    done = _sweep(t, _encode(t, tape), stuck)
     name = t.states
-    return {Stuck(i, name[q]) for i, q in stuck} | {Completed(name[q], out) for q, out in done}
+    return {Stuck(i, name[q]) for i, q in stuck} | {Completed(name[q], _decode(t, out)) for q, out in done}
+
+
+def _encode(t: Transducer, tape: Sequence[str]) -> str:
+    """``tape`` in ``t``'s tape code (one cell's bare character joins to itself)."""
+    return "".join(itemgetter(*tape)(t._code[0]))
+
+
+def _initial(t: Transducer, word: Sequence[str]) -> str:
+    """``t.initial_tape(word)`` in the tape code (endmarker chr(0)), by ``str.translate`` if it can."""
+    t._check_input(word)
+    joined = "".join(word)
+    if len(joined) == len(word):
+        return joined.translate(t._code[2]) + "\0"
+    return _encode(t, (*word, t.endmarker))
+
+
+def _decode(t: Transducer, tape: str) -> Tape:
+    return itemgetter(*tape)(t._code[1]) if len(tape) > 1 else (t._code[1][tape],)  # one key: a bare item
 
 
 def _sweep(
-    t: Transducer, tape: Tape, stuck: Optional[list[tuple[int, int]]] = None
-) -> list[tuple[int, Tape]]:
-    """The completed (state index, output) pairs of one sweep over
-    ``tape``, deduplicated per cell on (state, output so far), in
-    declaration order (frontier order, then choice order); ``stuck``
-    collects the (position, state index) of halted branches.  A lone
-    branch walks ``Transducer._single`` until a fork or a halt; a forked
-    one is (state, trie node, tail), node -1 being the end of ``head``.
-    Without ``stuck``, a choice into a state outside ``_live`` is dropped:
-    it completes nothing and never merges with a kept branch (same state
-    at a cell, same liveness), so pairs and order are unchanged.  A lone
-    branch's fork takes its kept choices from the memo in ``_back[2]``,
-    with a bit set when they write pairwise distinct symbols: branches
-    whose outputs differ never merge, so the first choice steps on along
-    the rows and the others wait on ``todo`` as lone walks of their own.
-    Taken last in, first out, the walks complete in lexicographic order
-    of their choices, which is frontier order.  Only choices writing a
-    common symbol enter the merging frontier.  With ``stuck`` nothing
-    splits: there a kept branch may halt a cell later, and a split one
-    copies its prefix, which only an output of its own pays for."""
+    t: Transducer, tape: str, stuck: Optional[list[tuple[int, int]]] = None
+) -> list[tuple[int, str]]:
+    """The completed (state index, output) pairs of one sweep over ``tape``,
+    both ``str`` in the tape code, deduplicated per cell on (state, output so
+    far), in declaration order (frontier order, then choice order); ``stuck``
+    collects the (position, state index) of halted branches.  A lone branch
+    walks ``Transducer._rows`` and copies a run of identity moves from its
+    second cell on as one slice, ended by the state's ``[loops]*`` pattern.  A
+    pattern call costs about ten steps of the walk: runs of one cell never make
+    one, nor do tapes shorter than ``_SKIP_TAPE``, whose runs are short, nor a
+    state whose run proved short earlier in the sweep.  Fork choices come from
+    the memo in ``_back[2]``; without ``stuck``, one into a state outside
+    ``_live`` is dropped: it completes nothing and never merges with a kept
+    branch (same state at a cell, same liveness), so pairs and order are
+    unchanged.  Branches whose outputs differ never merge, so kept choices
+    writing pairwise distinct symbols split: the first steps on, the others wait
+    on ``todo`` as lone walks, which, taken last in, first out, complete in
+    frontier order.  Choices writing a common symbol merge in a frontier of
+    (state, trie node, tail), node -1 being the end of ``head``.  With ``stuck``
+    nothing splits: a kept branch may halt a cell later, and a split one copies
+    its prefix, which only an output of its own pays for."""
     q, delta, _ = t._indexed
-    single = t._single
+    rows = t._rows
     forks = t._back[2]
-    row = single[q]
-    head: list[str] = []
+    row = rows[q]
+    head: list[str] = []  # the lone branch's output so far, in pieces
     n = len(tape)
-    i, live = 0, None
-    done: list[tuple[int, Tape]] = []
+    short, slow = n < _SKIP_TAPE, ()  # and the loops whose runs proved short
+    live = loops = None
+    done: list[tuple[int, str]] = []
     # lone walks still to take, the next one last: (state, next cell, the
-    # head list holding its prefix, prefix length, symbol written)
+    # head list holding its prefix, prefix length, character written)
     todo: list[tuple[int, int, list[str], int, str]] = []
+    # a str iterates faster than it indexes: ``length_hint`` gives the index, ``__setstate__`` moves it
+    cells = iter(tape)
     while True:
-        for i in range(i, n):
-            move = row.get(tape[i])
-            if move is None:
+        for x in cells:
+            move = row.get(x)
+            if move is not None:
+                prev = loops
+                row, q, y, loops = move
+                if loops is None or loops is not prev or short or loops in slow:
+                    head.append(y)
+                    continue
+                # a second identity move in a row: copy the rest of the run
+                i = n - length_hint(cells) - 1
+                match = t._back[3].get(q)
+                if match is None:
+                    match = t._back[3][q] = re.compile(f"[{re.escape(''.join(loops))}]*").match
+                j = match(tape, i).end()
+                if j - i < 8:  # the call cost more than it saved: not again this sweep
+                    slow += (loops,)
+                head.append(tape[i:j])
+                cells.__setstate__(j)
+                continue
+            # a fork or a halt at cell i: a memoized fork needs no move lookup
+            i = n - length_hint(cells) - 1
+            memo = live and forks.get((q, x, live[i + 1]))
+            if not memo:
+                enc, dec, _ = t._code
+                choices = delta[q].get(dec[x])
+                if choices is None:
+                    # kept choices complete, and ``stuck`` splits none: ``todo`` is empty
+                    if stuck is not None:
+                        stuck.append((i, q))
+                    return done
+                if live is None:  # -1 has every state's bit: with ``stuck`` nothing is dropped
+                    live = [-1] * (n + 1) if stuck is not None else _live(t, tape, i)
+                m = live[i + 1]
+                memo = forks.get((q, x, m))
+                if memo is None:
+                    if len(forks) >= _LIVE_MEMO_CAP:
+                        forks.clear()
+                    kept = tuple((p, enc[y]) for p, y in choices if m >> p & 1)
+                    apart = m != -1 and 0 < len(kept) == len({y for _, y in kept})
+                    memo = forks[q, x, m] = (kept, apart)
+            kept, apart = memo
+            if not apart:
                 break
-            row, q, y = move
+            if len(kept) > 1:
+                at = len(head)
+                for p, y in kept[:0:-1]:
+                    todo.append((p, i + 1, head, at, y))
+            q, y = kept[0]
             head.append(y)
+            row = rows[q]
         else:
-            done.append((q, tuple(head)))
+            done.append((q, "".join(head)))
             if not todo:
                 return done
             q, i, head, at, y = todo.pop()
             head = head[:at]
             head.append(y)
-            row = single[q]
+            row = rows[q]
+            cells = iter(tape)  # an exhausted iterator cannot be moved back
+            cells.__setstate__(i)
             continue
-        # a kept choice always completes, and with ``stuck`` nothing
-        # splits: a halt or an empty frontier below finds ``todo`` empty
-        x = tape[i]
-        choices = delta[q].get(x)
-        if choices is None:
-            if stuck is not None:
-                stuck.append((i, q))
-            return done
-        if live is None:  # -1 has every state's bit: with ``stuck`` nothing is dropped
-            live = [-1] * (n + 1) if stuck is not None else _live(t, tape, i)
+        enc, dec, _ = t._code  # kept choices writing a common symbol merge; ``todo`` is empty
         fork = i
         i += 1
-        m = live[i]
-        key = (q, x, m)
-        memo = forks.get(key)
-        if memo is None:
-            if len(forks) >= _LIVE_MEMO_CAP:
-                forks.clear()
-            kept = tuple(c for c in choices if m >> c[0] & 1)
-            apart = m != -1 and 0 < len(kept) == len({y for _, y in kept})
-            memo = forks[key] = (kept, apart)
-        kept, apart = memo
-        if apart:
-            if len(kept) > 1:
-                at = len(head)
-                for p, y in kept[:0:-1]:
-                    todo.append((p, i, head, at, y))
-            q, y = kept[0]
-            head.append(y)
-            row = single[q]
-            continue
-        nodes: dict[tuple[int, Tape], int] = {}  # (parent node, tail) -> node
-        frontier = {(p, -1, (y,)): None for p, y in kept}
+        nodes: dict[tuple[int, str], int] = {}  # (parent node, tail) -> node
+        frontier = {(p, -1, y): None for p, y in kept}
         while len(frontier) > 1 and i < n:
             if (i - fork) % _CHUNK == 0:
-                frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ()): None
+                frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ""): None
                             for p, node, tail in frontier}
-            x = tape[i]
+            x = dec[tape[i]]
             i += 1
             m = live[i]
-            nxt: dict[tuple[int, int, Tape], None] = {}
+            nxt: dict[tuple[int, int, str], None] = {}
             for q, node, tail in frontier:
                 choices = delta[q].get(x)
                 if choices is None:
@@ -393,40 +452,43 @@ def _sweep(
                     continue
                 for p, y in choices:
                     if m >> p & 1:
-                        nxt[p, node, tail + (y,)] = None
+                        nxt[p, node, tail + enc[y]] = None
             frontier = nxt
         if not frontier:
             return done
         chunks = list(nodes)
         *ended, (q, node, tail) = frontier
         if ended:  # the tape ended: the last branch completes as the lone walk
-            h = tuple(head)
+            h = "".join(head)
             done += [(p, h + _trie_path(chunks, c, tail)) for p, c, tail in ended]
-        head += _trie_path(chunks, node, tail) if nodes else tail
-        row = single[q]
+        head.append(_trie_path(chunks, node, tail) if nodes else tail)
+        row = rows[q]
+        cells.__setstate__(i)
 
 
-def _live(t: Transducer, tape: Tape, fork: int) -> list[int]:
+def _live(t: Transducer, tape: str, fork: int) -> list[int]:
     """``live[j]``, for ``fork < j <= len(tape)``, is the bitmask of the
     states from which some branch reads ``tape[j:]`` to the end.  Steps
-    back are memoized on the machine, a row per mask from symbol to (next
-    mask, its row), up to ``_LIVE_MEMO_CAP`` masks."""
-    (pre, memo, _), delta = t._back, t._indexed[1]
-    live = [0] * (len(tape) + 1)
-    m = live[-1] = (1 << len(t.states)) - 1
+    back are memoized on the machine, a row per mask from character to
+    (next mask, its row), up to ``_LIVE_MEMO_CAP`` masks."""
+    (pre, memo, _, _), delta = t._back, t._indexed[1]
+    j = len(tape)
+    live = [0] * (j + 1)
+    m = live[j] = (1 << len(t.states)) - 1
     row = memo.setdefault(m, {})
-    for j in range(len(tape) - 1, fork, -1):
-        step = row.get(tape[j])
+    for x in tape[:fork:-1]:  # str iteration is faster than indexing
+        step = row.get(x)
         if step is None:
-            x = tape[j]
             if x not in pre:
-                pre[x] = [(q, sum({1 << p for p, _ in r[x]}))
-                          for q, r in enumerate(delta) if x in r]
+                sym = t._code[1][x]
+                pre[x] = [(q, sum({1 << p for p, _ in r[sym]}))
+                          for q, r in enumerate(delta) if sym in r]
             p = sum(1 << q for q, succ in pre[x] if succ & m)
             if len(memo) >= _LIVE_MEMO_CAP:
                 memo.clear()
             step = row[x] = (p, memo.setdefault(p, {}))
         m, row = step
+        j -= 1
         live[j] = m
     return live
 
@@ -435,20 +497,21 @@ def _live(t: Transducer, tape: Tape, fork: int) -> list[int]:
 # ``_sweep``'s fork memo; a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
+_SKIP_TAPE = 64
 
 
-def _trie_path(chunks: list[tuple[int, Tape]], node: int, tail: Tape) -> Tape:
+def _trie_path(chunks: list[tuple[int, str]], node: int, tail: str) -> str:
     parts = [tail]
     while node >= 0:
         node, part = chunks[node]
         parts.append(part)
-    return tuple(chain.from_iterable(reversed(parts)))
+    return "".join(reversed(parts))
 
 
 def _search(
-    t: Transducer, tape0: Tape, rounds: int, tape_cap: int, seen: Optional[dict] = None
-) -> Iterator[tuple[int, int, Optional[tuple[Tape, Tape]], Optional[list[Tape]]]]:
-    """Breadth-first search over sweep-boundary tapes, yielding ``(r,
+    t: Transducer, tape0: str, rounds: int, tape_cap: int, seen: Optional[dict] = None
+) -> Iterator[tuple[int, int, Optional[tuple[str, str]], Optional[list[str]]]]:
+    """Breadth-first search over sweep-boundary tapes in the tape code, yielding ``(r,
     explored, hit, frontier)`` after each round r <= ``rounds``: tapes swept
     so far, the round's first accepting (tape, output) or ``None``, and the
     next round's tapes.  With ``seen`` (tape -> tape it came from), tapes are
@@ -460,7 +523,7 @@ def _search(
     explored = 0
     for r in range(1, rounds + 1):
         known = {} if seen is None else seen
-        nxt: list[Tape] = []
+        nxt: list[str] = []
         hit = None
         for tape in frontier:
             if explored >= tape_cap:
@@ -510,17 +573,17 @@ def _run_traced(
     that wants the path pays for walking the parent map."""
     if max_sweeps < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
-    tape0 = t.initial_tape(word)
-    parent: dict[Tape, Optional[Tape]] = {tape0: None}
+    tape0 = _initial(t, word)
+    parent: dict[str, Optional[str]] = {tape0: None}
     explored, frontier = 0, [tape0]
     for s, explored, hit, frontier in _search(t, tape0, max_sweeps, tape_cap, parent):
         if hit is not None:
-            return RunReport(True, s, explored, False), lambda: _path(parent, *hit)
+            return RunReport(True, s, explored, False), lambda: [_decode(t, tape) for tape in _path(parent, *hit)]
     # a None frontier means the tape cap stopped the search
     return RunReport(False, None, explored, frontier is None, exhausted=frontier == []), lambda: None
 
 
-def _path(parent: dict[Tape, Optional[Tape]], tape: Optional[Tape], out: Tape) -> list[Tape]:
+def _path(parent: dict[str, Optional[str]], tape: Optional[str], out: str) -> list[str]:
     """The tapes from the initial one to ``tape`` along ``parent``, then ``out``."""
     path = [out]
     while tape is not None:
@@ -543,22 +606,22 @@ def run_deterministic(
         raise NotDeterministicError("run_deterministic requires a deterministic machine")
     if max_sweeps < 0:
         raise ValueError("max_sweeps must be >= 0")
-    tape = t.initial_tape(word)
-    trace = [tape]
-    seen = {tape}
-    acc = t._indexed[2]
+    tape = _initial(t, word)
+    trace, seen, acc = [tape], {tape}, t._indexed[2]
+    report = RunReport(False, None, max_sweeps, False)
     for s in range(1, max_sweeps + 1):
         done = _sweep(t, tape)
-        if not done:
-            return RunReport(False, None, s, False, exhausted=True), trace
-        (q, tape), = done
-        trace.append(tape)
-        if acc[q]:
-            return RunReport(True, s, s, False), trace
-        if tape in seen:
-            return RunReport(False, None, s, False, exhausted=True), trace
+        if done:
+            (q, tape), = done
+            trace.append(tape)
+            if acc[q]:
+                report = RunReport(True, s, s, False)
+                break
+        if tape in seen:  # no sweep completed, or a tape recurs
+            report = RunReport(False, None, s, False, exhausted=True)
+            break
         seen.add(tape)
-    return RunReport(False, None, max_sweeps, False), trace
+    return report, [_decode(t, tape) for tape in trace]
 
 
 def find_accepting_trace(
@@ -617,8 +680,8 @@ def check_accept_mode(
     for w in words:
         word = tuple(w)
         bound = bound_fn(len(word))
-        tape0 = t.initial_tape(word)
-        seen_frontiers: dict[frozenset[Tape], int] = {frozenset((tape0,)): 0}
+        tape0 = _initial(t, word)
+        seen_frontiers: dict[frozenset[str], int] = {frozenset((tape0,)): 0}
         accepted = [False]  # accepted[r]: some branch accepted at sweep r
         for r, _, hit, frontier in _search(t, tape0, sweep_cap, tape_cap):
             if frontier is None:

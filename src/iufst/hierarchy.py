@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import MachineError, Transducer, materialize, renderer, run
+from .core import MachineError, Transducer, _fresh, materialize, renderer, run
 from .witness import gen_copy
 
 Word = tuple[str, ...]
@@ -52,7 +52,7 @@ def identity_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructo
     giving m + 1 sweeps on accepted words.
     """
     payload = tuple(payload_alphabet)
-    marked = {t: t + "'" for t in payload}
+    marked = _marked(payload)
     trans: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     trans[("q0", "a'")] = (("q0", "a'"),)
     trans[("q0", "a")] = (("Ma", "a'"),)
@@ -80,7 +80,7 @@ def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
     confirms the single survivor, for m + 1 sweeps in total.
     """
     payload = tuple(payload_alphabet)
-    marked = {t: t + "'" for t in payload}
+    marked = _marked(payload)
     trans: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     # qz: at least one marked a seen, so the verification sweep is legal
     trans[("q0", "a'")] = (("qz", "a'"),)
@@ -116,6 +116,12 @@ def expo_constructor(payload_alphabet: Sequence[str] = ("x",)) -> Constructor:
     trans[("Z1", "<")] = (("ACC", "<"),)
     states = ("q0", "qz", "W", "An", "Hn0", "Hn1", "Hf0", "Hf1", "Hf2", "Z0", "Z1", "ACC")
     return _constructor("expo", lambda m: 2**m, states, payload, marked, trans, "log")
+
+
+def _marked(payload: tuple[str, ...]) -> dict[str, str]:
+    """Each payload symbol's marked copy, primed until fresh against the others."""
+    taken = set(payload) | {"a", "a'", "<"}
+    return {t: _fresh(t + "'", taken) for t in payload}
 
 
 def _constructor(name, fn, states, payload, marked, trans, sweep_bound) -> Constructor:

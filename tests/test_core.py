@@ -30,10 +30,10 @@ from iufst import (
     to_nfa,
 )
 from iufst import core
-from iufst.core import _check_token, _live, _search, _sweep
+from iufst.core import _check_token, _decode, _encode, _live, _search
 
 from test_decide import fuzz_machine
-from test_sweep_reference import FAMILIES, WORDS_TO_6, random_tapes
+from test_sweep_reference import FAMILIES, WORDS_TO_6, kernel_sweep, random_tapes
 
 
 def identity_machine(accepting=("q",)):
@@ -490,7 +490,7 @@ def assert_pruning_keeps_pairs(t, tapes):
     """Without a ``stuck`` list the kernel drops branches that cannot
     finish the sweep; the completed pairs, in order, must not change."""
     for tape in tapes:
-        assert _sweep(t, tape) == _sweep(t, tape, []), tape
+        assert kernel_sweep(t, tape) == kernel_sweep(t, tape, []), tape
 
 
 def reached_tapes(t, words, sweeps, cap=300):
@@ -498,8 +498,8 @@ def reached_tapes(t, words, sweeps, cap=300):
     ``words``, where a compiled LBA's head has moved into the tape."""
     tapes: dict = {}
     for w in words:
-        for _, _, _, frontier in _search(t, t.initial_tape(w), sweeps, cap):
-            tapes.update(dict.fromkeys(frontier or ()))
+        for _, _, _, frontier in _search(t, _encode(t, t.initial_tape(w)), sweeps, cap):
+            tapes.update(dict.fromkeys(_decode(t, tape) for tape in frontier or ()))
     return list(tapes)
 
 
@@ -529,9 +529,9 @@ class TestPrunedSweep:
         q0, delta, _ = t._indexed
         choices = delta[q0][tape[0]]
         assert len(choices) == 10
-        assert not any(_live(t, tape, 0)[1] >> p & 1 for p, _ in choices)
+        assert not any(_live(t, _encode(t, tape), 0)[1] >> p & 1 for p, _ in choices)
         stuck = []
-        assert _sweep(t, tape) == [] == _sweep(t, tape, stuck)
+        assert kernel_sweep(t, tape) == [] == kernel_sweep(t, tape, stuck)
         # sweep() passes a stuck list, so every halted branch is reported
         outcomes = sweep(t, tape)
         assert len(stuck) == len(outcomes) == 46

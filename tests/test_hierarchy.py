@@ -80,6 +80,15 @@ class TestPrimitiveConstructors:
                 assert out.state in c.machine.accepting_set
                 tape = out.output
 
+    @pytest.mark.parametrize("maker", [identity_constructor, expo_constructor])
+    def test_payload_named_like_a_marked_copy(self, maker):
+        # x's marked copy is primed past the payload symbol x'
+        c = maker(("x", "x'"))
+        for m in (1, 2, 3):
+            w = ("a",) * m + tuple(("x", "x'")[i % 2] for i in range(c.fn(m)))
+            assert run(c.machine, w, m + 2, 1000).accepted, w
+            assert not run(c.machine, w[:-1], m + 2, 1000).accepted, w
+
     def test_alphabet_clash_rejected(self):
         with pytest.raises(MachineError):
             identity_constructor(("a",))

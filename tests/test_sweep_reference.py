@@ -16,6 +16,8 @@ from collections import Counter
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iufst import (
     AcceptModeReport,
@@ -42,8 +44,9 @@ from iufst import (
     run,
     sweep,
 )
+from iufst import core
 from iufst.cli import _d_corpus
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _sweep
+from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _sweep
 
 from test_decide import fuzz_machine
 
@@ -116,6 +119,13 @@ def ref_sweep_ordered(t: Transducer, tape: Tape) -> list[tuple[int, Tape]]:
                 nxt[(p, out + (y,))] = None
         frontier = nxt
     return [(index[q], out) for q, out in frontier]
+
+
+def kernel_sweep(t: Transducer, tape: Tape, stuck: Optional[list] = None) -> list[tuple[int, Tape]]:
+    """``_sweep`` on a tuple tape: the kernel takes and returns tapes in the
+    machine's tape code, one character per cell, so the tape goes in encoded
+    and each output comes out decoded, the list's order kept."""
+    return [(q, _decode(t, out)) for q, out in _sweep(t, _encode(t, tape), stuck)]
 
 
 def ref_run(
@@ -271,8 +281,8 @@ def assert_same_order(t, tapes, rounds=1):
         nxt = []
         for tape in tapes:
             want = ref_sweep_ordered(t, tape)
-            assert _sweep(t, tape) == want, tape
-            assert _sweep(t, tape, []) == want, tape
+            assert kernel_sweep(t, tape) == want, tape
+            assert kernel_sweep(t, tape, []) == want, tape
             for q, out in want:
                 if not acc[q] and out not in seen:
                     seen.add(out)
@@ -418,7 +428,7 @@ class TestWarmMemo:
         t = compile_lba(lba_copy())
         assert run(t, tuple("ab$ab"), 80).accepted
         tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
-        assert _sweep(t, tape) == []
+        assert kernel_sweep(t, tape) == []
         assert any(not kept for kept, _ in t._back[2].values())
         outcomes = sweep(t, tape)
         assert len(outcomes) == 46 and all(isinstance(o, Stuck) for o in outcomes)
@@ -468,3 +478,144 @@ class TestKernelOrder:
         t = make()
         words = [w for n in range(max_len) for w in itertools.product(alphabet, repeat=n)]
         assert_same_order(t, [t.initial_tape(w) for w in words], sweeps)
+
+
+def assert_kernel_edges(t, tapes, sweeps, rounds=2):
+    """``_sweep``'s pairs in order, ``sweep``'s outcomes, and runs and traces
+    from each tape's word (the tape without its last cell), all against the
+    references; ``_sweep`` skips identity runs only on tapes of
+    ``_SKIP_TAPE`` cells or more."""
+    assert all(len(tape) >= core._SKIP_TAPE for tape in tapes)
+    assert_same_order(t, tapes, rounds)
+    assert_same_sweeps(t, tapes)
+    words = [tape[:-1] for tape in tapes if t.input_set.issuperset(tape[:-1])]
+    assert_same_runs(t, words, sweeps, (4, 100_000))
+
+
+def loop_machine() -> Transducer:
+    """q writes back a, b and the endmarker, so its runs reach the end of the
+    tape; c takes it to r, and d forks into q writing a and r writing b,
+    which split.  r writes back a and d, returns to q on b, rewrites c as d
+    and accepts at the endmarker."""
+    return Transducer(
+        states=("q", "r", "f"),
+        input_alphabet=("a", "b", "c", "d"),
+        output_alphabet=("a", "b", "c", "d", "<"),
+        endmarker="<",
+        initial="q",
+        accepting=("f",),
+        transitions={
+            ("q", "a"): (("q", "a"),), ("q", "b"): (("q", "b"),), ("q", "<"): (("q", "<"),),
+            ("q", "c"): (("r", "c"),), ("q", "d"): (("q", "a"), ("r", "b")),
+            ("r", "a"): (("r", "a"),), ("r", "d"): (("r", "d"),), ("r", "b"): (("q", "b"),),
+            ("r", "c"): (("r", "d"),), ("r", "<"): (("f", "<"),),
+        },
+    )
+
+
+def wide_machine() -> Transducer:
+    """127 input symbols after the endmarker, so their codes run through
+    chr(1)..chr(127): p writes back every x_i but x_{7k+3}, which takes it to
+    r, and r writes back the even ones and returns to p on the odd ones.  p
+    loops on ``-``, ``\\``, ``]``, ``^``, ``[``, ``&``, ``|`` and ``~``."""
+    xs = tuple(f"x{i}" for i in range(127))
+    trans = {}
+    for i, x in enumerate(xs):
+        trans["p", x] = (("r", x),) if i % 7 == 3 else (("p", x),)
+        trans["r", x] = (("r", x),) if i % 2 == 0 else (("p", x),)
+    trans["p", "<"] = (("f", "<"),)
+    trans["r", "<"] = (("r", "<"),)
+    return Transducer(("p", "r", "f"), xs, xs + ("<",), "<", "p", ("f",), trans)
+
+
+def runs_tape(rng, alphabet, cells):
+    """A tape of ``cells`` cells over ``alphabet`` and the endmarker, in runs
+    of one symbol of lengths 1 to 12."""
+    tape = []
+    while len(tape) < cells - 1:
+        tape += [rng.choice(alphabet)] * rng.randint(1, 12)
+    return tuple(tape[: cells - 1]) + ("<",)
+
+
+class TestTapeCode:
+    """The kernel on tapes in the tape code, one character per cell, where a
+    lone walk copies a run of identity moves as one slice."""
+
+    def test_identity_runs(self):
+        t = loop_machine()
+        ab = ("a", "b") * 40
+        tapes = [
+            ab + ("<",),  # one run from the first cell through the endmarker
+            ("c",) + ("a",) * 70 + ("<",),  # r's run stops before the endmarker
+            ("a", "c", "b") * 25 + ("<",),  # runs of one cell
+            ("a", "a", "c", "b") * 20 + ("<",),  # runs of two cells
+            ab[:70] + ("d",) + ab[:10] + ("<",),  # a run ending at a fork that splits
+            ("c",) + ("a", "d") * 40 + ("<",),  # r's runs over two symbols
+        ]
+        rng = random.Random(22)
+        tapes += [runs_tape(rng, "aabbc", rng.randint(64, 90)) for _ in range(30)]
+        for tape in tapes[-10:]:  # two forks at most: the references keep every branch
+            at = sorted(rng.sample(range(len(tape) - 1), 2))
+            tapes.append(tuple("d" if i in at else x for i, x in enumerate(tape)))
+        assert_kernel_edges(t, tapes, 6)
+        assert set(t._back[3]) == {0, 1}  # both q and r skipped runs
+
+    def test_class_metacharacters(self):
+        # p's run pattern holds the characters a class treats specially
+        t = wide_machine()
+        loops = t._rows[0][t._code[0]["x0"]][3]
+        assert set("-\\]^[&|~") <= loops
+        rng = random.Random(95)
+        xs = t.input_alphabet
+        tapes = [runs_tape(rng, xs, rng.randint(64, 120)) for _ in range(40)]
+        tapes.append(tuple(xs[:100]) + ("<",))
+        assert_kernel_edges(t, tapes, 4)
+        assert 0 in t._back[3]
+
+    def test_codes_above_255(self):
+        # the compiled copy LBA has 554 symbols; tapes met by runs of long
+        # words and random ones hold cells coded above chr(255)
+        t = compile_lba(lba_copy())
+        u = ("a", "b") * 16
+        words = [u + ("$",) + u, u + ("$",) + u[:-1] + ("a",)]
+        tapes: dict = {}
+        for w in words:
+            for _, _, _, frontier in core._search(t, _encode(t, t.initial_tape(w)), 60, 2_000):
+                tapes.update(dict.fromkeys(_decode(t, tape) for tape in frontier or ()))
+        rng = random.Random(7)
+        high = [x for x in t.output_alphabet if t._code[0][x] > "\xff"]
+        for tape in list(tapes)[::25]:
+            cells = list(tape)
+            for i in rng.sample(range(len(cells) - 1), 3):
+                cells[i] = rng.choice(high)
+            if most_runs(t, cells) <= 300:
+                tapes[tuple(cells)] = None
+        tapes = list(tapes)
+        assert any(max(_encode(t, tape)) > "\xff" for tape in tapes)
+        assert_same_order(t, tapes)
+        assert_same_sweeps(t, tapes)
+        assert_same_runs(t, words, 4 * len(words[0]) ** 2, (100_000,))
+        assert t._back[3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(names=st.lists(st.text(".^$*+?{}[]\\|()-&~", min_size=1, max_size=3),
+                          min_size=3, max_size=8, unique=True),
+           seed=st.integers(0, 2**16))
+    def test_symbol_names_with_metacharacters(self, names, seed):
+        rng = random.Random(seed)
+        *inputs, end = names
+        states = ("s0", "s1", "s2")
+        trans = {}
+        for q in states:
+            for x in names:
+                r = rng.random()
+                if r < 0.6:
+                    trans[q, x] = ((q, x),)
+                elif r < 0.9:
+                    trans[q, x] = ((rng.choice(states), rng.choice(names)),)
+                elif r < 0.95:
+                    trans[q, x] = ((rng.choice(states), rng.choice(names)),
+                                   (rng.choice(states), rng.choice(names)))
+        t = Transducer(states, tuple(inputs), tuple(names), end, "s0", ("s2",), trans)
+        tapes = [tape[:-1] + (end,) for tape in (runs_tape(rng, inputs, rng.randint(64, 80)) for _ in range(6))]
+        assert_kernel_edges(t, [tape for tape in tapes if most_runs(t, tape) <= 300], 3)
