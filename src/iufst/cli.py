@@ -12,6 +12,7 @@ import argparse
 import inspect
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Optional, Sequence
 
@@ -103,6 +104,10 @@ class Family:
     predicate for ``verify``, ``budget`` its default ``--max-len`` and
     ``corpus`` extra words it checks; ``words`` is the word family
     ``measure`` runs from ``least`` on.  They look library names up when called.
+    A corpus of more than ``D_CORPUS_CAP`` (100,000) words is not built:
+    ``verify --lang d:K`` checks the 1,536 words of width 2 and exits 3
+    (budget exhausted) for every wider K, starting at the 234,881,024
+    words of width 3.
     """
 
     kind: str
@@ -127,8 +132,20 @@ def _gen_d(k: int = 2) -> Transducer:
     return gen_d()
 
 
+# The most words a verification corpus may hold.
+D_CORPUS_CAP = 100_000
+
+
 def _d_corpus(k: int = 2) -> list[Word]:
-    """Every width-k member plus one single-mutation negative each."""
+    """Every width-k member plus one single-mutation negative each:
+    2 * (2^k - 1) * 2^(k * 2^k) words.  Raises ``OracleBudgetError``
+    before building any word when that is more than ``D_CORPUS_CAP``."""
+    # every width past 4 has over 2^160 words; count widths up to 4 only
+    size = 2 * (2**k - 1) * 2 ** (k * 2**k) if k <= 4 else None
+    if size is None or size > D_CORPUS_CAP:
+        held = "over 2^160" if size is None else f"{size:,}"
+        raise OracleBudgetError(f"the d:{k} corpus holds {held} words, "
+                                f"more than the cap of {D_CORPUS_CAP:,}")
     words = []
     payload_space = list(product(product("ab", repeat=k), repeat=2**k))
     for idx, pays in enumerate(payload_space):
@@ -394,7 +411,9 @@ def cmd_measure(args) -> int:
     return REJECT if holes else OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="iufst",
         description="Iterated uniform finite-state transducer toolkit",

@@ -1,6 +1,22 @@
 """Generators for the concrete machine families used throughout the
-test suite, plus straight-line reference predicates that serve as
-ground truth for every oracle comparison.
+test suite, plus the reference predicates that serve as ground truth for
+every oracle comparison.
+
+Each predicate reads the whole word with C-level ``str`` and ``tuple``
+operations rather than a Python step per symbol:
+
+* ``in_block`` joins the word into one string (answering False unless
+  every symbol is one character) and full-matches a pattern compiled
+  once per k;
+* ``in_copy`` compares the two halves of ``tuple(w)`` around its middle;
+* ``in_d`` first derives the only block width k the word's length
+  allows, then full-matches the joined word against a pattern compiled
+  once per k and compares the repeated entry by slicing;
+* ``in_e`` looks for a ``b`` in one stepped slice, and ``in_unary`` and
+  ``in_uexpo`` test the length before counting ``a``'s.
+
+``tests/conftest.py`` keeps the per-symbol loops they replaced as slow
+references, and the tests compare the two on every enumerated word.
 
 Families:
 
@@ -23,6 +39,8 @@ Families:
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -74,7 +92,7 @@ def gen_unary(n: int, k: int) -> Transducer:
 
 
 def in_unary(n: int, k: int, w: Sequence[str]) -> bool:
-    return all(a == "a" for a in w) and len(w) % (n**k) == 0
+    return len(w) % (n**k) == 0 and w.count("a") == len(w)
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +150,10 @@ def gen_e(n: int, k: int) -> Transducer:
 
 
 def in_e(n: int, k: int, w: Sequence[str]) -> bool:
+    # the b sits c * n^k symbols before the end for some c >= 1
     period = n**k
     m = len(w)
-    for i, sym in enumerate(w):
-        if sym == "b" and (m - i) % period == 0 and m - i >= period:
-            return True
-    return False
+    return m >= period and "b" in w[m - period :: -period]
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +325,19 @@ def gen_block_nfa(k: int) -> Nfa:
     )
 
 
+@lru_cache(maxsize=16)
+def _block_pattern(k: int) -> re.Pattern:
+    block = f"[01]{{{k}}}"
+    return re.compile(rf"(?:{block}#)*({block})#(?:{block}#)*\1")
+
+
 def in_block(k: int, w: Sequence[str]) -> bool:
-    blocks: list[list[str]] = [[]]
-    for sym in w:
-        if sym == "#":
-            blocks.append([])
-        elif sym in ("0", "1"):
-            blocks[-1].append(sym)
-        else:
-            return False
-    if len(blocks) < 2 or any(len(b) != k for b in blocks):
+    text = "".join(w)
+    # a member holds at least two blocks of k bits; equal lengths and no
+    # empty symbol: every symbol is one character
+    if len(text) != len(w) or not 0 <= 2 * k < len(text):
         return False
-    return blocks[-1] in blocks[:-1]
+    return _block_pattern(k).fullmatch(text) is not None and "" not in w
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +389,10 @@ def gen_copy() -> Transducer:
 
 
 def in_copy(w: Sequence[str]) -> bool:
-    text = list(w)
-    if text.count("$") != 1:
-        return False
-    i = text.index("$")
-    return text[:i] == text[i + 1 :]
+    text = tuple(w)
+    i = len(text) // 2
+    return (len(text) % 2 == 1 and text[i] == "$" and text.count("$") == 1
+            and text[:i] == text[i + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +434,7 @@ def gen_uexpo() -> Transducer:
 
 def in_uexpo(w: Sequence[str]) -> bool:
     m = len(w)
-    return m >= 1 and all(a == "a" for a in w) and (m & (m - 1)) == 0
+    return m >= 1 and (m & (m - 1)) == 0 and w.count("a") == m
 
 
 # ---------------------------------------------------------------------------
@@ -442,42 +458,40 @@ def d_word(k: int, payloads: Sequence[Sequence[str]], i: int) -> Word:
     return tuple(w)
 
 
+# the block width k of the directory words of each length; no sequence
+# reaches the length of width 64
+_D_WIDTH = {k + 2**k + (2**k + 1) * 2 * k: k for k in range(2, 64)}
+
+
+@lru_cache(maxsize=16)
+def _d_pattern(k: int) -> re.Pattern:
+    # a^k b^(2^k), every entry bin(j) u_j in order, then a last entry whose
+    # index is captured
+    pay = f"[ab]{{{k}}}"
+    entries = "".join("".join(bin_lsb(j, k)) + pay for j in range(2**k))
+    return re.compile(f"a{{{k}}}b{{{2**k}}}{entries}([01]{{{k}}}){pay}")
+
+
 def in_d(w: Sequence[str]) -> bool:
     """Directory language: a^k b^(2^k) bin(0) u_0 ... bin(2^k-1)
     u_(2^k-1) bin(i) u_i, with k >= 2, payloads u_j in {a,b}^k, indices
-    written least-significant-digit first, and 1 <= i <= 2^k - 1."""
-    text = list(w)
-    k = 0
-    while k < len(text) and text[k] == "a":
-        k += 1
-    if k < 2:
+    written least-significant-digit first, and 1 <= i <= 2^k - 1.
+
+    The word's length fixes k, so a word of any other length is rejected
+    before it is read."""
+    k = _D_WIDTH.get(len(w))
+    if k is None:
         return False
-    pos = k
-    b = 0
-    while pos < len(text) and text[pos] == "b":
-        pos += 1
-        b += 1
-    if b != 2**k:
+    text = "".join(w)
+    if len(text) != len(w):
         return False
-    entries: list[tuple[Word, Word]] = []
-    for _ in range(2**k + 1):
-        bin_part = tuple(text[pos : pos + k])
-        pos += k
-        pay = tuple(text[pos : pos + k])
-        pos += k
-        if len(bin_part) != k or len(pay) != k:
-            return False
-        if any(c not in ("0", "1") for c in bin_part):
-            return False
-        if any(c not in ("a", "b") for c in pay):
-            return False
-        entries.append((bin_part, pay))
-    if pos != len(text):
+    match = _d_pattern(k).fullmatch(text)
+    # equal lengths and no empty symbol: every symbol is one character
+    if match is None or "" in w:
         return False
-    for j in range(2**k):
-        if entries[j][0] != bin_lsb(j, k):
-            return False
-    return any(entries[i] == entries[-1] for i in range(1, 2**k))
+    i = int(match[1][::-1], 2)
+    entry = k + 2**k + 2 * k * i
+    return i >= 1 and text[entry : entry + 2 * k] == text[-2 * k :]
 
 
 _BITS = ("0", "1")

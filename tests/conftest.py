@@ -13,6 +13,7 @@ from iufst import (
     sweep_reduce,
 )
 from iufst.core import _shortest_word
+from iufst.witness import bin_lsb
 
 
 def reference_nfa(t, k):
@@ -85,6 +86,86 @@ def dfa_difference_witness(d1, d2):
         lambda pq: [((t1[(pq[0], x)], t2[(pq[1], x)]), x) for x in d1.alphabet],
         lambda pq: pq[0] in d1.accepting_set and pq[1] not in d2.accepting_set,
     )
+
+
+# Per-symbol references for the predicates of ``iufst.witness``, which
+# read the whole word at once: one Python step per symbol, written
+# straight from each language's definition.
+
+
+def reference_in_unary(n, k, w):
+    return all(a == "a" for a in w) and len(w) % (n**k) == 0
+
+
+def reference_in_e(n, k, w):
+    period = n**k
+    m = len(w)
+    for i, sym in enumerate(w):
+        if sym == "b" and (m - i) % period == 0 and m - i >= period:
+            return True
+    return False
+
+
+def reference_in_block(k, w):
+    blocks = [[]]
+    for sym in w:
+        if sym == "#":
+            blocks.append([])
+        elif sym in ("0", "1"):
+            blocks[-1].append(sym)
+        else:
+            return False
+    if len(blocks) < 2 or any(len(b) != k for b in blocks):
+        return False
+    return blocks[-1] in blocks[:-1]
+
+
+def reference_in_copy(w):
+    text = list(w)
+    if text.count("$") != 1:
+        return False
+    i = text.index("$")
+    return text[:i] == text[i + 1 :]
+
+
+def reference_in_uexpo(w):
+    m = len(w)
+    return m >= 1 and all(a == "a" for a in w) and (m & (m - 1)) == 0
+
+
+def reference_in_d(w):
+    text = list(w)
+    k = 0
+    while k < len(text) and text[k] == "a":
+        k += 1
+    if k < 2:
+        return False
+    pos = k
+    b = 0
+    while pos < len(text) and text[pos] == "b":
+        pos += 1
+        b += 1
+    if b != 2**k:
+        return False
+    entries = []
+    for _ in range(2**k + 1):
+        bin_part = tuple(text[pos : pos + k])
+        pos += k
+        pay = tuple(text[pos : pos + k])
+        pos += k
+        if len(bin_part) != k or len(pay) != k:
+            return False
+        if any(c not in ("0", "1") for c in bin_part):
+            return False
+        if any(c not in ("a", "b") for c in pay):
+            return False
+        entries.append((bin_part, pay))
+    if pos != len(text):
+        return False
+    for j in range(2**k):
+        if entries[j][0] != bin_lsb(j, k):
+            return False
+    return any(entries[i] == entries[-1] for i in range(1, 2**k))
 
 
 @pytest.fixture(scope="session")

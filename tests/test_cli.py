@@ -2,10 +2,11 @@
 stability."""
 
 import inspect
+import time
 
 import pytest
 
-from iufst.cli import FAMILIES, main
+from iufst.cli import FAMILIES, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +240,22 @@ class TestVerifyMeasure:
     def test_verify_unary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lang", "unary:2,2")
         assert code == 0
+
+    def test_verify_d3_corpus_is_over_budget(self, capsys):
+        # the width-3 corpus has 8^8 * 7 * 2 words; counting them builds none
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--lang", "d:3")
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert err.strip() == ("budget exhausted: the d:3 corpus holds 234,881,024 words, "
+                               "more than the cap of 100,000")
+
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        assert run_cli(capsys, "verify", "--lang", "copy", "--max-len", "2")[:2] == (0, "ok\n")
+        code, out, err = run_cli(capsys, "verify", "--max-len", "2")
+        assert code == 2 and out == "" and "--lang" in err
+        assert run_cli(capsys, "verify", "--lang", "copy", "--max-len", "2")[:2] == (0, "ok\n")
 
     def test_measure_csv(self, capsys):
         code, out, _ = run_cli(capsys, "measure", "--lang", "uexpo",

@@ -2,8 +2,17 @@
 state counts, sweep counts, and accept-mode discipline."""
 
 import itertools
+import tracemalloc
 
 import pytest
+from conftest import (
+    reference_in_block,
+    reference_in_copy,
+    reference_in_d,
+    reference_in_e,
+    reference_in_uexpo,
+    reference_in_unary,
+)
 
 from iufst import (
     MachineError,
@@ -26,6 +35,7 @@ from iufst import (
     run,
     run_deterministic,
 )
+from iufst.cli import _d_corpus
 
 
 class TestPredicates:
@@ -65,6 +75,75 @@ class TestPredicates:
         assert not in_d(("a",) + w)
         assert bin_lsb(5, 4) == ("1", "0", "1", "0")
         assert bin_lsb(12, 4) == ("0", "0", "1", "1")
+
+
+def agree(pred, reference, *word_lists):
+    for words in word_lists:
+        for w in words:
+            assert pred(w) == reference(w), w
+
+
+class TestPredicatesAgainstReferences:
+    """Each predicate, which reads the joined word or whole tuple, answers as
+    its per-symbol reference in conftest: on every short word over the
+    family's alphabet plus a foreign symbol, and over symbols of other
+    lengths, "" and two characters (a word of "" and "01" joins to as many
+    characters as it has symbols)."""
+
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3, 9])
+    def test_in_block(self, k):
+        # a member of width 9 needs 19 symbols, more than any word here
+        agree(lambda w: in_block(k, w), lambda w: reference_in_block(k, w),
+              enumerate_words(("0", "1", "#", "x"), 7),
+              enumerate_words(("0", "1", "#", "", "01", "1#"), 5))
+
+    def test_in_copy(self):
+        agree(in_copy, reference_in_copy,
+              enumerate_words(("a", "b", "$", "x"), 8),
+              enumerate_words(("a", "b", "$", "", "a$", "ba"), 5))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2)])
+    def test_in_e(self, n, k):
+        agree(lambda w: in_e(n, k, w), lambda w: reference_in_e(n, k, w),
+              enumerate_words(("a", "b", "x"), 9),
+              enumerate_words(("a", "b", "", "ab"), 6))
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (2, 2), (2, 3), (3, 1)])
+    def test_in_unary(self, n, k):
+        agree(lambda w: in_unary(n, k, w), lambda w: reference_in_unary(n, k, w),
+              enumerate_words(("a", "x"), 12), enumerate_words(("a", "", "aa"), 8))
+
+    def test_in_uexpo(self):
+        agree(in_uexpo, reference_in_uexpo,
+              enumerate_words(("a", "x"), 12), enumerate_words(("a", "", "aa"), 8))
+
+    def test_in_d(self):
+        w2 = d_word(2, [("a", "b"), ("b", "b"), ("a", "a"), ("b", "a")], 2)
+        w3 = d_word(3, [tuple("abab"[j % 2 :][:3]) for j in range(8)], 5)
+        symbols = ("a", "b", "0", "1", "x", "", "ab")
+        substituted = [w[:i] + (x,) + w[i + 1 :]
+                       for w in (w2, w3) for i in range(len(w)) for x in symbols]
+        # one symbol emptied and a later one doubled keep the joined length
+        balanced = [w2[:i] + ("",) + w2[i + 1 : j] + ("ab",) + w2[j + 1 :]
+                    for i, j in itertools.combinations(range(len(w2)), 2)]
+        # entry 0 may not be the repeated one
+        repeat0 = [w2[:-4] + w2[6:10], w3[:-6] + w3[11:17]]
+        assert in_d(w2) and in_d(w3)
+        agree(in_d, reference_in_d, enumerate_words(("a", "b", "0", "1", "x"), 6),
+              _d_corpus(2), substituted, balanced, repeat0)
+
+    def test_in_d_rejects_other_lengths_unread(self):
+        # 10^5 leading a's would ask for 2^(10^5) b's; no width has this length
+        w = ("a",) * 10**5
+        tracemalloc.start()
+        try:
+            assert not in_d(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        # 21,534 symbols is the length of width 10
+        assert not in_d(("a",) * 21_534) and not reference_in_d(("a",) * 21_534)
 
 
 class TestUnary:
