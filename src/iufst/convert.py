@@ -232,14 +232,16 @@ class LaneNfa:
     symbols, expanded on demand.
 
     States are ints numbering the lane tuples in discovery order, the
-    initial tuple being 0.  The first ``step`` or ``accepting`` call on a
-    tuple expands it and keeps the result: ``_lane_step`` on each input
-    symbol gives its successors, and one endmarker step its acceptance,
-    which holds when a lane can reach an accepting state.  ``to_nfa``
-    renders it with named states.  The oracle reads it with one lane
-    (the first sweep) for a machine without a constant bound: a set of
-    tuples that are all ``halted`` is a word inside which every branch
-    has halted.
+    initial tuple being 0.  The first ``step``, ``accepting`` or
+    ``completes`` call on a tuple expands it and keeps the result:
+    ``_lane_step`` on each input symbol gives its successors, and one
+    endmarker step both its acceptance, which holds when a lane can reach
+    an accepting state, and whether it completes, which holds when the
+    last lane can take that step.  ``to_nfa`` renders it with named
+    states.  The oracle reads it with one lane (the first sweep) for a
+    machine without a constant bound: a word whose tuples include an
+    ``accepting`` one is accepted after one sweep, and a word none of
+    whose tuples ``completes`` leaves no second tape, so it is rejected.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -248,7 +250,7 @@ class LaneNfa:
         self._end = t.endmarker
         self._tuples = [(q0,) * k]
         self._ids = {self._tuples[0]: 0}
-        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool]] = {}
+        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, bool]] = {}
         self.alphabet = t.input_alphabet
         self.initial = 0
 
@@ -269,11 +271,11 @@ class LaneNfa:
     def accepting(self, q: int) -> bool:
         return (self._rows.get(q) or self._expand(q))[1]
 
-    def halted(self, q: int) -> bool:
-        """Every lane of ``q`` has halted: it is the dummy state."""
-        return all(p == _DUMMY_STATE for p in self._tuples[q])
+    def completes(self, q: int) -> bool:
+        """Some branch of ``q`` steps on the endmarker in every lane."""
+        return (self._rows.get(q) or self._expand(q))[2]
 
-    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, bool]:
         state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
         row = []
         for x in self.alphabet:
@@ -284,9 +286,9 @@ class LaneNfa:
                     tuples.append(p)
                 succ.append(i)
             row.append(tuple(succ))
-        acc = self._acc
-        final = any(any(map(acc.__getitem__, p)) for p, _y in _lane_step(delta, state, self._end))
-        self._rows[q] = entry = (tuple(row), final)
+        acc, ends = self._acc, _lane_step(delta, state, self._end)
+        final = any(any(map(acc.__getitem__, p)) for p, _y in ends)
+        self._rows[q] = entry = (tuple(row), final, any(p[-1] != _DUMMY_STATE for p, _y in ends))
         return entry
 
 

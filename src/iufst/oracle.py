@@ -11,13 +11,18 @@ it, by walking the word tree over the lane tuples of ``convert.LaneNfa``.
 A machine that declares a constant sweep bound k accepts exactly the
 language of its k-lane NFA (the paper's reduction), so the walk answers
 all its words and ``run`` is never called.  Any other machine walks its
-1-lane NFA, the first sweep: a sweep reads the tape left to right, so a
-word inside which every branch has halted is one ``run`` rejects
-definitely, as it does every extension; only the other words run.  The
-reduction holds for every k, but only the machine's own declared bound
-turns the exact walk on, never the k of a pair: lane tuples grow like
-n^k, and ``LaneNfa(compile_lba(lba_copy()), 12)`` finds 59,307 of them
-on words of at most 5 symbols, where pairs of that machine ask for 80.
+1-lane NFA, the first sweep, and the walk answers every word that sweep
+alone decides.  A machine accepts by halting in an accepting state at
+the end of a sweep, so a word on which some branch of the first sweep
+ends in an accepting state is one ``run`` accepts after one sweep, and a
+word on which no branch steps on the endmarker, whether it halts inside
+the word or at its end, leaves no second tape and is one ``run`` rejects
+definitely.  Only the words whose first sweep completes without
+accepting run.  The reduction holds for every k, but only the machine's
+own declared bound turns the exact walk on, never the k of a pair: lane
+tuples grow like n^k, and ``LaneNfa(compile_lba(lba_copy()), 12)`` finds
+59,307 of them on words of at most 5 symbols, where pairs of that
+machine ask for 80.
 """
 
 from __future__ import annotations
@@ -106,12 +111,13 @@ def compare_languages(
     transducer acceptor is answered by the lane walk of the module
     docstring: on every word when the machine declares an int bound, bare
     or in a ``(t, k)`` pair, with no tape budget (where ``run`` would hit
-    ``tape_cap`` and raise, the walk answers), else on the words inside
-    which its first sweep halts.  The walk is off, and every word runs,
-    when the alphabet is empty or has a symbol outside the machine's
-    input alphabet (so ``run`` raises at the same word), when a ``(t, k)``
-    pair has ``k`` below 1 (``run`` never sweeps, or raises) or when
-    ``tape_cap`` is below 1 (``run`` raises).
+    ``tape_cap`` and raise, the walk answers), else on the words its
+    first sweep decides: accepted when a branch of it ends in an accepting
+    state, rejected when no branch steps on the endmarker.  The walk is
+    off, and every word runs, when the alphabet is empty or has a symbol
+    outside the machine's input alphabet (so ``run`` raises at the same
+    word), when a ``(t, k)`` pair has ``k`` below 1 (``run`` never sweeps,
+    or raises) or when ``tape_cap`` is below 1 (``run`` raises).
     """
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
@@ -128,7 +134,10 @@ def _known_answers(
 ) -> Iterator[Optional[bool]]:
     """For each word in ``enumerate_words`` order, the answer of a
     transducer acceptor that the lane-NFA walk gives, or None where
-    ``run`` must answer (every word, when the walk is off)."""
+    ``run`` must answer (every word, when the walk is off).  With an int
+    bound a set of lane tuples answers whether one is ``accepting``;
+    without one, a set of 1-lane tuples answers True when one is
+    ``accepting``, False when none ``completes``, and None otherwise."""
     t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
     alphabet = tuple(alphabet)
     if not (
@@ -141,7 +150,9 @@ def _known_answers(
         n = LaneNfa(t, k or t.sweep_bound)
         return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
     n = LaneNfa(t, 1)
-    return _walk_word_tree(n, alphabet, max_len, lambda s: False if all(map(n.halted, s)) else None)
+    return _walk_word_tree(n, alphabet, max_len, lambda s: (
+        True if any(map(n.accepting, s)) else (None if any(map(n.completes, s)) else False)
+    ))
 
 
 def _walk_word_tree(

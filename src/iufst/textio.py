@@ -15,7 +15,7 @@ The records own the machine rules and this module owns the text format.
 directive that completes it.  ``_Parser.build`` builds the record once
 and, when its constructor rejects a move, names the first ``trans`` row
 that the record's per-move rule rejects.  The kind parsers share
-``_ends`` and ``_trans`` and keep only the text-format rules of their
+``_ends`` and ``_bad_row`` and keep only the text-format rules of their
 rows: shape, duplicates, and one choice per (state, symbol) in ``iufst``.
 """
 
@@ -67,10 +67,14 @@ class MachineFile:
 
 def _rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, tokens) for each line with a token left once its ``%``
-    comment is cut, tokenized only when taken; ``splitlines`` numbers the
-    lines from 1, so CRLF and LF files number alike."""
-    for line, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.partition("%")[0].split()
+    comment is cut (lines are cut only in a text holding a ``%``),
+    tokenized only when taken; ``splitlines`` numbers the lines from 1, so
+    CRLF and LF files number alike."""
+    lines = text.splitlines()
+    if "%" in text:
+        lines = [raw.partition("%")[0] for raw in lines]
+    for line, raw in enumerate(lines, start=1):
+        toks = raw.split()
         if toks:
             yield line, toks
 
@@ -179,7 +183,10 @@ def _parse_transducer(p, kind, states, inputs, state_set) -> MachineFile:
         bound = int(tok)
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
     iufst = kind == "iufst"
-    for line, (_, q, x, _, r, y) in _trans(p, 6, "transducer transitions read: trans s a -> t y"):
+    for line, toks in p.rest():
+        if len(toks) != 6 or toks[0] != "trans" or toks[3] != "->":
+            raise _bad_row(toks, line, "transducer transitions read: trans s a -> t y")
+        _, q, x, _, r, y = toks
         choices = transitions.get((q, x), ())
         if iufst and choices and choices[0] != (r, y):
             msg = "iufst machines must have at most one choice per (state, symbol)"
@@ -194,7 +201,10 @@ def _parse_fa(p, kind, states, inputs, state_set) -> MachineFile:
     alphabet = p.check(_check_list, inputs, "symbol")
     initial, accepting = _ends(p, state_set)
     nfa_trans: dict[tuple[str, str], tuple[str, ...]] = {}
-    for line, (_, q, x, _, r) in _trans(p, 5, "finite-automaton transitions read: trans s a -> t"):
+    for line, toks in p.rest():
+        if len(toks) != 5 or toks[0] != "trans" or toks[3] != "->":
+            raise _bad_row(toks, line, "finite-automaton transitions read: trans s a -> t")
+        _, q, x, _, r = toks
         if kind == "dfa" and (q, x) in nfa_trans:
             raise MachineParseError(f"duplicate dfa transition for ({q!r}, {x!r})", line)
         if r in nfa_trans.get((q, x), ()):
@@ -219,7 +229,10 @@ def _parse_lba(p, states, inputs, state_set) -> MachineFile:
     p.check(Lba._check_endmarkers, lend, rend, tape_set, inputs)
     initial, accepting = _ends(p, state_set)
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
-    for line, (_, q, x, _, r, act) in _trans(p, 6, "lba transitions read: trans s a -> t (y|L|R)"):
+    for line, toks in p.rest():
+        if len(toks) != 6 or toks[0] != "trans" or toks[3] != "->":
+            raise _bad_row(toks, line, "lba transitions read: trans s a -> t (y|L|R)")
+        _, q, x, _, r, act = toks
         if (r, act) in transitions.get((q, x), ()):
             raise MachineParseError(f"duplicate lba transition for ({q!r}, {x!r})", line)
         transitions[q, x] = transitions.get((q, x), ()) + ((r, act),)
@@ -237,15 +250,12 @@ def _ends(p, state_set) -> tuple[str, tuple[str, ...]]:
     return initial, accepting
 
 
-def _trans(p, width, usage) -> Iterator[tuple[int, list[str]]]:
-    """The rows left, each a ``trans`` row of ``width`` tokens with ``->``
-    fourth; a row of another shape fails with ``usage``."""
-    for line, toks in p.rest():
-        if toks[0] != "trans":
-            raise MachineParseError(f"unknown directive {toks[0]!r}", line)
-        if len(toks) != width or toks[3] != "->":
-            raise MachineParseError(usage, line)
-        yield line, toks
+def _bad_row(toks: list[str], line: int, usage: str) -> MachineParseError:
+    """The error of a row after the header that is not a ``trans`` row of
+    the kind's shape: an unknown directive, else ``usage``."""
+    if toks[0] != "trans":
+        return MachineParseError(f"unknown directive {toks[0]!r}", line)
+    return MachineParseError(usage, line)
 
 
 def _choice(toks: list[str]) -> tuple[tuple[str, str], tuple[tuple[str, str]]]:

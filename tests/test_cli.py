@@ -303,9 +303,9 @@ class TestFamilyRegistry:
             # block(3) declares 3 sweeps: its lane NFA answers every word of
             # up to 2k + 3 = 9 symbols over 0, 1, #
             (["block:3"], "in_block", 29_524, 0),
-            # copy's bound is tagged: only the words on which its first
-            # sweep stays alive run
-            (["copy", "--max-len", "8"], "in_copy", 9_841, 1_408),
+            # copy's bound is tagged: only the words whose first sweep
+            # completes without accepting run ($ is accepted in one sweep)
+            (["copy", "--max-len", "8"], "in_copy", 9_841, 642),
         ]:
             fed.clear()
             ran.clear()

@@ -615,9 +615,11 @@ class TestLazyExpansion:
         assert n.discovered < len(sweep_reduce(b5, 5, 5).states)
 
 
-def test_halted_tuples_are_all_dummy_lanes():
+def test_completes_needs_every_lane_on_the_endmarker():
     # q rewrites a to b and has no move on b: on a, the first lane reads on
-    # and the second halts on the b it is fed; on b, both lanes halt
+    # and the second halts on the b it is fed; on b, both lanes halt.  A
+    # tuple completes when its last lane steps on the endmarker, so after a
+    # it accepts through its first lane but does not complete
     t = Transducer(
         states=("q",),
         input_alphabet=("a", "b"),
@@ -630,9 +632,10 @@ def test_halted_tuples_are_all_dummy_lanes():
     )
     n = LaneNfa(t, 2)
     (after_a,), (after_b,) = n.step(n.initial)
-    assert [n.halted(q) for q in (n.initial, after_a, after_b)] == [False, False, True]
+    assert [n.completes(q) for q in (n.initial, after_a, after_b)] == [True, False, False]
+    assert [n.accepting(q) for q in (n.initial, after_a, after_b)] == [True, True, False]
     one = LaneNfa(t, 1)
-    assert [one.halted(q) for (q,) in one.step(one.initial)] == [False, True]
+    assert [one.completes(q) for (q,) in one.step(one.initial)] == [True, False]
 
 
 class TestCommaNamedStates:

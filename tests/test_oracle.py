@@ -122,8 +122,8 @@ def even(w):
 
 
 class TestWordTreeWalk:
-    """``compare_languages`` skips words whose first sweep dies inside
-    them and still returns what asking every word of both sides gives."""
+    """``compare_languages`` skips words that the first sweep alone
+    decides and still returns what asking every word of both sides gives."""
 
     def test_fuzz_corpus_pairs_and_bare_machines(self, fuzz_machines):
         differing = 0
@@ -211,7 +211,7 @@ class TestLaneWalk:
 
     @pytest.mark.parametrize("make, alphabet, max_len", [
         (gen_copy, "ab$", 7),
-        (gen_d, "ab01", 6),
+        (gen_d, "ab01", 7),
     ])
     def test_tagged_families_filter_dead_prefixes(self, make, alphabet, max_len):
         assert 0 < walk_against_run(make(), alphabet, max_len) < word_count(alphabet, max_len)
@@ -244,6 +244,70 @@ class TestLaneWalk:
             per_word(e23, pred, "ab", 6, tape_cap=1)
         assert compare_languages(e23, pred, "ab", 6, tape_cap=1) == []
         assert compare_languages(pred, (e23, 3), "ab", 6, tape_cap=1) == []
+
+
+def ab_machine(transitions, sweep_bound="linear"):
+    """A machine over a, b with states q (initial), p and f (accepting)."""
+    return Transducer(
+        states=("q", "p", "f"),
+        input_alphabet=("a", "b"),
+        output_alphabet=("a", "b", "<"),
+        endmarker="<",
+        initial="q",
+        accepting=("f",),
+        transitions=transitions,
+        sweep_bound=sweep_bound,
+    )
+
+
+class TestFirstSweepAnswers:
+    """Without an int bound, the walk answers a word when its first sweep
+    accepts or has no branch that steps on the endmarker, and runs it only
+    when that sweep completes without accepting."""
+
+    def answers(self, monkeypatch, t, pred, max_len=6):
+        """``compare_languages(t, pred)`` agrees with ``pred``; return the
+        ``run`` calls it made and the walk's answers, each checked against
+        ``run``."""
+        import iufst.oracle
+
+        ran = []
+        real = iufst.oracle.run
+        monkeypatch.setattr(iufst.oracle, "run", lambda *a: ran.append(a[1]) or real(*a))
+        assert compare_languages(t, pred, "ab", max_len) == []
+        monkeypatch.undo()
+        assert walk_against_run(t, "ab", max_len) == word_count("ab", max_len) - len(ran)
+        return ran, list(_known_answers(t, "ab", max_len, 200_000))
+
+    def test_whole_word_read_without_an_endmarker_move(self, monkeypatch):
+        # q reads every symbol and has no move on the endmarker
+        t = ab_machine({("q", "a"): (("q", "a"),), ("q", "b"): (("q", "b"),)})
+        ran, known = self.answers(monkeypatch, t, lambda w: False)
+        assert ran == [] and set(known) == {False}
+
+    def test_first_sweep_accepts_or_stops_short_of_the_endmarker(self, monkeypatch):
+        # p means the last symbol read was b, and only p steps on the
+        # endmarker, into f: a word ending in b is accepted in one sweep,
+        # and any other is read to its end, where the sweep halts
+        t = ab_machine({
+            ("q", "a"): (("q", "a"),), ("q", "b"): (("p", "b"),),
+            ("p", "a"): (("q", "a"),), ("p", "b"): (("p", "b"),), ("p", "<"): (("f", "<"),),
+        }, sweep_bound=None)
+        ran, known = self.answers(monkeypatch, t, lambda w: w[-1:] == ("b",))
+        assert ran == [] and set(known) == {True, False}
+
+    def test_completed_first_sweep_without_accepting_runs(self, monkeypatch):
+        # q rewrites a to b and p reads b, so a sweep completes on a*b* and
+        # halts inside any other word; it accepts from p.  A word a^i b^j
+        # with j > 0 is accepted in one sweep, a^i with i > 0 in two, since
+        # its first sweep completes in q on the tape b^i
+        t = ab_machine({
+            ("q", "a"): (("q", "b"),), ("q", "b"): (("p", "b"),), ("q", "<"): (("q", "<"),),
+            ("p", "b"): (("p", "b"),), ("p", "<"): (("f", "<"),),
+        })
+        ran, known = self.answers(monkeypatch, t, lambda w: w != () and list(w) == sorted(w))
+        assert set(known) == {True, False, None}
+        assert ran == [w for w, x in zip(enumerate_words("ab", 6), known) if x is None]
 
 
 class TestMinAcceptSweeps:

@@ -125,6 +125,9 @@ class TestParse:
             (LBA + "trans p a -> p R\ntrans p a -> p <\n", 10, "may not be written elsewhere"),
             (IDENTITY.replace("kind niufst", "kind iufst") + "trans q a -> q <\ntrans q < -> q <\n",
              10, "iufst machines must have at most one choice per"),
+            (IDENTITY + "trans q a => q a\n", 10, "transducer transitions read"),
+            (NFA + "trans p a => q\n", 7, "finite-automaton transitions read"),
+            (LBA + "trans p a => p R\n", 9, "lba transitions read"),
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
@@ -135,7 +138,8 @@ class TestParse:
              "lba-initial", "lba-accept", "lba-directive", "lba-arity",
              "lba-reserved-move", "lba-input", "lba-endmarker-off-tape", "lba-equal-endmarkers",
              "lba-left-of-lend", "lba-right-of-rend", "lba-overwrite-endmarker",
-             "lba-write-endmarker", "iufst-second-choice"],
+             "lba-write-endmarker", "iufst-second-choice",
+             "transducer-arrow", "nfa-arrow", "lba-arrow"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
         with pytest.raises(MachineParseError, match=message) as info:
