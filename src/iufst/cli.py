@@ -73,8 +73,14 @@ def _load(path: str) -> MachineFile:
         return parse_machine(fh.read())
 
 
-def _save(mf: MachineFile, path: Optional[str]) -> None:
-    text = serialize_machine(mf)
+def _save(machine: Transducer | Nfa | Dfa, path: Optional[str]) -> None:
+    """Write ``machine`` under the kind it is: ``iufst`` when it is a
+    deterministic transducer, ``niufst`` for any other, ``nfa`` or ``dfa``."""
+    if isinstance(machine, Transducer):
+        kind = "iufst" if machine.is_deterministic else "niufst"
+    else:
+        kind = "dfa" if isinstance(machine, Dfa) else "nfa"
+    text = serialize_machine(MachineFile(kind, machine))
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -110,7 +116,6 @@ class Family:
     words of width 3.
     """
 
-    kind: str
     make: Callable[..., object]
     pred: Optional[Callable[..., Callable[[Word], bool]]] = None
     alphabet: tuple[str, ...] = ()
@@ -176,48 +181,48 @@ def _d_measure_word(k: int) -> Word:
 
 FAMILIES: dict[str, Family] = {
     "block": Family(
-        "niufst", lambda k: gen_block(k),
+        lambda k: gen_block(k),
         pred=lambda k: lambda w: in_block(k, w), alphabet=("0", "1", "#"),
         budget=lambda k: 2 * k + 3, words=lambda k: lambda m: _block_word(k, m),
     ),
     "block-nfa": Family(
-        "nfa", lambda k: gen_block_nfa(k),
+        lambda k: gen_block_nfa(k),
         pred=lambda k: lambda w: in_block(k, w), alphabet=("0", "1", "#"),
         budget=lambda k: 2 * k + 3,
     ),
     "unary": Family(
-        "iufst", lambda n, k: gen_unary(n, k),
+        lambda n, k: gen_unary(n, k),
         pred=lambda n, k: lambda w: in_unary(n, k, w), alphabet=("a",),
         budget=lambda n, k: 2 * n**k + 2,
         words=lambda n, k: lambda c: ("a",) * (c * n**k),
     ),
     "e": Family(
-        "niufst", lambda n, k: gen_e(n, k),
+        lambda n, k: gen_e(n, k),
         pred=lambda n, k: lambda w: in_e(n, k, w), alphabet=("a", "b"),
         budget=lambda n, k: min(10, 2 * n**k + 2),
         words=lambda n, k: lambda c: ("b",) + ("a",) * (c * n**k - 1),
     ),
     "copy": Family(
-        "iufst", lambda: gen_copy(),
+        lambda: gen_copy(),
         pred=lambda: in_copy, alphabet=("a", "b", "$"), budget=lambda: 9,
         words=lambda: _copy_word,
     ),
     "uexpo": Family(
-        "iufst", lambda: gen_uexpo(),
+        lambda: gen_uexpo(),
         pred=lambda: in_uexpo, alphabet=("a",), budget=lambda: 64,
         words=lambda: lambda j: ("a",) * (2**j),
     ),
     "d": Family(
-        "niufst", _gen_d,
+        _gen_d,
         pred=lambda k=2: in_d, alphabet=("a", "b", "0", "1"), budget=lambda k=2: 8,
         corpus=_d_corpus, words=lambda k=2: _d_measure_word, least=2,
     ),
     "id-ctor": Family(
-        "iufst", lambda: identity_constructor(("x",)).machine,
+        lambda: identity_constructor(("x",)).machine,
         words=lambda: lambda m: ("a",) * m + ("x",) * m,
     ),
     "expo-ctor": Family(
-        "iufst", lambda: expo_constructor(("x",)).machine,
+        lambda: expo_constructor(("x",)).machine,
         words=lambda: lambda m: ("a",) * m + ("x",) * (2**m),
     ),
 }
@@ -289,14 +294,11 @@ def cmd_convert(args) -> int:
         t = _need_transducer(mf)
         k = _need_bound(t)
         lanes = int(target.split(":", 1)[1])
-        out = sweep_reduce(t, k, lanes)
-        kind = "iufst" if out.is_deterministic else "niufst"
-        _save(MachineFile(kind, out), args.output)
+        _save(sweep_reduce(t, k, lanes), args.output)
         return OK
     if target == "nfa":
         t = _need_transducer(mf)
-        out = to_nfa(t, _need_bound(t))
-        _save(MachineFile("nfa", out), args.output)
+        _save(to_nfa(t, _need_bound(t)), args.output)
         return OK
     if target in ("dfa", "min-dfa"):
         m = mf.machine
@@ -307,7 +309,7 @@ def cmd_convert(args) -> int:
             m = (min_dfa if target == "min-dfa" else nfa_to_dfa)(m, state_cap=args.state_cap)
         elif target == "min-dfa":
             m = dfa_minimize(m)
-        _save(MachineFile("dfa", m), args.output)
+        _save(m, args.output)
         return OK
     raise CliError(f"unknown conversion target {target!r}")
 
@@ -343,7 +345,7 @@ def cmd_decide(args) -> int:
 
 def cmd_gen(args) -> int:
     fam, params = _family(args.family, "make")
-    _save(MachineFile(fam.kind, fam.make(*params)), args.output)
+    _save(fam.make(*params), args.output)
     return OK
 
 
@@ -354,7 +356,7 @@ def cmd_combine(args) -> int:
     left = ctors[args.left](("x",))
     right = ctors[args.right](("y",))
     out = combine_add(left, right) if args.op == "add" else combine_mul(left, right)
-    _save(MachineFile("iufst", out.machine), args.output)
+    _save(out.machine, args.output)
     return OK
 
 
@@ -363,7 +365,7 @@ def cmd_lba(args) -> int:
     if not isinstance(mf.machine, Lba):
         raise CliError("expected an lba machine file")
     if args.action == "compile":
-        _save(MachineFile("niufst", compile_lba(mf.machine)), args.output)
+        _save(compile_lba(mf.machine), args.output)
         return OK
     word = parse_word(args.word, mf.machine.input_alphabet)
     report = run_lba(mf.machine, word, args.max_steps)

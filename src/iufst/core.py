@@ -18,18 +18,19 @@ leaving as tuples.  ``_sweep``, the only loop over cells, walks a lone
 branch along per-state rows of single-choice moves, copying a run of
 identity moves (the state stays and writes what it reads) as one slice, and
 keeps forked branches in a trie of output chunks of up to ``_CHUNK``
-symbols, so each completed output costs time linear in the tape.  Unless it
-reports halts (for ``sweep``), it drops every choice into a state that
-cannot read the rest of the tape, found by a backward pass (``_live``)
-memoized on the machine.  A fork's live choices are memoized too, per
-(state, symbol, live mask).  Branches writing different symbols never merge
-again, so there a lone branch whose live choices write pairwise distinct
-symbols splits into independent row walks, one per choice, taken one after
-another (a single live choice just steps on); the merging frontier serves
-only choices writing a common symbol.  ``_search``, the only search over the
+symbols, so each completed output costs time linear in the tape.  It drops
+every choice into a state that cannot read the rest of the tape, found by a
+backward pass (``_live``) memoized on the machine, so it reports no halts.
+A fork's live choices are memoized too, per (state, symbol, live mask).
+Branches writing different symbols never merge again, so there a lone
+branch whose live choices write pairwise distinct symbols splits into
+independent row walks, one per choice, taken one after another (a single
+live choice just steps on); the merging frontier serves only choices
+writing a common symbol.  ``_search``, the only search over the
 tapes at sweep boundaries, yields its rounds to ``_run_traced`` (behind
-``run`` and ``find_accepting_trace``) and ``check_accept_mode``; ``sweep``
-and ``run_deterministic`` call the kernel.
+``run`` and ``find_accepting_trace``) and ``check_accept_mode``;
+``run_deterministic`` calls the kernel, and so does ``sweep``, which finds
+the halts itself in a forward pass over the states each cell is reached in.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first.  A construction's
@@ -300,8 +301,9 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
 
     Branches fork at every nondeterministic choice; a branch completes
     when the last cell is rewritten and is stuck at the first cell whose
-    transition set is empty.  Outcomes are deduplicated.  Every halt is
-    reported: with a ``stuck`` list the kernel keeps dead branches.
+    transition set is empty.  Outcomes are deduplicated.  The kernel gives
+    the completed pairs; a pass over the states each cell is reached in
+    finds the halts: a reached state with no move on the cell's symbol.
     """
     tape = tuple(tape)
     if not tape:
@@ -309,10 +311,15 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
     bad = [x for x in tape if x not in t.symbol_set]
     if bad:
         raise MalformedInputError(f"tape symbols {bad!r} outside the machine alphabets")
-    stuck: list[tuple[int, int]] = []
-    done = _sweep(t, _encode(t, tape), stuck)
+    q0, delta, _ = t._indexed
     name = t.states
-    return {Stuck(i, name[q]) for i, q in stuck} | {Completed(name[q], _decode(t, out)) for q, out in done}
+    stuck: set[SweepOutcome] = set()
+    reached = {q0}
+    for i, x in enumerate(tape):
+        stuck.update(Stuck(i, name[q]) for q in reached if x not in delta[q])
+        reached = {p for q in reached for p, _ in delta[q].get(x, ())}
+    done = _sweep(t, _encode(t, tape))
+    return stuck | {Completed(name[q], _decode(t, out)) for q, out in done}
 
 
 def _encode(t: Transducer, tape: Sequence[str]) -> str:
@@ -333,28 +340,24 @@ def _decode(t: Transducer, tape: str) -> Tape:
     return itemgetter(*tape)(t._code[1]) if len(tape) > 1 else (t._code[1][tape],)  # one key: a bare item
 
 
-def _sweep(
-    t: Transducer, tape: str, stuck: Optional[list[tuple[int, int]]] = None
-) -> list[tuple[int, str]]:
+def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
     """The completed (state index, output) pairs of one sweep over ``tape``,
     both ``str`` in the tape code, deduplicated per cell on (state, output so
-    far), in declaration order (frontier order, then choice order); ``stuck``
-    collects the (position, state index) of halted branches.  A lone branch
-    walks ``Transducer._rows`` and copies a run of identity moves from its
-    second cell on as one slice, ended by the state's ``[loops]*`` pattern.  A
-    pattern call costs about ten steps of the walk: runs of one cell never make
-    one, nor do tapes shorter than ``_SKIP_TAPE``, whose runs are short, nor a
-    state whose run proved short earlier in the sweep.  Fork choices come from
-    the memo in ``_back[2]``; without ``stuck``, one into a state outside
-    ``_live`` is dropped: it completes nothing and never merges with a kept
-    branch (same state at a cell, same liveness), so pairs and order are
-    unchanged.  Branches whose outputs differ never merge, so kept choices
-    writing pairwise distinct symbols split: the first steps on, the others wait
-    on ``todo`` as lone walks, which, taken last in, first out, complete in
+    far), in declaration order (frontier order, then choice order).  A lone
+    branch walks ``Transducer._rows`` and copies a run of identity moves from
+    its second cell on as one slice, ended by the state's ``[loops]*``
+    pattern.  A pattern call costs about ten steps of the walk: runs of one
+    cell never make one, nor do tapes shorter than ``_SKIP_TAPE``, whose runs
+    are short, nor a state whose run proved short earlier in the sweep.  Fork
+    choices come from
+    the memo in ``_back[2]``; one into a state outside ``_live`` is
+    dropped: it completes nothing and never merges with a kept branch (same
+    state at a cell, same liveness), so pairs and order are unchanged.
+    Branches whose outputs differ never merge, so kept choices writing
+    pairwise distinct symbols split: the first steps on, the others wait on
+    ``todo`` as lone walks, which, taken last in, first out, complete in
     frontier order.  Choices writing a common symbol merge in a frontier of
-    (state, trie node, tail), node -1 being the end of ``head``.  With ``stuck``
-    nothing splits: a kept branch may halt a cell later, and a split one copies
-    its prefix, which only an output of its own pays for."""
+    (state, trie node, tail), node -1 being the end of ``head``."""
     q, delta, _ = t._indexed
     rows = t._rows
     forks = t._back[2]
@@ -395,20 +398,17 @@ def _sweep(
             if not memo:
                 enc, dec, _ = t._code
                 choices = delta[q].get(dec[x])
-                if choices is None:
-                    # kept choices complete, and ``stuck`` splits none: ``todo`` is empty
-                    if stuck is not None:
-                        stuck.append((i, q))
+                if choices is None:  # kept choices are live: only a walk that never forked halts
                     return done
-                if live is None:  # -1 has every state's bit: with ``stuck`` nothing is dropped
-                    live = [-1] * (n + 1) if stuck is not None else _live(t, tape, i)
+                if live is None:
+                    live = _live(t, tape, i)
                 m = live[i + 1]
                 memo = forks.get((q, x, m))
                 if memo is None:
                     if len(forks) >= _LIVE_MEMO_CAP:
                         forks.clear()
                     kept = tuple((p, enc[y]) for p, y in choices if m >> p & 1)
-                    apart = m != -1 and 0 < len(kept) == len({y for _, y in kept})
+                    apart = 0 < len(kept) == len({y for _, y in kept})
                     memo = forks[q, x, m] = (kept, apart)
             kept, apart = memo
             if not apart:
@@ -445,12 +445,7 @@ def _sweep(
             m = live[i]
             nxt: dict[tuple[int, int, str], None] = {}
             for q, node, tail in frontier:
-                choices = delta[q].get(x)
-                if choices is None:
-                    if stuck is not None:
-                        stuck.append((i - 1, q))
-                    continue
-                for p, y in choices:
+                for p, y in delta[q].get(x, ()):
                     if m >> p & 1:
                         nxt[p, node, tail + enc[y]] = None
             frontier = nxt

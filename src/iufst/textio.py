@@ -297,13 +297,13 @@ def parse_word(text: str, alphabet: Sequence[str]) -> tuple[str, ...]:
 
     Symbols are comma-separated; when every alphabet symbol is a single
     character an unseparated string is also accepted.  The empty string
-    is the empty word.
+    is the empty word; an empty symbol between commas is an error.
     """
     if text == "":
         return ()
     alpha = set(alphabet)
     if "," in text:
-        syms = [s for s in text.split(",") if s != ""]
+        syms = text.split(",")
     elif all(len(a) == 1 for a in alphabet):
         syms = list(text)
     else:

@@ -183,16 +183,18 @@ class TestConvertDecide:
 
 
 class TestGenCombineLba:
-    @pytest.mark.parametrize(
-        "spec", ["block:2", "block-nfa:3", "unary:3,2", "e:2,2", "copy",
-                 "uexpo", "d", "d:2", "id-ctor", "expo-ctor"],
-    )
+    # the kind each file is written under: iufst for a deterministic transducer
+    KINDS = {"block:2": "niufst", "block-nfa:3": "nfa", "unary:3,2": "iufst", "e:2,2": "niufst",
+             "copy": "iufst", "uexpo": "iufst", "d": "niufst", "d:2": "niufst",
+             "id-ctor": "iufst", "expo-ctor": "iufst"}
+
+    @pytest.mark.parametrize("spec", list(KINDS))
     def test_gen_roundtrips(self, tmp_path, capsys, spec):
         path = tmp_path / "m.m"
         assert main(["gen", spec, "-o", str(path)]) == 0
         from iufst import parse_machine
 
-        parse_machine(path.read_text())
+        assert parse_machine(path.read_text()).kind == self.KINDS[spec]
 
     def test_gen_bad_spec(self, capsys):
         code, _, err = run_cli(capsys, "gen", "zork:1")
@@ -202,6 +204,7 @@ class TestGenCombineLba:
         path = tmp_path / "c.m"
         assert main(["combine", "add", "--left", "id", "--right", "expo",
                      "-o", str(path)]) == 0
+        assert path.read_text().startswith("kind iufst\n")
         capsys.readouterr()
         code, out, _ = run_cli(capsys, "run", "-m", str(path),
                                "-w", "a,x,y,y", "--max-sweeps", "8")
@@ -216,6 +219,7 @@ class TestGenCombineLba:
         assert code == 0 and out.startswith("accepted steps=")
         compiled = tmp_path / "c.m"
         assert main(["lba", "compile", "-m", str(src), "-o", str(compiled)]) == 0
+        assert compiled.read_text().startswith("kind niufst\n")
         capsys.readouterr()
         code, out, _ = run_cli(capsys, "run", "-m", str(compiled), "-w", "aabb",
                                "--max-sweeps", "40")

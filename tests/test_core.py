@@ -33,7 +33,14 @@ from iufst import core
 from iufst.core import _check_token, _decode, _encode, _live, _search
 
 from test_decide import fuzz_machine
-from test_sweep_reference import FAMILIES, WORDS_TO_6, kernel_sweep, random_tapes
+from test_sweep_reference import (
+    FAMILIES,
+    WORDS_TO_6,
+    kernel_sweep,
+    random_tapes,
+    ref_sweep,
+    ref_sweep_ordered,
+)
 
 
 def identity_machine(accepting=("q",)):
@@ -487,10 +494,11 @@ class TestMaterialize:
 
 
 def assert_pruning_keeps_pairs(t, tapes):
-    """Without a ``stuck`` list the kernel drops branches that cannot
-    finish the sweep; the completed pairs, in order, must not change."""
+    """The kernel drops branches that cannot finish the sweep; its
+    completed pairs, in order, must be the slow reference's, which keeps
+    every branch to the end."""
     for tape in tapes:
-        assert kernel_sweep(t, tape) == kernel_sweep(t, tape, []), tape
+        assert kernel_sweep(t, tape) == ref_sweep_ordered(t, tape), tape
 
 
 def reached_tapes(t, words, sweeps, cap=300):
@@ -530,12 +538,12 @@ class TestPrunedSweep:
         choices = delta[q0][tape[0]]
         assert len(choices) == 10
         assert not any(_live(t, _encode(t, tape), 0)[1] >> p & 1 for p, _ in choices)
-        stuck = []
-        assert kernel_sweep(t, tape) == [] == kernel_sweep(t, tape, stuck)
-        # sweep() passes a stuck list, so every halted branch is reported
+        assert kernel_sweep(t, tape) == [] == ref_sweep_ordered(t, tape)
+        # sweep() finds every halted branch in its own pass
         outcomes = sweep(t, tape)
-        assert len(stuck) == len(outcomes) == 46
+        assert len(outcomes) == 46
         assert all(isinstance(o, Stuck) for o in outcomes)
+        assert outcomes == ref_sweep(t, tape)
 
     def test_memo_cleared_mid_run(self, monkeypatch):
         make, _, _, sweeps = FAMILIES["lba(copy)"]

@@ -1,7 +1,6 @@
 """Constructors, closure combinators, and the prefix-copy language."""
 
 import functools
-import itertools
 
 import pytest
 from hypothesis import given, settings

@@ -121,11 +121,11 @@ def ref_sweep_ordered(t: Transducer, tape: Tape) -> list[tuple[int, Tape]]:
     return [(index[q], out) for q, out in frontier]
 
 
-def kernel_sweep(t: Transducer, tape: Tape, stuck: Optional[list] = None) -> list[tuple[int, Tape]]:
+def kernel_sweep(t: Transducer, tape: Tape) -> list[tuple[int, Tape]]:
     """``_sweep`` on a tuple tape: the kernel takes and returns tapes in the
     machine's tape code, one character per cell, so the tape goes in encoded
     and each output comes out decoded, the list's order kept."""
-    return [(q, _decode(t, out)) for q, out in _sweep(t, _encode(t, tape), stuck)]
+    return [(q, _decode(t, out)) for q, out in _sweep(t, _encode(t, tape))]
 
 
 def ref_run(
@@ -272,9 +272,9 @@ def assert_same_sweeps(t, tapes):
 
 
 def assert_same_order(t, tapes, rounds=1):
-    """``_sweep`` lists the reference's pairs in its order, with and
-    without a ``stuck`` list, on ``tapes`` and on the non-accepting
-    outputs of the next ``rounds - 1`` sweeps, each tape once."""
+    """``_sweep`` lists the reference's pairs in its order, on ``tapes``
+    and on the non-accepting outputs of the next ``rounds - 1`` sweeps,
+    each tape once."""
     acc = t._indexed[2]
     seen = set(tapes)
     for _ in range(rounds):
@@ -282,7 +282,6 @@ def assert_same_order(t, tapes, rounds=1):
         for tape in tapes:
             want = ref_sweep_ordered(t, tape)
             assert kernel_sweep(t, tape) == want, tape
-            assert kernel_sweep(t, tape, []) == want, tape
             for q, out in want:
                 if not acc[q] and out not in seen:
                     seen.add(out)

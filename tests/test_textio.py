@@ -269,3 +269,10 @@ class TestWords:
 
         with pytest.raises(MalformedInputError):
             parse_word("az", ("a", "b"))
+
+    @pytest.mark.parametrize("text", ["a,,b", ",", "a,"])
+    def test_empty_symbol(self, text):
+        from iufst import MalformedInputError
+
+        with pytest.raises(MalformedInputError, match=r"symbols \[''"):
+            parse_word(text, ("a", "b"))
