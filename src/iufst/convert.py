@@ -3,7 +3,9 @@
 The central construction simulates several sweeps of a machine in
 parallel inside one sweep, using tuple states with a dummy lane for
 branches that died; this module is their one home.  ``_lane_step``
-gives the moves of a tuple of lanes over the machine's state indices.
+gives the moves of a tuple of lanes over the machine's state indices;
+lanes read and write tape characters through the machine's one move
+table, and the dummy symbol is an int, which no character equals.
 ``sweep_reduce`` materializes the tuples it reaches as a transducer.
 ``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
 input symbols; ``NfaView`` gives a materialized ``Nfa`` its interface.
@@ -33,6 +35,7 @@ from .core import (
     _bfs,
     _check_declared,
     _check_list,
+    _encode,
     _fresh,
     materialize,
     renderer,
@@ -129,8 +132,8 @@ _DUMMY = "d"
 
 # The dummy lane state and the dummy symbol of ``_lane_step``.  The state is
 # index -1, which reads the entries ``_lanes`` appends to the machine's
-# per-state lists: no moves and not accepting.  The symbol is an int, so no
-# transition of the machine reads it.
+# per-state lists: no moves and not accepting.  The symbol is an int, which
+# no tape character equals, so no transition of the machine reads it.
 _DUMMY_STATE = -1
 _DUMMY_SYMBOL = -1
 _DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
@@ -160,15 +163,15 @@ def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
 
 
 def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
-    """The moves of lane tuple ``state`` reading ``x``: the distinct
-    (next tuple, symbol the last lane writes) pairs, as the keys of a
-    dict, in choice order.
+    """The moves of lane tuple ``state`` reading tape character ``x``: the
+    distinct (next tuple, character the last lane writes) pairs, as the
+    keys of a dict, in choice order.
 
     Lane t of a tuple carries one sweep of a block of parallel sweeps and
-    reads what lane t-1 writes (lane 1 reads ``x``).  A lane without a
-    move collapses to the dummy state and writes the dummy symbol, which
-    no state reads, so every later lane collapses as well.  ``delta``
-    comes from ``_lanes``.
+    reads the character lane t-1 writes (lane 1 reads ``x``).  A lane
+    without a move collapses to the dummy state and writes the dummy
+    symbol, an int that no row is keyed by, so every later lane collapses
+    as well.  ``delta`` comes from ``_lanes``.
     """
     moves = [((), x)]
     for s in state:
@@ -199,11 +202,11 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     """Equivalent machine running ceil(k/i) sweeps by simulating i at a time.
 
     The states are the lane tuples ``_lane_step`` reaches, explored over
-    every symbol and named ``(q1,q2,...)`` by ``renderer``; a dead lane shows
-    as the dummy state ``d`` and its output as the dummy symbol ``d``
-    (both primed until fresh).  A tuple is accepting when any lane holds an
-    accepting original state.  Determinism is preserved, and the full
-    tuple-state universe has at most 2 n^i members for n >= 2 (the
+    every symbol's character and named ``(q1,q2,...)`` by ``renderer``; a
+    dead lane shows as the dummy state ``d`` and its output as the dummy
+    symbol ``d`` (both primed until fresh).  A tuple is accepting when any
+    lane holds an accepting original state.  Determinism is preserved, and
+    the full tuple-state universe has at most 2 n^i members for n >= 2 (the
     constructed machine materializes only reachable tuples; the universe
     size is recorded in ``meta["universe_states"]``).
     """
@@ -211,17 +214,19 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     dummy_sym = _fresh(_DUMMY, set(t.input_alphabet) | set(t.output_alphabet))
     q0, delta, acc = _lanes(t)
     lanes, name = _lane_states(t), renderer()
-    out_alpha = tuple(t.output_alphabet) + (_DUMMY_SYMBOL,)
-    symbols = tuple(dict.fromkeys(t.input_alphabet + out_alpha))
+    enc, dec, _ = t._code
+    inputs = tuple(map(enc.__getitem__, t.input_alphabet))
+    out_alpha = tuple(map(enc.__getitem__, t.output_alphabet)) + (_DUMMY_SYMBOL,)
+    symbols = tuple(dict.fromkeys(inputs + out_alpha))
     return materialize(
         start=(q0,) * i,
         moves=lambda state: [(x, p, y) for x in symbols for p, y in _lane_step(delta, state, x)],
-        input_alphabet=t.input_alphabet,
+        input_alphabet=inputs,
         output_alphabet=out_alpha,
-        endmarker=t.endmarker,
+        endmarker=enc[t.endmarker],
         accepting=lambda tup: any(map(acc.__getitem__, tup)),
         name_of=lambda tup: name(tuple(map(lanes.__getitem__, tup))),
-        symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else y,
+        symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else dec[y],
         sweep_bound=-(-k // i),  # ceil(k / i)
         meta=_lane_meta(t, k, i),
     )
@@ -234,20 +239,21 @@ class LaneNfa:
     States are ints numbering the lane tuples in discovery order, the
     initial tuple being 0.  The first ``step``, ``accepting`` or
     ``completes`` call on a tuple expands it and keeps the result:
-    ``_lane_step`` on each input symbol gives its successors, and one
-    endmarker step both its acceptance, which holds when a lane can reach
-    an accepting state, and whether it completes, which holds when the
-    last lane can take that step.  ``to_nfa`` renders it with named
-    states.  The oracle reads it with one lane (the first sweep) for a
-    machine without a constant bound: a word whose tuples include an
-    ``accepting`` one is accepted after one sweep, and a word none of
-    whose tuples ``completes`` leaves no second tape, so it is rejected.
+    ``_lane_step`` on each input symbol's character gives its successors,
+    and one on the endmarker's both its acceptance, which holds when a
+    lane can reach an accepting state, and whether it completes, which
+    holds when the last lane can take that step.  ``to_nfa`` renders it
+    with named states.  The oracle reads it with one lane (the first
+    sweep) for a machine without a constant bound: a word whose tuples
+    include an ``accepting`` one is accepted after one sweep, and a word
+    none of whose tuples ``completes`` leaves no second tape, so it is
+    rejected.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
         _check_lanes(k, k)
         q0, self._delta, self._acc = _lanes(t)
-        self._end = t.endmarker
+        self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
         self._tuples = [(q0,) * k]
         self._ids = {self._tuples[0]: 0}
         self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, bool]] = {}
@@ -278,7 +284,7 @@ class LaneNfa:
     def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, bool]:
         state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
         row = []
-        for x in self.alphabet:
+        for x in self._codes:
             succ = []
             for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
                 i = ids.setdefault(p, len(tuples))

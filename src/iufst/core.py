@@ -12,25 +12,26 @@ transition relation maps (state, symbol) to a finite set of
 current computation branch halts.
 
 Execution has one kernel and one driver, over ``str`` tapes in the machine's
-tape code (``Transducer._code``), one character per cell: the public
-functions encode a word or tape where it enters and decode only tapes
-leaving as tuples.  ``_sweep``, the only loop over cells, walks a lone
-branch along per-state rows of single-choice moves, copying a run of
-identity moves (the state stays and writes what it reads) as one slice, and
-keeps forked branches in a trie of output chunks of up to ``_CHUNK``
-symbols, so each completed output costs time linear in the tape.  It drops
-every choice into a state that cannot read the rest of the tape, found by a
-backward pass (``_live``) memoized on the machine, so it reports no halts.
-A fork's live choices are memoized too, per (state, symbol, live mask).
-Branches writing different symbols never merge again, so there a lone
-branch whose live choices write pairwise distinct symbols splits into
-independent row walks, one per choice, taken one after another (a single
-live choice just steps on); the merging frontier serves only choices
-writing a common symbol.  ``_search``, the only search over the
-tapes at sweep boundaries, yields its rounds to ``_run_traced`` (behind
-``run`` and ``find_accepting_trace``) and ``check_accept_mode``;
-``run_deterministic`` calls the kernel, and so does ``sweep``, which finds
-the halts itself in a forward pass over the states each cell is reached in.
+tape code (``Transducer._code``), one character per cell: the public functions
+encode a word or tape where it enters and decode only tapes leaving as tuples.
+The one move table, ``Transducer._indexed``, reads and writes tape characters,
+so no sweep or lane translates a symbol.  ``_sweep``, the only loop over
+cells, walks a lone branch along the table's per-state rows of single-choice
+moves (``_rows``), copying a run of identity moves (the state stays and writes
+what it reads) as one slice, and keeps forked branches in a trie of output
+chunks of up to ``_CHUNK`` symbols, so each completed output costs time linear
+in the tape.  It drops every choice into a state that cannot read the rest of
+the tape, found by a backward pass (``_live``) memoized on the machine, so it
+reports no halts.  A fork's live choices are memoized too, per (state, symbol,
+live mask).  Branches writing different symbols never merge again, so there a
+lone branch whose live choices write pairwise distinct symbols splits into
+independent row walks, one per choice, taken one after another (a single live
+choice just steps on); the merging frontier serves only choices writing a
+common symbol.  ``_search``, the only search over the tapes at sweep
+boundaries, yields its rounds to ``_run_traced`` (behind ``run`` and
+``find_accepting_trace``) and ``check_accept_mode``; ``run_deterministic``
+calls the kernel, and so does ``sweep``, which finds the halts itself in a
+forward pass over the states each cell is reached in.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first.  A construction's
@@ -206,17 +207,18 @@ class Transducer(_Record):
 
     @cached_property
     def _indexed(self) -> tuple[int, list[dict[str, tuple[tuple[int, str], ...]]], list[bool]]:
-        """(initial, delta, accepting) over indices into ``states``; ``delta[q][x]``
-        holds the distinct choices in order.  Built lazily: sweeps and lane
-        tuples use it."""
+        """(initial, delta, accepting) over indices into ``states``, the one move table:
+        ``delta[q][c]`` holds the distinct (next state, character written) choices on tape
+        character ``c``, in order.  Built lazily: sweeps and lane tuples use it."""
         index = {q: i for i, q in enumerate(self.states)}
+        enc = self._code[0]
         delta: list[dict] = [{} for _ in self.states]
         for (q, x), choices in self.transitions.items():
             if len(choices) == 1:
                 (p, y), = choices
-                delta[index[q]][x] = ((index[p], y),)
+                delta[index[q]][enc[x]] = ((index[p], enc[y]),)
             else:
-                delta[index[q]][x] = tuple(dict.fromkeys((index[p], y) for p, y in choices))
+                delta[index[q]][enc[x]] = tuple(dict.fromkeys((index[p], enc[y]) for p, y in choices))
         return index[self.initial], delta, [q in self.accepting_set for q in self.states]
 
     @cached_property
@@ -229,9 +231,8 @@ class Transducer(_Record):
 
     @cached_property
     def _rows(self) -> list[dict[str, tuple[dict, int, str, Optional[frozenset[str]]]]]:
-        """Per state, the single-choice moves ``_sweep`` walks: character read -> (next state's
-        row, next state, character written, and on an identity move all the state's loops)."""
-        enc = self._code[0]
+        """Per state, ``_indexed``'s single-choice moves ``_sweep`` walks: character read -> (next
+        state's row, next state, character written, and on an identity move all its loops)."""
         rows: list[dict] = [{} for _ in self.states]
         for q, (row, moves) in enumerate(zip(self._indexed[1], rows)):
             loops = []
@@ -239,9 +240,9 @@ class Transducer(_Record):
                 if len(choices) == 1:
                     (p, y), = choices
                     if p == q and y == x:
-                        loops.append(enc[x])
+                        loops.append(x)
                     else:
-                        moves[enc[x]] = (rows[p], p, enc[y], None)
+                        moves[x] = (rows[p], p, y, None)
             same = frozenset(loops)
             moves.update([(c, (moves, q, c, same)) for c in loops])
         return rows
@@ -313,13 +314,13 @@ def sweep(t: Transducer, tape: Sequence[str]) -> set[SweepOutcome]:
         raise MalformedInputError(f"tape symbols {bad!r} outside the machine alphabets")
     q0, delta, _ = t._indexed
     name = t.states
+    code = _encode(t, tape)
     stuck: set[SweepOutcome] = set()
     reached = {q0}
-    for i, x in enumerate(tape):
+    for i, x in enumerate(code):
         stuck.update(Stuck(i, name[q]) for q in reached if x not in delta[q])
         reached = {p for q in reached for p, _ in delta[q].get(x, ())}
-    done = _sweep(t, _encode(t, tape))
-    return stuck | {Completed(name[q], _decode(t, out)) for q, out in done}
+    return stuck | {Completed(name[q], _decode(t, out)) for q, out in _sweep(t, code)}
 
 
 def _encode(t: Transducer, tape: Sequence[str]) -> str:
@@ -396,8 +397,7 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
             i = n - length_hint(cells) - 1
             memo = live and forks.get((q, x, live[i + 1]))
             if not memo:
-                enc, dec, _ = t._code
-                choices = delta[q].get(dec[x])
+                choices = delta[q].get(x)
                 if choices is None:  # kept choices are live: only a walk that never forked halts
                     return done
                 if live is None:
@@ -407,7 +407,7 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
                 if memo is None:
                     if len(forks) >= _LIVE_MEMO_CAP:
                         forks.clear()
-                    kept = tuple((p, enc[y]) for p, y in choices if m >> p & 1)
+                    kept = tuple((p, y) for p, y in choices if m >> p & 1)
                     apart = 0 < len(kept) == len({y for _, y in kept})
                     memo = forks[q, x, m] = (kept, apart)
             kept, apart = memo
@@ -431,8 +431,7 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
             cells = iter(tape)  # an exhausted iterator cannot be moved back
             cells.__setstate__(i)
             continue
-        enc, dec, _ = t._code  # kept choices writing a common symbol merge; ``todo`` is empty
-        fork = i
+        fork = i  # kept choices writing a common symbol merge; ``todo`` is empty
         i += 1
         nodes: dict[tuple[int, str], int] = {}  # (parent node, tail) -> node
         frontier = {(p, -1, y): None for p, y in kept}
@@ -440,14 +439,14 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
             if (i - fork) % _CHUNK == 0:
                 frontier = {(p, nodes.setdefault((node, tail), len(nodes)), ""): None
                             for p, node, tail in frontier}
-            x = dec[tape[i]]
+            x = tape[i]
             i += 1
             m = live[i]
             nxt: dict[tuple[int, int, str], None] = {}
             for q, node, tail in frontier:
                 for p, y in delta[q].get(x, ()):
                     if m >> p & 1:
-                        nxt[p, node, tail + enc[y]] = None
+                        nxt[p, node, tail + y] = None
             frontier = nxt
         if not frontier:
             return done
@@ -475,9 +474,7 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
         step = row.get(x)
         if step is None:
             if x not in pre:
-                sym = t._code[1][x]
-                pre[x] = [(q, sum({1 << p for p, _ in r[sym]}))
-                          for q, r in enumerate(delta) if sym in r]
+                pre[x] = [(q, sum({1 << p for p, _ in r[x]})) for q, r in enumerate(delta) if x in r]
             p = sum(1 << q for q, succ in pre[x] if succ & m)
             if len(memo) >= _LIVE_MEMO_CAP:
                 memo.clear()

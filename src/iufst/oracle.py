@@ -266,19 +266,15 @@ def predicate_to_min_dfa(
     else:  # pragma: no cover - bounded by the class count
         raise OracleBudgetError("refinement failed to stabilize")
 
-    # Transitions from any representative prefix short enough to extend.
-    n_classes = len({cls[u] for u in prefixes})
-    trans_rep: dict[int, Word] = {}
-    for u in prefixes:
-        if len(u) < prefix_len:
-            trans_rep.setdefault(cls[u], u)
-    if len(trans_rep) < n_classes:
+    # transitions are read off the last round's representatives, which
+    # are extendable wherever their class has a prefix short enough
+    if any(len(v) == prefix_len for v in rep.values()):
         raise OracleBudgetError(
             "some state has only maximal-length representatives; "
             "raise prefix_len"
         )
-    succ = [[cls[trans_rep[c] + (a,)] for c in range(n_classes)] for a in alphabet]
-    final = [member(trans_rep[c]) for c in range(n_classes)]
+    succ = [[cls[rep[c] + (a,)] for c in range(len(rep))] for a in alphabet]
+    final = [member(rep[c]) for c in range(len(rep))]
     dfa = _moore(succ, final, cls[()], alphabet)
     witness = _verify_dfa_against_pred(dfa, pred, alphabet, max_len)
     if witness is not None:

@@ -535,7 +535,7 @@ class TestPrunedSweep:
         t = compile_lba(lba_copy())
         tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
         q0, delta, _ = t._indexed
-        choices = delta[q0][tape[0]]
+        choices = delta[q0][_encode(t, tape)[0]]  # the move table is keyed by tape characters
         assert len(choices) == 10
         assert not any(_live(t, _encode(t, tape), 0)[1] >> p & 1 for p, _ in choices)
         assert kernel_sweep(t, tape) == [] == ref_sweep_ordered(t, tape)

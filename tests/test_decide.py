@@ -680,3 +680,58 @@ class TestCommaNamedStates:
                 assert run(red, w, red.sweep_bound).accepted == expected, (red.meta, w)
         for mf in [MachineFile("nfa", nfa)] + [MachineFile("niufst", r) for r in reduced]:
             assert parse_machine(serialize_machine(mf)).machine == mf.machine
+
+
+class TestHighCodeLanes:
+    """A 2-sweep machine with 300 output-only symbols, whose names hold
+    ``,``, ``(`` and ``\\``: its first sweep writes symbols coded above
+    chr(255), which its second lane reads.  The first sweep copies a as A
+    and guesses, at each b, a mark B1 or a plain B2; the second accepts
+    when after the one marked b the number of A is odd."""
+
+    @pytest.fixture(scope="class")
+    def machine(self):
+        xs = tuple(f"({i},x\\" for i in range(300))
+        a_, b1, b2 = xs[-1], xs[-2], xs[-3]
+        t = Transducer(
+            states=("q", "u", "v", "f"),
+            input_alphabet=("a", "b"),
+            output_alphabet=("<",) + xs,
+            endmarker="<",
+            initial="q",
+            accepting=("f",),
+            transitions={
+                ("q", "a"): (("q", a_),),
+                ("q", "b"): (("q", b1), ("q", b2)),
+                ("q", "<"): (("q", "<"),),
+                ("q", a_): (("q", xs[0]),),
+                ("q", b2): (("q", b2),),
+                ("q", b1): (("u", xs[1]),),
+                ("u", a_): (("v", xs[2]),),
+                ("u", b2): (("u", b2),),
+                ("v", a_): (("u", xs[3]),),
+                ("v", b2): (("v", b2),),
+                ("v", "<"): (("f", "<"),),
+            },
+            sweep_bound=2,
+        )
+        assert min(t._code[0][x] for x in (a_, b1, b2)) > "\xff"
+        return t
+
+    def test_lanes_agree_with_run(self, machine):
+        from iufst import sweep_reduce
+
+        words = [w for m in range(6) for w in itertools.product("ab", repeat=m)]
+        expected = {w: run(machine, w, 2).accepted for w in words}
+        assert expected[("b", "a")] and not expected[("b", "a", "a")]
+        nfa = to_nfa(machine, 2)
+        reduced = [sweep_reduce(machine, 2, i) for i in (1, 2)]
+        for w in words:
+            assert nfa.accepts(w) == expected[w], w
+            for red in reduced:
+                assert run(red, w, red.sweep_bound).accepted == expected[w], (red.meta, w)
+        witness = emptiness_witness(machine, 2)
+        assert run(machine, witness, 2).accepted
+        assert len(witness) == min(len(w) for w in words if expected[w])
+        for red in reduced:
+            assert red.output_alphabet == machine.output_alphabet + ("d",)

@@ -1,8 +1,12 @@
-"""Lint: every module-level import is used by some name in its file.
+"""Lint: every module-level import is used by some name in its file, and
+every private module-level name of the library is read somewhere in it.
 
 Covers the library modules (``__init__.py`` only re-exports) and the test
 files, with the stdlib ``ast`` module alone: a name bound by a top-level
-``import`` or ``from ... import`` must be read somewhere in the file.
+``import`` or ``from ... import`` must be read somewhere in the file, and a
+function, class or constant that a library module defines at top level
+under a ``_`` name must be read, as a name or an attribute, somewhere in
+``src/iufst``.
 """
 
 import ast
@@ -36,3 +40,36 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os, os.path as osp\nfrom re import match\nmatch\n"
     assert unused_imports(source) == ["os", "osp"]
+
+
+def unused_private(sources: list[str]) -> list[str]:
+    """The ``_`` names that ``sources`` define at top level (``def``,
+    ``class``, assignment) and that no name or attribute in any of them reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for tgt in targets for n in ast.walk(tgt) if isinstance(n, ast.Name)]
+    read = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return [name for name in defined if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def test_no_unused_private_names():
+    library = sorted((ROOT / "src" / "iufst").glob("*.py"))
+    assert unused_private([p.read_text(encoding="utf-8") for p in library]) == []
+
+
+def test_finds_an_unused_private_name():
+    sources = ["_A = 1\n_B: int = 2\ndef _f(): return _A\nclass _C: pass\n__all__ = []\n",
+               "from m import _f\n_f()\n"]
+    assert unused_private(sources) == ["_B", "_C"]

@@ -342,6 +342,12 @@ class TestPredicateToMinDfa:
         with pytest.raises(OracleBudgetError):
             predicate_to_min_dfa(lambda w: len(w) == 9, ("a",), 10, prefix_len=2)
 
+    def test_class_of_only_longest_prefixes_is_loud(self):
+        # aa is the one prefix of its class and has length prefix_len, so
+        # no prefix of the class can be extended to read its moves off
+        with pytest.raises(OracleBudgetError, match="maximal-length"):
+            predicate_to_min_dfa(lambda w: len(w) == 2, ("a",), 4, prefix_len=2)
+
     def test_agrees_with_predicate(self):
         d = predicate_to_min_dfa(lambda w: in_e(2, 2, w), ("a", "b"), 14)
         for w in enumerate_words(("a", "b"), 9):
