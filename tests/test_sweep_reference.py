@@ -302,6 +302,25 @@ def most_runs(t, tape):
     return most
 
 
+def rounds_fit(t, tape, sweeps, limit):
+    """Whether each of the first ``sweeps`` rounds of a search from ``tape``,
+    every round swept whole and deduplicated only within itself, keeps at
+    most ``limit`` runs: ``most_runs`` summed over the round's tapes.  The
+    first-sweep bound alone leaves the later sweeps that runs and traces
+    make free to fork exponentially; a round's tapes are built only once
+    the round before it fits."""
+    frontier = [tape]
+    for r in range(sweeps):
+        if sum(most_runs(t, x) for x in frontier) > limit:
+            return False
+        if r + 1 < sweeps:
+            nxt: dict[Tape, None] = {}
+            for x in frontier:
+                nxt.update(dict.fromkeys(out for _, out in _ref_sweep_split(t, x)[0]))
+            frontier = list(nxt)
+    return True
+
+
 def random_tapes(rng, t, count, max_len):
     """Random tapes over every symbol on which no sweep keeps more than a
     few hundred branches (the reference would need exponential memory)."""
@@ -617,4 +636,5 @@ class TestTapeCode:
                                    (rng.choice(states), rng.choice(names)))
         t = Transducer(states, tuple(inputs), tuple(names), end, "s0", ("s2",), trans)
         tapes = [tape[:-1] + (end,) for tape in (runs_tape(rng, inputs, rng.randint(64, 80)) for _ in range(6))]
-        assert_kernel_edges(t, [tape for tape in tapes if most_runs(t, tape) <= 300], 3)
+        assert_kernel_edges(t, [tape for tape in tapes
+                                if most_runs(t, tape) <= 300 and rounds_fit(t, tape, 3, 3_000)], 3)
