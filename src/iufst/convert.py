@@ -8,23 +8,26 @@ lanes read and write tape characters through the machine's one move
 table, and the dummy symbol is an int, which no character equals.
 ``sweep_reduce`` materializes the tuples it reaches as a transducer.
 ``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
-input symbols; ``NfaView`` gives a materialized ``Nfa`` its interface.
-``to_nfa`` renders a ``LaneNfa`` with named states; ``decide`` and the
-oracle search ``LaneNfa`` itself.  DFAs live in int tables (successor
+input symbols; ``decide`` and the oracle read it through ``alphabet``,
+``initial``, ``step(q)`` and ``accepting(q)``, and ``to_nfa`` renders
+it with named states.  ``Nfa`` and ``Dfa`` share their header rules in
+``_Fa`` and each keep their per-move rule and successor rule
+``_successors`` (a 0- or 1-tuple in a ``Dfa``), on which ``_Fa`` builds
+one ``accepts`` and one cached ``_view``: the same four names, states
+numbered in declaration order.  DFAs live in int tables (successor
 indices per symbol, accepting bits) between two kernels: ``_powerset``
 determinizes an NFA and ``_moore`` minimizes a table, naming only its
 result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
 ``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
 ``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
-``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each keep
-their per-move rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 from .core import (
     MachineError,
@@ -44,7 +47,7 @@ from .core import (
 
 class _Fa(_Record):
     """Base of ``Nfa`` and ``Dfa``: their header rules, the alphabet as a
-    set, and the check that a word is over it."""
+    set, and what is read through the successor rule ``_successors``."""
 
     def __post_init__(self) -> None:
         states = _check_list(self.states, "state")
@@ -61,6 +64,26 @@ class _Fa(_Record):
         bad = [a for a in word if a not in self.alphabet_set]
         if bad:
             raise MalformedInputError(f"symbols {bad!r} outside the alphabet")
+
+    def accepts(self, word: Sequence[str]) -> bool:
+        self._check_word(word)
+        cur = {self.initial}
+        for x in word:
+            cur = {r for q in cur for r in self._successors(q, x)}
+            if not cur:
+                return False
+        return bool(cur & self.accepting_set)
+
+    @cached_property
+    def _view(self) -> SimpleNamespace:
+        """The automaton through the four names of ``LaneNfa``, its states
+        numbered in declaration order."""
+        index = {q: i for i, q in enumerate(self.states)}
+        step = [tuple(tuple(map(index.__getitem__, self._successors(q, x))) for x in self.alphabet)
+                for q in self.states]
+        accepting = [q in self.accepting_set for q in self.states]
+        return SimpleNamespace(alphabet=self.alphabet, initial=index[self.initial],
+                               step=step.__getitem__, accepting=accepting.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -85,14 +108,8 @@ class Nfa(_Fa):
                 if r not in states:
                     raise MachineError(f"transition into undeclared state {r!r}")
 
-    def accepts(self, word: Sequence[str]) -> bool:
-        self._check_word(word)
-        cur = {self.initial}
-        for x in word:
-            cur = {r for q in cur for r in self.transitions.get((q, x), ())}
-            if not cur:
-                return False
-        return bool(cur & self.accepting_set)
+    def _successors(self, q: str, x: str) -> tuple[str, ...]:
+        return self.transitions.get((q, x), ())
 
 
 @dataclass(frozen=True)
@@ -118,14 +135,9 @@ class Dfa(_Fa):
     def is_complete(self) -> bool:
         return all((q, x) in self.transitions for q in self.states for x in self.alphabet)
 
-    def accepts(self, word: Sequence[str]) -> bool:
-        self._check_word(word)
-        cur: Optional[str] = self.initial
-        for x in word:
-            cur = self.transitions.get((cur, x))
-            if cur is None:
-                return False
-        return cur in self.accepting_set
+    def _successors(self, q: str, x: str) -> tuple[str, ...]:
+        r = self.transitions.get((q, x))
+        return () if r is None else (r,)
 
 
 _DUMMY = "d"
@@ -298,22 +310,7 @@ class LaneNfa:
         return entry
 
 
-class NfaView:
-    """An ``Nfa`` through the interface of ``LaneNfa``, its states
-    numbered in declaration order."""
-
-    def __init__(self, n: Nfa) -> None:
-        index = {q: i for i, q in enumerate(n.states)}
-        self.alphabet = n.alphabet
-        self.initial = index[n.initial]
-        self.step = [
-            tuple(tuple(index[r] for r in n.transitions.get((q, x), ())) for x in n.alphabet)
-            for q in n.states
-        ].__getitem__
-        self.accepting = [q in n.accepting_set for q in n.states].__getitem__
-
-
-def _edges(n: LaneNfa | NfaView):
+def _edges(n: LaneNfa | SimpleNamespace):
     """Successor function of ``n`` for ``_bfs``: a state's (successor,
     symbol) edges in alphabet order, then choice order."""
     sigma, step = n.alphabet, n.step
@@ -386,7 +383,7 @@ def _powerset(n: Nfa, state_cap: int) -> tuple[list[list[int]], list[list[int]],
     ``state_cap`` counts discovered subsets, the empty one included;
     discovering more raises ``ResourceBudgetError``.
     """
-    v = NfaView(n)
+    v = n._view
     states = range(len(n.states))
     # step[j][i]: successor mask of state i on symbol j
     step = [[sum(1 << r for r in set(v.step(i)[j])) for i in states]

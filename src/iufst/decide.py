@@ -8,19 +8,19 @@ one.  Every procedure searches that NFA without naming its states:
 symbol and its acceptance, only when a search first visits it, and
 numbers the tuples as it discovers them (``convert.to_nfa`` renders the
 same NFA with named states).  The searches read an automaton through
-``alphabet``, ``initial``, ``step(q)`` and ``accepting(q)`` only;
-``convert.NfaView`` gives a materialized ``Nfa`` the same four names.
-Emptiness is a breadth-first search for an accepting state.  Finiteness
-looks for a cycle among the live states, those reachable and
-co-reachable, found by one search forwards and one over the reversed
-edges.  Universality, inclusion and equivalence never determinize: each
-is one or two inclusion checks, answered by a breadth-first antichain
-search over pairs of a state of one NFA and a subset of the other's
-states (De Wulf, Doyen, Henzinger & Raskin, CAV 2006), guarded by a
-configurable budget of search nodes.  Each predicate also produces a
-witness word where one exists, so tests can validate answers
-independently.  ``oracle.compare_languages`` is the second client of
-``LaneNfa``: it walks the word tree over sets of lane tuples.
+``alphabet``, ``initial``, ``step(q)`` and ``accepting(q)`` only; a
+materialized ``Nfa`` or ``Dfa`` gives the same four names through its
+``_view``.  Emptiness is a breadth-first search for an accepting
+state.  Finiteness looks for a cycle among the live states, those
+reachable and co-reachable, found by one search forwards and one over
+the reversed edges.  Universality, inclusion and equivalence never
+determinize: each is one or two inclusion checks, answered by a
+breadth-first antichain search over pairs of a state of one NFA and a
+subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
+2006), guarded by a configurable budget of search nodes.  Each predicate
+also produces a witness word where one exists, so tests can validate
+answers independently.  ``oracle.compare_languages`` is the second
+client of ``LaneNfa``: it walks the word tree over sets of lane tuples.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 from typing import Optional
 
-from .convert import LaneNfa, Nfa, NfaView, _edges
+from .convert import LaneNfa, Nfa, _edges
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
@@ -50,7 +51,7 @@ def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     return _shortest_word((n.initial,), _edges(n), n.accepting)
 
 
-def _live(n: LaneNfa | NfaView) -> dict[int, list[tuple[int, str]]]:
+def _live(n: LaneNfa | SimpleNamespace) -> dict[int, list[tuple[int, str]]]:
     """The live states of ``n`` (reachable from the initial state and
     co-reachable to an accepting one) in breadth-first discovery order,
     each with its edges into live states."""
@@ -132,7 +133,7 @@ def _live_cycle(live: dict[int, list[tuple[int, str]]]) -> Optional[tuple[int, W
 
 
 def _inclusion_witness(
-    a: LaneNfa | NfaView, b: LaneNfa | NfaView, state_cap: int
+    a: LaneNfa | SimpleNamespace, b: LaneNfa | SimpleNamespace, state_cap: int
 ) -> Optional[Word]:
     """First word of L(a) minus L(b) in length-lexicographic order over
     a's alphabet, or None when L(a) is a subset of L(b).
@@ -199,9 +200,9 @@ def _inclusion_witness(
         ) from None
 
 
-def _sigma_star(alphabet: tuple[str, ...]) -> NfaView:
-    return NfaView(Nfa(states=("all",), alphabet=alphabet, initial="all", accepting=("all",),
-                       transitions={("all", x): ("all",) for x in alphabet}))
+def _sigma_star(alphabet: tuple[str, ...]) -> SimpleNamespace:
+    return Nfa(states=("all",), alphabet=alphabet, initial="all", accepting=("all",),
+               transitions={("all", x): ("all",) for x in alphabet})._view
 
 
 def is_universal(

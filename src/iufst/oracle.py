@@ -6,32 +6,34 @@ test suite.  Budgets are data owned by the callers; whenever a budget
 turns out to be too small the functions fail loudly instead of
 returning a silently wrong answer.
 
-``compare_languages`` answers most words of a transducer without running
-it, by walking the word tree over the lane tuples of ``convert.LaneNfa``.
-A machine that declares a constant sweep bound k accepts exactly the
-language of its k-lane NFA (the paper's reduction), so the walk answers
-all its words and ``run`` is never called.  Any other machine walks its
-1-lane NFA, the first sweep, and the walk answers every word that sweep
-alone decides.  A machine accepts by halting in an accepting state at
-the end of a sweep, so a word on which some branch of the first sweep
-ends in an accepting state is one ``run`` accepts after one sweep, and a
-word on which no branch steps on the endmarker, whether it halts inside
-the word or at its end, leaves no second tape and is one ``run`` rejects
-definitely.  Only the words whose first sweep completes without
-accepting run.  The reduction holds for every k, but only the machine's
-own declared bound turns the exact walk on, never the k of a pair: lane
-tuples grow like n^k, and ``LaneNfa(compile_lba(lba_copy()), 12)`` finds
-59,307 of them on words of at most 5 symbols, where pairs of that
-machine ask for 80.
+``compare_languages`` answers most words without asking the acceptor,
+by walking the word tree over the states of an ``Nfa``'s or ``Dfa``'s
+``_view``, which answers every word, or of a transducer's
+``convert.LaneNfa``.  A machine that declares a constant sweep bound k
+accepts exactly the language of its k-lane NFA (the paper's reduction),
+so the walk answers all its words and ``run`` is never called.  Any
+other machine walks its 1-lane NFA, the first sweep, and the walk
+answers every word that sweep alone decides.  A machine accepts by
+halting in an accepting state at the end of a sweep, so a word on which
+some branch of the first sweep ends in an accepting state is one ``run``
+accepts after one sweep, and a word on which no branch steps on the
+endmarker, whether it halts inside the word or at its end, leaves no
+second tape and is one ``run`` rejects definitely.  Only the words whose
+first sweep completes without accepting run.  The reduction holds for
+every k, but only the machine's own declared bound turns the exact walk
+on, never the k of a pair: lane tuples grow like n^k, and
+``LaneNfa(compile_lba(lba_copy()), 12)`` finds 59,307 of them on words
+of at most 5 symbols, where pairs of that machine ask for 80.
 """
 
 from __future__ import annotations
 
 from collections import abc
 from itertools import product, repeat
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, LaneNfa, Nfa, NfaView, _moore
+from .convert import Dfa, LaneNfa, Nfa, _moore
 from .core import MachineError, Transducer, run
 
 Word = tuple[str, ...]
@@ -107,17 +109,16 @@ def compare_languages(
     the whole budget.
 
     Each word is asked of ``a``, then of ``b``, so errors come out at the
-    same word as with per-word calls, and a predicate sees every word.  A
-    transducer acceptor is answered by the lane walk of the module
-    docstring: on every word when the machine declares an int bound, bare
-    or in a ``(t, k)`` pair, with no tape budget (where ``run`` would hit
-    ``tape_cap`` and raise, the walk answers), else on the words its
-    first sweep decides: accepted when a branch of it ends in an accepting
-    state, rejected when no branch steps on the endmarker.  The walk is
-    off, and every word runs, when the alphabet is empty or has a symbol
-    outside the machine's input alphabet (so ``run`` raises at the same
-    word), when a ``(t, k)`` pair has ``k`` below 1 (``run`` never sweeps,
-    or raises) or when ``tape_cap`` is below 1 (``run`` raises).
+    same word as with per-word calls, and a predicate sees every word.  The
+    walk of the module docstring answers an ``Nfa`` or ``Dfa`` on every
+    word, and a transducer on every word when it declares an int bound,
+    bare or in a ``(t, k)`` pair, with no tape budget (where ``run`` would
+    hit ``tape_cap`` and raise, the walk answers), else on the words its
+    first sweep decides.  The walk is off, and every word is asked, when
+    the alphabet is empty or has a symbol outside the acceptor's (which
+    then raises at the same word), when a ``(t, k)`` pair has ``k`` below 1
+    (``run`` never sweeps, or raises) or when a transducer's ``tape_cap``
+    is below 1 (``run`` raises).
     """
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
@@ -132,31 +133,35 @@ def compare_languages(
 def _known_answers(
     acceptor: Acceptor, alphabet: Sequence[str], max_len: int, tape_cap: int
 ) -> Iterator[Optional[bool]]:
-    """For each word in ``enumerate_words`` order, the answer of a
-    transducer acceptor that the lane-NFA walk gives, or None where
-    ``run`` must answer (every word, when the walk is off).  With an int
-    bound a set of lane tuples answers whether one is ``accepting``;
-    without one, a set of 1-lane tuples answers True when one is
-    ``accepting``, False when none ``completes``, and None otherwise."""
+    """For each word in ``enumerate_words`` order, the answer the
+    word-tree walk gives, or None where the acceptor must be asked (every
+    word, when the walk is off).  A set of states of an automaton's
+    ``_view``, or of lane tuples with an int bound, answers whether one is
+    ``accepting``; without one, a set of 1-lane tuples answers True when
+    one is ``accepting``, False when none ``completes``, and None
+    otherwise."""
     t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
     alphabet = tuple(alphabet)
-    if not (
+    if isinstance(acceptor, (Nfa, Dfa)) and alphabet and acceptor.alphabet_set.issuperset(alphabet):
+        n = acceptor._view
+    elif (
         isinstance(t, Transducer) and alphabet and t.input_set.issuperset(alphabet)
         and (k is None or isinstance(k, int) and k >= 1)
         and isinstance(tape_cap, int) and tape_cap >= 1
     ):
-        return repeat(None)
-    if isinstance(t.sweep_bound, int):
+        if not isinstance(t.sweep_bound, int):
+            n = LaneNfa(t, 1)
+            return _walk_word_tree(n, alphabet, max_len, lambda s: (
+                True if any(map(n.accepting, s)) else (None if any(map(n.completes, s)) else False)
+            ))
         n = LaneNfa(t, k or t.sweep_bound)
-        return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
-    n = LaneNfa(t, 1)
-    return _walk_word_tree(n, alphabet, max_len, lambda s: (
-        True if any(map(n.accepting, s)) else (None if any(map(n.completes, s)) else False)
-    ))
+    else:
+        return repeat(None)
+    return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
 
 
 def _walk_word_tree(
-    n: LaneNfa | NfaView, alphabet: Word, max_len: int,
+    n: LaneNfa | SimpleNamespace, alphabet: Word, max_len: int,
     answer: Callable[[frozenset], Optional[bool]],
 ) -> Iterator[Optional[bool]]:
     """``answer`` of the set of ``n``'s states reached on each word.  Word
@@ -211,8 +216,9 @@ def predicate_to_min_dfa(
     partition recomputed.  The class table goes to ``convert._moore`` as
     it is, which numbers the result canonically.  The caller guarantees
     the language is regular with every state reachable and
-    distinguishable inside the budget; the final full-budget sweep turns
-    a broken guarantee into a loud ``OracleBudgetError`` carrying a
+    distinguishable inside the budget; the final full-budget
+    ``compare_languages`` of the DFA with the predicate turns a broken
+    guarantee into a loud ``OracleBudgetError`` carrying the first
     counterexample.
     """
     alphabet = tuple(alphabet)
@@ -276,25 +282,9 @@ def predicate_to_min_dfa(
     succ = [[cls[rep[c] + (a,)] for c in range(len(rep))] for a in alphabet]
     final = [member(rep[c]) for c in range(len(rep))]
     dfa = _moore(succ, final, cls[()], alphabet)
-    witness = _verify_dfa_against_pred(dfa, pred, alphabet, max_len)
-    if witness is not None:
+    wrong = compare_languages(dfa, lambda w: bool(pred(w)), alphabet, max_len)
+    if wrong:
         raise OracleBudgetError(
-            f"budget too small: dfa and predicate disagree on {witness!r}"
+            f"budget too small: dfa and predicate disagree on {wrong[0]!r}"
         )
     return dfa
-
-
-def _verify_dfa_against_pred(
-    dfa: Dfa, pred: Callable[[Sequence[str]], bool],
-    alphabet: Sequence[str], max_len: int,
-) -> Optional[Word]:
-    """The first word in ``enumerate_words`` order on which the DFA and
-    the predicate disagree, from the word-tree walk over the DFA's states,
-    so each word costs one predicate call."""
-    if not dfa.is_complete:
-        raise MachineError("verification requires a complete DFA")
-    n = NfaView(Nfa(dfa.states, dfa.alphabet, dfa.initial, dfa.accepting,
-                    {qa: (r,) for qa, r in dfa.transitions.items()}))
-    walk = _walk_word_tree(n, tuple(alphabet), max_len, lambda s: any(map(n.accepting, s)))
-    words = enumerate_words(alphabet, max_len)
-    return next((w for w, acc in zip(words, walk) if acc != bool(pred(w))), None)

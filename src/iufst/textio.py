@@ -86,7 +86,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.rows = _rows(text)
-        self.line = 0  # line of the last row taken or checked
+        self.line = 1  # line of the last row taken or checked, 1 before any
         self.ahead = next(self.rows, None)
 
     def error(self, msg: str) -> MachineParseError:
@@ -210,14 +210,11 @@ def _parse_fa(p, kind, states, inputs, state_set) -> MachineFile:
         if r in nfa_trans.get((q, x), ()):
             raise MachineParseError(f"duplicate transition ({q!r}, {x!r}) -> {r!r}", line)
         nfa_trans[(q, x)] = nfa_trans.get((q, x), ()) + (r,)
-    if kind == "dfa":
-        check = partial(Dfa._check_moves, state_set, alphabet)
-        fa = p.build(Dfa, check, lambda toks: ((toks[1], toks[2]), toks[4]), states, inputs,
-                     initial, accepting, {key: rs[0] for key, rs in nfa_trans.items()})
-    else:
-        check = partial(Nfa._check_moves, state_set, alphabet)
-        fa = p.build(Nfa, check, lambda toks: ((toks[1], toks[2]), (toks[4],)), states, inputs,
-                     initial, accepting, nfa_trans)
+    # a move's successors as the record keeps them: one state or a tuple
+    record, moves = (Dfa, lambda rs: rs[0]) if kind == "dfa" else (Nfa, tuple)
+    check = partial(record._check_moves, state_set, alphabet)
+    fa = p.build(record, check, lambda toks: ((toks[1], toks[2]), moves(toks[4:])), states,
+                 inputs, initial, accepting, {key: moves(rs) for key, rs in nfa_trans.items()})
     return MachineFile(kind, fa)
 
 
@@ -282,12 +279,10 @@ def serialize_machine(mf: MachineFile) -> str:
     lines.append(("accept " + " ".join(m.accepting)).rstrip())
     if isinstance(m, Transducer) and m.sweep_bound is not None:
         lines.append(f"sweeps {m.sweep_bound}")
-    items = m.transitions.items()
-    if isinstance(m, Dfa):
-        lines += [f"trans {q} {x} -> {r}" for (q, x), r in items]
-    elif isinstance(m, Nfa):
-        lines += [f"trans {q} {x} -> {r}" for (q, x), rs in items for r in rs]
+    if isinstance(m, (Nfa, Dfa)):
+        lines += [f"trans {q} {x} -> {r}" for q, x in m.transitions for r in m._successors(q, x)]
     else:  # a transducer's or an LBA's (state, symbol or action) choices
+        items = m.transitions.items()
         lines += [f"trans {q} {x} -> {r} {y}" for (q, x), choices in items for r, y in choices]
     return "\n".join(lines) + "\n"
 

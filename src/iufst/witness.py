@@ -645,17 +645,12 @@ def gen_d() -> Transducer:
                 return [(("fin",), _END)]
             return []
 
-        if p[0] == "c0":
-            return []
-
         # shifting sweeps (marking, waiting, and the adder) ----------------
         if mode in ("m", "mbn", "mbf", "mblk", "sh", "shx", "ad", "add",
                     "adpay", "adfin", "adskip", "adskpay"):
             carry = state[-1]
             if p[0] == "end":
                 return _shift_end(state)
-            if p[0] != "cell":
-                return []
             _, base, m1, sel, m2, t2 = p
 
             def w(m1=m1):
@@ -678,12 +673,10 @@ def gen_d() -> Transducer:
                     if base == "b":
                         return _b_step(True, 0, p, carry)
                     return []
-                if sub == "apass":
-                    if base == "a" and not m1:
-                        return [(go("m", "apass"), w())]
-                    if base == "b":
-                        return _b_step(False, 0, p, carry)
-                    return []
+                if base == "a" and not m1:  # sub == "apass"
+                    return [(go("m", "apass"), w())]
+                if base == "b":
+                    return _b_step(False, 0, p, carry)
                 return []
             if mode == "mbn":
                 if base == "b":
@@ -727,19 +720,15 @@ def gen_d() -> Transducer:
                 c, all1 = state[1], state[2]
                 if base in _BITS:
                     return _add_step(c, all1, p, carry)
-                if base in _AB:
-                    if c != 0:
-                        return []
-                    if all1:
-                        return [(go("adfin"), w())]
-                    return [(go("adpay"), w())]
-                return []
+                if c != 0:  # base in _AB
+                    return []
+                if all1:
+                    return [(go("adfin"), w())]
+                return [(go("adpay"), w())]
             if mode == "adpay":
                 if base in _AB:
                     return [(go("adpay"), w())]
-                if base in _BITS:
-                    return _add_step(1, True, p, carry)
-                return []
+                return _add_step(1, True, p, carry)  # base in _BITS
             nxt = _tail(mode, base, ("adfin", "adskip", "adskpay"))
             return [(go(nxt), w())] if nxt else []
 
@@ -747,8 +736,6 @@ def gen_d() -> Transducer:
         if mode in ("g", "c", "gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"):
             if p[0] == "end":
                 return [(("fin",), _END)] if mode == "gdone" else []
-            if p[0] != "cell":
-                return []
             base = p[1]
             if mode in ("g", "c"):
                 region = state[1]
@@ -771,19 +758,14 @@ def gen_d() -> Transducer:
                 return _guess_point(p)
             nxt = _tail(mode, base, ("gpfin", "gfbin", "gfpay"))
             return [((nxt,), p)] if nxt else []
-        if mode == "cs":
-            a_state, b_state = state[1], state[2]
-            if p[0] == "end":
-                if a_state == ("done",):
-                    return [(("fin",), _END)]
-                if a_state == ("accarm",):
-                    return [(("ACC",), _END)]
-                return []
-            if p[0] != "cell":
-                return []
-            return _cmp_cell(a_state, b_state, p)
-
-        return []
+        a_state, b_state = state[1], state[2]  # mode == "cs"
+        if p[0] == "end":
+            if a_state == ("done",):
+                return [(("fin",), _END)]
+            if a_state == ("accarm",):
+                return [(("ACC",), _END)]
+            return []
+        return _cmp_cell(a_state, b_state, p)
 
     def _shift_end(state):
         # A shifting sweep reaching the endmarker: the marking sweeps
@@ -891,7 +873,7 @@ def gen_d() -> Transducer:
     raws = tuple(("raw", c) for c in ("a", "b", "0", "1"))
     out_alpha = cells + c0s + (_END,)
     # what each mode's branch of ``delta`` can read, in rank order; the
-    # other modes read nothing but cells and the endmarker
+    # other modes read only cells and the endmarker, as ``delta`` assumes
     readable = {"q0": raws + c0s, "s1": raws + (_END,), "fin": (), "ACC": ()}
     cells_end = cells + (_END,)
 

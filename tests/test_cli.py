@@ -352,3 +352,42 @@ class TestFamilyRegistry:
         code, out, _ = run_cli(capsys, "decide", "subset", "-m", e21_file,
                                "-n", str(universal))
         assert code == 0 and out.strip() == "true"
+
+
+class TestExitCodes:
+    """Exit codes through ``main``: 0 and 1 answer, 2 is a usage error
+    and 3 an exhausted budget.  ``{e21}`` is the e(2,1) transducer file
+    and ``{lba}`` the copy LBA's file; ``out`` lists lines stdout holds
+    and ``err`` what stderr holds."""
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify", "--lang", "copy", "--max-len", "3"], 1,
+         ["disagree: $", "disagree: a,$,a", "disagree: b,$,b", "3 disagreement(s)"], ""),
+        (["lba", "run", "-m", "{lba}", "-w", "a,$,b"], 1, ["rejected"], ""),
+        (["measure", "--lang", "copy", "--max-param", "3"], 0, ["1,3,2", "2,5,3", "3,7,4"], ""),
+        (["measure", "--lang", "block:2"], 0, ["param,length,sweeps"], ""),
+        (["lba", "run", "-m", "{lba}", "-w", "a,$,a", "--max-steps", "1"], 3,
+         ["unknown (step budget 1 exhausted)"], ""),
+        (["decide", "equiv", "-m", "{e21}"], 2, [], "needs -n OTHER_MACHINE"),
+        (["lba", "run", "-m", "{e21}"], 2, [], "expected an lba machine file"),
+        (["run", "-m", "{lba}", "-w", "a"], 2, [], "expected a transducer machine file"),
+        (["convert", "-m", "{e21}", "--to", "bogus"], 2, [], "unknown conversion target"),
+        (["gen", "e:1,2,3"], 2, [], "bad family parameters"),
+        (["combine", "add", "--left", "foo", "--right", "id"], 2, [], "must be id or expo"),
+    ], ids=["verify-disagrees", "lba-rejects", "measure-copy", "measure-block",
+            "lba-step-budget", "equiv-without-other", "lba-run-transducer", "run-lba",
+            "convert-bogus", "gen-arity", "combine-operand"])
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, e21_file, argv, code, out, err):
+        import iufst.cli
+        from iufst import MachineFile, lba_copy, serialize_machine
+
+        lba = tmp_path / "copy.lba"
+        lba.write_text(serialize_machine(MachineFile("lba", lba_copy())))
+        # the copy family's reference predicate, made to reject every word
+        monkeypatch.setattr(iufst.cli, "in_copy", lambda w: False)
+        argv = [a.format(e21=e21_file, lba=lba) for a in argv]
+        got, stdout, stderr = run_cli(capsys, *argv)
+        assert got == code
+        lines = stdout.splitlines()
+        assert all(line in lines for line in out), stdout
+        assert err in stderr and (stdout == "") == (code == 2)

@@ -185,9 +185,9 @@ def brute_language(t: Transducer, k: int, max_len: int) -> set:
 
 
 def live_nfa_size(t: Transducer, k: int) -> int:
-    from iufst.decide import NfaView, _live
+    from iufst.decide import _live
 
-    return max(1, len(_live(NfaView(reference_nfa(t, k)))))
+    return max(1, len(_live(reference_nfa(t, k)._view)))
 
 
 @pytest.fixture(scope="module")
@@ -453,10 +453,10 @@ class TestEqualOperands:
 
     def test_self_inclusion_of_one_object(self, block2):
         from iufst import gen_block
-        from iufst.decide import NfaView, _inclusion_witness
+        from iufst.decide import _inclusion_witness
 
         for t, k in [(gen_block(3), 3), (block2, 2), (gen_e(2, 2), 2), (gen_e(3, 4), 4)]:
-            n = NfaView(reference_nfa(t, k))
+            n = reference_nfa(t, k)._view
             assert _inclusion_witness(n, n, 2**10) is None
 
 
@@ -502,14 +502,13 @@ class TestLaneCrossCheck:
     @staticmethod
     def agree(monkeypatch, questions):
         import iufst.decide
-        from iufst.decide import NfaView
 
         fast = [outcome(ask) for ask in questions]
         nfas = {}  # (id of machine, k) -> (machine, view); holding the machine keeps its id
 
         def view(t, k):
             if (id(t), k) not in nfas:
-                nfas[id(t), k] = t, NfaView(reference_nfa(t, k))
+                nfas[id(t), k] = t, reference_nfa(t, k)._view
             return nfas[id(t), k][1]
 
         with monkeypatch.context() as m:

@@ -1,6 +1,7 @@
 """Linear bounded automata: direct simulation and compilation."""
 
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
@@ -219,3 +220,41 @@ class TestCompile:
         report = run(compiled, tuple("ab"), 9, 100_000)
         assert report.accepted and report.min_accept_sweeps == 9
 
+
+# each tape symbol's actions the Lba rules allow: endmarkers are
+# rewritten only with themselves and never crossed outwards
+ENDMARKER_ACTIONS = {">": (">", "R"), "<": ("<", "L"), "a": ("a", "b", "L", "R"),
+                     "b": ("a", "b", "L", "R")}
+
+
+def endmarker_lba(rng):
+    """A random LBA of 2-3 states over tape a b > <, using every action
+    the rules allow; its last state accepts and has no move on <."""
+    states = ("s0", "s1", "s2")[: rng.randint(2, 3)]
+    transitions = {}
+    for q in states:
+        for x, actions in ENDMARKER_ACTIONS.items():
+            if (q, x) != (states[-1], "<") and rng.random() < 0.7:
+                choices = ((rng.choice(states), rng.choice(actions))
+                           for _ in range(rng.randint(1, 2)))
+                transitions[q, x] = tuple(dict.fromkeys(choices))
+    return Lba(states, ("a", "b"), ("a", "b", ">", "<"), ">", "<", "s0", states[-1:], transitions)
+
+
+class TestEndmarkerMoves:
+    """``compile_lba``'s branches for the endmarkers' own moves: a left
+    move off <, a rewrite of < that does not accept, a rewrite of >, and a
+    right move off > into the accepting state (which accepts the empty
+    word at once)."""
+
+    def test_random_machines_agree_with_the_source(self):
+        seen = set()
+        for seed in range(60):
+            m = endmarker_lba(random.Random(seed))
+            for (q, x), choices in m.transitions.items():
+                for r, act in choices:
+                    if x in "<>":
+                        seen.add((x, act, r in m.accepting_set))
+            assert_agrees_with_source(m, "ab", 3)
+        assert {("<", "L", True), ("<", "L", False), ("<", "<", False), (">", ">", True),
+                (">", ">", False), (">", "R", True)} <= seen

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iufst import (
+    Dfa,
     MalformedInputError,
     OracleBudgetError,
     Transducer,
@@ -15,6 +16,7 @@ from iufst import (
     dfa_minimize,
     enumerate_words,
     gen_block,
+    gen_block_nfa,
     gen_copy,
     gen_d,
     gen_e,
@@ -25,6 +27,7 @@ from iufst import (
     in_e,
     in_unary,
     lba_copy,
+    nfa_to_dfa,
     predicate_to_min_dfa,
     run,
 )
@@ -166,6 +169,42 @@ class TestWordTreeWalk:
         for t, k in fuzz_machines[:20]:
             assert_same((t, 0), (t, k), ("a", "b"), 4)
             assert_same((t, k), even, (), 3)
+
+
+def partial_dfa():
+    """A DFA with missing moves: a* b, then nothing."""
+    return Dfa(states=("p", "f"), alphabet=("a", "b"), initial="p", accepting=("f",),
+               transitions={("p", "a"): "p", ("p", "b"): "f"})
+
+
+class TestAutomatonWalk:
+    """An ``Nfa`` or ``Dfa`` acceptor is answered through its ``_view``,
+    never asked, and gives what asking every word gives; where the walk
+    is off, it is asked and raises at the same word."""
+
+    @pytest.mark.parametrize("make, alphabet, max_len, pred", [
+        (lambda: gen_block_nfa(2), "01#", 7, lambda w: in_block(2, w)),
+        (lambda: nfa_to_dfa(gen_block_nfa(2)), "#10", 7, lambda w: in_block(2, w)),
+        (partial_dfa, "ab", 6, lambda w: w[-1:] == ("b",) and "b" not in w[:-1]),
+    ], ids=["nfa", "dfa", "partial-dfa"])
+    def test_answers_without_accepts(self, monkeypatch, make, alphabet, max_len, pred):
+        fa = make()
+        expected = [per_word(fa, b, alphabet, max_len) for b in (pred, even)]
+        assert expected[0] == [] and expected[1]
+
+        def refuse(self, word):
+            raise AssertionError(f"accepts asked of {word!r}")
+
+        monkeypatch.setattr(type(fa), "accepts", refuse)
+        assert compare_languages(fa, pred, alphabet, max_len) == expected[0]
+        assert compare_languages(even, fa, alphabet, max_len) == expected[1]
+
+    def test_walk_off_raises_at_the_same_word(self):
+        for fa in [gen_block_nfa(2), nfa_to_dfa(gen_block_nfa(2)), partial_dfa()]:
+            for alphabet in [("0", "_", "1"), ("a", "b", "<")]:
+                error = assert_same(fa, even, alphabet, 3)[0]
+                assert error is MalformedInputError
+            assert assert_same(fa, lambda w: True, (), 3) == [()]
 
 
 def walk_against_run(a, alphabet, max_len):

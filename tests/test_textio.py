@@ -128,6 +128,8 @@ class TestParse:
             (IDENTITY + "trans q a => q a\n", 10, "transducer transitions read"),
             (NFA + "trans p a => q\n", 7, "finite-automaton transitions read"),
             (LBA + "trans p a => p R\n", 9, "lba transitions read"),
+            ("", 1, "unexpected end of file"),
+            ("% c\n% d\n", 1, "unexpected end of file"),
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
@@ -139,7 +141,8 @@ class TestParse:
              "lba-reserved-move", "lba-input", "lba-endmarker-off-tape", "lba-equal-endmarkers",
              "lba-left-of-lend", "lba-right-of-rend", "lba-overwrite-endmarker",
              "lba-write-endmarker", "iufst-second-choice",
-             "transducer-arrow", "nfa-arrow", "lba-arrow"],
+             "transducer-arrow", "nfa-arrow", "lba-arrow",
+             "empty-file", "comment-only-file"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
         with pytest.raises(MachineParseError, match=message) as info:
