@@ -33,6 +33,7 @@ from .core import (
     Transducer,
     Word,
     _run_traced,
+    run,
 )
 from .hierarchy import (
     combine_add,
@@ -268,7 +269,10 @@ def cmd_run(args) -> int:
             max_sweeps = t.sweep_bound
         else:
             max_sweeps = 4 * len(word) + 16
-    report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
+    if args.trace:
+        report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
+    else:
+        report = run(t, word, max_sweeps, args.tape_cap)
     if report.accepted:
         print(f"accepted sweeps={report.min_accept_sweeps}")
         if args.trace:
@@ -422,14 +426,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run a machine on a word")
+    p = sub.add_parser(
+        "run", help="run a machine on a word",
+        description="At a machine's own constant sweep bound, the default budget, a run "
+                    "steps the set of lane tuples of its k sweeps over the word and keeps "
+                    "no tape; any other budget, and --trace, search tapes breadth first.")
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("-w", "--word", required=True,
                    help="symbols separated by , (plain string if single-char)")
-    p.add_argument("--max-sweeps", type=int, default=None)
-    p.add_argument("--tape-cap", type=int, default=DEFAULT_TAPE_CAP)
+    p.add_argument("--max-sweeps", type=int, default=None,
+                   help="sweep budget (default: the constant sweep bound, else 4|w| + 16)")
+    p.add_argument("--tape-cap", type=int, default=DEFAULT_TAPE_CAP,
+                   help="tapes the tape search may sweep; the lane walk keeps none "
+                        "(default %(default)s)")
     p.add_argument("--trace", action="store_true",
-                   help="print one tape per sweep boundary of an accepting run")
+                   help="print one tape per sweep boundary of an accepting run, "
+                        "the first found by the tape search")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("convert", help="convert between machine kinds")

@@ -9,15 +9,16 @@ table, and the dummy symbol is an int, which no character equals.
 ``sweep_reduce`` materializes the tuples it reaches as a transducer.
 ``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
 input symbols; ``decide`` and the oracle read it through ``alphabet``,
-``initial``, ``step(q)`` and ``accepting(q)``, and ``to_nfa`` renders
-it with named states.  ``Nfa`` and ``Dfa`` share their header rules in
-``_Fa`` and each keep their per-move rule and successor rule
-``_successors`` (a 0- or 1-tuple in a ``Dfa``), on which ``_Fa`` builds
-one ``accepts`` and one cached ``_view``: the same four names, states
-numbered in declaration order.  DFAs live in int tables (successor
-indices per symbol, accepting bits) between two kernels: ``_powerset``
-determinizes an NFA and ``_moore`` minimizes a table, naming only its
-result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
+``initial``, ``step(q)`` and ``accepting(q)``, ``core.run`` steps sets
+of its tuples over a word at a machine's own constant bound, and
+``to_nfa`` renders it with named states.  ``Nfa`` and ``Dfa`` share
+their header rules in ``_Fa`` and each keep their per-move rule and
+successor rule ``_successors`` (a 0- or 1-tuple in a ``Dfa``), on which
+``_Fa`` builds one ``accepts`` and one cached ``_view``: the same four
+names, states numbered in declaration order.  DFAs live in int tables
+(successor indices per symbol, accepting bits) between two kernels:
+``_powerset`` determinizes an NFA and ``_moore`` minimizes a table,
+naming only its result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
 ``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
 ``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     MachineError,
@@ -250,16 +251,22 @@ class LaneNfa:
 
     States are ints numbering the lane tuples in discovery order, the
     initial tuple being 0.  The first ``step``, ``accepting`` or
-    ``completes`` call on a tuple expands it and keeps the result:
+    ``least_lane`` call on a tuple expands it and keeps the result:
     ``_lane_step`` on each input symbol's character gives its successors,
-    and one on the endmarker's both its acceptance, which holds when a
-    lane can reach an accepting state, and whether it completes, which
-    holds when the last lane can take that step.  ``to_nfa`` renders it
-    with named states.  The oracle reads it with one lane (the first
-    sweep) for a machine without a constant bound: a word whose tuples
-    include an ``accepting`` one is accepted after one sweep, and a word
-    none of whose tuples ``completes`` leaves no second tape, so it is
-    rejected.
+    and one on the endmarker's the least lane that can reach an accepting
+    state there (None when no lane can), so a tuple is ``accepting`` when
+    it has one.  ``completes``, whether the last lane can take the
+    endmarker step, is computed on its first request only.  A set of
+    tuples steps by ``core._set_step``, the one set step: the oracle's
+    word-tree walk and ``core.run``'s lane route both use it.
+    ``to_nfa`` renders the NFA with named states.  The oracle reads it
+    with one lane (the first sweep) for a machine without a constant
+    bound: a word whose tuples include an ``accepting`` one is accepted
+    after one sweep, and a word none of whose tuples ``completes`` leaves
+    no second tape, so it is rejected.  ``run`` at the machine's own
+    constant bound k reads it with k lanes: the least accepting lane of a
+    word's tuples is its least accepting sweep count, and when none of
+    them ``completes``, no tape k + 1 exists.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -268,7 +275,8 @@ class LaneNfa:
         self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
         self._tuples = [(q0,) * k]
         self._ids = {self._tuples[0]: 0}
-        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, bool]] = {}
+        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]] = {}
+        self._completes: dict[int, bool] = {}
         self.alphabet = t.input_alphabet
         self.initial = 0
 
@@ -289,11 +297,20 @@ class LaneNfa:
     def accepting(self, q: int) -> bool:
         return (self._rows.get(q) or self._expand(q))[1]
 
-    def completes(self, q: int) -> bool:
-        """Some branch of ``q`` steps on the endmarker in every lane."""
+    def least_lane(self, q: int) -> Optional[int]:
+        """The least lane, counted from 1, that ends the endmarker step from
+        ``q`` in an accepting state, or None."""
         return (self._rows.get(q) or self._expand(q))[2]
 
-    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, bool]:
+    def completes(self, q: int) -> bool:
+        """Some branch of ``q`` steps on the endmarker in every lane."""
+        done = self._completes.get(q)
+        if done is None:
+            ends = _lane_step(self._delta, self._tuples[q], self._end)
+            done = self._completes[q] = any(p[-1] != _DUMMY_STATE for p, _y in ends)
+        return done
+
+    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]:
         state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
         row = []
         for x in self._codes:
@@ -305,8 +322,8 @@ class LaneNfa:
                 succ.append(i)
             row.append(tuple(succ))
         acc, ends = self._acc, _lane_step(delta, state, self._end)
-        final = any(any(map(acc.__getitem__, p)) for p, _y in ends)
-        self._rows[q] = entry = (tuple(row), final, any(p[-1] != _DUMMY_STATE for p, _y in ends))
+        least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
+        self._rows[q] = entry = (tuple(row), least is not None, least)
         return entry
 
 

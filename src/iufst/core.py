@@ -33,6 +33,14 @@ boundaries, yields its rounds to ``_run_traced`` (behind ``run`` and
 calls the kernel, and so does ``sweep``, which finds the halts itself in a
 forward pass over the states each cell is reached in.
 
+Beside the tape search, ``run`` has a lane route.  At a machine's own
+constant sweep bound k it sweeps no tape: the paper's reduction runs the k
+sweeps as the k lanes of one (``convert.LaneNfa``), and ``_run_lanes``
+steps the set of lane tuples over the word in one pass.  Its set step,
+``_set_step``, is the one the oracle's word-tree walk takes.  Traces,
+accept-mode checks and every other budget keep the tape search, whose
+first hit in frontier order a lane walk need not pick.
+
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first.  A construction's
 ``moves(state)`` yields (symbol read, next state, symbol written) triples
@@ -247,6 +255,13 @@ class Transducer(_Record):
             moves.update([(c, (moves, q, c, same)) for c in loops])
         return rows
 
+    @cached_property
+    def _lane_walk(self) -> tuple:
+        """``run``'s lane route at the constant bound k: ``convert.LaneNfa(self, k)``
+        and its set memo (see ``_run_lanes``), built on the first such run."""
+        from .convert import LaneNfa  # convert builds on core
+        return LaneNfa(self, self.sweep_bound), {}
+
     # filled as needed: ``_live``'s tables (per character, the states with a move on it and
     # the bitmask of their next states; a row per mask), ``_sweep``'s fork memo ((state,
     # character, live mask) -> (live choices in order, whether to split)), its patterns
@@ -284,6 +299,13 @@ class RunReport:
     negative ``accepted`` is "unknown beyond the cap", never a definite
     rejection.  ``exhausted`` means every reachable tape was explored
     within the budgets, so a negative answer is definite.
+
+    On ``run``'s lane route (a budget equal to the machine's constant
+    bound k) no tape is kept: ``tapes_explored`` is 0 and ``cap_hit`` is
+    False, whatever the tape budget.  There ``exhausted`` holds exactly
+    when no lane tuple the word reaches completes its last lane, so no
+    tape k + 1 exists; it implies the tape search's ``exhausted``, which
+    also holds when every such tape was seen before.
     """
 
     accepted: bool
@@ -485,8 +507,8 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
     return live
 
 
-# the most entries each machine keeps in ``_live``'s masks and in
-# ``_sweep``'s fork memo; a full memo is cleared before its next entry
+# the most entries each machine keeps in ``_live``'s masks, in ``_sweep``'s
+# fork memo and in ``_run_lanes``' sets; a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 _SKIP_TAPE = 64
@@ -542,16 +564,75 @@ def run(
     max_sweeps: int,
     tape_cap: int = DEFAULT_TAPE_CAP,
 ) -> RunReport:
-    """Breadth-first exploration of tape sets at sweep boundaries.
+    """Whether ``t`` accepts ``word`` within ``max_sweeps`` sweeps.
 
-    Round s sweeps every frontier tape; a branch finishing in an
-    accepting state halts the whole search with ``min_accept_sweeps=s``
-    (rounds are explored in order, so the first hit is minimal).
-    Branches finishing in non-accepting states continue with their
-    output tape.  Tapes are deduplicated globally: the sweep relation
-    depends only on the tape, so a tape seen before yields nothing new.
+    When the machine declares a constant sweep bound k and ``max_sweeps``
+    is k, its k sweeps run as the k lanes of ``convert.LaneNfa`` (the
+    paper's reduction): one pass over the word steps the set of lane
+    tuples (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds
+    nothing there (``RunReport`` gives the fields).  Every other budget,
+    and that one once the machine's lane tuples outgrow
+    ``_LANE_TUPLE_CAP``, takes the breadth-first search over tape sets
+    at sweep boundaries.  Round s sweeps every frontier tape; a branch
+    finishing in an accepting state halts the whole search with
+    ``min_accept_sweeps=s`` (rounds are explored in order, so the first
+    hit is minimal).  Branches finishing in non-accepting states continue
+    with their output tape.  Tapes are deduplicated globally: the sweep
+    relation depends only on the tape, so a tape seen before yields
+    nothing new.
     """
+    k = t.sweep_bound
+    if isinstance(k, int) and max_sweeps == k:
+        report = _run_lanes(t, word, tape_cap)
+        if report is not None:
+            return report
     return _run_traced(t, word, max_sweeps, tape_cap)[0]
+
+
+def _run_lanes(t: Transducer, word: Sequence[str], tape_cap: int) -> Optional[RunReport]:
+    """``run`` at ``t``'s constant bound k, by Thompson's simulation made
+    lazy: the set of ``LaneNfa(t, k)`` tuples steps over ``word`` through
+    ``_set_step`` and a memo on the machine, a row per set from input
+    symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's
+    ``None`` entry holds the report of the endmarker step from its set.
+    None once a step misses the memo with more than ``_LANE_TUPLE_CAP``
+    tuples discovered: tuples can grow like n^k, and then the tape search
+    answers instead."""
+    if tape_cap < 1:
+        raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
+    t._check_input(word)
+    n, rows = t._lane_walk
+    cur = frozenset((n.initial,))
+    row = rows.setdefault(cur, {})
+    for x in word:
+        step = row.get(x)
+        if step is None:
+            if n.discovered > _LANE_TUPLE_CAP:
+                return None
+            if len(rows) >= _LIVE_MEMO_CAP:
+                rows.clear()
+            nxt = _set_step(n, cur, n.alphabet.index(x))
+            step = row[x] = (nxt, rows.setdefault(nxt, {}))
+        cur, row = step
+    report = row.get(None)
+    if report is None:
+        lanes = [i for i in map(n.least_lane, cur) if i is not None]
+        report = row[None] = (
+            RunReport(True, min(lanes), 0, False) if lanes
+            else RunReport(False, None, 0, False, exhausted=not any(map(n.completes, cur))))
+    return report
+
+
+# the most lane tuples ``run``'s lane route lets a machine discover before it
+# leaves the next step that misses its memo to the tape search
+_LANE_TUPLE_CAP = 1 << 14
+
+
+def _set_step(n, s: frozenset, c: int) -> frozenset:
+    """The states of the automaton ``n`` (read through ``LaneNfa``'s
+    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
+    step, of ``run``'s lane route and of the oracle's word-tree walk."""
+    return frozenset([r for q in s for r in n.step(q)[c]])
 
 
 def _run_traced(

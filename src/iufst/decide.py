@@ -19,8 +19,9 @@ breadth-first antichain search over pairs of a state of one NFA and a
 subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
 2006), guarded by a configurable budget of search nodes.  Each predicate
 also produces a witness word where one exists, so tests can validate
-answers independently.  ``oracle.compare_languages`` is the second
-client of ``LaneNfa``: it walks the word tree over sets of lane tuples.
+answers independently.  ``oracle.compare_languages`` and ``core.run``
+are the other clients of ``LaneNfa``: the one walks the word tree over
+sets of lane tuples, the other a word at the machine's constant bound.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 from types import SimpleNamespace
 from typing import Optional
 
-from .convert import LaneNfa, Nfa, _edges
+from .convert import LaneNfa, _edges
 from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
@@ -201,8 +202,11 @@ def _inclusion_witness(
 
 
 def _sigma_star(alphabet: tuple[str, ...]) -> SimpleNamespace:
-    return Nfa(states=("all",), alphabet=alphabet, initial="all", accepting=("all",),
-               transitions={("all", x): ("all",) for x in alphabet})._view
+    """The one-state automaton of every word over ``alphabet``, through
+    ``LaneNfa``'s four names."""
+    step = [((0,),) * len(alphabet)]
+    return SimpleNamespace(alphabet=alphabet, initial=0, step=step.__getitem__,
+                           accepting=[True].__getitem__)
 
 
 def is_universal(

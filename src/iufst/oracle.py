@@ -23,7 +23,10 @@ first sweep completes without accepting run.  The reduction holds for
 every k, but only the machine's own declared bound turns the exact walk
 on, never the k of a pair: lane tuples grow like n^k, and
 ``LaneNfa(compile_lba(lba_copy()), 12)`` finds 59,307 of them on words
-of at most 5 symbols, where pairs of that machine ask for 80.
+of at most 5 symbols, where pairs of that machine ask for 80.  The walk
+steps each set of states by ``core._set_step``, the one set step, which
+``run`` also takes on its lane route (a budget equal to the machine's own
+constant bound), one word at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, LaneNfa, Nfa, _moore
-from .core import MachineError, Transducer, run
+from .core import MachineError, Transducer, _set_step, run
 
 Word = tuple[str, ...]
 # Built with | over builtin generics: a typing.Union would sit in typing's
@@ -109,12 +112,13 @@ def compare_languages(
     the whole budget.
 
     Each word is asked of ``a``, then of ``b``, so errors come out at the
-    same word as with per-word calls, and a predicate sees every word.  The
-    walk of the module docstring answers an ``Nfa`` or ``Dfa`` on every
-    word, and a transducer on every word when it declares an int bound,
-    bare or in a ``(t, k)`` pair, with no tape budget (where ``run`` would
-    hit ``tape_cap`` and raise, the walk answers), else on the words its
-    first sweep decides.  The walk is off, and every word is asked, when
+    same word as with per-word calls, and a predicate sees every word.
+    Answers are compared by truth value, so a predicate may answer None
+    or a match object.  The walk of the module docstring answers an
+    ``Nfa`` or ``Dfa`` on every word, and a transducer on every word when
+    it declares an int bound, bare or in a ``(t, k)`` pair, with no tape
+    budget (where a tape search would hit ``tape_cap`` and raise, the
+    walk answers), else on the words its first sweep decides.  The walk is off, and every word is asked, when
     the alphabet is empty or has a symbol outside the acceptor's (which
     then raises at the same word), when a ``(t, k)`` pair has ``k`` below 1
     (``run`` never sweeps, or raises) or when a transducer's ``tape_cap``
@@ -126,7 +130,7 @@ def compare_languages(
     known_b = _known_answers(b, alphabet, max_len, tape_cap)
     return [
         w for w, xa, xb in zip(enumerate_words(alphabet, max_len), known_a, known_b)
-        if (fa(w) if xa is None else xa) != (fb(w) if xb is None else xb)
+        if (not (fa(w) if xa is None else xa)) != (not (fb(w) if xb is None else xb))
     ]
 
 
@@ -168,7 +172,8 @@ def _walk_word_tree(
     j of a level extends word j // |alphabet| of the level above by symbol
     j % |alphabet|, so each level is stepped from the one before (the last
     is not kept), through a memo that maps a set to its row: the
-    successor set and its answer per symbol."""
+    successor set by ``core._set_step``, the one set step that ``run``'s
+    lane route takes too, and its answer, per symbol."""
     cols = [n.alphabet.index(x) for x in alphabet]
     rows: dict[frozenset, tuple[list, list]] = {}
     level = [frozenset((n.initial,))]
@@ -179,8 +184,7 @@ def _walk_word_tree(
         for s in level:
             row = rows.get(s)
             if row is None:
-                steps = [n.step(q) for q in s]
-                succ = [frozenset(r for rs in steps for r in rs[c]) for c in cols]
+                succ = [_set_step(n, s, c) for c in cols]
                 row = rows[s] = succ, list(map(answer, succ))
             yield from row[1]
             if keep:
@@ -193,10 +197,11 @@ def compare_on_words(
     tape_cap: int = 200_000,
 ) -> list[Word]:
     """Disagreements restricted to an explicit word corpus, for
-    languages whose interesting members are too long to enumerate."""
+    languages whose interesting members are too long to enumerate;
+    answers are compared by truth value, as in ``compare_languages``."""
     fa = make_acceptor(a, tape_cap=tape_cap)
     fb = make_acceptor(b, tape_cap=tape_cap)
-    return [w for w in map(tuple, words) if fa(w) != fb(w)]
+    return [w for w in map(tuple, words) if (not fa(w)) != (not fb(w))]
 
 
 def predicate_to_min_dfa(
@@ -282,7 +287,7 @@ def predicate_to_min_dfa(
     succ = [[cls[rep[c] + (a,)] for c in range(len(rep))] for a in alphabet]
     final = [member(rep[c]) for c in range(len(rep))]
     dfa = _moore(succ, final, cls[()], alphabet)
-    wrong = compare_languages(dfa, lambda w: bool(pred(w)), alphabet, max_len)
+    wrong = compare_languages(dfa, pred, alphabet, max_len)
     if wrong:
         raise OracleBudgetError(
             f"budget too small: dfa and predicate disagree on {wrong[0]!r}"

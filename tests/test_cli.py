@@ -41,6 +41,18 @@ class TestRun:
                                "-w", "a" * 12, "--max-sweeps", "1")
         assert code == 3 and out.startswith("unknown")
 
+    def test_tape_cap_bounds_no_lane_walk(self, tmp_path, capsys):
+        # at e(2,2)'s bound, the default budget, the lane walk keeps no
+        # tape and answers; --trace searches tapes and the cap stops it
+        path = tmp_path / "e22.m"
+        main(["gen", "e:2,2", "-o", str(path)])
+        capsys.readouterr()
+        argv = ("run", "-m", str(path), "-w", "b" + "a" * 7, "--tape-cap", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == "accepted sweeps=2\n"
+        code, out, _ = run_cli(capsys, *argv, "--trace")
+        assert code == 3 and out.startswith("unknown")
+
     def test_trace_stable(self, capsys, e21_file):
         code1, out1, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace")
         code2, out2, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace")

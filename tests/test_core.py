@@ -16,6 +16,7 @@ from iufst import (
     MalformedInputError,
     Nfa,
     NotDeterministicError,
+    RunReport,
     Stuck,
     Transducer,
     check_accept_mode,
@@ -229,9 +230,15 @@ class TestRun:
 
     def test_tape_cap_reported_not_rejected(self, e22):
         # accepted at sweep 2, but the cap stops exploration after the
-        # first tape; the report must say unknown, not rejected
-        report = run(e22, ("b",) + ("a",) * 7, 2, tape_cap=1)
+        # first tape; the report must say unknown, not rejected.  A budget
+        # of 3 is not e(2,2)'s bound, so the tape search runs
+        report = run(e22, ("b",) + ("a",) * 7, 3, tape_cap=1)
         assert report.cap_hit and not report.accepted and not report.exhausted
+
+    def test_tape_cap_bounds_no_lane_walk(self, e22):
+        # at the bound itself the lane walk keeps no tape and answers
+        report = run(e22, ("b",) + ("a",) * 7, 2, tape_cap=1)
+        assert report == RunReport(True, 2, 0, False)
 
     def test_monotonicity(self, e22):
         rng = random.Random(3)

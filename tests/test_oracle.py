@@ -1,6 +1,7 @@
 """Brute-force oracle plumbing."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from iufst import (
     OracleBudgetError,
     Transducer,
     compare_languages,
+    compare_on_words,
     compile_lba,
     dfa_minimize,
     enumerate_words,
@@ -71,6 +73,15 @@ class TestCompare:
         a = compare_languages((e21, 1), (e22, 2), ("a", "b"), 7)
         b = compare_languages((e22, 2), (e21, 1), ("a", "b"), 7)
         assert a == b and a  # the languages differ
+
+    def test_answers_compared_by_truth_value(self):
+        # a predicate may answer None or a match object
+        assert compare_languages(lambda w: None, lambda w: False, ("a",), 2) == []
+        pred = lambda w: re.fullmatch("(0|1)+", "".join(w)) and False
+        assert compare_languages(gen_block_nfa(2), pred, "01#", 1) == []
+        match = lambda w: re.fullmatch("a*", "".join(w))
+        assert compare_on_words(match, lambda w: True, [(), ("a",), ("a", "a")]) == []
+        assert compare_on_words(lambda w: None, lambda w: False, [(), ("a",)]) == []
 
     def test_budget_error_on_unbounded_inconclusive(self):
         with pytest.raises(OracleBudgetError):
@@ -275,12 +286,13 @@ class TestLaneWalk:
         assert made == [1, 1, 1, 5, 4]
 
     def test_constant_bound_needs_no_tape_budget(self):
-        # under tape_cap=1, run hits the cap on ba, which the oracle turns
-        # into OracleBudgetError; the walk keeps no tapes and answers
+        # under tape_cap=1, a run at 4 sweeps, past the bound, searches
+        # tapes and hits the cap on ba, which the oracle turns into
+        # OracleBudgetError; the walk keeps no tapes and answers
         e23 = gen_e(2, 3)
         pred = lambda w: in_e(2, 3, w)
         with pytest.raises(OracleBudgetError, match="tape cap 1 hit on word of length 2"):
-            per_word(e23, pred, "ab", 6, tape_cap=1)
+            per_word((e23, 4), pred, "ab", 6, tape_cap=1)
         assert compare_languages(e23, pred, "ab", 6, tape_cap=1) == []
         assert compare_languages(pred, (e23, 3), "ab", 6, tape_cap=1) == []
 
@@ -369,6 +381,10 @@ class TestPredicateToMinDfa:
     def test_all_words(self):
         d = predicate_to_min_dfa(lambda w: True, ("a", "b"), 6)
         assert len(d.states) == 1
+
+    def test_match_object_answers(self):
+        d = predicate_to_min_dfa(lambda w: re.fullmatch("(aa)*", "".join(w)), ("a",), 8)
+        assert len(d.states) == 2 and d.accepts(("a", "a")) and not d.accepts(("a",))
 
     def test_stabilization_idempotence(self):
         d1 = predicate_to_min_dfa(lambda w: in_e(2, 1, w), ("a", "b"), 12)

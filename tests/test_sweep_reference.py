@@ -33,6 +33,7 @@ from iufst import (
     expo_constructor,
     find_accepting_trace,
     gen_block,
+    gen_block_nfa,
     gen_copy,
     gen_d,
     gen_e,
@@ -41,12 +42,14 @@ from iufst import (
     identity_constructor,
     lba_anbn,
     lba_copy,
+    nfa_to_1niufst,
     run,
     sweep,
+    sweep_reduce,
 )
 from iufst import core
 from iufst.cli import _d_corpus
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _sweep
+from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _sweep
 
 from test_decide import fuzz_machine
 
@@ -259,11 +262,36 @@ def _ref_cycle_accepts(t: Transducer, frontier: frozenset[Tape], period: int) ->
 
 
 def assert_same_runs(t, words, max_sweeps, tape_caps):
+    """The tape search (``_run_traced``) gives ``ref_run``'s report field by
+    field and ``find_accepting_trace`` the reference's trace, on every word
+    and cap.  ``run`` gives the same report off its lane route; on it (the
+    budget is the machine's constant bound) it agrees with an uncapped
+    ``ref_run`` as ``assert_lane_run`` checks, whatever the cap."""
+    lanes = isinstance(t.sweep_bound, int) and max_sweeps == t.sweep_bound
     for w in words:
         for cap in tape_caps:
-            assert run(t, w, max_sweeps, cap) == ref_run(t, w, max_sweeps, cap), (w, cap)
+            want = ref_run(t, w, max_sweeps, cap)
+            assert _run_traced(t, w, max_sweeps, cap)[0] == want, (w, cap)
+            if not lanes:
+                assert run(t, w, max_sweeps, cap) == want, (w, cap)
             assert (find_accepting_trace(t, w, max_sweeps, cap)
                     == ref_find_accepting_trace(t, w, max_sweeps, cap)), (w, cap)
+        if lanes:
+            want = ref_run(t, w, max_sweeps)
+            for cap in tape_caps:
+                assert_lane_run(run(t, w, max_sweeps, cap), want, (w, cap))
+
+
+def assert_lane_run(report, want, msg):
+    """``run``'s lane-route ``report`` against ``want``, an uncapped
+    ``ref_run`` at the same budget: the same answer and least accepting
+    sweep count, no tape kept, and ``exhausted`` only where the reference
+    is exhausted too (the reference also is when every tape k + 1 was seen
+    before)."""
+    assert not want.cap_hit, msg
+    assert (report.accepted, report.min_accept_sweeps) == (want.accepted, want.min_accept_sweeps), msg
+    assert report.tapes_explored == 0 and not report.cap_hit, msg
+    assert want.exhausted or not report.exhausted, msg
 
 
 def assert_same_sweeps(t, tapes):
@@ -417,6 +445,91 @@ class TestLongWords:
         t = gen_copy()
         assert_same_runs(t, [good, bad], 4 * len(good), (100_000,))
         assert_same_sweeps(t, [t.initial_tape(good)])
+
+
+def words_to(alphabet, max_len):
+    return [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
+
+
+def e_words(n, k):
+    """Every word over a, b up to length 8, and long ones about n^k: random
+    words and the member b a^(n^k - 1) with the non-member b a^(n^k - 2)."""
+    rng, period = random.Random(n * 10 + k), n**k
+    long = [tuple(rng.choice("ab") for _ in range(m)) for m in range(period - 1, period + 24, 2)]
+    return words_to("ab", 8) + long + [("b",) + ("a",) * (period - 1), ("b",) + ("a",) * (period - 2)]
+
+
+BLOCK_WORDS = [tuple(w) for w in ("01#10#01", "01#10#11", "001#010#001", "001#001", "001#010#011",
+                                  "011#110#000#110", "000#000#", "#001")]
+
+# name -> (machine factory, its constant bound, words)
+LANE_FAMILIES = {
+    "e(2,3)": (lambda: gen_e(2, 3), 3, e_words(2, 3)),
+    "e(3,2)": (lambda: gen_e(3, 2), 2, e_words(3, 2)),
+    "e(3,4)": (lambda: gen_e(3, 4), 4, e_words(3, 4)),
+    "block(2)": (lambda: gen_block(2), 2, words_to("01#", 6) + BLOCK_WORDS),
+    "block(3)": (lambda: gen_block(3), 3, words_to("01#", 5) + BLOCK_WORDS),
+    "unary(2,2)": (lambda: gen_unary(2, 2), 2, [("a",) * m for m in range(20)]),
+    "unary(3,4)": (lambda: gen_unary(3, 4), 4, [("a",) * m for m in range(170)]),
+    **{f"sweep_reduce(e(2,3),3,{i})": (lambda i=i: sweep_reduce(gen_e(2, 3), 3, i), -(-3 // i),
+                                       e_words(2, 3)) for i in (1, 2, 3)},
+    "nfa_to_1niufst(block-nfa(2))": (lambda: nfa_to_1niufst(gen_block_nfa(2)), 1,
+                                     words_to("01#", 6) + BLOCK_WORDS[:3]),
+}
+
+
+class TestLaneRoute:
+    """``run`` at a machine's own constant bound steps the set of lane tuples
+    over the word and keeps no tape: it must answer as the tape search of
+    ``ref_run`` does with no tape cap to stop it, under any cap of its own."""
+
+    def test_fuzz_machines(self, fuzz_machines):
+        for t, k in fuzz_machines:
+            assert t.sweep_bound == k
+            for w in WORDS_TO_6:
+                assert_lane_run(run(t, w, k, 1), ref_run(t, w, k), (t, w))
+
+    @pytest.mark.parametrize("name", list(LANE_FAMILIES))
+    def test_families(self, name):
+        make, k, words = LANE_FAMILIES[name]
+        t = make()
+        assert t.sweep_bound == k
+        wants = [ref_run(t, w, k) for w in words]
+        assert any(want.accepted for want in wants) and not all(want.accepted for want in wants)
+        for w, want in zip(words, wants):
+            assert_lane_run(run(t, w, k, 1), want, w)
+
+    def test_traces_take_no_lane_walk(self):
+        # a trace is the tape search's first hit, and pays for no lane walk
+        t, w = gen_e(2, 3), e_words(2, 3)[-2]
+        assert find_accepting_trace(t, w, 3) == ref_find_accepting_trace(t, w, 3)
+        assert "_lane_walk" not in vars(t)
+        assert run(t, w, 3).accepted and "_lane_walk" in vars(t)
+
+    def test_tuple_cap_falls_back_to_the_tape_search(self, monkeypatch):
+        # e(2,3) has 9 lane tuples; past 4, the next step missing the memo
+        # leaves the word to the tape search, whose report is the reference's
+        monkeypatch.setattr(core, "_LANE_TUPLE_CAP", 4)
+        t, words = gen_e(2, 3), e_words(2, 3)
+        searched = 0
+        for w in words:
+            report, want = run(t, w, 3), ref_run(t, w, 3)
+            if report.tapes_explored:
+                searched += 1
+                assert report == want, w
+            else:
+                assert_lane_run(report, want, w)
+        assert 0 < searched < len(words)
+        assert t._lane_walk[0].discovered < 9
+
+    def test_memo_cleared_mid_word(self, monkeypatch):
+        # a cap of 2 empties the set memo on most misses
+        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
+        make, k, words = LANE_FAMILIES["e(3,4)"]
+        t = make()
+        for w in words[::-1]:
+            assert_lane_run(run(t, w, k), ref_run(t, w, k), w)
+            assert len(t._lane_walk[1]) <= 2
 
 
 class TestWarmMemo:
