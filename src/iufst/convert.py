@@ -8,25 +8,25 @@ lanes read and write tape characters through the machine's one move
 table, and the dummy symbol is an int, which no character equals.
 ``sweep_reduce`` materializes the tuples it reaches as a transducer.
 ``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
-input symbols; ``decide`` and the oracle read it through ``alphabet``,
-``initial``, ``step(q)`` and ``accepting(q)``, ``core.run`` steps sets
-of its tuples over a word at a machine's own constant bound, and
-``to_nfa`` renders it with named states.  ``Nfa`` and ``Dfa`` share
-their header rules in ``_Fa`` and each keep their per-move rule and
-successor rule ``_successors`` (a 0- or 1-tuple in a ``Dfa``), on which
-``_Fa`` builds one ``accepts`` and one cached ``_view``: the same four
-names, states numbered in declaration order.  DFAs live in int tables
-(successor indices per symbol, accepting bits) between two kernels:
-``_powerset`` determinizes an NFA and ``_moore`` minimizes a table,
-naming only its result.  ``nfa_to_dfa`` names the subsets, ``dfa_minimize`` reads a
-``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
+input symbols, read through ``alphabet``, ``initial``, ``step(q)`` and
+``accepting(q)``; its ``report`` is the one rule for what a set of its
+tuples reached on a word answers, and ``to_nfa`` renders it with named
+states.  ``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each
+keep their per-move rule and successor rule ``_successors`` (a 0- or
+1-tuple in a ``Dfa``), on which ``_Fa`` builds one ``accepts`` and one
+cached ``_view``: the same four names, states numbered in declaration
+order.  DFAs live in int tables (successor indices per symbol, accepting
+bits) between two kernels: ``_powerset`` determinizes an NFA and
+``_moore`` minimizes a table, naming only its result.  ``nfa_to_dfa``
+names the subsets, ``dfa_minimize`` reads a ``Dfa`` into a table,
+``min_dfa`` feeds one kernel to the other, and
 ``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
@@ -34,6 +34,7 @@ from .core import (
     MachineError,
     MalformedInputError,
     ResourceBudgetError,
+    RunReport,
     Transducer,
     _Record,
     _bfs,
@@ -250,23 +251,13 @@ class LaneNfa:
     symbols, expanded on demand.
 
     States are ints numbering the lane tuples in discovery order, the
-    initial tuple being 0.  The first ``step``, ``accepting`` or
-    ``least_lane`` call on a tuple expands it and keeps the result:
-    ``_lane_step`` on each input symbol's character gives its successors,
-    and one on the endmarker's the least lane that can reach an accepting
-    state there (None when no lane can), so a tuple is ``accepting`` when
-    it has one.  ``completes``, whether the last lane can take the
-    endmarker step, is computed on its first request only.  A set of
-    tuples steps by ``core._set_step``, the one set step: the oracle's
-    word-tree walk and ``core.run``'s lane route both use it.
-    ``to_nfa`` renders the NFA with named states.  The oracle reads it
-    with one lane (the first sweep) for a machine without a constant
-    bound: a word whose tuples include an ``accepting`` one is accepted
-    after one sweep, and a word none of whose tuples ``completes`` leaves
-    no second tape, so it is rejected.  ``run`` at the machine's own
-    constant bound k reads it with k lanes: the least accepting lane of a
-    word's tuples is its least accepting sweep count, and when none of
-    them ``completes``, no tape k + 1 exists.
+    initial tuple being 0.  The first ``step``, ``accepting`` or ``report``
+    call on a tuple expands it and keeps the result: ``_lane_step`` on each
+    input symbol's character gives its successors, and one on the
+    endmarker's the least lane that can reach an accepting state there
+    (None when no lane can), so a tuple is ``accepting`` when it has one.
+    ``completes`` is computed on its first request only.  A set of tuples
+    steps by ``core._set_step``.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -297,10 +288,17 @@ class LaneNfa:
     def accepting(self, q: int) -> bool:
         return (self._rows.get(q) or self._expand(q))[1]
 
-    def least_lane(self, q: int) -> Optional[int]:
-        """The least lane, counted from 1, that ends the endmarker step from
-        ``q`` in an accepting state, or None."""
-        return (self._rows.get(q) or self._expand(q))[2]
+    def report(self, s: frozenset[int]) -> RunReport:
+        """What the set ``s`` of tuples reached on a word answers, as ``run``
+        reports k sweeps: accepted at the least lane, counted from 1, that
+        ends the endmarker step from a tuple in an accepting state; else
+        rejected, ``exhausted`` exactly when no tuple ``completes`` its last
+        lane, so no tape k + 1 exists.  No tape is kept: ``tapes_explored``
+        is 0 and ``cap_hit`` False."""
+        rows = self._rows
+        lanes = [(rows.get(q) or self._expand(q))[2] for q in s]
+        least = min(filter(None, lanes), default=None)  # lanes count from 1: drops only None
+        return _lane_report(least, least is None and not any(map(self.completes, s)))
 
     def completes(self, q: int) -> bool:
         """Some branch of ``q`` steps on the endmarker in every lane."""
@@ -325,6 +323,13 @@ class LaneNfa:
         least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
         self._rows[q] = entry = (tuple(row), least is not None, least)
         return entry
+
+
+@cache
+def _lane_report(least: Optional[int], exhausted: bool) -> RunReport:
+    """``LaneNfa.report``'s value for an outcome, built once: a report is
+    immutable, and building one costs more than finding the outcome."""
+    return RunReport(least is not None, least, 0, False, exhausted)
 
 
 def _edges(n: LaneNfa | SimpleNamespace):

@@ -36,8 +36,7 @@ forward pass over the states each cell is reached in.
 Beside the tape search, ``run`` has a lane route.  At a machine's own
 constant sweep bound k it sweeps no tape: the paper's reduction runs the k
 sweeps as the k lanes of one (``convert.LaneNfa``), and ``_run_lanes``
-steps the set of lane tuples over the word in one pass.  Its set step,
-``_set_step``, is the one the oracle's word-tree walk takes.  Traces,
+steps the set of lane tuples over the word in one pass.  Traces,
 accept-mode checks and every other budget keep the tape search, whose
 first hit in frontier order a lane walk need not pick.
 
@@ -301,11 +300,9 @@ class RunReport:
     within the budgets, so a negative answer is definite.
 
     On ``run``'s lane route (a budget equal to the machine's constant
-    bound k) no tape is kept: ``tapes_explored`` is 0 and ``cap_hit`` is
-    False, whatever the tape budget.  There ``exhausted`` holds exactly
-    when no lane tuple the word reaches completes its last lane, so no
-    tape k + 1 exists; it implies the tape search's ``exhausted``, which
-    also holds when every such tape was seen before.
+    bound k) the report is ``convert.LaneNfa.report``'s, whatever the tape
+    budget.  Its ``exhausted`` implies the tape search's, which also holds
+    when every tape k + 1 was seen before.
     """
 
     accepted: bool
@@ -570,10 +567,9 @@ def run(
     is k, its k sweeps run as the k lanes of ``convert.LaneNfa`` (the
     paper's reduction): one pass over the word steps the set of lane
     tuples (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds
-    nothing there (``RunReport`` gives the fields).  Every other budget,
-    and that one once the machine's lane tuples outgrow
-    ``_LANE_TUPLE_CAP``, takes the breadth-first search over tape sets
-    at sweep boundaries.  Round s sweeps every frontier tape; a branch
+    nothing there.  Every other budget, and that one once the machine's
+    lane tuples outgrow ``_LANE_TUPLE_CAP``, takes the breadth-first
+    search over tape sets at sweep boundaries.  Round s sweeps every frontier tape; a branch
     finishing in an accepting state halts the whole search with
     ``min_accept_sweeps=s`` (rounds are explored in order, so the first
     hit is minimal).  Branches finishing in non-accepting states continue
@@ -594,7 +590,7 @@ def _run_lanes(t: Transducer, word: Sequence[str], tape_cap: int) -> Optional[Ru
     lazy: the set of ``LaneNfa(t, k)`` tuples steps over ``word`` through
     ``_set_step`` and a memo on the machine, a row per set from input
     symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's
-    ``None`` entry holds the report of the endmarker step from its set.
+    ``None`` entry caches its set's ``LaneNfa.report``.
     None once a step misses the memo with more than ``_LANE_TUPLE_CAP``
     tuples discovered: tuples can grow like n^k, and then the tape search
     answers instead."""
@@ -616,10 +612,7 @@ def _run_lanes(t: Transducer, word: Sequence[str], tape_cap: int) -> Optional[Ru
         cur, row = step
     report = row.get(None)
     if report is None:
-        lanes = [i for i in map(n.least_lane, cur) if i is not None]
-        report = row[None] = (
-            RunReport(True, min(lanes), 0, False) if lanes
-            else RunReport(False, None, 0, False, exhausted=not any(map(n.completes, cur))))
+        report = row[None] = n.report(cur)
     return report
 
 
@@ -631,7 +624,7 @@ _LANE_TUPLE_CAP = 1 << 14
 def _set_step(n, s: frozenset, c: int) -> frozenset:
     """The states of the automaton ``n`` (read through ``LaneNfa``'s
     ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
-    step, of ``run``'s lane route and of the oracle's word-tree walk."""
+    step."""
     return frozenset([r for q in s for r in n.step(q)[c]])
 
 

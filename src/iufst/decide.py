@@ -19,9 +19,7 @@ breadth-first antichain search over pairs of a state of one NFA and a
 subset of the other's states (De Wulf, Doyen, Henzinger & Raskin, CAV
 2006), guarded by a configurable budget of search nodes.  Each predicate
 also produces a witness word where one exists, so tests can validate
-answers independently.  ``oracle.compare_languages`` and ``core.run``
-are the other clients of ``LaneNfa``: the one walks the word tree over
-sets of lane tuples, the other a word at the machine's constant bound.
+answers independently.
 """
 
 from __future__ import annotations
@@ -33,12 +31,10 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .convert import LaneNfa, _edges
-from .core import MachineError, ResourceBudgetError, Transducer, _bfs, _shortest_word
+from .core import MachineError, ResourceBudgetError, Transducer, Word, _bfs, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
 DEFAULT_SEARCH_CAP = 2**20
-
-Word = tuple[str, ...]
 
 
 def is_empty(t: Transducer, k: int) -> bool:

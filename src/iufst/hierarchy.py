@@ -21,8 +21,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import MachineError, Transducer, _fresh, materialize, renderer, run
 from .witness import gen_copy
 
-Word = tuple[str, ...]
-
 
 @dataclass(frozen=True)
 class Constructor:

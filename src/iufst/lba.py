@@ -158,10 +158,10 @@ def compile_lba(m: Lba) -> Transducer:
     minimum accepting step count plus one.
 
     Cells (flag, symbol) and (left flag, ``>``, flag, symbol) are named
-    ``[f.x]`` and ``[fl.>|f.x]`` by ``name_table``; the blank flag ``_``, the
-    helpers ``p0 ps p1 p+`` and each hat state ``q^`` are primed until
-    fresh.  Only an input symbol or right endmarker spelled like a cell
-    name clashes, as a duplicate output symbol.
+    ``[f.x]`` and ``[fl.>|f.x]`` by ``name_table``, in brackets doubled
+    until no cell is spelled like an input symbol or the right endmarker,
+    which the output alphabet holds raw; the blank flag ``_``, the helpers
+    ``p0 ps p1 p+`` and each hat state ``q^`` are primed until fresh.
     """
     for q in m.accepting:
         if m.transitions.get((q, m.right_end)):
@@ -173,11 +173,15 @@ def compile_lba(m: Lba) -> Transducer:
     p0, ps, p1, pp = (_fresh(tok, taken) for tok in ("p0", "ps", "p1", "p+"))
     hat = {q: _fresh(q + "^", taken) for q in Q}
 
-    lend = m.left_end
+    lend, end = m.left_end, m.right_end
     inner = tuple(x for x in m.tape_alphabet if x != lend)
-    pair = name_table(flags, inner, seps=".", frame=("[", "]"), delims="|")
-    double = name_table(flags, (lend,), flags, inner, seps=".|.", frame=("[", "]"))
-    end = m.right_end
+    raw, frame = {*m.input_alphabet, end}, ("[", "]")
+    while True:
+        pair = name_table(flags, inner, seps=".", frame=frame, delims="|")
+        double = name_table(flags, (lend,), flags, inner, seps=".|.", frame=frame)
+        if raw.isdisjoint(pair.values()) and raw.isdisjoint(double.values()):
+            break
+        frame = (frame[0] + "[", frame[1] + "]")
     output_alphabet = (*pair.values(), *double.values(), *m.input_alphabet, end)
 
     delta: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}

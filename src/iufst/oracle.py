@@ -9,37 +9,30 @@ returning a silently wrong answer.
 ``compare_languages`` answers most words without asking the acceptor,
 by walking the word tree over the states of an ``Nfa``'s or ``Dfa``'s
 ``_view``, which answers every word, or of a transducer's
-``convert.LaneNfa``.  A machine that declares a constant sweep bound k
-accepts exactly the language of its k-lane NFA (the paper's reduction),
-so the walk answers all its words and ``run`` is never called.  Any
-other machine walks its 1-lane NFA, the first sweep, and the walk
-answers every word that sweep alone decides.  A machine accepts by
-halting in an accepting state at the end of a sweep, so a word on which
-some branch of the first sweep ends in an accepting state is one ``run``
-accepts after one sweep, and a word on which no branch steps on the
-endmarker, whether it halts inside the word or at its end, leaves no
-second tape and is one ``run`` rejects definitely.  Only the words whose
-first sweep completes without accepting run.  The reduction holds for
-every k, but only the machine's own declared bound turns the exact walk
-on, never the k of a pair: lane tuples grow like n^k, and
+``convert.LaneNfa``, whose ``report`` answers each set of lane tuples.
+A machine that declares a constant sweep bound k accepts exactly the
+language of its k-lane NFA (the paper's reduction), so the walk answers
+all its words and ``run`` is never called.  Any other machine walks its
+1-lane NFA, the first sweep: a word the first sweep accepts is one
+``run`` accepts, and one it leaves no second tape is one ``run`` rejects
+definitely; only the others run.  The reduction holds for every k, but
+only the machine's own declared bound turns the exact walk on, never the
+k of a pair: lane tuples grow like n^k, and
 ``LaneNfa(compile_lba(lba_copy()), 12)`` finds 59,307 of them on words
-of at most 5 symbols, where pairs of that machine ask for 80.  The walk
-steps each set of states by ``core._set_step``, the one set step, which
-``run`` also takes on its lane route (a budget equal to the machine's own
-constant bound), one word at a time.
+of at most 5 symbols, where pairs of that machine ask for 80.
 """
 
 from __future__ import annotations
 
 from collections import abc
+from functools import cache
 from itertools import product, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, LaneNfa, Nfa, _moore
-from .core import MachineError, Transducer, _set_step, run
+from .core import MachineError, Transducer, Word, _set_step, run
 
-Word = tuple[str, ...]
 # Built with | over builtin generics: a typing.Union would sit in typing's
 # cache and keep every imported copy of these classes alive.
 Acceptor = (
@@ -140,28 +133,30 @@ def _known_answers(
     """For each word in ``enumerate_words`` order, the answer the
     word-tree walk gives, or None where the acceptor must be asked (every
     word, when the walk is off).  A set of states of an automaton's
-    ``_view``, or of lane tuples with an int bound, answers whether one is
-    ``accepting``; without one, a set of 1-lane tuples answers True when
-    one is ``accepting``, False when none ``completes``, and None
-    otherwise."""
+    ``_view`` answers whether one is ``accepting``.  A set of lane tuples
+    answers through ``LaneNfa.report``: True when accepted; False when the
+    machine has an int bound (its lanes are the pair's k or that bound) or,
+    with one lane, when exhausted; None otherwise."""
     t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
     alphabet = tuple(alphabet)
     if isinstance(acceptor, (Nfa, Dfa)) and alphabet and acceptor.alphabet_set.issuperset(alphabet):
         n = acceptor._view
-    elif (
+        return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
+    if not (
         isinstance(t, Transducer) and alphabet and t.input_set.issuperset(alphabet)
         and (k is None or isinstance(k, int) and k >= 1)
         and isinstance(tape_cap, int) and tape_cap >= 1
     ):
-        if not isinstance(t.sweep_bound, int):
-            n = LaneNfa(t, 1)
-            return _walk_word_tree(n, alphabet, max_len, lambda s: (
-                True if any(map(n.accepting, s)) else (None if any(map(n.completes, s)) else False)
-            ))
-        n = LaneNfa(t, k or t.sweep_bound)
-    else:
         return repeat(None)
-    return _walk_word_tree(n, alphabet, max_len, lambda s: any(map(n.accepting, s)))
+    bounded = isinstance(t.sweep_bound, int)
+    n = LaneNfa(t, (k or t.sweep_bound) if bounded else 1)
+
+    @cache  # a set reached from many sets answers once
+    def answer(s: frozenset) -> Optional[bool]:
+        report = n.report(s)
+        return True if report.accepted else (False if bounded or report.exhausted else None)
+
+    return _walk_word_tree(n, alphabet, max_len, answer)
 
 
 def _walk_word_tree(

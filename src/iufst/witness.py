@@ -45,9 +45,7 @@ from itertools import product
 from typing import Sequence
 
 from .convert import Nfa
-from .core import MachineError, Transducer, materialize, renderer
-
-Word = tuple[str, ...]
+from .core import MachineError, Transducer, Word, materialize, renderer
 
 
 # ---------------------------------------------------------------------------

@@ -258,3 +258,36 @@ class TestEndmarkerMoves:
             assert_agrees_with_source(m, "ab", 3)
         assert {("<", "L", True), ("<", "L", False), ("<", "<", False), (">", ">", True),
                 (">", ">", False), (">", "R", True)} <= seen
+
+
+def renamed(m, old, new):
+    """``m`` with tape symbol ``old`` spelled ``new`` everywhere."""
+    def ren(x):
+        return new if x == old else x
+    return replace(
+        m,
+        input_alphabet=tuple(map(ren, m.input_alphabet)),
+        tape_alphabet=tuple(map(ren, m.tape_alphabet)),
+        left_end=ren(m.left_end),
+        right_end=ren(m.right_end),
+        transitions={(q, ren(x)): tuple((r, ren(a)) for r, a in acts)
+                     for (q, x), acts in m.transitions.items()},
+    )
+
+
+CELL = "[_.a]"  # the name of the blank-flagged cell on a in the default brackets
+
+
+class TestRawSymbolSpelledLikeACell:
+    """The output alphabet holds the input symbols and the right endmarker
+    raw, beside the cells; a raw symbol spelled like a cell name must not
+    clash with it."""
+
+    @pytest.mark.parametrize("machine,alphabet", [
+        pytest.param(replace(anbn_with((), (CELL,)), input_alphabet=("a", "b", CELL)),
+                     ("a", "b", CELL), id="input"),
+        pytest.param(renamed(lba_anbn(), "<", CELL), ("a", "b"), id="right-end"),
+    ])
+    def test_agrees_with_source(self, machine, alphabet):
+        assert CELL in compile_lba(machine).output_alphabet
+        assert_agrees_with_source(machine, alphabet, 4)

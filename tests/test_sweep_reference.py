@@ -49,7 +49,8 @@ from iufst import (
 )
 from iufst import core
 from iufst.cli import _d_corpus
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _sweep
+from iufst.convert import LaneNfa
+from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _set_step, _sweep
 
 from test_decide import fuzz_machine
 
@@ -498,6 +499,25 @@ class TestLaneRoute:
         assert any(want.accepted for want in wants) and not all(want.accepted for want in wants)
         for w, want in zip(words, wants):
             assert_lane_run(run(t, w, k, 1), want, w)
+
+    def test_report_at_every_lane_count(self, fuzz_machines):
+        # below, at and above a constant bound k, and without one: the set
+        # that LaneNfa(t, s) reaches on a word reports as s sweeps of the tapes
+        cases = [(t, k + 1, WORDS_TO_6) for t, k in fuzz_machines]
+        for name in ("e(2,3)", "e(3,2)", "block(2)"):
+            make, k, words = LANE_FAMILIES[name]
+            cases.append((make(), k + 1, words))
+        for name in ("copy", "uexpo"):
+            make, alphabet, max_len, _ = FAMILIES[name]
+            cases.append((make(), 3, words_to(alphabet, max_len)))
+        for t, most, words in cases:
+            for s in range(1, most + 1):
+                n = LaneNfa(t, s)
+                for w in words:
+                    cur = frozenset((n.initial,))
+                    for x in w:
+                        cur = _set_step(n, cur, n.alphabet.index(x))
+                    assert_lane_run(n.report(cur), ref_run(t, w, s), (t, s, w))
 
     def test_traces_take_no_lane_walk(self):
         # a trace is the tape search's first hit, and pays for no lane walk
