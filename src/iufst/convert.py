@@ -41,6 +41,7 @@ from .core import (
     _check_declared,
     _check_list,
     _encode,
+    _escapes,
     _fresh,
     materialize,
     renderer,
@@ -445,12 +446,16 @@ def _bits(mask: int) -> list[int]:
 def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     """Powerset construction over reachable subsets: ``_powerset``
     rendered, each subset named ``{q1,q2,...}`` with its members in the
-    NFA's state order, in discovery order.  The result is complete: the
-    empty subset ``{}`` is an explicit dead state whenever some (subset,
-    symbol) has no successor.  ``state_cap`` is ``_powerset``'s.
+    NFA's state order, in discovery order: ``renderer(",", ("{", "}"))``
+    of its member tuple, so a member's ``\\``, ``,``, ``{`` and ``}`` are
+    escaped.  The result is complete: the empty subset ``{}`` is an
+    explicit dead state whenever some (subset, symbol) has no successor.
+    ``state_cap`` is ``_powerset``'s.
     """
     subsets, succ, final = _powerset(n, state_cap)
-    names = ["{" + ",".join(map(n.states.__getitem__, sub)) + "}" for sub in subsets]
+    escape = _escapes(",{}")
+    members = [q.translate(escape) for q in n.states]  # each name escaped once
+    names = ["{" + ",".join(map(members.__getitem__, sub)) + "}" for sub in subsets]
     alphabet = tuple(n.alphabet)
     return Dfa(
         states=tuple(names),

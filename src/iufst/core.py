@@ -41,14 +41,17 @@ accept-mode checks and every other budget keep the tape search, whose
 first hit in frontier order a lane walk need not pick.
 
 Constructions build machines through ``materialize``, which explores the
-enabled moves of abstract states breadth-first.  A construction's
-``moves(state)`` yields (symbol read, next state, symbol written) triples
-only for the moves that exist, over states and symbols that may be tuples;
-each declared symbol is rendered to its token once, so no construction
-parses token strings.  Moves reading an undeclared symbol are skipped,
-writing one raises ``MachineError``, and moves are ordered by the declared
-rank of the symbol read, so state names and transition order do not depend
-on the order a construction yields them in.  ``renderer`` names every tuple,
+enabled moves of abstract states breadth-first, in one pass.  A
+construction's ``moves(state)`` yields (symbol read, next state, symbol
+written) triples only for the moves that exist, over states and symbols
+that may be tuples; it is called once per reachable state.  Each declared
+symbol is rendered to its token once, so no construction parses token
+strings, and each state is named once, when it is discovered, so every
+move goes into the transition table as tokens when it is read.  Moves
+reading an undeclared symbol are skipped, writing one raises
+``MachineError``, and moves are ordered by the declared rank of the symbol
+read, so state names and transition order do not depend on the order a
+construction yields them in.  ``renderer`` names every tuple,
 escaping its format's characters in each part; ``_fresh`` picks helper names.
 
 The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` derive
@@ -835,14 +838,16 @@ def materialize(
     """Materialize a transducer from the enabled moves of abstract states.
 
     ``moves(state)`` yields the (symbol read, next state, symbol written)
-    triples enabled in ``state``.  States are explored breadth-first from
-    ``start``; within a state, moves are taken in the declared rank of the
-    symbol read (the input alphabet, then the output-only symbols), choice
-    order kept per symbol.  States and symbols may be structured values:
-    each declared symbol is rendered once through ``symbol_name`` and each
-    reachable state through ``name_of`` (both ``renderer()`` by default), and
-    two values rendering alike raise ``MachineError``.  A move reading an
-    undeclared symbol is skipped; one writing one raises ``MachineError``.
+    triples enabled in ``state``; it is called once per reachable state.
+    States are explored breadth-first from ``start``; within a state, moves
+    are taken in the declared rank of the symbol read (the input alphabet,
+    then the output-only symbols), choice order kept per symbol, and each
+    is appended to its key's choices as tokens at once.  States and symbols
+    may be structured values: each declared symbol is rendered once through
+    ``symbol_name`` and each state through ``name_of`` when it is discovered
+    (both ``renderer()`` by default), and two values rendering alike raise
+    ``MachineError``.  A move reading an undeclared symbol is skipped; the
+    first writing one, in that order, raises ``MachineError``.
     """
     name_of = name_of or renderer()
     symbol_name = symbol_name or renderer()
@@ -853,43 +858,32 @@ def materialize(
         sym[x] = tok = symbol_name(x)
         if rendered.setdefault(tok, x) != x:
             raise MachineError(f"symbols {rendered[tok]!r} and {x!r} both render {tok!r}")
-    toks = tuple(sym.values())
-    n = len(toks)
-    # per state in BFS order, its moves as (next state, rank read * n + rank written)
-    raw: list[tuple[Hashable, list[tuple[Hashable, int]]]] = []
+    names = {start: name_of(start)}  # every state, in discovery order
+    transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
     def succ(state):
-        try:
-            enabled = [(p, r * n + rank[y]) for x, p, y in moves(state)
-                       if (r := rank.get(x)) is not None]
-        except KeyError:
-            undeclared = [(rank[x], y) for x, _, y in moves(state) if x in rank and y not in rank]
-            if not undeclared:
-                raise
-            y = min(undeclared, key=itemgetter(0))[1]
-            raise MachineError(f"transition writes undeclared output symbol {symbol_name(y)!r}") from None
-        enabled.sort(key=lambda move: move[1] // n)
-        raw.append((state, enabled))
-        return enabled
+        q = names[state]
+        for x, p, y in sorted([m for m in moves(state) if m[0] in rank], key=lambda m: rank[m[0]]):
+            tok = sym.get(y)
+            if tok is None:
+                raise MachineError(f"transition writes undeclared output symbol {symbol_name(y)!r}")
+            if p not in names:
+                names[p] = name_of(p)
+            key = (q, sym[x])
+            transitions[key] = transitions.get(key, ()) + ((names[p], tok),)
+            yield p, tok
 
-    order, _ = _bfs((start,), succ)
-    names = {s: name_of(s) for s in order}
+    _bfs((start,), succ)
     if len(set(names.values())) != len(names):
         raise MachineError("state naming is not injective on reachable states")
-    transitions: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for state, enabled in raw:
-        q = names[state]
-        for p, code in enabled:
-            r, y = divmod(code, n)
-            transitions.setdefault((q, toks[r]), []).append((names[p], toks[y]))
     return Transducer(
         states=tuple(names.values()),
         input_alphabet=tuple(sym[x] for x in input_alphabet),
         output_alphabet=tuple(sym[y] for y in output_alphabet),
         endmarker=symbol_name(endmarker),
         initial=names[start],
-        accepting=tuple(names[s] for s in order if accepting(s)),
-        transitions={key: tuple(choices) for key, choices in transitions.items()},
+        accepting=tuple(q for s, q in names.items() if accepting(s)),
+        transitions=transitions,
         sweep_bound=sweep_bound,
         meta=meta or {},
     )

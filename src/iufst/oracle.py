@@ -61,20 +61,15 @@ def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word
     """
     if isinstance(acceptor, tuple):
         t, k = acceptor
-        return make_acceptor_transducer(t, k, tape_cap)
-    if isinstance(acceptor, Transducer):
-        k = acceptor.sweep_bound if isinstance(acceptor.sweep_bound, int) else None
-        return make_acceptor_transducer(acceptor, k, tape_cap)
-    if isinstance(acceptor, (Nfa, Dfa)):
+    elif isinstance(acceptor, Transducer):
+        t, k = acceptor, (acceptor.sweep_bound if isinstance(acceptor.sweep_bound, int) else None)
+    elif isinstance(acceptor, (Nfa, Dfa)):
         return acceptor.accepts
-    if callable(acceptor):
+    elif callable(acceptor):
         return acceptor
-    raise MachineError(f"cannot interpret {acceptor!r} as a language acceptor")
+    else:
+        raise MachineError(f"cannot interpret {acceptor!r} as a language acceptor")
 
-
-def make_acceptor_transducer(
-    t: Transducer, k: Optional[int], tape_cap: int
-) -> Callable[[Word], bool]:
     def accepts(word: Word) -> bool:
         sweeps = k if k is not None else len(word) + 8
         report = run(t, word, sweeps, tape_cap)

@@ -368,9 +368,9 @@ class TestFamilyRegistry:
 
 class TestExitCodes:
     """Exit codes through ``main``: 0 and 1 answer, 2 is a usage error
-    and 3 an exhausted budget.  ``{e21}`` is the e(2,1) transducer file
-    and ``{lba}`` the copy LBA's file; ``out`` lists lines stdout holds
-    and ``err`` what stderr holds."""
+    and 3 an exhausted budget.  ``{e21}`` is the e(2,1) transducer file,
+    ``{copy}`` the copy transducer's and ``{lba}`` the copy LBA's file;
+    ``out`` lists lines stdout holds and ``err`` what stderr holds."""
 
     @pytest.mark.parametrize("argv, code, out, err", [
         (["verify", "--lang", "copy", "--max-len", "3"], 1,
@@ -386,18 +386,28 @@ class TestExitCodes:
         (["convert", "-m", "{e21}", "--to", "bogus"], 2, [], "unknown conversion target"),
         (["gen", "e:1,2,3"], 2, [], "bad family parameters"),
         (["combine", "add", "--left", "foo", "--right", "id"], 2, [], "must be id or expo"),
+        # f(0) = 0 payload symbols: the empty word has no sweep count, a hole
+        (["measure", "--lang", "id-ctor", "--min-param", "0", "--max-param", "2"], 1,
+         ["0,0,", "1,2,2", "2,4,3"], ""),
+        # no --max-sweeps and no int bound: the default budget of 4|w| + 16 sweeps
+        (["run", "-m", "{copy}", "-w", "ab$ba"], 1, ["rejected"], ""),
+        (["decide", "universal", "-m", "{e21}"], 1, ["false witness=λ"], ""),
+        (["gen", "copy"], 0, ["kind iufst"], ""),
     ], ids=["verify-disagrees", "lba-rejects", "measure-copy", "measure-block",
             "lba-step-budget", "equiv-without-other", "lba-run-transducer", "run-lba",
-            "convert-bogus", "gen-arity", "combine-operand"])
+            "convert-bogus", "gen-arity", "combine-operand", "measure-hole",
+            "run-default-budget", "decide-universal", "gen-stdout"])
     def test_exit_code(self, tmp_path, capsys, monkeypatch, e21_file, argv, code, out, err):
         import iufst.cli
-        from iufst import MachineFile, lba_copy, serialize_machine
+        from iufst import MachineFile, gen_copy, lba_copy, serialize_machine
 
         lba = tmp_path / "copy.lba"
         lba.write_text(serialize_machine(MachineFile("lba", lba_copy())))
+        copy = tmp_path / "copy.m"
+        copy.write_text(serialize_machine(MachineFile("iufst", gen_copy())))
         # the copy family's reference predicate, made to reject every word
         monkeypatch.setattr(iufst.cli, "in_copy", lambda w: False)
-        argv = [a.format(e21=e21_file, lba=lba) for a in argv]
+        argv = [a.format(e21=e21_file, copy=copy, lba=lba) for a in argv]
         got, stdout, stderr = run_cli(capsys, *argv)
         assert got == code
         lines = stdout.splitlines()

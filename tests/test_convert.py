@@ -28,6 +28,7 @@ from iufst import (
     sweep_reduce,
     to_nfa,
 )
+from iufst.core import renderer
 
 
 class TestSweepReduce:
@@ -122,6 +123,21 @@ class TestPowersetAndMinimize:
         dfa = nfa_to_dfa(small)
         assert len(dfa.states) <= 2**3
         assert dfa.is_complete
+
+    def test_subset_names_escape_members(self):
+        # the subset of a and b is {a,b}; the subset of the state a,b is not
+        nfa = Nfa(
+            states=("s", "a", "b", "a,b"),
+            alphabet=("x",),
+            initial="s",
+            accepting=("a,b",),
+            transitions={("s", "x"): ("a", "b"), ("a", "x"): ("a,b",)},
+        )
+        dfa = nfa_to_dfa(nfa)
+        assert dfa.states == ("{s}", "{a,b}", "{a\\,b}", "{}")
+        name = renderer(",", ("{", "}"))
+        assert dfa.states == tuple(map(name, [("s",), ("a", "b"), ("a,b",), ()]))
+        assert [dfa.accepts(("x",) * m) for m in range(4)] == [False, False, True, False]
 
     def test_minimal_unary_dfa(self):
         nfa = to_nfa(gen_unary(2, 3), 3)

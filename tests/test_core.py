@@ -464,7 +464,8 @@ class TestMaterialize:
             ("<", s, "<"),
         ]
 
-    def build(self, moves, symbol_name=lambda x: x if isinstance(x, str) else x[1] + "'" * (x[0] == "out")):
+    def build(self, moves, symbol_name=lambda x: x if isinstance(x, str) else x[1] + "'" * (x[0] == "out"),
+              name_of=lambda s: f"q{s}"):
         return materialize(
             start=0,
             moves=moves,
@@ -472,7 +473,7 @@ class TestMaterialize:
             output_alphabet=(("out", "a"), ("out", "b"), "<"),
             endmarker="<",
             accepting=lambda s: s == 0,
-            name_of=lambda s: f"q{s}",
+            name_of=name_of,
             symbol_name=symbol_name,
         )
 
@@ -498,6 +499,11 @@ class TestMaterialize:
     def test_render_collision_raises(self):
         with pytest.raises(MachineError, match="both render 'a'"):
             self.build(self.moves, symbol_name=lambda x: x if isinstance(x, str) else x[1])
+
+    def test_state_naming_not_injective_raises(self):
+        # states 0 and 2 are both named q0; each is named when discovered
+        with pytest.raises(MachineError, match="state naming is not injective"):
+            self.build(self.moves, name_of=lambda s: f"q{s % 2}")
 
 
 def assert_pruning_keeps_pairs(t, tapes):

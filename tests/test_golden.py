@@ -95,7 +95,8 @@ def test_serialization_pinned(name):
 
 
 # Powerset and minimal DFAs: subset names list NFA states in declaration
-# order (for to_nfa, breadth-first order over input symbols), minimal
+# order (for to_nfa, breadth-first order over input symbols), each with its
+# commas and braces escaped (to_nfa's lane names hold commas); minimal
 # states are m0, m1, ... in breadth-first order.
 NFAS = {
     "to_nfa(block(3),3)": lambda: to_nfa(gen_block(3), 3),
@@ -106,7 +107,7 @@ NFAS = {
 
 DFA_DIGESTS = {
     "to_nfa(block(3),3)": (
-        "c524a51ea14ca3d073758eb9ae28035511a627747bbe1bc8eb53af9c25628fb2",
+        "afae522a62c38baf80d4517a52e3bcc3a5182239cc02e2da10dd914d8dc15b77",
         "de9813f34e6d545d5814e51dc51cc9fc761ca3ff847126aed881ffb48eae6021",
     ),
     "block_nfa(3)": (
@@ -114,11 +115,11 @@ DFA_DIGESTS = {
         "de9813f34e6d545d5814e51dc51cc9fc761ca3ff847126aed881ffb48eae6021",
     ),
     "to_nfa(unary(2,3),3)": (
-        "927bc5d29a285fb2cfe677f07db5606fd52d8e98f59002e06a1aa236c4c2d7b2",
+        "ff61277123878006d0453277e918d1ca0bbe272fa22f9ca1b5eb545b805ebe11",
         "17d9c3339d964c1f84ed32fa91853f3d94c90c5e5657d9fde8456275f8058860",
     ),
     "to_nfa(e(2,3),3)": (
-        "84aec2b7b7f50b93829fc346cce50103373f678e8f45006347ec13e3a5a0deb1",
+        "a090bd51ff499895ba2e9f4a2d84ea4f09ce19707d84d72f739260034af85512",
         "3f3a36dfc1be82c292ec9bc50aad9008f25a2e029c3276132149e185231ac7fe",
     ),
 }
