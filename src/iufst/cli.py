@@ -32,8 +32,9 @@ from .core import (
     MachineError,
     Transducer,
     Word,
-    _run_traced,
     run,
+    traced_run,
+    verdict,
 )
 from .hierarchy import (
     combine_add,
@@ -270,20 +271,17 @@ def cmd_run(args) -> int:
         else:
             max_sweeps = 4 * len(word) + 16
     if args.trace:
-        report, trace = _run_traced(t, word, max_sweeps, args.tape_cap)
+        report, trace = traced_run(t, word, max_sweeps, args.tape_cap)
     else:
         report = run(t, word, max_sweeps, args.tape_cap)
-    if report.accepted:
+    answer = verdict(t, report, max_sweeps)
+    if answer:
         print(f"accepted sweeps={report.min_accept_sweeps}")
         if args.trace:
             for tape in trace():
                 print(" ".join(tape))
         return OK
-    definite = report.exhausted or (
-        isinstance(t.sweep_bound, int) and max_sweeps >= t.sweep_bound
-        and not report.cap_hit
-    )
-    if definite:
+    if answer is False:
         print("rejected")
         return REJECT
     print(f"unknown (explored {report.tapes_explored} tapes, "
@@ -428,9 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "run", help="run a machine on a word",
-        description="At a machine's own constant sweep bound, the default budget, a run "
-                    "steps the set of lane tuples of its k sweeps over the word and keeps "
-                    "no tape; any other budget, and --trace, search tapes breadth first.")
+        description="At a budget of at most 8 sweeps, such as a machine's own constant "
+                    "sweep bound (the default budget), a run steps the set of lane tuples "
+                    "of its sweeps over the word and keeps no tape; a larger budget, or a "
+                    "rejection that walk cannot make definite, searches tapes breadth first. "
+                    "--trace takes the same route and gives the same answer.")
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("-w", "--word", required=True,
                    help="symbols separated by , (plain string if single-char)")
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     p.add_argument("--trace", action="store_true",
                    help="print one tape per sweep boundary of an accepting run, "
-                        "the first found by the tape search")
+                        "from the lane walk or the tape search, whichever answers")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("convert", help="convert between machine kinds")

@@ -199,6 +199,17 @@ def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
     return dict.fromkeys(moves)
 
 
+def _lane_chains(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], tuple]]:
+    """The branches behind ``_lane_step``, none merged, each with every
+    lane's written character: (next tuple, characters lanes 1, 2, ...
+    write), in choice order, so a trace can say what each sweep wrote."""
+    moves = [((), (x,))]
+    for s in state:
+        row = delta[s]
+        moves = [(lanes + (r,), out + (z,)) for lanes, out in moves for r, z in row.get(out[-1], _DEAD)]
+    return [(lanes, out[1:]) for lanes, out in moves]
+
+
 def _lane_states(t: Transducer) -> tuple[str, ...]:
     """Each lane state's name by index, the dummy's (``d``, primed until fresh) at -1."""
     return t.states + (_fresh(_DUMMY, set(t.states)),)

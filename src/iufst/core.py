@@ -28,17 +28,20 @@ lone branch whose live choices write pairwise distinct symbols splits into
 independent row walks, one per choice, taken one after another (a single live
 choice just steps on); the merging frontier serves only choices writing a
 common symbol.  ``_search``, the only search over the tapes at sweep
-boundaries, yields its rounds to ``_run_traced`` (behind ``run`` and
-``find_accepting_trace``) and ``check_accept_mode``; ``run_deterministic``
-calls the kernel, and so does ``sweep``, which finds the halts itself in a
-forward pass over the states each cell is reached in.
+boundaries, yields its rounds to ``_run_traced`` (behind ``run``,
+``traced_run`` and ``find_accepting_trace``) and ``check_accept_mode``;
+``run_deterministic`` calls the kernel, and so does ``sweep``, which finds
+the halts itself in a forward pass over the states each cell is reached in.
 
-Beside the tape search, ``run`` has a lane route.  At a machine's own
-constant sweep bound k it sweeps no tape: the paper's reduction runs the k
-sweeps as the k lanes of one (``convert.LaneNfa``), and ``_run_lanes``
-steps the set of lane tuples over the word in one pass.  Traces,
-accept-mode checks and every other budget keep the tape search, whose
-first hit in frontier order a lane walk need not pick.
+Beside the tape search, ``run`` has a lane route.  At a budget of s sweeps,
+for s up to ``_LANE_SWEEP_CAP``, it sweeps no tape: the paper's reduction
+runs the s sweeps as the s lanes of one (``convert.LaneNfa``), and
+``_run_lanes`` steps the set of lane tuples over the word in one pass.  Its
+report stands where ``verdict``, the one rule for what a report answers,
+gives it an answer; elsewhere the tape search runs.  Traces take the route
+``run`` takes: ``_lane_trace`` walks back over the sets the walk reached,
+choosing tuples by value, so a lane trace need not be the tape search's
+first hit in frontier order.  Accept-mode checks keep the tape search.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first, in one pass.  A
@@ -257,12 +260,9 @@ class Transducer(_Record):
             moves.update([(c, (moves, q, c, same)) for c in loops])
         return rows
 
-    @cached_property
-    def _lane_walk(self) -> tuple:
-        """``run``'s lane route at the constant bound k: ``convert.LaneNfa(self, k)``
-        and its set memo (see ``_run_lanes``), built on the first such run."""
-        from .convert import LaneNfa  # convert builds on core
-        return LaneNfa(self, self.sweep_bound), {}
+    # ``run``'s lane route per lane count s: ``_walk``'s (``convert.LaneNfa(self, s)``,
+    # set memo, trace memo), each built on the first walk at s
+    _lane_walk = cached_property(lambda self: {})
 
     # filled as needed: ``_live``'s tables (per character, the states with a move on it and
     # the bitmask of their next states; a row per mask), ``_sweep``'s fork memo ((state,
@@ -302,10 +302,10 @@ class RunReport:
     rejection.  ``exhausted`` means every reachable tape was explored
     within the budgets, so a negative answer is definite.
 
-    On ``run``'s lane route (a budget equal to the machine's constant
-    bound k) the report is ``convert.LaneNfa.report``'s, whatever the tape
-    budget.  Its ``exhausted`` implies the tape search's, which also holds
-    when every tape k + 1 was seen before.
+    On ``run``'s lane route (a budget of s <= ``_LANE_SWEEP_CAP`` sweeps)
+    the report is ``convert.LaneNfa.report``'s, whatever the tape budget:
+    ``tapes_explored`` is 0.  Its ``exhausted`` implies the tape search's,
+    which also holds when every tape s + 1 was seen before.
     """
 
     accepted: bool
@@ -508,7 +508,8 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
 
 
 # the most entries each machine keeps in ``_live``'s masks, in ``_sweep``'s
-# fork memo and in ``_run_lanes``' sets; a full memo is cleared before its next entry
+# fork memo, and per lane count in ``_run_lanes``' sets and ``_lane_trace``'s
+# choices; a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 _SKIP_TAPE = 64
@@ -566,41 +567,83 @@ def run(
 ) -> RunReport:
     """Whether ``t`` accepts ``word`` within ``max_sweeps`` sweeps.
 
-    When the machine declares a constant sweep bound k and ``max_sweeps``
-    is k, its k sweeps run as the k lanes of ``convert.LaneNfa`` (the
-    paper's reduction): one pass over the word steps the set of lane
-    tuples (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds
-    nothing there.  Every other budget, and that one once the machine's
-    lane tuples outgrow ``_LANE_TUPLE_CAP``, takes the breadth-first
-    search over tape sets at sweep boundaries.  Round s sweeps every frontier tape; a branch
-    finishing in an accepting state halts the whole search with
-    ``min_accept_sweeps=s`` (rounds are explored in order, so the first
-    hit is minimal).  Branches finishing in non-accepting states continue
-    with their output tape.  Tapes are deduplicated globally: the sweep
-    relation depends only on the tape, so a tape seen before yields
-    nothing new.
+    A budget s from 1 to ``_LANE_SWEEP_CAP`` first runs the s sweeps as the
+    s lanes of ``convert.LaneNfa`` (the paper's reduction, which holds for
+    every s): one pass over the word steps the set of lane tuples
+    (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
+    there.  Its report stands when ``verdict`` gives it an answer: accepted,
+    ``exhausted``, or rejected under a constant bound k <= s.  Otherwise,
+    and once the machine's s-lane tuples outgrow ``_LANE_TUPLE_CAP``, the
+    breadth-first search over tape sets at sweep boundaries answers, so no
+    definite answer turns into "unknown".  Round s of the search sweeps
+    every frontier tape; a branch finishing in an accepting state halts the
+    whole search with ``min_accept_sweeps=s`` (rounds are explored in
+    order, so the first hit is minimal).  Branches finishing in
+    non-accepting states continue with their output tape.  Tapes are
+    deduplicated globally: the sweep relation depends only on the tape, so
+    a tape seen before yields nothing new.
     """
-    k = t.sweep_bound
-    if isinstance(k, int) and max_sweeps == k:
-        report = _run_lanes(t, word, tape_cap)
-        if report is not None:
-            return report
-    return _run_traced(t, word, max_sweeps, tape_cap)[0]
+    report = _run_lanes(t, word, max_sweeps, tape_cap, None)
+    return report if report is not None else _run_traced(t, word, max_sweeps, tape_cap)[0]
 
 
-def _run_lanes(t: Transducer, word: Sequence[str], tape_cap: int) -> Optional[RunReport]:
-    """``run`` at ``t``'s constant bound k, by Thompson's simulation made
-    lazy: the set of ``LaneNfa(t, k)`` tuples steps over ``word`` through
-    ``_set_step`` and a memo on the machine, a row per set from input
-    symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's
-    ``None`` entry caches its set's ``LaneNfa.report``.
-    None once a step misses the memo with more than ``_LANE_TUPLE_CAP``
-    tuples discovered: tuples can grow like n^k, and then the tape search
-    answers instead."""
-    if tape_cap < 1:
+def traced_run(
+    t: Transducer,
+    word: Sequence[str],
+    max_sweeps: int,
+    tape_cap: int = DEFAULT_TAPE_CAP,
+) -> tuple[RunReport, Callable[[], Optional[list[Tape]]]]:
+    """``run``'s report, from the route ``run`` takes, and a function
+    building ``find_accepting_trace``'s trace (None unless accepted): one
+    walk or search serves both, and only a caller that wants the trace pays
+    for building it.  The lane route keeps the set reached at each
+    position, shared objects of its memo, for ``_lane_trace``."""
+    sets: list[frozenset] = []
+    report = _run_lanes(t, word, max_sweeps, tape_cap, sets)
+    if report is None:
+        return _run_traced(t, word, max_sweeps, tape_cap)
+    return report, lambda: _lane_trace(t, word, max_sweeps, sets, report)
+
+
+def verdict(t: Transducer, report: RunReport, budget: int, bound: Optional[int] = None) -> Optional[bool]:
+    """What ``report``, of a run of ``t`` within ``budget`` sweeps, answers:
+    True (accept), False (reject) or None (unknown).  A rejection is
+    definite when the run was ``exhausted``, or when no cap cut it and the
+    budget covers the bound: ``bound`` when the caller asks for the words
+    accepted within that many sweeps (as a ``(t, k)`` acceptor does), else
+    ``t``'s constant sweep bound.  The one rule of ``iufst run``, the
+    oracle and ``run``'s lane route."""
+    if report.accepted:
+        return True
+    if report.exhausted:
+        return False
+    if bound is None and isinstance(t.sweep_bound, int):
+        bound = t.sweep_bound
+    if bound is not None and budget >= bound and not report.cap_hit:
+        return False
+    return None
+
+
+def _run_lanes(
+    t: Transducer, word: Sequence[str], s: int, tape_cap: int, sets: Optional[list[frozenset]]
+) -> Optional[RunReport]:
+    """``run`` at a budget of s sweeps as ``LaneNfa(t, s)``, by Thompson's
+    simulation made lazy: the set of tuples steps over ``word`` through
+    ``_set_step`` and the walk's memo (``Transducer._lane_walk``), a row per
+    set from input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP``
+    sets; a row's ``None`` entry caches its set's ``LaneNfa.report``.  With
+    ``sets``, the set reached after each symbol is appended to it.  None
+    where the tape search answers instead: s outside 1 to
+    ``_LANE_SWEEP_CAP``, a report ``verdict`` leaves unknown, or a step
+    missing the memo with more than ``_LANE_TUPLE_CAP`` tuples discovered
+    (tuples can grow like n^s).  Raises ``ValueError`` on the budgets the
+    tape search rejects."""
+    if s < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
+    if not 1 <= s <= _LANE_SWEEP_CAP:
+        return None
     t._check_input(word)
-    n, rows = t._lane_walk
+    n, rows, _ = _walk(t, s)
     cur = frozenset((n.initial,))
     row = rows.setdefault(cur, {})
     for x in word:
@@ -613,14 +656,31 @@ def _run_lanes(t: Transducer, word: Sequence[str], tape_cap: int) -> Optional[Ru
             nxt = _set_step(n, cur, n.alphabet.index(x))
             step = row[x] = (nxt, rows.setdefault(nxt, {}))
         cur, row = step
+        if sets is not None:
+            sets.append(cur)
     report = row.get(None)
     if report is None:
         report = row[None] = n.report(cur)
-    return report
+    return report if verdict(t, report, s) is not None else None
 
 
-# the most lane tuples ``run``'s lane route lets a machine discover before it
-# leaves the next step that misses its memo to the tape search
+def _walk(t: Transducer, s: int) -> tuple:
+    """``t``'s s-lane walk: ``convert.LaneNfa(t, s)``, its set memo (see
+    ``_run_lanes``) and its trace memo (see ``_lane_trace``), built on the
+    first run at s."""
+    walk = t._lane_walk.get(s)
+    if walk is None:
+        from .convert import LaneNfa  # convert builds on core
+        walk = t._lane_walk[s] = (LaneNfa(t, s), {}, {})
+    return walk
+
+
+# the most lanes ``run`` and traces walk before they search tapes: tuples
+# can grow like n^s, and each s keeps its own walk on the machine
+_LANE_SWEEP_CAP = 8
+# the most lane tuples ``run``'s lane route lets a machine discover at one
+# lane count before it leaves the next step that misses its memo to the
+# tape search
 _LANE_TUPLE_CAP = 1 << 14
 
 
@@ -631,15 +691,57 @@ def _set_step(n, s: frozenset, c: int) -> frozenset:
     return frozenset([r for q in s for r in n.step(q)[c]])
 
 
+def _lane_trace(
+    t: Transducer, word: Sequence[str], s: int, sets: list[frozenset], report: RunReport
+) -> Optional[list[Tape]]:
+    """``find_accepting_trace`` from the sets of s-lane tuples ``_run_lanes``
+    reached on ``word`` (None unless ``report`` accepts at j sweeps).  The
+    last set gives its least tuple by value with an endmarker chain
+    (``convert._lane_chains``) whose lane j accepts; then, one position at a
+    time from the end, the set before gives the least tuple by value with a
+    chain on the word's symbol to the tuple already chosen, the first such
+    chain in choice order.  Every tuple of a set is reached, so the walk
+    back never sticks, and lanes 1 to j - 1 end rejecting, as j is least.
+    Tape i, for i from 1 to j, is what lane i wrote.  The choice reads
+    tuples by value, never by number or set order, which depend on the
+    words the walk saw before; it is memoized per (set, symbol, chosen
+    tuple) in the walk's trace memo, up to ``_LIVE_MEMO_CAP`` entries."""
+    if not report.accepted:
+        return None
+    from .convert import _lane_chains  # convert builds on core
+    j = report.min_accept_sweeps
+    n, _, back = _walk(t, s)
+    tuples, delta, acc = n._tuples, n._delta, n._acc
+    by_value = tuples.__getitem__
+    path = [frozenset((n.initial,)), *sets]
+    q, out = next((q, out) for q in sorted(path[-1], key=by_value)
+                  for p, out in _lane_chains(delta, tuples[q], n._end) if acc[p[j - 1]])
+    cols = [out]
+    for before, x in zip(path[-2::-1], reversed(word)):
+        hit = back.get((before, x, q))
+        if hit is None:
+            c = n.alphabet.index(x)
+            p = min((p for p in before if q in n.step(p)[c]), key=by_value)
+            target = tuples[q]
+            out = next(out for lanes, out in _lane_chains(delta, tuples[p], n._codes[c]) if lanes == target)
+            if len(back) >= _LIVE_MEMO_CAP:
+                back.clear()
+            hit = back[before, x, q] = (p, out)
+        q, out = hit
+        cols.append(out)
+    lanes = zip(*reversed(cols))
+    return [t.initial_tape(word)] + [_decode(t, "".join(next(lanes))) for _ in range(j)]
+
+
 def _run_traced(
     t: Transducer,
     word: Sequence[str],
     max_sweeps: int,
     tape_cap: int,
 ) -> tuple[RunReport, Callable[[], Optional[list[Tape]]]]:
-    """``run``'s report from one search, and a function building
-    ``find_accepting_trace``'s path (None unless accepted): only a caller
-    that wants the path pays for walking the parent map."""
+    """``traced_run`` by the tape search alone: its report, and a function
+    building the path to its first hit in frontier order (None unless
+    accepted) from the parent map."""
     if max_sweeps < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
     tape0 = _initial(t, word)
@@ -703,10 +805,13 @@ def find_accepting_trace(
 
     The first element is the initial tape and the length is the minimum
     accepting sweep count plus one.  ``None`` if no accepting run exists
-    within the budgets.  Raises ``ValueError`` on the budgets ``run``
-    rejects.
+    within the budgets.  The trace comes from the route ``run`` takes: on
+    the lane route, ``_lane_trace``'s walk back over the sets of lane
+    tuples, which ``tape_cap`` does not bound; on the tape search, its
+    first hit in frontier order.  Raises ``ValueError`` on the budgets
+    ``run`` rejects.
     """
-    return _run_traced(t, word, max_sweeps, tape_cap)[1]()
+    return traced_run(t, word, max_sweeps, tape_cap)[1]()
 
 
 @dataclass(frozen=True)

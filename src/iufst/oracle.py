@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .convert import Dfa, LaneNfa, Nfa, _moore
-from .core import MachineError, Transducer, Word, _set_step, run
+from .core import MachineError, Transducer, Word, _set_step, run, verdict
 
 # Built with | over builtin generics: a typing.Union would sit in typing's
 # cache and keep every imported copy of these classes alive.
@@ -73,17 +73,13 @@ def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word
     def accepts(word: Word) -> bool:
         sweeps = k if k is not None else len(word) + 8
         report = run(t, word, sweeps, tape_cap)
-        if report.accepted:
-            return True
-        if report.cap_hit:
+        answer = verdict(t, report, sweeps, k)
+        if answer is None:
             raise OracleBudgetError(
-                f"tape cap {tape_cap} hit on word of length {len(word)}"
-            )
-        if k is None and not report.exhausted:
-            raise OracleBudgetError(
+                f"tape cap {tape_cap} hit on word of length {len(word)}" if report.cap_hit else
                 f"sweep budget {sweeps} inconclusive on word of length {len(word)}"
             )
-        return False
+        return answer
 
     return accepts
 
@@ -129,9 +125,10 @@ def _known_answers(
     word-tree walk gives, or None where the acceptor must be asked (every
     word, when the walk is off).  A set of states of an automaton's
     ``_view`` answers whether one is ``accepting``.  A set of lane tuples
-    answers through ``LaneNfa.report``: True when accepted; False when the
-    machine has an int bound (its lanes are the pair's k or that bound) or,
-    with one lane, when exhausted; None otherwise."""
+    answers through ``LaneNfa.report`` and ``core.verdict`` at its lane
+    count, the pair's k or the machine's int bound, else one: True when
+    accepted; False when exhausted or when the lanes cover the pair's k or
+    that bound; None otherwise."""
     t, k = acceptor if isinstance(acceptor, tuple) else (acceptor, None)
     alphabet = tuple(alphabet)
     if isinstance(acceptor, (Nfa, Dfa)) and alphabet and acceptor.alphabet_set.issuperset(alphabet):
@@ -143,13 +140,12 @@ def _known_answers(
         and isinstance(tape_cap, int) and tape_cap >= 1
     ):
         return repeat(None)
-    bounded = isinstance(t.sweep_bound, int)
-    n = LaneNfa(t, (k or t.sweep_bound) if bounded else 1)
+    lanes = (k or t.sweep_bound) if isinstance(t.sweep_bound, int) else 1
+    n = LaneNfa(t, lanes)
 
     @cache  # a set reached from many sets answers once
     def answer(s: frozenset) -> Optional[bool]:
-        report = n.report(s)
-        return True if report.accepted else (False if bounded or report.exhausted else None)
+        return verdict(t, n.report(s), lanes, k)
 
     return _walk_word_tree(n, alphabet, max_len, answer)
 

@@ -43,7 +43,7 @@ class TestRun:
 
     def test_tape_cap_bounds_no_lane_walk(self, tmp_path, capsys):
         # at e(2,2)'s bound, the default budget, the lane walk keeps no
-        # tape and answers; --trace searches tapes and the cap stops it
+        # tape and answers; --trace takes the same walk, so it answers alike
         path = tmp_path / "e22.m"
         main(["gen", "e:2,2", "-o", str(path)])
         capsys.readouterr()
@@ -51,7 +51,8 @@ class TestRun:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out == "accepted sweeps=2\n"
         code, out, _ = run_cli(capsys, *argv, "--trace")
-        assert code == 3 and out.startswith("unknown")
+        assert code == 0 and out.splitlines()[0] == "accepted sweeps=2"
+        assert len(out.splitlines()) == 4
 
     def test_trace_stable(self, capsys, e21_file):
         code1, out1, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace")
@@ -73,9 +74,46 @@ class TestRun:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(core, "_search", counted)
+        # 9 sweeps lie past the lane walk's budgets: the tape search answers
+        code, out, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace",
+                               "--max-sweeps", "9")
+        assert code == 0 and out.splitlines()[1] == "a b a <0"
+        assert len(calls) == 1
+
+    def test_trace_walks_lanes_once(self, capsys, e21_file, monkeypatch):
+        from iufst import core
+
+        calls = []
+        walk = core._run_lanes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(core, "_run_lanes", counted)
+        monkeypatch.setattr(core, "_search", None)  # never called
         code, out, _ = run_cli(capsys, "run", "-m", e21_file, "-w", "aba", "--trace")
         assert code == 0 and out.splitlines()[1] == "a b a <0"
         assert len(calls) == 1
+
+    def test_trace_gives_the_plain_answer(self, tmp_path, capsys):
+        # a false "sweeps 2" line on e(2,3): the default budget rejects, and
+        # --max-sweeps 3 walks three lanes whatever the line says, with or
+        # without --trace
+        from dataclasses import replace
+
+        from iufst import gen_e
+        from iufst.textio import MachineFile, serialize_machine
+
+        path = tmp_path / "e23-2.m"
+        path.write_text(serialize_machine(MachineFile("niufst", replace(gen_e(2, 3), sweep_bound=2))))
+        argv = ("run", "-m", str(path), "-w", "b,a,a,a,a,a,a,a")
+        for extra in ((), ("--trace",)):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 1 and out == "rejected\n"
+            code, out, _ = run_cli(capsys, *argv, "--max-sweeps", "3", *extra)
+            assert code == 0 and out.splitlines()[0] == "accepted sweeps=3"
+            assert len(out.splitlines()) == (5 if extra else 1)
 
     def test_usage_error(self, capsys, e21_file):
         code, _, err = run_cli(capsys, "run", "-m", "missing-file.m", "-w", "a")

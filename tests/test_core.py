@@ -31,7 +31,7 @@ from iufst import (
     to_nfa,
 )
 from iufst import core
-from iufst.core import _check_token, _decode, _encode, _live, _search
+from iufst.core import _check_token, _decode, _encode, _live, _run_traced, _search, verdict
 
 from test_decide import fuzz_machine
 from test_sweep_reference import (
@@ -231,8 +231,8 @@ class TestRun:
     def test_tape_cap_reported_not_rejected(self, e22):
         # accepted at sweep 2, but the cap stops exploration after the
         # first tape; the report must say unknown, not rejected.  A budget
-        # of 3 is not e(2,2)'s bound, so the tape search runs
-        report = run(e22, ("b",) + ("a",) * 7, 3, tape_cap=1)
+        # of 9 lies past the lane walk's, so the tape search runs
+        report = run(e22, ("b",) + ("a",) * 7, 9, tape_cap=1)
         assert report.cap_hit and not report.accepted and not report.exhausted
 
     def test_tape_cap_bounds_no_lane_walk(self, e22):
@@ -249,6 +249,45 @@ class TestRun:
             if r1.accepted:
                 r2 = run(e22, w, 5, 100_000)
                 assert r2.accepted and r2.min_accept_sweeps <= r1.min_accept_sweeps
+
+
+# a lane walk's rejection keeps no tape; the tape search's sweeps some
+LANE_NO = RunReport(False, None, 0, False)
+TAPES_NO = RunReport(False, None, 12, False)
+CAP_HIT = RunReport(False, None, 1, True)
+
+
+class TestVerdict:
+    """``core.verdict``, the one rule for what a run's report answers."""
+
+    @pytest.mark.parametrize("bound,report,budget,pair,answer", [
+        (3, RunReport(True, 2, 0, False), 2, None, True),
+        ("linear", RunReport(True, 5, 9, False), 9, None, True),
+        # exhausted: no tape is left, whatever the bound
+        (None, RunReport(False, None, 0, False, True), 2, None, False),
+        ("linear", RunReport(False, None, 5, False, True), 2, None, False),
+        # an int bound the budget covers, on either route
+        (3, LANE_NO, 3, None, False), (3, TAPES_NO, 3, None, False), (3, LANE_NO, 4, None, False),
+        # one it does not cover, or none
+        (3, LANE_NO, 2, None, None), (3, TAPES_NO, 2, None, None),
+        ("linear", LANE_NO, 8, None, None), (None, TAPES_NO, 8, None, None),
+        (3, CAP_HIT, 3, None, None),
+        # a pair's bound stands in for the machine's
+        ("linear", LANE_NO, 2, 2, False), (3, TAPES_NO, 2, 2, False), (2, LANE_NO, 2, 3, None),
+        (None, CAP_HIT, 2, 2, None),
+    ])
+    def test_table(self, bound, report, budget, pair, answer):
+        t = replace(gen_e(2, 3), sweep_bound=bound)
+        assert verdict(t, report, budget, pair) is answer
+
+    def test_routes_agree(self):
+        # run's lane reports and the tape search's answer alike at every budget
+        for bound in (3, "linear"):
+            t = replace(gen_e(2, 3), sweep_bound=bound)
+            for w in itertools.chain.from_iterable(itertools.product("ab", repeat=n) for n in range(9)):
+                for s in range(1, 6):
+                    want = verdict(t, _run_traced(t, w, s, 10_000)[0], s)
+                    assert verdict(t, run(t, w, s), s) is want, (bound, w, s)
 
 
 class TestRunDeterministic:
@@ -308,11 +347,13 @@ class TestRunDeterministic:
             },
         )
         assert t.is_deterministic
+        # 9 sweeps lie past the lane walk's budgets: run searches tapes
         for w in [(), ("a",), ("b",), ("a", "a"), ("a", "b")]:
-            report, trace = run_deterministic(t, w, 5)
-            assert report == run(t, w, 5), w
-            assert (trace if report.accepted else None) == find_accepting_trace(t, w, 5), w
-        assert run(t, ("a",), 5).min_accept_sweeps == 2
+            report, trace = run_deterministic(t, w, 9)
+            assert report == run(t, w, 9), w
+            assert (trace if report.accepted else None) == find_accepting_trace(t, w, 9), w
+            assert find_accepting_trace(t, w, 5) == find_accepting_trace(t, w, 9), w  # one run to trace
+        assert run(t, ("a",), 9).min_accept_sweeps == 2
 
 
 class TestTrace:

@@ -286,13 +286,13 @@ class TestLaneWalk:
         assert made == [1, 1, 1, 5, 4]
 
     def test_constant_bound_needs_no_tape_budget(self):
-        # under tape_cap=1, a run at 4 sweeps, past the bound, searches
-        # tapes and hits the cap on ba, which the oracle turns into
-        # OracleBudgetError; the walk keeps no tapes and answers
+        # under tape_cap=1, a run at 9 sweeps, past the lane walk's
+        # budgets, searches tapes and hits the cap on ba, which the oracle
+        # turns into OracleBudgetError; the walk keeps no tapes and answers
         e23 = gen_e(2, 3)
         pred = lambda w: in_e(2, 3, w)
         with pytest.raises(OracleBudgetError, match="tape cap 1 hit on word of length 2"):
-            per_word((e23, 4), pred, "ab", 6, tape_cap=1)
+            per_word((e23, 9), pred, "ab", 6, tape_cap=1)
         assert compare_languages(e23, pred, "ab", 6, tape_cap=1) == []
         assert compare_languages(pred, (e23, 3), "ab", 6, tape_cap=1) == []
 

@@ -13,6 +13,7 @@ kernel's completed pairs, which the search reads.
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
 import pytest
@@ -47,7 +48,7 @@ from iufst import (
     sweep,
     sweep_reduce,
 )
-from iufst import core
+from iufst import convert, core
 from iufst.cli import _d_corpus
 from iufst.convert import LaneNfa
 from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _set_step, _sweep
@@ -264,23 +265,39 @@ def _ref_cycle_accepts(t: Transducer, frontier: frozenset[Tape], period: int) ->
 
 def assert_same_runs(t, words, max_sweeps, tape_caps):
     """The tape search (``_run_traced``) gives ``ref_run``'s report field by
-    field and ``find_accepting_trace`` the reference's trace, on every word
-    and cap.  ``run`` gives the same report off its lane route; on it (the
-    budget is the machine's constant bound) it agrees with an uncapped
-    ``ref_run`` as ``assert_lane_run`` checks, whatever the cap."""
-    lanes = isinstance(t.sweep_bound, int) and max_sweeps == t.sweep_bound
+    field and ``ref_find_accepting_trace``'s trace, on every word and cap,
+    and so do ``run`` and ``find_accepting_trace`` past the lane walk's
+    budgets.  Within them, both take the lane route where it answers:
+    ``assert_run`` checks the report and ``assert_trace`` the trace against
+    an uncapped ``ref_run``, whatever the cap."""
+    lanes = 1 <= max_sweeps <= core._LANE_SWEEP_CAP
     for w in words:
+        full = ref_run(t, w, max_sweeps) if lanes else None
         for cap in tape_caps:
             want = ref_run(t, w, max_sweeps, cap)
-            assert _run_traced(t, w, max_sweeps, cap)[0] == want, (w, cap)
-            if not lanes:
+            report, trace = _run_traced(t, w, max_sweeps, cap)
+            assert report == want, (w, cap)
+            assert trace() == ref_find_accepting_trace(t, w, max_sweeps, cap), (w, cap)
+            if lanes:
+                assert_run(t, w, max_sweeps, cap, full)
+                assert_trace(t, w, find_accepting_trace(t, w, max_sweeps, cap), full, (w, cap))
+            else:
                 assert run(t, w, max_sweeps, cap) == want, (w, cap)
-            assert (find_accepting_trace(t, w, max_sweeps, cap)
-                    == ref_find_accepting_trace(t, w, max_sweeps, cap)), (w, cap)
-        if lanes:
-            want = ref_run(t, w, max_sweeps)
-            for cap in tape_caps:
-                assert_lane_run(run(t, w, max_sweeps, cap), want, (w, cap))
+                assert (find_accepting_trace(t, w, max_sweeps, cap)
+                        == ref_find_accepting_trace(t, w, max_sweeps, cap)), (w, cap)
+
+
+def assert_run(t, w, s, cap, full):
+    """``run`` at a budget of 1 <= s <= ``_LANE_SWEEP_CAP`` sweeps, against
+    ``full``, an uncapped ``ref_run`` at s: the lane report where it stands,
+    the tape search's at ``cap`` only where it does not (not accepted, and
+    no constant bound k <= s)."""
+    report = run(t, w, s, cap)
+    if report.tapes_explored:  # the tape search sweeps a tape at every budget of 1 or more
+        assert not full.accepted and not (isinstance(t.sweep_bound, int) and t.sweep_bound <= s), w
+        assert report == ref_run(t, w, s, cap), (w, cap)
+    else:
+        assert_lane_run(report, full, (w, s, cap))
 
 
 def assert_lane_run(report, want, msg):
@@ -293,6 +310,25 @@ def assert_lane_run(report, want, msg):
     assert (report.accepted, report.min_accept_sweeps) == (want.accepted, want.min_accept_sweeps), msg
     assert report.tapes_explored == 0 and not report.cap_hit, msg
     assert want.exhausted or not report.exhausted, msg
+
+
+def assert_trace(t, word, trace, want, msg):
+    """``trace`` against ``want``, an uncapped ``ref_run`` at the same
+    budget, checked through ``_ref_sweep_split`` alone: None exactly when
+    the reference rejects; else it starts with the initial tape, has
+    ``want.min_accept_sweeps`` + 1 tapes, and each tape is the output of a
+    completed sweep over the one before, a rejecting sweep before the last
+    step and an accepting one at the last."""
+    assert not want.cap_hit, msg
+    if not want.accepted:
+        assert trace is None, msg
+        return
+    assert trace is not None and len(trace) == want.min_accept_sweeps + 1, msg
+    assert trace[0] == t.initial_tape(word), msg
+    for i in range(1, len(trace)):
+        continuing, accepting = _ref_sweep_split(t, trace[i - 1])
+        outs = [c.output for c in accepting] if i == len(trace) - 1 else [out for _, out in continuing]
+        assert trace[i] in outs, (msg, i)
 
 
 def assert_same_sweeps(t, tapes):
@@ -480,25 +516,33 @@ LANE_FAMILIES = {
 
 
 class TestLaneRoute:
-    """``run`` at a machine's own constant bound steps the set of lane tuples
-    over the word and keeps no tape: it must answer as the tape search of
-    ``ref_run`` does with no tape cap to stop it, under any cap of its own."""
+    """``run`` and ``find_accepting_trace`` at a budget of 1 <= s <=
+    ``_LANE_SWEEP_CAP`` sweeps step the set of s-lane tuples over the word
+    and keep no tape: they must answer as the tape search of ``ref_run``
+    does with no tape cap to stop it, under any cap of their own, and a
+    trace must pass ``assert_trace``."""
 
     def test_fuzz_machines(self, fuzz_machines):
         for t, k in fuzz_machines:
             assert t.sweep_bound == k
-            for w in WORDS_TO_6:
-                assert_lane_run(run(t, w, k, 1), ref_run(t, w, k), (t, w))
+            for s in range(1, k + 3):
+                for w in WORDS_TO_6:
+                    full = ref_run(t, w, s)
+                    assert_run(t, w, s, 1, full)
+                    assert_trace(t, w, find_accepting_trace(t, w, s, 1), full, (t, s, w))
 
     @pytest.mark.parametrize("name", list(LANE_FAMILIES))
     def test_families(self, name):
         make, k, words = LANE_FAMILIES[name]
         t = make()
         assert t.sweep_bound == k
-        wants = [ref_run(t, w, k) for w in words]
-        assert any(want.accepted for want in wants) and not all(want.accepted for want in wants)
-        for w, want in zip(words, wants):
-            assert_lane_run(run(t, w, k, 1), want, w)
+        for s in range(1, k + 3):
+            wants = [ref_run(t, w, s) for w in words]
+            if s == k:
+                assert any(want.accepted for want in wants) and not all(want.accepted for want in wants)
+            for w, want in zip(words, wants):
+                assert_run(t, w, s, 1, want)
+                assert_trace(t, w, find_accepting_trace(t, w, s, 1), want, (s, w))
 
     def test_report_at_every_lane_count(self, fuzz_machines):
         # below, at and above a constant bound k, and without one: the set
@@ -519,28 +563,106 @@ class TestLaneRoute:
                         cur = _set_step(n, cur, n.alphabet.index(x))
                     assert_lane_run(n.report(cur), ref_run(t, w, s), (t, s, w))
 
-    def test_traces_take_no_lane_walk(self):
-        # a trace is the tape search's first hit, and pays for no lane walk
+    def test_traces_take_the_lane_walk(self, monkeypatch):
+        # a trace within the lane walk's budgets searches no tape, and takes
+        # the walk run takes, at its own lane count
         t, w = gen_e(2, 3), e_words(2, 3)[-2]
-        assert find_accepting_trace(t, w, 3) == ref_find_accepting_trace(t, w, 3)
-        assert "_lane_walk" not in vars(t)
-        assert run(t, w, 3).accepted and "_lane_walk" in vars(t)
+        monkeypatch.setattr(core, "_search", None)
+        assert_trace(t, w, find_accepting_trace(t, w, 4), ref_run(t, w, 4), w)
+        assert list(t._lane_walk) == [4]
+        assert run(t, w, 3).accepted and list(t._lane_walk) == [4, 3]
+
+    def test_traces_do_not_depend_on_earlier_calls(self, monkeypatch):
+        # tuple numbers and set order follow the words a walk saw first;
+        # traces must not, nor the memo caps that clear what it kept
+        make, k, words = LANE_FAMILIES["e(2,3)"]
+        words = [w for w in words if ref_run(make(), w, k).accepted]
+        fresh = [find_accepting_trace(make(), w, s) for w in words for s in (k, k + 1)]
+        t = make()
+        for w in words[::-1]:
+            run(t, w, k + 1)
+            run(t, w, k)
+        assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
+        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
+        t = make()
+        assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
+        assert all(len(rows) <= 2 and len(back) <= 2 for _, rows, back in t._lane_walk.values())
+
+    def test_validator_fails_mutated_traces(self, monkeypatch):
+        # a trace whose first sweep writes back what it read at one cell
+        # fails assert_trace, and so does every trace of a walk whose lane
+        # chains drop lane 1's written character, or whose chains at a fork
+        # carry another branch's writes (a predecessor's chain that does not
+        # lead to the tuple chosen)
+        t, k = gen_e(2, 3), 3
+        words = [w for w in words_to("ab", 8) if ref_run(t, w, k).accepted]
+        for w in words:
+            trace, want = find_accepting_trace(t, w, k), ref_run(t, w, k)
+            assert_trace(t, w, trace, want, w)
+            i = next(i for i, (x, y) in enumerate(zip(trace[1], trace[0])) if x != y)
+            dropped = [trace[0], trace[1][:i] + trace[0][i:i + 1] + trace[1][i + 1:]] + trace[2:]
+            with pytest.raises(AssertionError):
+                assert_trace(t, w, dropped, want, w)
+        chains = convert._lane_chains
+        mutants = {
+            "dropped": lambda delta, state, x: [
+                (lanes, (x,) + out[1:]) for lanes, out in chains(delta, state, x)],
+            "crossed": lambda delta, state, x: [
+                (lanes, out) for (lanes, _), (_, out) in zip(
+                    chains(delta, state, x), chains(delta, state, x)[1:] + chains(delta, state, x)[:1])],
+        }
+        for name, mutant in mutants.items():
+            monkeypatch.setattr(convert, "_lane_chains", mutant)
+            t, failed = gen_e(2, 3), 0
+            for w in words:
+                try:
+                    assert_trace(t, w, find_accepting_trace(t, w, k), ref_run(t, w, k), w)
+                except AssertionError:
+                    failed += 1
+            assert failed == len(words), name
+
+    def test_budgets_outside_the_walk(self):
+        # no sweep builds no LaneNfa, whose lane count must be positive;
+        # negative budgets and tape caps below 1 raise as the search does
+        t, w = gen_e(2, 3), tuple("baaaaaaa")
+        assert run(t, w, 0) == ref_run(t, w, 0)
+        assert find_accepting_trace(t, w, 0) is None
+        assert not t._lane_walk
+        for call in (run, find_accepting_trace):
+            with pytest.raises(ValueError, match="max_sweeps must be >= 0"):
+                call(t, w, -1)
+            with pytest.raises(ValueError, match="tape_cap >= 1"):
+                call(t, w, 3, 0)
+        assert not t._lane_walk
+
+    def test_lanes_are_the_budget_not_the_bound(self):
+        # e(2,3) under a false bound of 2 rejects b a^7 at 2 sweeps and
+        # accepts it at 3, which walks three lanes whatever the bound says
+        t, w = replace(gen_e(2, 3), sweep_bound=2), tuple("baaaaaaa")
+        assert run(t, w, 2) == RunReport(False, None, 0, False)
+        assert run(t, w, 3) == RunReport(True, 3, 0, False)
+        assert_trace(t, w, find_accepting_trace(t, w, 3), ref_run(t, w, 3), w)
+        assert sorted(t._lane_walk) == [2, 3]
 
     def test_tuple_cap_falls_back_to_the_tape_search(self, monkeypatch):
         # e(2,3) has 9 lane tuples; past 4, the next step missing the memo
-        # leaves the word to the tape search, whose report is the reference's
+        # leaves the word to the tape search, whose report and trace are
+        # the reference's
         monkeypatch.setattr(core, "_LANE_TUPLE_CAP", 4)
         t, words = gen_e(2, 3), e_words(2, 3)
         searched = 0
         for w in words:
             report, want = run(t, w, 3), ref_run(t, w, 3)
+            trace = find_accepting_trace(t, w, 3)
             if report.tapes_explored:
                 searched += 1
                 assert report == want, w
+                assert trace == ref_find_accepting_trace(t, w, 3), w
             else:
                 assert_lane_run(report, want, w)
+                assert_trace(t, w, trace, want, w)
         assert 0 < searched < len(words)
-        assert t._lane_walk[0].discovered < 9
+        assert t._lane_walk[3][0].discovered < 9
 
     def test_memo_cleared_mid_word(self, monkeypatch):
         # a cap of 2 empties the set memo on most misses
@@ -549,7 +671,7 @@ class TestLaneRoute:
         t = make()
         for w in words[::-1]:
             assert_lane_run(run(t, w, k), ref_run(t, w, k), w)
-            assert len(t._lane_walk[1]) <= 2
+            assert len(t._lane_walk[k][1]) <= 2
 
 
 class TestWarmMemo:
