@@ -36,9 +36,10 @@ the halts itself in a forward pass over the states each cell is reached in.
 Beside the tape search, ``run`` has a lane route.  At a budget of s sweeps,
 for s up to ``_LANE_SWEEP_CAP``, it sweeps no tape: the paper's reduction
 runs the s sweeps as the s lanes of one (``convert.LaneNfa``), and
-``_run_lanes`` steps the set of lane tuples over the word in one pass.  Its
+``_walk_lanes`` steps the set of lane tuples over the word in one pass.  Its
 report stands where ``verdict``, the one rule for what a report answers,
-gives it an answer; elsewhere the tape search runs.  Traces take the route
+gives it an answer; elsewhere the tape search runs.  The oracle calls
+``_walk_lanes`` at other lane counts too.  Traces take the route
 ``run`` takes: ``_lane_trace`` walks back over the sets the walk reached,
 choosing tuples by value, so a lane trace need not be the tape search's
 first hit in frontier order.  Accept-mode checks keep the tape search.
@@ -508,7 +509,7 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
 
 
 # the most entries each machine keeps in ``_live``'s masks, in ``_sweep``'s
-# fork memo, and per lane count in ``_run_lanes``' sets and ``_lane_trace``'s
+# fork memo, and per lane count in ``_walk_lanes``' sets and ``_lane_trace``'s
 # choices; a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
@@ -570,7 +571,7 @@ def run(
     A budget s from 1 to ``_LANE_SWEEP_CAP`` first runs the s sweeps as the
     s lanes of ``convert.LaneNfa`` (the paper's reduction, which holds for
     every s): one pass over the word steps the set of lane tuples
-    (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
+    (``_walk_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
     there.  Its report stands when ``verdict`` gives it an answer: accepted,
     ``exhausted``, or rejected under a constant bound k <= s.  Otherwise,
     and once the machine's s-lane tuples outgrow ``_LANE_TUPLE_CAP``, the
@@ -627,21 +628,32 @@ def verdict(t: Transducer, report: RunReport, budget: int, bound: Optional[int] 
 def _run_lanes(
     t: Transducer, word: Sequence[str], s: int, tape_cap: int, sets: Optional[list[frozenset]]
 ) -> Optional[RunReport]:
-    """``run`` at a budget of s sweeps as ``LaneNfa(t, s)``, by Thompson's
-    simulation made lazy: the set of tuples steps over ``word`` through
-    ``_set_step`` and the walk's memo (``Transducer._lane_walk``), a row per
-    set from input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP``
-    sets; a row's ``None`` entry caches its set's ``LaneNfa.report``.  With
-    ``sets``, the set reached after each symbol is appended to it.  None
-    where the tape search answers instead: s outside 1 to
-    ``_LANE_SWEEP_CAP``, a report ``verdict`` leaves unknown, or a step
-    missing the memo with more than ``_LANE_TUPLE_CAP`` tuples discovered
-    (tuples can grow like n^s).  Raises ``ValueError`` on the budgets the
-    tape search rejects."""
+    """``run``'s lane route: ``_walk_lanes`` at a budget of s sweeps, for s
+    from 1 to ``_LANE_SWEEP_CAP``, where ``verdict`` answers its report.
+    None where the tape search answers instead: s outside that range, a
+    report ``verdict`` leaves unknown, or a walk that gives up.  Raises
+    ``ValueError`` on the budgets the tape search rejects."""
     if s < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
     if not 1 <= s <= _LANE_SWEEP_CAP:
         return None
+    report = _walk_lanes(t, word, s, sets)
+    return report if report is not None and verdict(t, report, s) is not None else None
+
+
+def _walk_lanes(
+    t: Transducer, word: Sequence[str], s: int, sets: Optional[list[frozenset]] = None
+) -> Optional[RunReport]:
+    """``LaneNfa(t, s).report`` of the set of tuples reached on ``word``,
+    for any s >= 1, by Thompson's simulation made lazy: the set steps over
+    ``word`` through ``_set_step`` and the walk's memo
+    (``Transducer._lane_walk``), a row per set from input symbol to (next
+    set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's ``None`` entry
+    caches its set's report.  With ``sets``, the set reached after each
+    symbol is appended to it.  None, the walk giving up, at a step missing
+    the memo with more than ``_LANE_TUPLE_CAP`` tuples discovered (tuples
+    can grow like n^s).  The one walk loop: ``run``'s lane route and the
+    oracle call it."""
     t._check_input(word)
     n, rows, _ = _walk(t, s)
     cur = frozenset((n.initial,))
@@ -661,12 +673,12 @@ def _run_lanes(
     report = row.get(None)
     if report is None:
         report = row[None] = n.report(cur)
-    return report if verdict(t, report, s) is not None else None
+    return report
 
 
 def _walk(t: Transducer, s: int) -> tuple:
     """``t``'s s-lane walk: ``convert.LaneNfa(t, s)``, its set memo (see
-    ``_run_lanes``) and its trace memo (see ``_lane_trace``), built on the
+    ``_walk_lanes``) and its trace memo (see ``_lane_trace``), built on the
     first run at s."""
     walk = t._lane_walk.get(s)
     if walk is None:
@@ -678,9 +690,8 @@ def _walk(t: Transducer, s: int) -> tuple:
 # the most lanes ``run`` and traces walk before they search tapes: tuples
 # can grow like n^s, and each s keeps its own walk on the machine
 _LANE_SWEEP_CAP = 8
-# the most lane tuples ``run``'s lane route lets a machine discover at one
-# lane count before it leaves the next step that misses its memo to the
-# tape search
+# the most lane tuples ``_walk_lanes`` lets a machine discover at one lane
+# count before it gives up at the next step that misses its memo
 _LANE_TUPLE_CAP = 1 << 14
 
 
@@ -694,7 +705,7 @@ def _set_step(n, s: frozenset, c: int) -> frozenset:
 def _lane_trace(
     t: Transducer, word: Sequence[str], s: int, sets: list[frozenset], report: RunReport
 ) -> Optional[list[Tape]]:
-    """``find_accepting_trace`` from the sets of s-lane tuples ``_run_lanes``
+    """``find_accepting_trace`` from the sets of s-lane tuples ``_walk_lanes``
     reached on ``word`` (None unless ``report`` accepts at j sweeps).  The
     last set gives its least tuple by value with an endmarker chain
     (``convert._lane_chains``) whose lane j accepts; then, one position at a

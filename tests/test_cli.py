@@ -357,9 +357,13 @@ class TestFamilyRegistry:
             # block(3) declares 3 sweeps: its lane NFA answers every word of
             # up to 2k + 3 = 9 symbols over 0, 1, #
             (["block:3"], "in_block", 29_524, 0),
-            # copy's bound is tagged: only the words whose first sweep
-            # completes without accepting run ($ is accepted in one sweep)
-            (["copy", "--max-len", "8"], "in_copy", 9_841, 642),
+            # copy's bound is tagged: only the words that three lanes leave
+            # neither accepted nor exhausted run (642 at one lane)
+            (["copy", "--max-len", "8"], "in_copy", 9_841, 40),
+            # d's too: three lanes answer every word of the tree, and the
+            # corpus of 1,536 members runs one tape search, which learns
+            # the depth of 11 lanes the other corpus words walk at
+            (["d:2"], "in_d", 1_536 + 87_381, 1),
         ]:
             fed.clear()
             ran.clear()

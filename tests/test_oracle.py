@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,8 @@ from iufst import (
     predicate_to_min_dfa,
     run,
 )
+from iufst.cli import _d_corpus
+from iufst.core import verdict
 from iufst.oracle import _known_answers, make_acceptor
 
 from test_decide import fuzz_machine
@@ -136,8 +139,8 @@ def even(w):
 
 
 class TestWordTreeWalk:
-    """``compare_languages`` skips words that the first sweep alone
-    decides and still returns what asking every word of both sides gives."""
+    """``compare_languages`` skips words that the lane walk alone decides
+    and still returns what asking every word of both sides gives."""
 
     def test_fuzz_corpus_pairs_and_bare_machines(self, fuzz_machines):
         differing = 0
@@ -218,16 +221,24 @@ class TestAutomatonWalk:
             assert assert_same(fa, lambda w: True, (), 3) == [()]
 
 
+def run_answer(a, w, tape_cap=200_000):
+    """What one ``run`` answers on ``w`` for the transducer acceptor ``a``,
+    under the budget ``make_acceptor`` gives it: True, False or None
+    (inconclusive), with no walk and nothing learned from other words."""
+    t, k = a if isinstance(a, tuple) else (a, a.sweep_bound if isinstance(a.sweep_bound, int) else None)
+    sweeps = k if k is not None else len(w) + 8
+    return verdict(t, run(t, w, sweeps, tape_cap), sweeps, k)
+
+
 def walk_against_run(a, alphabet, max_len):
     """Check every answer the lane-NFA walk gives against ``run`` on the
     same word; return how many words the walk answered."""
-    ask = make_acceptor(a)
     answered = 0
     for w, known in zip(enumerate_words(alphabet, max_len),
                         _known_answers(a, alphabet, max_len, 200_000)):
         if known is not None:
             answered += 1
-            assert known == ask(w), (a, w)
+            assert known == run_answer(a, w), (a, w)
     return answered
 
 
@@ -237,7 +248,8 @@ def word_count(alphabet, max_len):
 
 class TestLaneWalk:
     """The walk answers every word of a machine with a declared constant
-    bound, as ``run`` does, and never runs a tagged bound's lanes."""
+    bound, as ``run`` does, and walks at most three lanes of a tagged
+    bound."""
 
     def test_fuzz_corpus(self, fuzz_machines):
         everything = word_count("ab", 6)
@@ -264,9 +276,11 @@ class TestLaneWalk:
         (gen_d, "ab01", 7),
     ])
     def test_tagged_families_filter_dead_prefixes(self, make, alphabet, max_len):
-        assert 0 < walk_against_run(make(), alphabet, max_len) < word_count(alphabet, max_len)
+        answered, words = walk_against_run(make(), alphabet, max_len), word_count(alphabet, max_len)
+        # three lanes answer every d word up to length 7, not every copy word
+        assert answered == words if make is gen_d else 0 < answered < words
 
-    def test_tagged_bound_walks_one_lane(self, monkeypatch):
+    def test_tagged_bound_walks_at_most_three_lanes(self, monkeypatch):
         import iufst.oracle
 
         made = []
@@ -274,7 +288,7 @@ class TestLaneWalk:
 
         def record(t, k):
             made.append(k)
-            if not isinstance(t.sweep_bound, int) and k > 1:
+            if not isinstance(t.sweep_bound, int) and k > 3:
                 raise AssertionError(f"{k} lanes for bound {t.sweep_bound!r}")
             return lane_nfa(t, k)
 
@@ -283,7 +297,16 @@ class TestLaneWalk:
         assert compare_languages((lba, 80), in_copy, "ab$", 4) == []
         assert compare_languages((lba, 40), gen_copy(), "ab$", 4) == []
         assert compare_languages((gen_e(2, 3), 5), (gen_e(2, 2), 4), "ab", 4)
-        assert made == [1, 1, 1, 5, 4]
+        assert made == [3, 3, 3, 5, 4]
+
+    def test_pair_walks_no_more_lanes_than_its_k(self):
+        # three lanes would accept the copy words that need a third sweep
+        t = gen_copy()
+        words = list(enumerate_words("ab$", 8))
+        at = {s: [run(t, w, s).accepted for w in words] for s in (2, 3)}
+        assert at[2] != at[3]
+        assert list(_known_answers((t, 2), "ab$", 8, 200_000)) == at[2]
+        assert compare_languages((t, 2), lambda w: run(t, w, 2).accepted, "ab$", 8) == []
 
     def test_constant_bound_needs_no_tape_budget(self):
         # under tape_cap=1, a run at 9 sweeps, past the lane walk's
@@ -295,6 +318,69 @@ class TestLaneWalk:
             per_word((e23, 9), pred, "ab", 6, tape_cap=1)
         assert compare_languages(e23, pred, "ab", 6, tape_cap=1) == []
         assert compare_languages(pred, (e23, 3), "ab", 6, tape_cap=1) == []
+
+
+class TestLearnedDepth:
+    """A bare nondeterministic machine without an int bound walks each word
+    at the depth of its first accepted run, where the budget covers it, and
+    answers what ``run`` answers."""
+
+    def routes(self, monkeypatch):
+        """Record the oracle's lane walks as (word length, depth) and its
+        tape searches as word lengths."""
+        import iufst.oracle
+
+        walks, runs = [], []
+        walk, real = iufst.oracle._walk_lanes, iufst.oracle.run
+        monkeypatch.setattr(iufst.oracle, "_walk_lanes",
+                            lambda t, w, s: walks.append((len(w), s)) or walk(t, w, s))
+        monkeypatch.setattr(iufst.oracle, "run", lambda t, w, *a: runs.append(len(w)) or real(t, w, *a))
+        return walks, runs
+
+    def test_d_corpus_agrees_with_run(self, monkeypatch):
+        t, corpus = gen_d(), _d_corpus(2)
+        expected = [run_answer(t, w) for w in corpus]
+        walks, runs = self.routes(monkeypatch)
+        ask = make_acceptor(t)
+        assert [ask(w) for w in corpus] == expected
+        assert expected.count(True) == expected.count(False)
+        # the first member learns 11 sweeps; the walk answers every other word
+        assert runs == [26] and walks == [(len(w), 11) for w in corpus[1:]]
+
+    def test_budget_below_the_depth_searches_tapes(self, monkeypatch):
+        t = gen_d()
+        member = _d_corpus(2)[0]
+        short = list(enumerate_words("ab01", 3))
+        expected = [outcome(make_acceptor(t), w) for w in short]
+        walks, runs = self.routes(monkeypatch)
+        ask = make_acceptor(t)
+        assert ask(member)
+        assert [outcome(ask, w) for w in short] == expected
+        # a budget of len + 8 sweeps covers 11 lanes from length 3 on
+        assert walks == [(3, 11)] * 4 ** 3
+        assert runs == [len(member)] + [len(w) for w in short if len(w) < 3]
+
+    def test_deterministic_machine_walks_no_deeper(self, monkeypatch):
+        t = gen_copy()
+        u = ("a", "b", "b", "a", "b")
+        corpus = [u + ("$",) + u, u + ("$",) + u[::-1], ("a", "$", "a"), ("$",)]
+        walks, runs = self.routes(monkeypatch)
+        assert compare_on_words(t, in_copy, corpus) == []
+        # three lanes leave 40 of these words open, and each runs
+        assert compare_languages(t, in_copy, "ab$", 8) == []
+        assert walks == [] and len(runs) == len(corpus) + 40
+        assert all(s <= 3 for s in t._lane_walk)
+
+    def test_tagged_fuzz_machines_agree_with_run(self, monkeypatch, fuzz_machines):
+        tagged = [replace(t, sweep_bound="linear") for t, _k in fuzz_machines if not t.is_deterministic]
+        words = list(enumerate_words("ab", 6))
+        expected = [[run_answer(t, w) for w in words] for t in tagged]
+        walks, runs = self.routes(monkeypatch)
+        for t, answers in zip(tagged, expected):
+            ask = make_acceptor(t)
+            assert [outcome(ask, w) for w in words] == answers, t
+        # the walks answered some words without a tape search
+        assert walks and len(runs) < len(tagged) * len(words)
 
 
 def ab_machine(transitions, sweep_bound="linear"):
@@ -312,9 +398,9 @@ def ab_machine(transitions, sweep_bound="linear"):
 
 
 class TestFirstSweepAnswers:
-    """Without an int bound, the walk answers a word when its first sweep
-    accepts or has no branch that steps on the endmarker, and runs it only
-    when that sweep completes without accepting."""
+    """Without an int bound, the walk answers a word when one of its first
+    three sweeps accepts or they leave no fourth tape, and runs it only
+    when a fourth tape exists and no sweep accepted."""
 
     def answers(self, monkeypatch, t, pred, max_len=6):
         """``compare_languages(t, pred)`` agrees with ``pred``; return the
@@ -351,7 +437,8 @@ class TestFirstSweepAnswers:
         # q rewrites a to b and p reads b, so a sweep completes on a*b* and
         # halts inside any other word; it accepts from p.  A word a^i b^j
         # with j > 0 is accepted in one sweep, a^i with i > 0 in two, since
-        # its first sweep completes in q on the tape b^i
+        # its first sweep completes in q on the tape b^i; only the empty
+        # word completes every lane without accepting, and runs
         t = ab_machine({
             ("q", "a"): (("q", "b"),), ("q", "b"): (("p", "b"),), ("q", "<"): (("q", "<"),),
             ("p", "b"): (("p", "b"),), ("p", "<"): (("f", "<"),),
