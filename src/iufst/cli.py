@@ -448,7 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--machine", required=True)
     p.add_argument("--to", required=True, help="nfa | dfa | min-dfa | reduce:I")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--state-cap", type=int, default=2**20)
+    p.add_argument("--state-cap", type=int, default=2**20,
+                   help="subsets the powerset construction of dfa and min-dfa may "
+                        "discover; exit 3 when exceeded (default %(default)s)")
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("decide", help="decide language questions")

@@ -16,17 +16,22 @@ keep their per-move rule and successor rule ``_successors`` (a 0- or
 1-tuple in a ``Dfa``), on which ``_Fa`` builds one ``accepts`` and one
 cached ``_view``: the same four names, states numbered in declaration
 order.  DFAs live in int tables (successor indices per symbol, accepting
-bits) between two kernels: ``_powerset`` determinizes an NFA and
-``_moore`` minimizes a table, naming only its result.  ``nfa_to_dfa``
-names the subsets, ``dfa_minimize`` reads a ``Dfa`` into a table,
-``min_dfa`` feeds one kernel to the other, and
-``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.
+bits) between two kernels: ``_powerset`` determinizes an NFA over
+bitmask subsets, one OR chain of packed per-state successor masks giving
+a subset's successors on every symbol, and ``_moore`` minimizes a table,
+hashing each state's signature once a round and naming only its result.
+``nfa_to_dfa`` names the subsets from their masks, ``dfa_minimize`` reads
+a ``Dfa`` into a table, ``min_dfa`` feeds one kernel to the other, and
+``oracle.predicate_to_min_dfa`` feeds its class table to ``_moore``.  The
+tables go in and out of records through C-level ``map``, ``zip`` and
+``product``, which keep the records' key order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import chain, compress, count, product, repeat
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
@@ -405,34 +410,43 @@ def nfa_to_1niufst(n: Nfa) -> Transducer:
     )
 
 
-def _powerset(n: Nfa, state_cap: int) -> tuple[list[list[int]], list[list[int]], list[bool]]:
+def _powerset(n: Nfa, state_cap: int) -> tuple[list[int], list[list[int]], list[bool]]:
     """The powerset kernel: ``n``'s subsets reachable from ``{initial}``.
 
-    A subset is an int bitmask (bit i is ``n.states[i]``), so one step
-    ORs precomputed successor masks.  Returns, in breadth-first discovery
-    order (symbols in alphabet order, the initial subset first), each
-    subset's member indices, low to high; ``succ[j][i]``, the index of
+    A subset is an int bitmask, bit i standing for ``n.states[i]``.  A
+    state's successor masks on all symbols are packed into one int, the
+    one on symbol j shifted up j times the state count, so one OR chain
+    over a subset's members gives its successors on every symbol, and
+    each symbol's mask is cut out of the result.  Returns, in
+    breadth-first discovery order (symbols in alphabet order, the initial
+    subset first), each subset's mask; ``succ[j][i]``, the index of
     subset i's successor on symbol j; and the accepting bits.  The empty
     subset is kept like any other, so the table is complete.
     ``state_cap`` counts discovered subsets, the empty one included;
-    discovering more raises ``ResourceBudgetError``.
+    discovering more raises ``ResourceBudgetError``, and a cap below 1,
+    which not even the initial subset fits, raises ``ValueError``.
     """
+    if state_cap < 1:
+        raise ValueError(f"state_cap must be at least 1, got {state_cap}")
     v = n._view
-    states = range(len(n.states))
-    # step[j][i]: successor mask of state i on symbol j
-    step = [[sum(1 << r for r in set(v.step(i)[j])) for i in states]
-            for j in range(len(n.alphabet))]
+    width = len(n.states)
+    shifts = range(0, width * len(n.alphabet), width)
+    # packed[1 << i]: state i's successor masks on every symbol
+    packed = {1 << i: sum({1 << r + s for s, rs in zip(shifts, v.step(i)) for r in rs})
+              for i in range(width)}
+    full = (1 << width) - 1
     masks = [1 << v.initial]
     index = {masks[0]: 0}
-    subsets: list[list[int]] = []
-    succ: list[list[int]] = [[] for _ in step]
+    succ: list[list[int]] = [[] for _ in shifts]
+    cuts = list(zip(shifts, succ))
     for cur in masks:  # grows while it is read: a breadth-first queue
-        members = _bits(cur)
-        subsets.append(members)
-        for moves, col in zip(step, succ):
-            nxt = 0
-            for i in members:
-                nxt |= moves[i]
+        whole = 0
+        while cur:
+            low = cur & -cur
+            whole |= packed[low]
+            cur ^= low
+        for shift, col in cuts:
+            nxt = whole >> shift & full
             j = index.get(nxt)
             if j is None:
                 if len(masks) >= state_cap:
@@ -440,18 +454,12 @@ def _powerset(n: Nfa, state_cap: int) -> tuple[list[list[int]], list[list[int]],
                 j = index[nxt] = len(masks)
                 masks.append(nxt)
             col.append(j)
-    accepting = sum(1 << i for i in states if v.accepting(i))
-    return subsets, succ, [bool(sub & accepting) for sub in masks]
+    accepting = sum(1 << i for i in range(width) if v.accepting(i))
+    return masks, succ, [bool(m & accepting) for m in masks]
 
 
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, low to high."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+# bin() digits to the bytes 0 and 1, a selector for ``compress``
+_BINARY = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
@@ -459,23 +467,25 @@ def nfa_to_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     rendered, each subset named ``{q1,q2,...}`` with its members in the
     NFA's state order, in discovery order: ``renderer(",", ("{", "}"))``
     of its member tuple, so a member's ``\\``, ``,``, ``{`` and ``}`` are
-    escaped.  The result is complete: the empty subset ``{}`` is an
-    explicit dead state whenever some (subset, symbol) has no successor.
-    ``state_cap`` is ``_powerset``'s.
+    escaped.  A name is read off the subset's mask, low bit first.  The
+    result is complete: the empty subset ``{}`` is an explicit dead state
+    whenever some (subset, symbol) has no successor.  ``state_cap`` is
+    ``_powerset``'s.
     """
-    subsets, succ, final = _powerset(n, state_cap)
+    masks, succ, final = _powerset(n, state_cap)
     escape = _escapes(",{}")
     members = [q.translate(escape) for q in n.states]  # each name escaped once
-    names = ["{" + ",".join(map(members.__getitem__, sub)) + "}" for sub in subsets]
+    names = ["{" + ",".join(compress(members, bin(m)[:1:-1].encode().translate(_BINARY))) + "}"
+             for m in masks]
     alphabet = tuple(n.alphabet)
     return Dfa(
         states=tuple(names),
         alphabet=alphabet,
         initial=names[0],
-        accepting=tuple(q for q, f in zip(names, final) if f),
-        transitions={
-            (q, x): names[col[i]] for i, q in enumerate(names) for x, col in zip(alphabet, succ)
-        },
+        accepting=tuple(compress(names, final)),
+        # keys subset by subset, symbols in alphabet order
+        transitions=dict(zip(product(names, alphabet),
+                             map(names.__getitem__, chain.from_iterable(zip(*succ))))),
     )
 
 
@@ -487,54 +497,58 @@ def _moore(
     ``succ[j][i]`` is state i's successor on ``alphabet[j]`` and
     ``final[i]`` its acceptance; the table must be complete.  Partition
     refinement runs over every state, until a round leaves the number of
-    blocks unchanged.  The blocks reachable from ``initial``'s are then
-    numbered canonically (breadth-first in alphabet order, named ``m0``,
-    ``m1``, ...), so two minimal DFAs for the same language are equal.
-    ``meta`` reports both the complete state count and the partial count
-    (without a dead state, when one exists).
+    blocks unchanged.  A round hashes each state's signature (its block,
+    then its successors' blocks) once, and a block's id is the index of
+    its first member, so a round that keeps the partition keeps every id.
+    The blocks reachable from ``initial``'s are then numbered canonically
+    (breadth-first in alphabet order, named ``m0``, ``m1``, ...), so two
+    minimal DFAs for the same language are equal.  ``meta`` reports both
+    the complete state count and the partial count (without a dead
+    state, when one exists).
     """
-    block = [int(f) for f in final]
-    count = len(set(block))
+    states = range(len(final))
+    ids: dict = {}
+    block = list(map(ids.setdefault, final, states))
     while True:
-        sigs = list(zip(block, *[list(map(block.__getitem__, col)) for col in succ]))
-        # number the signatures by first appearance
-        renum = dict(zip(dict.fromkeys(sigs), range(len(sigs))))
-        block = list(map(renum.__getitem__, sigs))
-        if len(renum) == count:
+        blocks, ids = len(ids), {}
+        sigs = zip(block, *[map(block.__getitem__, col) for col in succ])
+        block = list(map(ids.setdefault, sigs, states))
+        if len(ids) == blocks:
             break
-        count = len(renum)
-    # Blocks are numbered by first appearance, so each block's first
-    # member comes up in block order and stands for the block.
-    rep: list[int] = []
-    for i, b in enumerate(block):
-        if b == len(rep):
-            rep.append(i)
-    moves = [[block[col[i]] for i in rep] for col in succ]
-    order, _ = _bfs(
-        (block[initial],), lambda b: [(row[b], x) for row, x in zip(moves, alphabet)]
-    )
-    names = {b: f"m{i}" for i, b in enumerate(order)}
+    # The last round kept every id, so its signatures read the final
+    # blocks: sig[b] is block b, then its successors in alphabet order.
+    sig = dict(zip(ids.values(), ids))
+    name = {block[initial]: "m0"}
+    order = list(name)
+    for b in order:  # grows while it is read: a breadth-first queue
+        for r in sig[b]:
+            if r not in name:
+                name[r] = f"m{len(order)}"
+                order.append(r)
+    names = tuple(name.values())
+    rows = list(map(sig.__getitem__, order))
     out = Dfa(
-        states=tuple(names.values()),
+        states=names,
         alphabet=alphabet,
-        initial=names[block[initial]],
-        accepting=tuple(names[b] for b in order if final[rep[b]]),
-        transitions={
-            (names[b], x): names[row[b]] for b in order for row, x in zip(moves, alphabet)
-        },
+        initial="m0",
+        accepting=tuple(compress(names, map(final.__getitem__, order))),
+        # keys block by block, symbols in alphabet order
+        transitions=dict(zip(product(names, alphabet),
+                             map(name.__getitem__, chain.from_iterable(row[1:] for row in rows)))),
     )
     # the states that reach no accepting state form one block, which
     # rejects and keeps itself on every move; the partial count leaves it out
-    dead = any(not final[rep[b]] and all(row[b] == b for row in moves) for b in order)
-    out.meta["complete_states"] = len(out.states)
-    out.meta["partial_states"] = len(out.states) - dead
+    dead = any(not final[b] and row.count(b) == len(row) for b, row in zip(order, rows))
+    out.meta["complete_states"] = len(names)
+    out.meta["partial_states"] = len(names) - dead
     return out
 
 
 def min_dfa(n: Nfa, state_cap: int = 2**20) -> Dfa:
     """``dfa_minimize(nfa_to_dfa(n, state_cap))``, from the powerset
-    table straight to the Moore kernel, with no subset named."""
-    _subsets, succ, final = _powerset(n, state_cap)
+    table straight to the Moore kernel: no subset is named, and the
+    subset masks are dropped before refinement starts."""
+    succ, final = _powerset(n, state_cap)[1:]
     return _moore(succ, final, 0, tuple(n.alphabet))
 
 
@@ -542,9 +556,10 @@ def dfa_minimize(d: Dfa) -> Dfa:
     """Unique minimal complete DFA, named canonically: ``_moore`` over
     ``d``'s states in declaration order plus one sink row after them for
     every missing move (unreachable when ``d`` is complete)."""
-    index = {q: i for i, q in enumerate(d.states)}
+    index = dict(zip(d.states, count()))
     sink = len(index)
-    succ = [[index.get(d.transitions.get((q, x)), sink) for q in d.states] + [sink]
+    moves = d.transitions.get
+    succ = [[*map(index.get, map(moves, zip(d.states, repeat(x))), repeat(sink)), sink]
             for x in d.alphabet]
-    final = [q in d.accepting_set for q in d.states] + [False]
+    final = [*map(d.accepting_set.__contains__, d.states), False]
     return _moore(succ, final, index[d.initial], d.alphabet)

@@ -1018,8 +1018,11 @@ def _bfs(
     discovery order, to the (node, label) edge that first reached it
     (``None`` for a start).  With ``goal`` the search stops at the first
     discovered node satisfying it, returned as ``hit``.  Discovering more
-    than ``limit`` nodes raises ``ResourceBudgetError``.
+    than ``limit`` nodes raises ``ResourceBudgetError``, and a ``limit``
+    below 1 raises ``ValueError``: a search always discovers its starts.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"search node budget must be at least 1, got {limit}")
     parent: dict = dict.fromkeys(starts)
     if goal is not None:
         for s in parent:

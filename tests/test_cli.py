@@ -222,6 +222,22 @@ class TestConvertDecide:
                                "--state-cap", "1024")
         assert code == 0 and out.strip() == "true"
 
+    def test_state_cap_below_one_is_a_usage_error(self, tmp_path, capsys, e21_file):
+        # a one-state NFA has one subset, which a cap of 0 does not admit
+        path = tmp_path / "one.m"
+        path.write_text("kind nfa\nstates p\ninput a\ninitial p\naccept p\ntrans p a -> p\n")
+        for target in ("dfa", "min-dfa"):
+            code, out, err = run_cli(capsys, "convert", "-m", str(path), "--to", target,
+                                     "--state-cap", "0")
+            assert (code, out) == (2, "") and "state_cap must be at least 1" in err
+            assert run_cli(capsys, "convert", "-m", str(path), "--to", target,
+                           "--state-cap", "1")[0] == 0
+        code, out, err = run_cli(capsys, "decide", "universal", "-m", e21_file,
+                                 "--state-cap", "0")
+        assert (code, out) == (2, "") and "at least 1" in err
+        assert run_cli(capsys, "decide", "universal", "-m", e21_file,
+                       "--state-cap", "1")[:2] == (1, "false witness=λ\n")
+
     def test_missing_bound_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "nb.m"
         path.write_text(

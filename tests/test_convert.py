@@ -28,7 +28,8 @@ from iufst import (
     sweep_reduce,
     to_nfa,
 )
-from iufst.core import renderer
+from iufst.convert import _moore
+from iufst.core import _bfs, renderer
 
 
 class TestSweepReduce:
@@ -214,6 +215,180 @@ class TestMinDfa:
         with pytest.raises(ResourceBudgetError) as err:
             min_dfa(nfa, state_cap=4200)
         assert str(err.value) == "powerset construction exceeded 4200 states"
+
+
+def ref_powerset(n, state_cap):
+    """Subset construction over frozensets, independent of ``_powerset``:
+    subsets in breadth-first discovery order (symbols in alphabet order),
+    each named by ``renderer`` over its members in the NFA's state order,
+    the empty subset kept, and the same budget error."""
+    position = {q: i for i, q in enumerate(n.states)}
+    name = renderer(",", ("{", "}"))
+    start = frozenset([n.initial])
+    subsets, index, moves = [start], {start: 0}, {}
+    for s in subsets:
+        for x in n.alphabet:
+            t = frozenset(r for q in s for r in n.transitions.get((q, x), ()))
+            if t not in index:
+                if len(subsets) >= state_cap:
+                    raise ResourceBudgetError(f"powerset construction exceeded {state_cap} states")
+                index[t] = len(subsets)
+                subsets.append(t)
+            moves[s, x] = t
+    label = {s: name(tuple(sorted(s, key=position.__getitem__))) for s in subsets}
+    return Dfa(
+        states=tuple(label[s] for s in subsets),
+        alphabet=n.alphabet,
+        initial=label[start],
+        accepting=tuple(label[s] for s in subsets if s & n.accepting_set),
+        transitions={(label[s], x): label[moves[s, x]] for s in subsets for x in n.alphabet},
+    )
+
+
+def random_nfa(rng, size, symbols):
+    """A sparse NFA over ``size`` states and ``symbols`` symbols whose
+    state names mix plain ones with ones ``nfa_to_dfa`` must escape."""
+    marks = ["", "", ",", "{", "}", "\\", "a,b", "{x}", "\\,", "("]
+    states = tuple(f"q{i}{rng.choice(marks)}" for i in range(size))
+    alphabet = tuple("abcd"[:symbols])
+    transitions = {}
+    fork = min(0.3, 3 / size)  # keeps most powersets of wide NFAs under the test cap
+    for q in states:
+        for x in alphabet:
+            if rng.random() < 0.8:
+                transitions[q, x] = tuple(rng.choice(states) for _ in range(1 + (rng.random() < fork)))
+    accepting = tuple(q for q in states if rng.random() < 0.3)
+    return Nfa(states, alphabet, rng.choice(states), accepting, transitions)
+
+
+class TestPowersetReference:
+    """``nfa_to_dfa`` agrees with ``ref_powerset`` field by field, key
+    order included, on NFAs of 1 to 140 states, whose masks span several
+    int digits, and ``state_cap`` admits exactly the subset count."""
+
+    CAP = 1500
+
+    def test_random_nfas(self):
+        rng = random.Random(20261020)
+        sizes = [1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 100, 140]
+        counts, escaped = [], False
+        for size in sizes + [rng.randint(1, 140) for _ in range(25)]:
+            n = random_nfa(rng, size, rng.randint(0, 4))
+            try:
+                want = dfa_fields(ref_powerset(n, self.CAP))
+            except ResourceBudgetError as ref_err:
+                with pytest.raises(ResourceBudgetError) as err:
+                    nfa_to_dfa(n, self.CAP)
+                assert str(err.value) == str(ref_err)
+                continue
+            got = nfa_to_dfa(n, self.CAP)
+            assert dfa_fields(got) == want, size
+            assert list(got.transitions) == list(want[4]), size
+            escaped = escaped or any("\\" in q for q in got.states)
+            count = len(got.states)
+            counts.append(count)
+            assert dfa_fields(nfa_to_dfa(n, count)) == want
+            if count > 1:
+                with pytest.raises(ResourceBudgetError) as err:
+                    nfa_to_dfa(n, count - 1)
+                assert str(err.value) == f"powerset construction exceeded {count - 1} states"
+        # the corpus reaches past one subset, some NFAs stay under the cap,
+        # and some subset names escape a member's characters
+        assert len(counts) > 20 and max(counts) > 100 and escaped
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_state_cap_below_one(self, cap):
+        # one subset is always discovered, so no cap below 1 can hold
+        n = Nfa(("p",), ("a",), "p", ("p",), {("p", "a"): ("p",)})
+        for convert in (nfa_to_dfa, min_dfa):
+            with pytest.raises(ValueError, match="state_cap must be at least 1"):
+                convert(n, state_cap=cap)
+            assert len(convert(n, state_cap=1).states) == 1
+
+
+def ref_moore(succ, final, initial, alphabet):
+    """Reference Moore kernel: each round renumbers the signatures densely
+    by first appearance, in three hashing passes, and ``_bfs`` names the
+    blocks reachable from ``initial``'s breadth-first."""
+    block = [int(f) for f in final]
+    count = len(set(block))
+    while True:
+        sigs = list(zip(block, *[list(map(block.__getitem__, col)) for col in succ]))
+        # number the signatures by first appearance
+        renum = dict(zip(dict.fromkeys(sigs), range(len(sigs))))
+        block = list(map(renum.__getitem__, sigs))
+        if len(renum) == count:
+            break
+        count = len(renum)
+    # Blocks are numbered by first appearance, so each block's first
+    # member comes up in block order and stands for the block.
+    rep = []
+    for i, b in enumerate(block):
+        if b == len(rep):
+            rep.append(i)
+    moves = [[block[col[i]] for i in rep] for col in succ]
+    order, _ = _bfs(
+        (block[initial],), lambda b: [(row[b], x) for row, x in zip(moves, alphabet)]
+    )
+    names = {b: f"m{i}" for i, b in enumerate(order)}
+    out = Dfa(
+        states=tuple(names.values()),
+        alphabet=alphabet,
+        initial=names[block[initial]],
+        accepting=tuple(names[b] for b in order if final[rep[b]]),
+        transitions={
+            (names[b], x): names[row[b]] for b in order for row, x in zip(moves, alphabet)
+        },
+    )
+    # the states that reach no accepting state form one block, which
+    # rejects and keeps itself on every move; the partial count leaves it out
+    dead = any(not final[rep[b]] and all(row[b] == b for row in moves) for b in order)
+    out.meta["complete_states"] = len(out.states)
+    out.meta["partial_states"] = len(out.states) - dead
+    return out
+
+
+def random_table(rng, size, symbols):
+    """A complete int table of ``size`` states: a random table of ``base``
+    states, each repeated as often as fits, a copy moving into any copy
+    of its successor, so that copies merge; successors drawn from a few
+    low states leave many states unreachable.  Acceptance is none, all or
+    some."""
+    base = rng.choice((size, rng.randint(1, size)))
+    top = rng.choice((base, max(1, base // 8)))
+    moves = [[rng.randrange(top) for _ in range(base)] for _ in range(symbols)]
+    p = rng.choice((0.0, 1.0, 0.2, 0.5, 0.5))
+    accept = [rng.random() < p for _ in range(base)]
+
+    def copy_of(r):
+        return r + base * rng.randrange((size - 1 - r) // base + 1)
+
+    succ = [[copy_of(col[i % base]) for i in range(size)] for col in moves]
+    final = [accept[i % base] for i in range(size)]
+    return succ, final, rng.randrange(size), tuple("abcd"[:symbols])
+
+
+class TestMooreReference:
+    """``_moore`` agrees with ``ref_moore`` field by field, ``meta`` and
+    key order included."""
+
+    def test_random_tables(self):
+        rng = random.Random(1956)
+        finals = set()
+        for size in [1, 2, 3, 300] + [rng.randint(1, 300) for _ in range(80)]:
+            table = random_table(rng, size, rng.randint(0, 4))
+            got, want = _moore(*table), ref_moore(*table)
+            assert dfa_fields(got) == dfa_fields(want), table
+            assert list(got.transitions) == list(want.transitions)
+            finals.add(frozenset(table[1]))
+        # all-final and no-final tables both came up
+        assert {frozenset([True]), frozenset([False])} <= finals
+
+    def test_empty_alphabet(self):
+        for final in ([True], [False], [False, True, False]):
+            got, want = _moore([], final, 0, ()), ref_moore([], final, 0, ())
+            assert dfa_fields(got) == dfa_fields(want)
+            assert got.meta["partial_states"] == int(final[0])
 
 
 class TestMinimizeSinkRow:

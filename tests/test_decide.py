@@ -409,6 +409,17 @@ class TestSearchBudget:
         w = universality_witness(b4, 4, state_cap=cap)
         assert w == () and not in_block(4, w) and not run(b4, w, 4, 1000).accepted
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_rejected(self, cap):
+        # not even the start node fits; e(2,1)'s start node is a goal,
+        # which a search without the check reported as the witness
+        e21 = gen_e(2, 1)
+        with pytest.raises(ValueError, match="at least 1"):
+            universality_witness(e21, 1, state_cap=cap)
+        with pytest.raises(ValueError, match="at least 1"):
+            equivalence_witness(e21, 1, e21, 1, state_cap=cap)
+        assert universality_witness(e21, 1, state_cap=1) == ()
+
     def test_cap_exceeded_raises_and_names_the_cap(self, e23_pair):
         from iufst import ResourceBudgetError
 
