@@ -11,7 +11,10 @@ table, and the dummy symbol is an int, which no character equals.
 input symbols, read through ``alphabet``, ``initial``, ``step(q)`` and
 ``accepting(q)``; its ``report`` is the one rule for what a set of its
 tuples reached on a word answers, and ``to_nfa`` renders it with named
-states.  ``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each
+states.  ``core``'s lane route keeps one per lane count: its ``walk``
+steps the set of tuples over a word by ``_set_step``, the one set step,
+and its ``trace`` walks back over the sets reached to what lanes wrote.
+``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each
 keep their per-move rule and successor rule ``_successors`` (a 0- or
 1-tuple in a ``Dfa``), on which ``_Fa`` builds one ``accepts`` and one
 cached ``_view``: the same four names, states numbered in declaration
@@ -41,6 +44,7 @@ from .core import (
     ResourceBudgetError,
     RunReport,
     Transducer,
+    _LIVE_MEMO_CAP,
     _Record,
     _bfs,
     _check_declared,
@@ -273,8 +277,8 @@ class LaneNfa:
     input symbol's character gives its successors, and one on the
     endmarker's the least lane that can reach an accepting state there
     (None when no lane can), so a tuple is ``accepting`` when it has one.
-    ``completes`` is computed on its first request only.  A set of tuples
-    steps by ``core._set_step``.
+    ``completes`` is computed on its first request only; ``walk`` and
+    ``trace`` keep memos of their own.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -285,6 +289,8 @@ class LaneNfa:
         self._ids = {self._tuples[0]: 0}
         self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]] = {}
         self._completes: dict[int, bool] = {}
+        self._sets: dict[frozenset[int], dict] = {}  # ``walk``'s memo
+        self._back: dict[tuple, tuple[int, tuple]] = {}  # ``trace``'s memo
         self.alphabet = t.input_alphabet
         self.initial = 0
 
@@ -340,6 +346,81 @@ class LaneNfa:
         least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
         self._rows[q] = entry = (tuple(row), least is not None, least)
         return entry
+
+    def walk(self, word: Sequence[str], sets: Optional[list[frozenset]] = None) -> Optional[RunReport]:
+        """``report`` of the set of tuples reached on ``word``, over
+        ``alphabet``, by Thompson's simulation made lazy: the set steps
+        through ``_set_step`` and the memo ``_sets``, a row per set from
+        input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a
+        row's ``None`` entry caches its set's report.  With ``sets``, the set
+        reached after each symbol is appended to it.  None, the walk giving
+        up, at a step missing the memo with more than ``_LANE_TUPLE_CAP``
+        tuples discovered (they can grow like n^k).  The one walk loop."""
+        rows = self._sets
+        cur = frozenset((self.initial,))
+        row = rows.setdefault(cur, {})
+        for x in word:
+            step = row.get(x)
+            if step is None:
+                if self.discovered > _LANE_TUPLE_CAP:
+                    return None
+                if len(rows) >= _LIVE_MEMO_CAP:
+                    rows.clear()
+                nxt = _set_step(self, cur, self.alphabet.index(x))
+                step = row[x] = (nxt, rows.setdefault(nxt, {}))
+            cur, row = step
+            if sets is not None:
+                sets.append(cur)
+        report = row.get(None)
+        if report is None:
+            report = row[None] = self.report(cur)
+        return report
+
+    def trace(self, word: Sequence[str], sets: list[frozenset[int]], j: int) -> list[str]:
+        """What lanes 1 to j wrote, in the tape code, on a run accepting
+        ``word`` at lane j, the least, from the ``sets`` ``walk`` reached on
+        it.  The last set gives its least tuple by value with an endmarker
+        chain (``_lane_chains``) whose lane j accepts; then, one position at a
+        time from the end, the set before gives the least tuple by value with
+        a chain on the word's symbol to the tuple already chosen, the first
+        such chain in choice order.  Every tuple of a set is reached, so the
+        walk back never sticks, and lanes 1 to j - 1 end rejecting, as j is
+        least.  The choice reads tuples by value, never by number or set
+        order, which depend on the words the walk saw before; it is memoized
+        per (set, symbol, chosen tuple) in ``_back``, up to
+        ``_LIVE_MEMO_CAP`` entries."""
+        tuples, delta, acc, back = self._tuples, self._delta, self._acc, self._back
+        by_value = tuples.__getitem__
+        path = [frozenset((self.initial,)), *sets]
+        q, out = next((q, out) for q in sorted(path[-1], key=by_value)
+                      for p, out in _lane_chains(delta, tuples[q], self._end) if acc[p[j - 1]])
+        cols = [out]
+        for before, x in zip(path[-2::-1], reversed(word)):
+            hit = back.get((before, x, q))
+            if hit is None:
+                c = self.alphabet.index(x)
+                p = min((p for p in before if q in self.step(p)[c]), key=by_value)
+                target = tuples[q]
+                out = next(out for lanes, out in _lane_chains(delta, tuples[p], self._codes[c]) if lanes == target)
+                if len(back) >= _LIVE_MEMO_CAP:
+                    back.clear()
+                hit = back[before, x, q] = (p, out)
+            q, out = hit
+            cols.append(out)
+        lanes = zip(*reversed(cols))
+        return ["".join(next(lanes)) for _ in range(j)]
+
+
+# the most lane tuples ``LaneNfa.walk`` lets an automaton discover before it
+# gives up at the next step that misses its memo
+_LANE_TUPLE_CAP = 1 << 14
+
+
+def _set_step(n, s: frozenset, c: int) -> frozenset:
+    """The states of the automaton ``n`` (read through ``LaneNfa``'s
+    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
+    step."""
+    return frozenset([r for q in s for r in n.step(q)[c]])
 
 
 @cache

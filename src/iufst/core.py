@@ -35,12 +35,13 @@ the halts itself in a forward pass over the states each cell is reached in.
 
 Beside the tape search, ``run`` has a lane route.  At a budget of s sweeps,
 for s up to ``_LANE_SWEEP_CAP``, it sweeps no tape: the paper's reduction
-runs the s sweeps as the s lanes of one (``convert.LaneNfa``), and
-``_walk_lanes`` steps the set of lane tuples over the word in one pass.  Its
-report stands where ``verdict``, the one rule for what a report answers,
-gives it an answer; elsewhere the tape search runs.  The oracle calls
-``_walk_lanes`` at other lane counts too.  Traces take the route
-``run`` takes: ``_lane_trace`` walks back over the sets the walk reached,
+runs the s sweeps as the s lanes of one (``convert.LaneNfa``), whose
+``walk`` steps the set of lane tuples over the word in one pass.
+``_run_lanes``, the one lane route of ``run``, ``traced_run`` and the
+oracle's learned depth, keeps each s's ``LaneNfa`` on the machine and lets
+the report stand where ``verdict``, the one rule for what a report answers,
+gives it an answer; elsewhere the tape search runs.  Traces take the route
+``run`` takes: ``LaneNfa.trace`` walks back over the sets the walk reached,
 choosing tuples by value, so a lane trace need not be the tape search's
 first hit in frontier order.  Accept-mode checks keep the tape search.
 
@@ -261,8 +262,8 @@ class Transducer(_Record):
             moves.update([(c, (moves, q, c, same)) for c in loops])
         return rows
 
-    # ``run``'s lane route per lane count s: ``_walk``'s (``convert.LaneNfa(self, s)``,
-    # set memo, trace memo), each built on the first walk at s
+    # ``_run_lanes``' ``convert.LaneNfa(self, s)`` per lane count s, built on the
+    # first walk at s, with its walk and trace memos
     _lane_walk = cached_property(lambda self: {})
 
     # filled as needed: ``_live``'s tables (per character, the states with a move on it and
@@ -303,10 +304,11 @@ class RunReport:
     rejection.  ``exhausted`` means every reachable tape was explored
     within the budgets, so a negative answer is definite.
 
-    On ``run``'s lane route (a budget of s <= ``_LANE_SWEEP_CAP`` sweeps)
-    the report is ``convert.LaneNfa.report``'s, whatever the tape budget:
-    ``tapes_explored`` is 0.  Its ``exhausted`` implies the tape search's,
-    which also holds when every tape s + 1 was seen before.
+    On the lane route (``_run_lanes``, which ``run`` takes at a budget of
+    s <= ``_LANE_SWEEP_CAP`` sweeps) the report is ``convert.LaneNfa.walk``'s,
+    whatever the tape budget: ``tapes_explored`` is 0.  Its ``exhausted``
+    implies the tape search's, which also holds when every tape s + 1 was
+    seen before.
     """
 
     accepted: bool
@@ -508,9 +510,9 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
     return live
 
 
-# the most entries each machine keeps in ``_live``'s masks, in ``_sweep``'s
-# fork memo, and per lane count in ``_walk_lanes``' sets and ``_lane_trace``'s
-# choices; a full memo is cleared before its next entry
+# the most entries each machine keeps in ``_live``'s masks and ``_sweep``'s
+# fork memo, and each ``convert.LaneNfa`` in its walk and trace memos; a full
+# memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 _SKIP_TAPE = 64
@@ -571,10 +573,10 @@ def run(
     A budget s from 1 to ``_LANE_SWEEP_CAP`` first runs the s sweeps as the
     s lanes of ``convert.LaneNfa`` (the paper's reduction, which holds for
     every s): one pass over the word steps the set of lane tuples
-    (``_walk_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
+    (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
     there.  Its report stands when ``verdict`` gives it an answer: accepted,
-    ``exhausted``, or rejected under a constant bound k <= s.  Otherwise,
-    and once the machine's s-lane tuples outgrow ``_LANE_TUPLE_CAP``, the
+    ``exhausted``, or rejected under a constant bound k <= s.  Otherwise, and
+    once the s-lane tuples outgrow ``convert._LANE_TUPLE_CAP``, the
     breadth-first search over tape sets at sweep boundaries answers, so no
     definite answer turns into "unknown".  Round s of the search sweeps
     every frontier tape; a branch finishing in an accepting state halts the
@@ -584,7 +586,7 @@ def run(
     deduplicated globally: the sweep relation depends only on the tape, so
     a tape seen before yields nothing new.
     """
-    report = _run_lanes(t, word, max_sweeps, tape_cap, None)
+    report = _run_lanes(t, word, max_sweeps) if _lane_budget(max_sweeps, tape_cap) else None
     return report if report is not None else _run_traced(t, word, max_sweeps, tape_cap)[0]
 
 
@@ -599,11 +601,12 @@ def traced_run(
     walk or search serves both, and only a caller that wants the trace pays
     for building it.  The lane route keeps the set reached at each
     position, shared objects of its memo, for ``_lane_trace``."""
-    sets: list[frozenset] = []
-    report = _run_lanes(t, word, max_sweeps, tape_cap, sets)
-    if report is None:
-        return _run_traced(t, word, max_sweeps, tape_cap)
-    return report, lambda: _lane_trace(t, word, max_sweeps, sets, report)
+    if _lane_budget(max_sweeps, tape_cap):
+        sets: list[frozenset] = []
+        report = _run_lanes(t, word, max_sweeps, sets)
+        if report is not None:
+            return report, lambda: _lane_trace(t, word, max_sweeps, sets, report)
+    return _run_traced(t, word, max_sweeps, tape_cap)
 
 
 def verdict(t: Transducer, report: RunReport, budget: int, bound: Optional[int] = None) -> Optional[bool]:
@@ -625,123 +628,46 @@ def verdict(t: Transducer, report: RunReport, budget: int, bound: Optional[int] 
     return None
 
 
-def _run_lanes(
-    t: Transducer, word: Sequence[str], s: int, tape_cap: int, sets: Optional[list[frozenset]]
-) -> Optional[RunReport]:
-    """``run``'s lane route: ``_walk_lanes`` at a budget of s sweeps, for s
-    from 1 to ``_LANE_SWEEP_CAP``, where ``verdict`` answers its report.
-    None where the tape search answers instead: s outside that range, a
-    report ``verdict`` leaves unknown, or a walk that gives up.  Raises
-    ``ValueError`` on the budgets the tape search rejects."""
+def _lane_budget(s: int, tape_cap: int) -> bool:
+    """Whether ``run`` and ``traced_run`` walk s lanes first (1 <= s <= ``_LANE_SWEEP_CAP``);
+    the one budget check, raising ``ValueError`` on those the tape search rejects."""
     if s < 0 or tape_cap < 1:
         raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
-    if not 1 <= s <= _LANE_SWEEP_CAP:
-        return None
-    report = _walk_lanes(t, word, s, sets)
-    return report if report is not None and verdict(t, report, s) is not None else None
+    return 1 <= s <= _LANE_SWEEP_CAP
 
 
-def _walk_lanes(
+def _run_lanes(
     t: Transducer, word: Sequence[str], s: int, sets: Optional[list[frozenset]] = None
 ) -> Optional[RunReport]:
-    """``LaneNfa(t, s).report`` of the set of tuples reached on ``word``,
-    for any s >= 1, by Thompson's simulation made lazy: the set steps over
-    ``word`` through ``_set_step`` and the walk's memo
-    (``Transducer._lane_walk``), a row per set from input symbol to (next
-    set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's ``None`` entry
-    caches its set's report.  With ``sets``, the set reached after each
-    symbol is appended to it.  None, the walk giving up, at a step missing
-    the memo with more than ``_LANE_TUPLE_CAP`` tuples discovered (tuples
-    can grow like n^s).  The one walk loop: ``run``'s lane route and the
-    oracle call it."""
+    """The one lane route, of ``run``, ``traced_run`` and the oracle's
+    learned depth, for any s >= 1: ``t``'s s-lane ``convert.LaneNfa``, built
+    on the first walk at s and kept in ``Transducer._lane_walk``, walks
+    ``word`` (``LaneNfa.walk``, appending to ``sets``).  Its report where
+    ``verdict`` answers it; None where the tape search answers instead: a
+    report ``verdict`` leaves unknown, or a walk that gives up."""
     t._check_input(word)
-    n, rows, _ = _walk(t, s)
-    cur = frozenset((n.initial,))
-    row = rows.setdefault(cur, {})
-    for x in word:
-        step = row.get(x)
-        if step is None:
-            if n.discovered > _LANE_TUPLE_CAP:
-                return None
-            if len(rows) >= _LIVE_MEMO_CAP:
-                rows.clear()
-            nxt = _set_step(n, cur, n.alphabet.index(x))
-            step = row[x] = (nxt, rows.setdefault(nxt, {}))
-        cur, row = step
-        if sets is not None:
-            sets.append(cur)
-    report = row.get(None)
-    if report is None:
-        report = row[None] = n.report(cur)
-    return report
-
-
-def _walk(t: Transducer, s: int) -> tuple:
-    """``t``'s s-lane walk: ``convert.LaneNfa(t, s)``, its set memo (see
-    ``_walk_lanes``) and its trace memo (see ``_lane_trace``), built on the
-    first run at s."""
-    walk = t._lane_walk.get(s)
-    if walk is None:
+    n = t._lane_walk.get(s)
+    if n is None:
         from .convert import LaneNfa  # convert builds on core
-        walk = t._lane_walk[s] = (LaneNfa(t, s), {}, {})
-    return walk
+        n = t._lane_walk[s] = LaneNfa(t, s)
+    report = n.walk(word, sets)
+    return report if report is not None and verdict(t, report, s) is not None else None
 
 
 # the most lanes ``run`` and traces walk before they search tapes: tuples
 # can grow like n^s, and each s keeps its own walk on the machine
 _LANE_SWEEP_CAP = 8
-# the most lane tuples ``_walk_lanes`` lets a machine discover at one lane
-# count before it gives up at the next step that misses its memo
-_LANE_TUPLE_CAP = 1 << 14
-
-
-def _set_step(n, s: frozenset, c: int) -> frozenset:
-    """The states of the automaton ``n`` (read through ``LaneNfa``'s
-    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
-    step."""
-    return frozenset([r for q in s for r in n.step(q)[c]])
 
 
 def _lane_trace(
     t: Transducer, word: Sequence[str], s: int, sets: list[frozenset], report: RunReport
 ) -> Optional[list[Tape]]:
-    """``find_accepting_trace`` from the sets of s-lane tuples ``_walk_lanes``
-    reached on ``word`` (None unless ``report`` accepts at j sweeps).  The
-    last set gives its least tuple by value with an endmarker chain
-    (``convert._lane_chains``) whose lane j accepts; then, one position at a
-    time from the end, the set before gives the least tuple by value with a
-    chain on the word's symbol to the tuple already chosen, the first such
-    chain in choice order.  Every tuple of a set is reached, so the walk
-    back never sticks, and lanes 1 to j - 1 end rejecting, as j is least.
-    Tape i, for i from 1 to j, is what lane i wrote.  The choice reads
-    tuples by value, never by number or set order, which depend on the
-    words the walk saw before; it is memoized per (set, symbol, chosen
-    tuple) in the walk's trace memo, up to ``_LIVE_MEMO_CAP`` entries."""
+    """``find_accepting_trace`` from the sets ``_run_lanes`` reached on ``word`` (None unless
+    ``report`` accepts): the initial tape, then what lanes 1 to j wrote (``LaneNfa.trace``)."""
     if not report.accepted:
         return None
-    from .convert import _lane_chains  # convert builds on core
-    j = report.min_accept_sweeps
-    n, _, back = _walk(t, s)
-    tuples, delta, acc = n._tuples, n._delta, n._acc
-    by_value = tuples.__getitem__
-    path = [frozenset((n.initial,)), *sets]
-    q, out = next((q, out) for q in sorted(path[-1], key=by_value)
-                  for p, out in _lane_chains(delta, tuples[q], n._end) if acc[p[j - 1]])
-    cols = [out]
-    for before, x in zip(path[-2::-1], reversed(word)):
-        hit = back.get((before, x, q))
-        if hit is None:
-            c = n.alphabet.index(x)
-            p = min((p for p in before if q in n.step(p)[c]), key=by_value)
-            target = tuples[q]
-            out = next(out for lanes, out in _lane_chains(delta, tuples[p], n._codes[c]) if lanes == target)
-            if len(back) >= _LIVE_MEMO_CAP:
-                back.clear()
-            hit = back[before, x, q] = (p, out)
-        q, out = hit
-        cols.append(out)
-    lanes = zip(*reversed(cols))
-    return [t.initial_tape(word)] + [_decode(t, "".join(next(lanes))) for _ in range(j)]
+    lanes = t._lane_walk[s].trace(word, sets, report.min_accept_sweeps)
+    return [t.initial_tape(word)] + [_decode(t, lane) for lane in lanes]
 
 
 def _run_traced(
@@ -752,9 +678,7 @@ def _run_traced(
 ) -> tuple[RunReport, Callable[[], Optional[list[Tape]]]]:
     """``traced_run`` by the tape search alone: its report, and a function
     building the path to its first hit in frontier order (None unless
-    accepted) from the parent map."""
-    if max_sweeps < 0 or tape_cap < 1:
-        raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
+    accepted) from the parent map.  The caller checks the budgets."""
     tape0 = _initial(t, word)
     parent: dict[str, Optional[str]] = {tape0: None}
     explored, frontier = 0, [tape0]
@@ -817,8 +741,8 @@ def find_accepting_trace(
     The first element is the initial tape and the length is the minimum
     accepting sweep count plus one.  ``None`` if no accepting run exists
     within the budgets.  The trace comes from the route ``run`` takes: on
-    the lane route, ``_lane_trace``'s walk back over the sets of lane
-    tuples, which ``tape_cap`` does not bound; on the tape search, its
+    the lane route, ``convert.LaneNfa.trace``'s walk back over the sets of
+    lane tuples, which ``tape_cap`` does not bound; on the tape search, its
     first hit in frontier order.  Raises ``ValueError`` on the budgets
     ``run`` rejects.
     """

@@ -48,10 +48,12 @@ def emptiness_witness(t: Transducer, k: int) -> Optional[Word]:
     return _shortest_word((n.initial,), _edges(n), n.accepting)
 
 
-def _live(n: LaneNfa | SimpleNamespace) -> dict[int, list[tuple[int, str]]]:
+def _live(n: LaneNfa | SimpleNamespace) -> tuple[dict[int, list[tuple[int, str]]], dict]:
     """The live states of ``n`` (reachable from the initial state and
     co-reachable to an accepting one) in breadth-first discovery order,
-    each with its edges into live states."""
+    each with its edges into live states; and the reversed edges of the
+    reachable states, each state's (predecessor, symbol) pairs in the
+    order of the predecessors' discovery, then choice order."""
     edges = _edges(n)
     out = {q: edges(q) for q in _bfs((n.initial,), edges)[0]}
     rev: dict[int, list[tuple[int, str]]] = {q: [] for q in out}
@@ -59,7 +61,7 @@ def _live(n: LaneNfa | SimpleNamespace) -> dict[int, list[tuple[int, str]]]:
         for r, x in es:
             rev[r].append((q, x))
     co = _bfs([q for q in out if n.accepting(q)], rev.__getitem__)[0]
-    return {q: [(r, x) for r, x in es if r in co] for q, es in out.items() if q in co}
+    return {q: [(r, x) for r, x in es if r in co] for q, es in out.items() if q in co}, rev
 
 
 def is_finite(t: Transducer, k: int) -> bool:
@@ -82,8 +84,8 @@ def infiniteness_witness(t: Transducer, k: int) -> Optional[tuple[Word, Word, Wo
     states from the initial state to the cycle's state and from it to
     an accepting state."""
     n = LaneNfa(t, k)
-    live = _live(n)
-    cycle = _live_cycle(live)
+    live, rev = _live(n)
+    cycle = _live_cycle(live, rev)
     if cycle is None:
         return None
     q, cyc_word = cycle
@@ -92,20 +94,16 @@ def infiniteness_witness(t: Transducer, k: int) -> Optional[tuple[Word, Word, Wo
     return (prefix, cyc_word, suffix)
 
 
-def _live_cycle(live: dict[int, list[tuple[int, str]]]) -> Optional[tuple[int, Word]]:
-    """A state on a cycle of the live subgraph (``_live``) and the
-    cycle's word, or None when that subgraph is acyclic.
+def _live_cycle(live: dict[int, list[tuple[int, str]]], rev: dict) -> Optional[tuple[int, Word]]:
+    """A state on a cycle of the live subgraph and the cycle's word, or
+    None when that subgraph is acyclic; ``live`` and ``rev`` are ``_live``'s.
 
     Kahn peeling removes every state without a predecessor left; each
     remaining state keeps a remaining predecessor, so walking
     predecessors back from the first one in ``live``'s order must close
     a cycle.
     """
-    preds: dict[int, list[tuple[int, str]]] = {q: [] for q in live}
-    for q, es in live.items():
-        for r, x in es:
-            preds[r].append((q, x))
-    indegree = {q: len(ps) for q, ps in preds.items()}
+    indegree = {q: sum(p in live for p, _x in rev[q]) for q in live}
     peeled = [q for q in live if not indegree[q]]
     for q in peeled:
         for r, _x in live[q]:
@@ -118,7 +116,7 @@ def _live_cycle(live: dict[int, list[tuple[int, str]]]) -> Optional[tuple[int, W
     q = next(q for q in live if q in rest)
     back: dict[int, tuple[int, str]] = {}
     while q not in back:
-        back[q] = next((p, x) for p, x in preds[q] if p in rest)
+        back[q] = next((p, x) for p, x in rev[q] if p in rest)
         q = back[q][0]
     word = []
     p = q
@@ -176,8 +174,6 @@ def _inclusion_witness(
         p, s = node
         rows = [step2(q) for q in s]
         for x, rs, j in zip(sigma, step1(p), column):
-            if not rs:
-                continue
             nxt = frozenset().union(*[row[j] for row in rows])
             for r in rs:
                 if keep(r, nxt):

@@ -26,10 +26,10 @@ The per-word acceptor of ``make_acceptor`` walks lanes as well: a bare
 nondeterministic machine without an int bound walks each word at the
 depth its first accepted run took, before searching tapes.  So
 ``compare_on_words`` answers a corpus of one language's members mostly by
-walks.  Every walk goes through ``core._walk_lanes``, the loop of
-``run``'s lane route, and answers what ``run`` answers, with one
-difference: a walk keeps no tapes, so a word whose tape search would hit
-``tape_cap`` (and raise) gets an answer.
+walks.  Those walks take ``core._run_lanes``, ``run``'s lane route, and
+answer what ``run`` answers, with one difference: a walk keeps no tapes,
+so a word whose tape search would hit ``tape_cap`` (and raise) gets an
+answer.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from itertools import product, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, LaneNfa, Nfa, _moore
-from .core import MachineError, Transducer, Word, _set_step, _walk_lanes, run, verdict
+from .convert import Dfa, LaneNfa, Nfa, _moore, _set_step
+from .core import MachineError, Transducer, Word, _run_lanes, run, verdict
 
 # Built with | over builtin generics: a typing.Union would sit in typing's
 # cache and keep every imported copy of these classes alive.
@@ -72,15 +72,16 @@ def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word
     A bare nondeterministic transducer without an int bound learns a lane
     depth s, the ``min_accept_sweeps`` of its first accepted run.  Each
     later word whose budget is at least s first walks ``LaneNfa(t, s)``
-    (``core._walk_lanes``).  The walk answers where ``verdict`` answers its
-    report: accepted at lane j <= s, so ``run`` accepts at j sweeps, or
-    ``exhausted``, so no tape s + 1 exists and ``run`` exhausts too.  The
-    tape search answers the other words, and those on which the walk gives
-    up at ``core._LANE_TUPLE_CAP`` tuples.  A deterministic machine keeps
-    the tape search: it is one chain of tapes, so lanes have nothing to
-    merge, and walking them is slower (on a fresh ``gen_copy``, 120 random
-    words of 7 to 21 symbols took 17.6 ms walked at 11 lanes against
-    1.7 ms on tapes, Python 3.11 on a 2-vCPU host).
+    through ``core._run_lanes``, ``run``'s lane route, which answers where
+    ``verdict`` answers its report: accepted at lane j <= s, so ``run``
+    accepts at j sweeps, or ``exhausted``, so no tape s + 1 exists and
+    ``run`` exhausts too.  The tape search answers the other words, and
+    those on which the walk gives up at ``convert._LANE_TUPLE_CAP`` tuples.
+    A deterministic machine keeps the tape search: it is one chain of
+    tapes, so lanes have nothing to merge, and walking them is slower (on a
+    fresh ``gen_copy``, 120 random words of 7 to 21 symbols took 17.6 ms
+    walked at 11 lanes against 1.7 ms on tapes, Python 3.11 on a 2-vCPU
+    host).
     """
     if isinstance(acceptor, tuple):
         t, k = acceptor
@@ -100,10 +101,9 @@ def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word
         nonlocal depth
         sweeps = k if k is not None else len(word) + 8
         if depth is not None and sweeps >= depth:
-            report = _walk_lanes(t, word, depth)
-            answer = None if report is None else verdict(t, report, depth)
-            if answer is not None:
-                return answer
+            report = _run_lanes(t, word, depth)
+            if report is not None:
+                return report.accepted
         report = run(t, word, sweeps, tape_cap)
         answer = verdict(t, report, sweeps, k)
         if answer is None:
@@ -209,7 +209,7 @@ def _walk_word_tree(
     j of a level extends word j // |alphabet| of the level above by symbol
     j % |alphabet|, so each level is stepped from the one before (the last
     is not kept), through a memo that maps a set to its row: the
-    successor set by ``core._set_step``, the one set step that ``run``'s
+    successor set by ``convert._set_step``, the one set step that ``run``'s
     lane route takes too, and its answer, per symbol."""
     cols = [n.alphabet.index(x) for x in alphabet]
     rows: dict[frozenset, tuple[list, list]] = {}

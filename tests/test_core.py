@@ -126,6 +126,36 @@ class TestConstruction:
             replace(RECORDS[kind], **change)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: replace(RECORDS["transducer"], sweep_bound=0), MachineError, "bad sweep bound 0"),
+            (lambda: replace(RECORDS["transducer"], endmarker="z"), MachineError,
+             "endmarker must be an output symbol"),
+            (lambda: replace(RECORDS["transducer"], transitions={("z", "a"): (("q", "a"),)}),
+             MachineError, "transition from undeclared state 'z'"),
+            (lambda: replace(RECORDS["transducer"], transitions={("q", "a"): ()}), MachineError,
+             "empty transition set for ('q', 'a'); omit the key instead"),
+            (lambda: replace(RECORDS["nfa"], transitions={("q", "a"): ("z",)}), MachineError,
+             "transition into undeclared state 'z'"),
+            (lambda: replace(RECORDS["lba"], transitions={("z", "a"): (("q", "R"),)}), MachineError,
+             "bad transition key ('z', 'a')"),
+            (lambda: replace(RECORDS["lba"], transitions={("q", "a"): ()}), MachineError,
+             "empty transition set for ('q', 'a')"),
+            (lambda: replace(RECORDS["lba"], transitions={("q", "a"): (("z", "R"),)}), MachineError,
+             "transition into undeclared state 'z'"),
+            (lambda: RunReport(True, None, 0, False), ValueError, "accepted runs must carry a sweep count"),
+            (lambda: sweep(RECORDS["transducer"], ()), MalformedInputError, "tape must have at least one cell"),
+        ],
+        ids=["sweep-bound", "endmarker-output", "move-from", "empty-moves", "nfa-move-into",
+             "lba-move-key", "lba-empty-moves", "lba-move-into", "accepted-sweeps", "empty-tape"],
+    )
+    def test_rule_messages(self, call, error, message):
+        # the rules no other test reaches, each with its exception type and message
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
+
     def test_endmarker_must_not_be_input(self):
         with pytest.raises(MachineError):
             Transducer(

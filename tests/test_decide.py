@@ -187,7 +187,7 @@ def brute_language(t: Transducer, k: int, max_len: int) -> set:
 def live_nfa_size(t: Transducer, k: int) -> int:
     from iufst.decide import _live
 
-    return max(1, len(_live(reference_nfa(t, k)._view)))
+    return max(1, len(_live(reference_nfa(t, k)._view)[0]))
 
 
 @pytest.fixture(scope="module")

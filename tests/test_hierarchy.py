@@ -1,6 +1,7 @@
 """Constructors, closure combinators, and the prefix-copy language."""
 
 import functools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,23 @@ class TestPrimitiveConstructors:
             identity_constructor(("-",))
         with pytest.raises(MachineError):
             combine_add(identity_constructor(("x",)), identity_constructor(("x",)))
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda c: replace(c, payload_alphabet=("y",)), "payload symbol 'y' unknown to the machine"),
+            (lambda c: replace(c, payload_alphabet=()), "payload alphabet must be non-empty"),
+            # a second choice on (q0, a) makes the machine nondeterministic
+            (lambda c: combine_add(replace(c, machine=replace(c.machine, transitions={
+                **c.machine.transitions, ("q0", "a"): (("Ma", "a'"), ("q0", "a'"))})),
+                identity_constructor(("y",))), "constructors must be deterministic"),
+        ],
+        ids=["unknown-payload", "empty-payload", "nondeterministic"],
+    )
+    def test_messages(self, call, message):
+        with pytest.raises(MachineError) as err:
+            call(identity_constructor(("x",)))
+        assert type(err.value) is MachineError and str(err.value) == message
 
 
 def add_pred(cf, cg):

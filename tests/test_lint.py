@@ -1,12 +1,14 @@
-"""Lint: every module-level import is used by some name in its file, and
-every private module-level name of the library is read somewhere in it.
+"""Lint: every module-level import is used by some name in its file,
+every private module-level name of the library is read somewhere in it,
+and the library imports inside a function only where it must.
 
 Covers the library modules (``__init__.py`` only re-exports) and the test
 files, with the stdlib ``ast`` module alone: a name bound by a top-level
 ``import`` or ``from ... import`` must be read somewhere in the file, and a
 function, class or constant that a library module defines at top level
 under a ``_`` name must be read, as a name or an attribute, somewhere in
-``src/iufst``.
+``src/iufst``.  The one function-level import of ``src/iufst`` is core's
+of ``convert.LaneNfa``, as convert builds on core.
 """
 
 import ast
@@ -73,3 +75,27 @@ def test_finds_an_unused_private_name():
     sources = ["_A = 1\n_B: int = 2\ndef _f(): return _A\nclass _C: pass\n__all__ = []\n",
                "from m import _f\n_f()\n"]
     assert unused_private(sources) == ["_B", "_C"]
+
+
+def function_imports(source: str) -> list[str]:
+    """The imports of ``source`` made inside a function or lambda, as
+    ``ast.unparse`` writes them, in sorted order."""
+    tree = ast.parse(source)
+    inner = {node for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted(map(ast.unparse, inner))
+
+
+def test_one_function_level_import():
+    # convert builds on core, so core imports convert's LaneNfa where it
+    # first walks lanes; every other import of the library is at the top
+    library = sorted((ROOT / "src" / "iufst").glob("*.py"))
+    found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in library}
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "core.py": ["from .convert import LaneNfa"]}
+
+
+def test_finds_function_level_imports():
+    source = ("import os\ndef f():\n    def g():\n        from re import match\n"
+              "    if os:\n        import sys\nclass C:\n    def m(self):\n        import json\n")
+    assert function_imports(source) == ["from re import match", "import json", "import sys"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iufst import (
     Dfa,
+    MachineError,
     MalformedInputError,
     OracleBudgetError,
     Transducer,
@@ -90,6 +91,25 @@ class TestCompare:
         with pytest.raises(OracleBudgetError):
             compare_languages(spin_machine(), lambda w: False, ("a",), 30, tape_cap=50)
 
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: make_acceptor(5), MachineError, "cannot interpret 5 as a language acceptor"),
+            # a binary counter passes 32 tapes on 5 cells, more than 5 + 8 sweeps
+            (lambda: make_acceptor(counter_machine())(("a",) * 5), OracleBudgetError,
+             "sweep budget 13 inconclusive on word of length 5"),
+            (lambda: predicate_to_min_dfa(even, ("a",), 4, prefix_len=0), MachineError,
+             "prefix_len must lie in 1..max_len"),
+            (lambda: predicate_to_min_dfa(even, ("a",), 4, prefix_len=5), MachineError,
+             "prefix_len must lie in 1..max_len"),
+        ],
+        ids=["not-an-acceptor", "sweep-budget", "prefix-len-0", "prefix-len-past-max-len"],
+    )
+    def test_messages(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error and str(err.value) == message
+
 
 def spin_machine():
     return Transducer(
@@ -103,6 +123,27 @@ def spin_machine():
             ("q", "a"): (("q", "b"), ("q", "a")),
             ("q", "b"): (("q", "a"), ("q", "b")),
             ("q", "<"): (("q", "<"),),
+        },
+    )
+
+
+def counter_machine():
+    """A deterministic binary counter, least significant cell first (a is 0,
+    b is 1), adding one per sweep and never accepting; no sweep bound."""
+    return Transducer(
+        states=("c", "n"),
+        input_alphabet=("a",),
+        output_alphabet=("a", "b", "<"),
+        endmarker="<",
+        initial="c",
+        accepting=(),
+        transitions={
+            ("c", "a"): (("n", "b"),),
+            ("c", "b"): (("c", "a"),),
+            ("n", "a"): (("n", "a"),),
+            ("n", "b"): (("n", "b"),),
+            ("c", "<"): (("c", "<"),),
+            ("n", "<"): (("n", "<"),),
         },
     )
 
@@ -331,8 +372,8 @@ class TestLearnedDepth:
         import iufst.oracle
 
         walks, runs = [], []
-        walk, real = iufst.oracle._walk_lanes, iufst.oracle.run
-        monkeypatch.setattr(iufst.oracle, "_walk_lanes",
+        walk, real = iufst.oracle._run_lanes, iufst.oracle.run
+        monkeypatch.setattr(iufst.oracle, "_run_lanes",
                             lambda t, w, s: walks.append((len(w), s)) or walk(t, w, s))
         monkeypatch.setattr(iufst.oracle, "run", lambda t, w, *a: runs.append(len(w)) or real(t, w, *a))
         return walks, runs

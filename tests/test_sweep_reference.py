@@ -50,8 +50,8 @@ from iufst import (
 )
 from iufst import convert, core
 from iufst.cli import _d_corpus
-from iufst.convert import LaneNfa
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _set_step, _sweep
+from iufst.convert import LaneNfa, _set_step
+from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _sweep
 
 from test_decide import fuzz_machine
 
@@ -583,10 +583,10 @@ class TestLaneRoute:
             run(t, w, k + 1)
             run(t, w, k)
         assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
-        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
+        monkeypatch.setattr(convert, "_LIVE_MEMO_CAP", 2)
         t = make()
         assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
-        assert all(len(rows) <= 2 and len(back) <= 2 for _, rows, back in t._lane_walk.values())
+        assert all(len(n._sets) <= 2 and len(n._back) <= 2 for n in t._lane_walk.values())
 
     def test_validator_fails_mutated_traces(self, monkeypatch):
         # a trace whose first sweep writes back what it read at one cell
@@ -648,7 +648,7 @@ class TestLaneRoute:
         # e(2,3) has 9 lane tuples; past 4, the next step missing the memo
         # leaves the word to the tape search, whose report and trace are
         # the reference's
-        monkeypatch.setattr(core, "_LANE_TUPLE_CAP", 4)
+        monkeypatch.setattr(convert, "_LANE_TUPLE_CAP", 4)
         t, words = gen_e(2, 3), e_words(2, 3)
         searched = 0
         for w in words:
@@ -662,16 +662,16 @@ class TestLaneRoute:
                 assert_lane_run(report, want, w)
                 assert_trace(t, w, trace, want, w)
         assert 0 < searched < len(words)
-        assert t._lane_walk[3][0].discovered < 9
+        assert t._lane_walk[3].discovered < 9
 
     def test_memo_cleared_mid_word(self, monkeypatch):
         # a cap of 2 empties the set memo on most misses
-        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
+        monkeypatch.setattr(convert, "_LIVE_MEMO_CAP", 2)
         make, k, words = LANE_FAMILIES["e(3,4)"]
         t = make()
         for w in words[::-1]:
             assert_lane_run(run(t, w, k), ref_run(t, w, k), w)
-            assert len(t._lane_walk[k][1]) <= 2
+            assert len(t._lane_walk[k]._sets) <= 2
 
 
 class TestWarmMemo:

@@ -130,6 +130,16 @@ class TestParse:
             (LBA + "trans p a => p R\n", 9, "lba transitions read"),
             ("", 1, "unexpected end of file"),
             ("% c\n% d\n", 1, "unexpected end of file"),
+            (IDENTITY.replace("kind niufst", "kind tm"), 1,
+             r"kind must be one of niufst, iufst, nfa, dfa, lba$"),
+            (IDENTITY.replace("states q", "states"), 2, "at least one state is required$"),
+            (IDENTITY.replace("output a <", "output"), 4,
+             "transducers need a non-empty output alphabet$"),
+            (IDENTITY.replace("endmarker <", "endmarker < a"), 5,
+             r"directive 'endmarker' takes exactly 1 operand\(s\)$"),
+            (NFA + "trans p a -> q\n", 7, r"duplicate transition \('p', 'a'\) -> 'q'$"),
+            (LBA + "trans p a -> p R\ntrans p a -> p R\n", 10,
+             r"duplicate lba transition for \('p', 'a'\)$"),
         ],
         ids=["transition", "after-comment-and-blank", "no-final-newline", "end-of-file",
              "expected-directive", "crlf", "superscript-two-sweeps", "arabic-indic-one-sweeps",
@@ -142,7 +152,9 @@ class TestParse:
              "lba-left-of-lend", "lba-right-of-rend", "lba-overwrite-endmarker",
              "lba-write-endmarker", "iufst-second-choice",
              "transducer-arrow", "nfa-arrow", "lba-arrow",
-             "empty-file", "comment-only-file"],
+             "empty-file", "comment-only-file",
+             "unknown-kind", "no-states", "no-outputs", "endmarker-arity", "nfa-duplicate",
+             "lba-duplicate"],
     )
     def test_line_numbers_in_errors(self, text, line, message):
         with pytest.raises(MachineParseError, match=message) as info:
@@ -169,6 +181,19 @@ class TestMachineFile:
     def test_iufst_kind_needs_a_transducer(self, machine):
         with pytest.raises(MachineError, match="kind iufst requires a transducer"):
             MachineFile("iufst", machine)
+
+    @pytest.mark.parametrize(
+        "kind,machine,message",
+        [
+            ("tm", gen_e(2, 1), "unknown machine kind 'tm'"),
+            ("iufst", gen_e(2, 1), "iufst files must be deterministic"),
+        ],
+        ids=["unknown-kind", "nondeterministic-iufst"],
+    )
+    def test_messages(self, kind, machine, message):
+        with pytest.raises(MachineError) as err:
+            MachineFile(kind, machine)
+        assert type(err.value) is MachineError and str(err.value) == message
 
 
 class TestRoundTrip:
@@ -266,6 +291,14 @@ class TestWords:
 
     def test_multichar_requires_commas(self):
         assert parse_word("aa,<0", ("aa", "<0")) == ("aa", "<0")
+
+    def test_one_multichar_symbol_needs_no_comma(self):
+        # without a comma, a multi-character alphabet reads the text as one symbol
+        from iufst import MalformedInputError
+
+        assert parse_word("aa", ("aa", "<0")) == ("aa",)
+        with pytest.raises(MalformedInputError, match=r"symbols \['aa<0'\] not in the alphabet"):
+            parse_word("aa<0", ("aa", "<0"))
 
     def test_bad_symbol(self):
         from iufst import MalformedInputError

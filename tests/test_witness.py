@@ -146,6 +146,25 @@ class TestPredicatesAgainstReferences:
         assert not in_d(("a",) * 21_534) and not reference_in_d(("a",) * 21_534)
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: gen_e(1, 1), MachineError, "gen_e requires n >= 2 and k >= 1"),
+        (lambda: gen_e(2, 0), MachineError, "gen_e requires n >= 2 and k >= 1"),
+        (lambda: gen_block(1), MachineError, "gen_block requires k >= 2"),
+        (lambda: gen_block_nfa(1), MachineError, "gen_block_nfa requires k >= 2"),
+        (lambda: d_word(2, [("a",)] * 4, 0), ValueError, "need 2^k payloads and 1 <= i <= 2^k - 1"),
+        (lambda: d_word(2, [("a",)] * 4, 4), ValueError, "need 2^k payloads and 1 <= i <= 2^k - 1"),
+        (lambda: d_word(2, [("a",)] * 3, 1), ValueError, "need 2^k payloads and 1 <= i <= 2^k - 1"),
+    ],
+    ids=["e-n", "e-k", "block-k", "block-nfa-k", "d-index-0", "d-index-past", "d-payloads"],
+)
+def test_parameter_messages(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
+
+
 class TestUnary:
     @pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in (1, 2, 3)])
     def test_state_count(self, n, k):
