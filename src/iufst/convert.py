@@ -1,19 +1,10 @@
 """Conversions between iterated transducers and classical acceptors.
 
 The central construction simulates several sweeps of a machine in
-parallel inside one sweep, using tuple states with a dummy lane for
-branches that died; this module is their one home.  ``_lane_step``
-gives the moves of a tuple of lanes over the machine's state indices;
-lanes read and write tape characters through the machine's one move
-table, and the dummy symbol is an int, which no character equals.
-``sweep_reduce`` materializes the tuples it reaches as a transducer.
-``LaneNfa`` expands the NFA of k sweeps reduced into one on demand, over
-input symbols, read through ``alphabet``, ``initial``, ``step(q)`` and
-``accepting(q)``; its ``report`` is the one rule for what a set of its
-tuples reached on a word answers, and ``to_nfa`` renders it with named
-states.  ``core``'s lane route keeps one per lane count: its ``walk``
-steps the set of tuples over a word by ``_set_step``, the one set step,
-and its ``trace`` walks back over the sets reached to what lanes wrote.
+parallel inside one sweep; its lane tuples, their moves and
+``LaneNfa`` live in ``core``, whose lane route runs them, and this
+module renders them: ``sweep_reduce`` materializes the tuples it
+reaches as a transducer, and ``to_nfa`` names ``LaneNfa``'s states.
 ``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each
 keep their per-move rule and successor rule ``_successors`` (a 0- or
 1-tuple in a ``Dfa``), on which ``_Fa`` builds one ``accepts`` and one
@@ -33,25 +24,28 @@ tables go in and out of records through C-level ``map``, ``zip`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from types import SimpleNamespace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
+    LaneNfa,
     MachineError,
     MalformedInputError,
     ResourceBudgetError,
-    RunReport,
     Transducer,
-    _LIVE_MEMO_CAP,
+    _DUMMY_SYMBOL,
     _Record,
     _bfs,
     _check_declared,
+    _check_lanes,
     _check_list,
-    _encode,
+    _edges,
     _escapes,
     _fresh,
+    _lane_step,
+    _lanes,
     materialize,
     renderer,
 )
@@ -154,14 +148,6 @@ class Dfa(_Fa):
 
 _DUMMY = "d"
 
-# The dummy lane state and the dummy symbol of ``_lane_step``.  The state is
-# index -1, which reads the entries ``_lanes`` appends to the machine's
-# per-state lists: no moves and not accepting.  The symbol is an int, which
-# no tape character equals, so no transition of the machine reads it.
-_DUMMY_STATE = -1
-_DUMMY_SYMBOL = -1
-_DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
-
 
 def reduced_state_universe(n_states: int, i: int) -> int:
     """Size of the tuple-state universe for an i-fold parallel simulation.
@@ -173,64 +159,9 @@ def reduced_state_universe(n_states: int, i: int) -> int:
     return sum(n_states**t for t in range(i + 1))
 
 
-def _check_lanes(k: int, i: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise MachineError(f"declared sweep bound must be a positive integer, got {k!r}")
-    if not 1 <= i <= k:
-        raise MachineError(f"lane count i={i} must satisfy 1 <= i <= k={k}")
-
-
-def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
-    """``t._indexed`` with the dummy lane state appended at index -1."""
-    q0, delta, acc = t._indexed
-    return q0, delta + [{}], acc + [False]
-
-
-def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
-    """The moves of lane tuple ``state`` reading tape character ``x``: the
-    distinct (next tuple, character the last lane writes) pairs, as the
-    keys of a dict, in choice order.
-
-    Lane t of a tuple carries one sweep of a block of parallel sweeps and
-    reads the character lane t-1 writes (lane 1 reads ``x``).  A lane
-    without a move collapses to the dummy state and writes the dummy
-    symbol, an int that no row is keyed by, so every later lane collapses
-    as well.  ``delta`` comes from ``_lanes``.
-    """
-    moves = [((), x)]
-    for s in state:
-        row = delta[s]
-        nxt = []
-        for lanes, y in moves:
-            for r, z in row.get(y, _DEAD):
-                nxt.append((lanes + (r,), z))
-        moves = nxt
-    return dict.fromkeys(moves)
-
-
-def _lane_chains(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], tuple]]:
-    """The branches behind ``_lane_step``, none merged, each with every
-    lane's written character: (next tuple, characters lanes 1, 2, ...
-    write), in choice order, so a trace can say what each sweep wrote."""
-    moves = [((), (x,))]
-    for s in state:
-        row = delta[s]
-        moves = [(lanes + (r,), out + (z,)) for lanes, out in moves for r, z in row.get(out[-1], _DEAD)]
-    return [(lanes, out[1:]) for lanes, out in moves]
-
-
 def _lane_states(t: Transducer) -> tuple[str, ...]:
     """Each lane state's name by index, the dummy's (``d``, primed until fresh) at -1."""
     return t.states + (_fresh(_DUMMY, set(t.states)),)
-
-
-def _lane_meta(t: Transducer, k: int, i: int) -> dict:
-    return {
-        "universe_states": reduced_state_universe(len(t.states), i),
-        "lanes": i,
-        "source_states": len(t.states),
-        "source_bound": k,
-    }
 
 
 def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
@@ -263,178 +194,8 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
         name_of=lambda tup: name(tuple(map(lanes.__getitem__, tup))),
         symbol_name=lambda y: dummy_sym if y == _DUMMY_SYMBOL else dec[y],
         sweep_bound=-(-k // i),  # ceil(k / i)
-        meta=_lane_meta(t, k, i),
+        meta={"universe_states": reduced_state_universe(len(t.states), i)},
     )
-
-
-class LaneNfa:
-    """The NFA of k sweeps run as k lanes of one sweep, over input
-    symbols, expanded on demand.
-
-    States are ints numbering the lane tuples in discovery order, the
-    initial tuple being 0.  The first ``step``, ``accepting`` or ``report``
-    call on a tuple expands it and keeps the result: ``_lane_step`` on each
-    input symbol's character gives its successors, and one on the
-    endmarker's the least lane that can reach an accepting state there
-    (None when no lane can), so a tuple is ``accepting`` when it has one.
-    ``completes`` is computed on its first request only; ``walk`` and
-    ``trace`` keep memos of their own.
-    """
-
-    def __init__(self, t: Transducer, k: int) -> None:
-        _check_lanes(k, k)
-        q0, self._delta, self._acc = _lanes(t)
-        self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
-        self._tuples = [(q0,) * k]
-        self._ids = {self._tuples[0]: 0}
-        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]] = {}
-        self._completes: dict[int, bool] = {}
-        self._sets: dict[frozenset[int], dict] = {}  # ``walk``'s memo
-        self._back: dict[tuple, tuple[int, tuple]] = {}  # ``trace``'s memo
-        self.alphabet = t.input_alphabet
-        self.initial = 0
-
-    @property
-    def discovered(self) -> int:
-        """Lane tuples numbered so far."""
-        return len(self._tuples)
-
-    @property
-    def expanded(self) -> int:
-        """Lane tuples whose successors and acceptance were computed."""
-        return len(self._rows)
-
-    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
-        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
-        return (self._rows.get(q) or self._expand(q))[0]
-
-    def accepting(self, q: int) -> bool:
-        return (self._rows.get(q) or self._expand(q))[1]
-
-    def report(self, s: frozenset[int]) -> RunReport:
-        """What the set ``s`` of tuples reached on a word answers, as ``run``
-        reports k sweeps: accepted at the least lane, counted from 1, that
-        ends the endmarker step from a tuple in an accepting state; else
-        rejected, ``exhausted`` exactly when no tuple ``completes`` its last
-        lane, so no tape k + 1 exists.  No tape is kept: ``tapes_explored``
-        is 0 and ``cap_hit`` False."""
-        rows = self._rows
-        lanes = [(rows.get(q) or self._expand(q))[2] for q in s]
-        least = min(filter(None, lanes), default=None)  # lanes count from 1: drops only None
-        return _lane_report(least, least is None and not any(map(self.completes, s)))
-
-    def completes(self, q: int) -> bool:
-        """Some branch of ``q`` steps on the endmarker in every lane."""
-        done = self._completes.get(q)
-        if done is None:
-            ends = _lane_step(self._delta, self._tuples[q], self._end)
-            done = self._completes[q] = any(p[-1] != _DUMMY_STATE for p, _y in ends)
-        return done
-
-    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]:
-        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
-        row = []
-        for x in self._codes:
-            succ = []
-            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
-                i = ids.setdefault(p, len(tuples))
-                if i == len(tuples):
-                    tuples.append(p)
-                succ.append(i)
-            row.append(tuple(succ))
-        acc, ends = self._acc, _lane_step(delta, state, self._end)
-        least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
-        self._rows[q] = entry = (tuple(row), least is not None, least)
-        return entry
-
-    def walk(self, word: Sequence[str], sets: Optional[list[frozenset]] = None) -> Optional[RunReport]:
-        """``report`` of the set of tuples reached on ``word``, over
-        ``alphabet``, by Thompson's simulation made lazy: the set steps
-        through ``_set_step`` and the memo ``_sets``, a row per set from
-        input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a
-        row's ``None`` entry caches its set's report.  With ``sets``, the set
-        reached after each symbol is appended to it.  None, the walk giving
-        up, at a step missing the memo with more than ``_LANE_TUPLE_CAP``
-        tuples discovered (they can grow like n^k).  The one walk loop."""
-        rows = self._sets
-        cur = frozenset((self.initial,))
-        row = rows.setdefault(cur, {})
-        for x in word:
-            step = row.get(x)
-            if step is None:
-                if self.discovered > _LANE_TUPLE_CAP:
-                    return None
-                if len(rows) >= _LIVE_MEMO_CAP:
-                    rows.clear()
-                nxt = _set_step(self, cur, self.alphabet.index(x))
-                step = row[x] = (nxt, rows.setdefault(nxt, {}))
-            cur, row = step
-            if sets is not None:
-                sets.append(cur)
-        report = row.get(None)
-        if report is None:
-            report = row[None] = self.report(cur)
-        return report
-
-    def trace(self, word: Sequence[str], sets: list[frozenset[int]], j: int) -> list[str]:
-        """What lanes 1 to j wrote, in the tape code, on a run accepting
-        ``word`` at lane j, the least, from the ``sets`` ``walk`` reached on
-        it.  The last set gives its least tuple by value with an endmarker
-        chain (``_lane_chains``) whose lane j accepts; then, one position at a
-        time from the end, the set before gives the least tuple by value with
-        a chain on the word's symbol to the tuple already chosen, the first
-        such chain in choice order.  Every tuple of a set is reached, so the
-        walk back never sticks, and lanes 1 to j - 1 end rejecting, as j is
-        least.  The choice reads tuples by value, never by number or set
-        order, which depend on the words the walk saw before; it is memoized
-        per (set, symbol, chosen tuple) in ``_back``, up to
-        ``_LIVE_MEMO_CAP`` entries."""
-        tuples, delta, acc, back = self._tuples, self._delta, self._acc, self._back
-        by_value = tuples.__getitem__
-        path = [frozenset((self.initial,)), *sets]
-        q, out = next((q, out) for q in sorted(path[-1], key=by_value)
-                      for p, out in _lane_chains(delta, tuples[q], self._end) if acc[p[j - 1]])
-        cols = [out]
-        for before, x in zip(path[-2::-1], reversed(word)):
-            hit = back.get((before, x, q))
-            if hit is None:
-                c = self.alphabet.index(x)
-                p = min((p for p in before if q in self.step(p)[c]), key=by_value)
-                target = tuples[q]
-                out = next(out for lanes, out in _lane_chains(delta, tuples[p], self._codes[c]) if lanes == target)
-                if len(back) >= _LIVE_MEMO_CAP:
-                    back.clear()
-                hit = back[before, x, q] = (p, out)
-            q, out = hit
-            cols.append(out)
-        lanes = zip(*reversed(cols))
-        return ["".join(next(lanes)) for _ in range(j)]
-
-
-# the most lane tuples ``LaneNfa.walk`` lets an automaton discover before it
-# gives up at the next step that misses its memo
-_LANE_TUPLE_CAP = 1 << 14
-
-
-def _set_step(n, s: frozenset, c: int) -> frozenset:
-    """The states of the automaton ``n`` (read through ``LaneNfa``'s
-    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
-    step."""
-    return frozenset([r for q in s for r in n.step(q)[c]])
-
-
-@cache
-def _lane_report(least: Optional[int], exhausted: bool) -> RunReport:
-    """``LaneNfa.report``'s value for an outcome, built once: a report is
-    immutable, and building one costs more than finding the outcome."""
-    return RunReport(least is not None, least, 0, False, exhausted)
-
-
-def _edges(n: LaneNfa | SimpleNamespace):
-    """Successor function of ``n`` for ``_bfs``: a state's (successor,
-    symbol) edges in alphabet order, then choice order."""
-    sigma, step = n.alphabet, n.step
-    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]
 
 
 def to_nfa(t: Transducer, k: int) -> Nfa:
@@ -461,7 +222,7 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
             (names[q], x): tuple(map(names.__getitem__, rs))
             for q in order for x, rs in zip(n.alphabet, n.step(q)) if rs
         },
-        meta=_lane_meta(t, k, k),
+        meta={"universe_states": reduced_state_universe(len(t.states), k)},
     )
 
 

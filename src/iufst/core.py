@@ -33,17 +33,26 @@ boundaries, yields its rounds to ``_run_traced`` (behind ``run``,
 ``run_deterministic`` calls the kernel, and so does ``sweep``, which finds
 the halts itself in a forward pass over the states each cell is reached in.
 
-Beside the tape search, ``run`` has a lane route.  At a budget of s sweeps,
-for s up to ``_LANE_SWEEP_CAP``, it sweeps no tape: the paper's reduction
-runs the s sweeps as the s lanes of one (``convert.LaneNfa``), whose
-``walk`` steps the set of lane tuples over the word in one pass.
-``_run_lanes``, the one lane route of ``run``, ``traced_run`` and the
-oracle's learned depth, keeps each s's ``LaneNfa`` on the machine and lets
+Beside the tape search, ``run`` has a lane route, and this module is its one
+home.  The paper's reduction simulates several sweeps in parallel inside one,
+as lanes of tuple states with a dummy lane for branches that died.
+``_lane_step`` gives the moves of a tuple of lanes over the machine's state
+indices; lanes read and write tape characters through the one move table, and
+the dummy symbol is an int, which no character equals.  ``LaneNfa`` expands
+the NFA of k lanes on demand, over input symbols, read through ``alphabet``,
+``initial``, ``step(q)`` and ``accepting(q)``; its ``report`` is the one rule
+for what a set of its tuples reached on a word answers, and its ``walk`` steps
+that set over a word in one pass by ``_set_step``, the one set step.  At a
+budget of s sweeps, for s up to ``_LANE_SWEEP_CAP``, ``run`` sweeps no tape:
+``_run_lanes``, the one lane route of ``run``, ``traced_run`` and the oracle's
+learned depth, walks the s-lane ``LaneNfa`` it keeps on the machine and lets
 the report stand where ``verdict``, the one rule for what a report answers,
 gives it an answer; elsewhere the tape search runs.  Traces take the route
-``run`` takes: ``LaneNfa.trace`` walks back over the sets the walk reached,
-choosing tuples by value, so a lane trace need not be the tape search's
-first hit in frontier order.  Accept-mode checks keep the tape search.
+``run`` takes: ``LaneNfa.trace`` walks back over the sets the walk reached to
+what lanes wrote, choosing tuples by value, so a lane trace need not be the
+tape search's first hit in frontier order.  Accept-mode checks keep the tape
+search.  ``convert`` renders lanes: ``sweep_reduce`` as a transducer,
+``to_nfa`` as an ``Nfa`` with named states.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first, in one pass.  A
@@ -73,9 +82,10 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, product
 from operator import itemgetter, length_hint
+from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 Word = tuple[str, ...]
@@ -262,14 +272,14 @@ class Transducer(_Record):
             moves.update([(c, (moves, q, c, same)) for c in loops])
         return rows
 
-    # ``_run_lanes``' ``convert.LaneNfa(self, s)`` per lane count s, built on the
+    # ``_run_lanes``' ``LaneNfa(self, s)`` per lane count s, built on the
     # first walk at s, with its walk and trace memos
     _lane_walk = cached_property(lambda self: {})
 
     # filled as needed: ``_live``'s tables (per character, the states with a move on it and
     # the bitmask of their next states; a row per mask), ``_sweep``'s fork memo ((state,
-    # character, live mask) -> (live choices in order, whether to split)), its patterns
-    _back = cached_property(lambda self: ({}, {}, {}, {}))
+    # character, live mask) -> (live choices in order, whether to split)), its run patterns
+    _live_pre, _live_rows, _forks, _runs = (cached_property(lambda self: {}) for _ in range(4))
 
     def initial_tape(self, word: Sequence[str]) -> Tape:
         self._check_input(word)
@@ -305,8 +315,9 @@ class RunReport:
     within the budgets, so a negative answer is definite.
 
     On the lane route (``_run_lanes``, which ``run`` takes at a budget of
-    s <= ``_LANE_SWEEP_CAP`` sweeps) the report is ``convert.LaneNfa.walk``'s,
-    whatever the tape budget: ``tapes_explored`` is 0.  Its ``exhausted``
+    s <= ``_LANE_SWEEP_CAP`` sweeps) the report is ``LaneNfa.report``'s, one
+    object per outcome (``_lane_report``), whatever the tape budget:
+    ``tapes_explored`` is 0 and ``cap_hit`` False.  Its ``exhausted``
     implies the tape search's, which also holds when every tape s + 1 was
     seen before.
     """
@@ -376,7 +387,7 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
     cell never make one, nor do tapes shorter than ``_SKIP_TAPE``, whose runs
     are short, nor a state whose run proved short earlier in the sweep.  Fork
     choices come from
-    the memo in ``_back[2]``; one into a state outside ``_live`` is
+    the memo ``_forks``; one into a state outside ``_live`` is
     dropped: it completes nothing and never merges with a kept branch (same
     state at a cell, same liveness), so pairs and order are unchanged.
     Branches whose outputs differ never merge, so kept choices writing
@@ -386,7 +397,7 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
     (state, trie node, tail), node -1 being the end of ``head``."""
     q, delta, _ = t._indexed
     rows = t._rows
-    forks = t._back[2]
+    forks = t._forks
     row = rows[q]
     head: list[str] = []  # the lone branch's output so far, in pieces
     n = len(tape)
@@ -409,9 +420,9 @@ def _sweep(t: Transducer, tape: str) -> list[tuple[int, str]]:
                     continue
                 # a second identity move in a row: copy the rest of the run
                 i = n - length_hint(cells) - 1
-                match = t._back[3].get(q)
+                match = t._runs.get(q)
                 if match is None:
-                    match = t._back[3][q] = re.compile(f"[{re.escape(''.join(loops))}]*").match
+                    match = t._runs[q] = re.compile(f"[{re.escape(''.join(loops))}]*").match
                 j = match(tape, i).end()
                 if j - i < 8:  # the call cost more than it saved: not again this sweep
                     slow += (loops,)
@@ -490,7 +501,7 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
     states from which some branch reads ``tape[j:]`` to the end.  Steps
     back are memoized on the machine, a row per mask from character to
     (next mask, its row), up to ``_LIVE_MEMO_CAP`` masks."""
-    (pre, memo, _, _), delta = t._back, t._indexed[1]
+    pre, memo, delta = t._live_pre, t._live_rows, t._indexed[1]
     j = len(tape)
     live = [0] * (j + 1)
     m = live[j] = (1 << len(t.states)) - 1
@@ -510,9 +521,9 @@ def _live(t: Transducer, tape: str, fork: int) -> list[int]:
     return live
 
 
-# the most entries each machine keeps in ``_live``'s masks and ``_sweep``'s
-# fork memo, and each ``convert.LaneNfa`` in its walk and trace memos; a full
-# memo is cleared before its next entry
+# the most entries each machine keeps in ``_live``'s masks (``_live_rows``) and
+# ``_sweep``'s fork memo (``_forks``), and each ``LaneNfa`` in its walk and trace
+# memos (``_sets``, ``_trace_memo``); a full memo is cleared before its next entry
 _LIVE_MEMO_CAP = 1024
 _CHUNK = 16
 _SKIP_TAPE = 64
@@ -571,14 +582,14 @@ def run(
     """Whether ``t`` accepts ``word`` within ``max_sweeps`` sweeps.
 
     A budget s from 1 to ``_LANE_SWEEP_CAP`` first runs the s sweeps as the
-    s lanes of ``convert.LaneNfa`` (the paper's reduction, which holds for
-    every s): one pass over the word steps the set of lane tuples
-    (``_run_lanes``), keeping no tape, so ``tape_cap`` bounds nothing
-    there.  Its report stands when ``verdict`` gives it an answer: accepted,
-    ``exhausted``, or rejected under a constant bound k <= s.  Otherwise, and
-    once the s-lane tuples outgrow ``convert._LANE_TUPLE_CAP``, the
-    breadth-first search over tape sets at sweep boundaries answers, so no
-    definite answer turns into "unknown".  Round s of the search sweeps
+    s lanes of ``LaneNfa`` (the paper's reduction, which holds for every s):
+    one pass over the word steps the set of lane tuples (``_run_lanes``),
+    keeping no tape, so ``tape_cap`` bounds nothing there.  Its report
+    stands when ``verdict`` gives it an answer: accepted, ``exhausted``, or
+    rejected under a constant bound k <= s.  Otherwise, and once the s-lane
+    tuples outgrow ``_LANE_TUPLE_CAP``, the breadth-first search over tape
+    sets at sweep boundaries answers, so no definite answer turns into
+    "unknown".  Round s of the search sweeps
     every frontier tape; a branch finishing in an accepting state halts the
     whole search with ``min_accept_sweeps=s`` (rounds are explored in
     order, so the first hit is minimal).  Branches finishing in
@@ -640,7 +651,7 @@ def _run_lanes(
     t: Transducer, word: Sequence[str], s: int, sets: Optional[list[frozenset]] = None
 ) -> Optional[RunReport]:
     """The one lane route, of ``run``, ``traced_run`` and the oracle's
-    learned depth, for any s >= 1: ``t``'s s-lane ``convert.LaneNfa``, built
+    learned depth, for any s >= 1: ``t``'s s-lane ``LaneNfa``, built
     on the first walk at s and kept in ``Transducer._lane_walk``, walks
     ``word`` (``LaneNfa.walk``, appending to ``sets``).  Its report where
     ``verdict`` answers it; None where the tape search answers instead: a
@@ -648,7 +659,6 @@ def _run_lanes(
     t._check_input(word)
     n = t._lane_walk.get(s)
     if n is None:
-        from .convert import LaneNfa  # convert builds on core
         n = t._lane_walk[s] = LaneNfa(t, s)
     report = n.walk(word, sets)
     return report if report is not None and verdict(t, report, s) is not None else None
@@ -668,6 +678,224 @@ def _lane_trace(
         return None
     lanes = t._lane_walk[s].trace(word, sets, report.min_accept_sweeps)
     return [t.initial_tape(word)] + [_decode(t, lane) for lane in lanes]
+
+
+# The dummy lane state and the dummy symbol of ``_lane_step``.  The state is
+# index -1, which reads the entries ``_lanes`` appends to the machine's
+# per-state lists: no moves and not accepting.  The symbol is an int, which
+# no tape character equals, so no transition of the machine reads it.
+_DUMMY_STATE = -1
+_DUMMY_SYMBOL = -1
+_DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
+
+
+def _check_lanes(k: int, i: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise MachineError(f"declared sweep bound must be a positive integer, got {k!r}")
+    if not 1 <= i <= k:
+        raise MachineError(f"lane count i={i} must satisfy 1 <= i <= k={k}")
+
+
+def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
+    """``t._indexed`` with the dummy lane state appended at index -1."""
+    q0, delta, acc = t._indexed
+    return q0, delta + [{}], acc + [False]
+
+
+def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
+    """The moves of lane tuple ``state`` reading tape character ``x``: the
+    distinct (next tuple, character the last lane writes) pairs, as the
+    keys of a dict, in choice order.
+
+    Lane t of a tuple carries one sweep of a block of parallel sweeps and
+    reads the character lane t-1 writes (lane 1 reads ``x``).  A lane
+    without a move collapses to the dummy state and writes the dummy
+    symbol, an int that no row is keyed by, so every later lane collapses
+    as well.  ``delta`` comes from ``_lanes``.
+    """
+    moves = [((), x)]
+    for s in state:
+        row = delta[s]
+        nxt = []
+        for lanes, y in moves:
+            for r, z in row.get(y, _DEAD):
+                nxt.append((lanes + (r,), z))
+        moves = nxt
+    return dict.fromkeys(moves)
+
+
+def _lane_chains(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], tuple]]:
+    """The branches behind ``_lane_step``, none merged, each with every
+    lane's written character: (next tuple, characters lanes 1, 2, ...
+    write), in choice order, so a trace can say what each sweep wrote."""
+    moves = [((), (x,))]
+    for s in state:
+        row = delta[s]
+        moves = [(lanes + (r,), out + (z,)) for lanes, out in moves for r, z in row.get(out[-1], _DEAD)]
+    return [(lanes, out[1:]) for lanes, out in moves]
+
+
+class LaneNfa:
+    """The NFA of k sweeps run as k lanes of one sweep, over input
+    symbols, expanded on demand.
+
+    States are ints numbering the lane tuples in discovery order, the
+    initial tuple being 0.  The first ``step``, ``accepting`` or ``report``
+    call on a tuple expands it and keeps the result: ``_lane_step`` on each
+    input symbol's character gives its successors, and one on the
+    endmarker's the least lane that can reach an accepting state there
+    (None when no lane can), so a tuple is ``accepting`` when it has one.
+    ``completes`` is computed on its first request only; ``walk`` and
+    ``trace`` keep memos of their own.
+    """
+
+    def __init__(self, t: Transducer, k: int) -> None:
+        _check_lanes(k, k)
+        q0, self._delta, self._acc = _lanes(t)
+        self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
+        self._tuples = [(q0,) * k]
+        self._ids = {self._tuples[0]: 0}
+        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]] = {}
+        self._completes: dict[int, bool] = {}
+        self._sets: dict[frozenset[int], dict] = {}  # ``walk``'s memo
+        self._trace_memo: dict[tuple, tuple[int, tuple]] = {}
+        self.alphabet = t.input_alphabet
+        self.initial = 0
+
+    @property
+    def discovered(self) -> int:
+        """Lane tuples numbered so far."""
+        return len(self._tuples)
+
+    @property
+    def expanded(self) -> int:
+        """Lane tuples whose successors and acceptance were computed."""
+        return len(self._rows)
+
+    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
+        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
+        return (self._rows.get(q) or self._expand(q))[0]
+
+    def accepting(self, q: int) -> bool:
+        return (self._rows.get(q) or self._expand(q))[1]
+
+    def report(self, s: frozenset[int]) -> RunReport:
+        """What the set ``s`` of tuples reached on a word answers, as ``run``
+        reports k sweeps: accepted at the least lane, counted from 1, that
+        ends the endmarker step from a tuple in an accepting state; else
+        rejected, ``exhausted`` exactly when no tuple ``completes`` its last
+        lane, so no tape k + 1 exists.  No tape is kept: ``tapes_explored``
+        is 0 and ``cap_hit`` False."""
+        rows = self._rows
+        lanes = [(rows.get(q) or self._expand(q))[2] for q in s]
+        least = min(filter(None, lanes), default=None)  # lanes count from 1: drops only None
+        return _lane_report(least, least is None and not any(map(self.completes, s)))
+
+    def completes(self, q: int) -> bool:
+        """Some branch of ``q`` steps on the endmarker in every lane."""
+        done = self._completes.get(q)
+        if done is None:
+            ends = _lane_step(self._delta, self._tuples[q], self._end)
+            done = self._completes[q] = any(p[-1] != _DUMMY_STATE for p, _y in ends)
+        return done
+
+    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]:
+        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
+        row = []
+        for x in self._codes:
+            succ = []
+            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
+                i = ids.setdefault(p, len(tuples))
+                if i == len(tuples):
+                    tuples.append(p)
+                succ.append(i)
+            row.append(tuple(succ))
+        acc, ends = self._acc, _lane_step(delta, state, self._end)
+        least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
+        self._rows[q] = entry = (tuple(row), least is not None, least)
+        return entry
+
+    def walk(self, word: Sequence[str], sets: Optional[list[frozenset]] = None) -> Optional[RunReport]:
+        """``report`` of the set of tuples reached on ``word``, over
+        ``alphabet``, by Thompson's simulation made lazy: the set steps
+        through ``_set_step`` and the memo ``_sets``, a row per set from
+        input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a
+        row's ``None`` entry caches its set's report.  With ``sets``, the set
+        reached after each symbol is appended to it.  None, the walk giving
+        up, at a step missing the memo with more than ``_LANE_TUPLE_CAP``
+        tuples discovered (they can grow like n^k).  The one walk loop."""
+        rows = self._sets
+        cur = frozenset((self.initial,))
+        row = rows.setdefault(cur, {})
+        for x in word:
+            step = row.get(x)
+            if step is None:
+                if self.discovered > _LANE_TUPLE_CAP:
+                    return None
+                if len(rows) >= _LIVE_MEMO_CAP:
+                    rows.clear()
+                nxt = _set_step(self, cur, self.alphabet.index(x))
+                step = row[x] = (nxt, rows.setdefault(nxt, {}))
+            cur, row = step
+            if sets is not None:
+                sets.append(cur)
+        report = row.get(None)
+        if report is None:
+            report = row[None] = self.report(cur)
+        return report
+
+    def trace(self, word: Sequence[str], sets: list[frozenset[int]], j: int) -> list[str]:
+        """What lanes 1 to j wrote, in the tape code, on a run accepting
+        ``word`` at lane j, the least, from the ``sets`` ``walk`` reached on
+        it.  The last set gives its least tuple by value with an endmarker
+        chain (``_lane_chains``) whose lane j accepts; then, one position at a
+        time from the end, the set before gives the least tuple by value with
+        a chain on the word's symbol to the tuple already chosen, the first
+        such chain in choice order.  Every tuple of a set is reached, so the
+        walk back never sticks, and lanes 1 to j - 1 end rejecting, as j is
+        least.  The choice reads tuples by value, never by number or set
+        order, which depend on the words the walk saw before; it is memoized
+        per (set, symbol, chosen tuple) in ``_trace_memo``, up to
+        ``_LIVE_MEMO_CAP`` entries."""
+        tuples, delta, acc, back = self._tuples, self._delta, self._acc, self._trace_memo
+        by_value = tuples.__getitem__
+        path = [frozenset((self.initial,)), *sets]
+        q, out = next((q, out) for q in sorted(path[-1], key=by_value)
+                      for p, out in _lane_chains(delta, tuples[q], self._end) if acc[p[j - 1]])
+        cols = [out]
+        for before, x in zip(path[-2::-1], reversed(word)):
+            hit = back.get((before, x, q))
+            if hit is None:
+                c = self.alphabet.index(x)
+                p = min((p for p in before if q in self.step(p)[c]), key=by_value)
+                target = tuples[q]
+                out = next(out for lanes, out in _lane_chains(delta, tuples[p], self._codes[c]) if lanes == target)
+                if len(back) >= _LIVE_MEMO_CAP:
+                    back.clear()
+                hit = back[before, x, q] = (p, out)
+            q, out = hit
+            cols.append(out)
+        lanes = zip(*reversed(cols))
+        return ["".join(next(lanes)) for _ in range(j)]
+
+
+# the most lane tuples ``LaneNfa.walk`` lets an automaton discover before it
+# gives up at the next step that misses its memo
+_LANE_TUPLE_CAP = 1 << 14
+
+
+def _set_step(n, s: frozenset, c: int) -> frozenset:
+    """The states of the automaton ``n`` (read through ``LaneNfa``'s
+    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
+    step."""
+    return frozenset([r for q in s for r in n.step(q)[c]])
+
+
+@cache
+def _lane_report(least: Optional[int], exhausted: bool) -> RunReport:
+    """``LaneNfa.report``'s value for an outcome, built once: a report is
+    immutable, and building one costs more than finding the outcome."""
+    return RunReport(least is not None, least, 0, False, exhausted)
 
 
 def _run_traced(
@@ -741,7 +969,7 @@ def find_accepting_trace(
     The first element is the initial tape and the length is the minimum
     accepting sweep count plus one.  ``None`` if no accepting run exists
     within the budgets.  The trace comes from the route ``run`` takes: on
-    the lane route, ``convert.LaneNfa.trace``'s walk back over the sets of
+    the lane route, ``LaneNfa.trace``'s walk back over the sets of
     lane tuples, which ``tape_cap`` does not bound; on the tape search, its
     first hit in frontier order.  Raises ``ValueError`` on the budgets
     ``run`` rejects.
@@ -983,3 +1211,10 @@ def _shortest_word(
         hit, x = parent[hit]
         word.append(x)
     return tuple(reversed(word))
+
+
+def _edges(n: LaneNfa | SimpleNamespace):
+    """Successor function of ``n`` for ``_bfs``: a state's (successor,
+    symbol) edges in alphabet order, then choice order."""
+    sigma, step = n.alphabet, n.step
+    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]

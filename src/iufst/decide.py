@@ -4,7 +4,7 @@ sweep bound.
 A machine that runs at most k sweeps accepts the language of the NFA
 whose states are the lane tuples of k sweeps simulated in parallel in
 one.  Every procedure searches that NFA without naming its states:
-``convert.LaneNfa`` expands a lane tuple, its successors on each input
+``core.LaneNfa`` expands a lane tuple, its successors on each input
 symbol and its acceptance, only when a search first visits it, and
 numbers the tuples as it discovers them (``convert.to_nfa`` renders the
 same NFA with named states).  The searches read an automaton through
@@ -30,8 +30,7 @@ from math import comb
 from types import SimpleNamespace
 from typing import Optional
 
-from .convert import LaneNfa, _edges
-from .core import MachineError, ResourceBudgetError, Transducer, Word, _bfs, _shortest_word
+from .core import LaneNfa, MachineError, ResourceBudgetError, Transducer, Word, _bfs, _edges, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
 DEFAULT_SEARCH_CAP = 2**20

@@ -134,7 +134,6 @@ def _constructor(name, fn, states, payload, marked, trans, sweep_bound) -> Const
         accepting=("ACC",),
         transitions=trans,
         sweep_bound=sweep_bound,
-        meta={"family": f"{name}-ctor", "sweeps": "m + 1"},
     )
     return Constructor(machine, payload, fn=fn, name=name)
 
@@ -194,7 +193,7 @@ def _combine_bound(tf: Transducer, tg: Transducer) -> str:
     return "log"
 
 
-def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound, meta) -> Transducer:
+def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound) -> Transducer:
     track = renderer("|", ("[", "]"), "!")
     return materialize(
         start=("q0",),
@@ -206,7 +205,6 @@ def _materialize_tracks(moves, input_alphabet, out, accepting, sweep_bound, meta
         name_of=renderer(";", ("", "")),
         symbol_name=lambda s: track(s[1:], s[0]) if isinstance(s, tuple) else s,
         sweep_bound=sweep_bound,
-        meta=meta,
     )
 
 
@@ -257,7 +255,6 @@ def combine_add(cf: Constructor, cg: Constructor) -> Constructor:
         _pair_universe(tf, tg, muls=False),
         accepting=lambda s: s[0] == "sim" and s[1] in acc_f and s[2] in acc_g,
         sweep_bound=_combine_bound(tf, tg),
-        meta={"family": "add", "components": (cf.name, cg.name)},
     )
     return _combined(cf, cg, machine, "+")
 
@@ -326,7 +323,6 @@ def combine_mul(cf: Constructor, cg: Constructor) -> Constructor:
         _pair_universe(tf, tg, muls=True),
         accepting=lambda s: s[0] == "fact" and s[4] and s[3] in acc_g,
         sweep_bound=_combine_bound(tf, tg),
-        meta={"family": "mul", "components": (cf.name, cg.name)},
     )
     return _combined(cf, cg, machine, "*")
 
@@ -391,7 +387,6 @@ def build_lf(cf: Constructor) -> Transducer:
         _pair_universe(tc, tf, muls=True),
         accepting=lambda s: s[0] == "simv" and s[1] and s[2] in acc_f,
         sweep_bound=tf.sweep_bound if isinstance(tf.sweep_bound, str) else "linear",
-        meta={"family": "lf", "component": cf.name},
     )
 
 

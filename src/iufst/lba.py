@@ -297,7 +297,6 @@ def compile_lba(m: Lba) -> Transducer:
         accepting=(pp,),
         transitions=delta,
         sweep_bound="unbounded",
-        meta={"source_states": len(Q)},
     )
 
 

@@ -9,7 +9,7 @@ returning a silently wrong answer.
 ``compare_languages`` answers most words without asking the acceptor,
 by walking the word tree over the states of an ``Nfa``'s or ``Dfa``'s
 ``_view``, which answers every word, or of a transducer's
-``convert.LaneNfa``, whose ``report`` answers each set of lane tuples.
+``core.LaneNfa``, whose ``report`` answers each set of lane tuples.
 A machine that declares a constant sweep bound k accepts exactly the
 language of its k-lane NFA (the paper's reduction), so the walk answers
 all its words and ``run`` is never called.  Any other machine walks
@@ -40,8 +40,8 @@ from itertools import product, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .convert import Dfa, LaneNfa, Nfa, _moore, _set_step
-from .core import MachineError, Transducer, Word, _run_lanes, run, verdict
+from .convert import Dfa, Nfa, _moore
+from .core import LaneNfa, MachineError, Transducer, Word, _run_lanes, _set_step, run, verdict
 
 # Built with | over builtin generics: a typing.Union would sit in typing's
 # cache and keep every imported copy of these classes alive.
@@ -71,12 +71,12 @@ def make_acceptor(acceptor: Acceptor, tape_cap: int = 200_000) -> Callable[[Word
 
     A bare nondeterministic transducer without an int bound learns a lane
     depth s, the ``min_accept_sweeps`` of its first accepted run.  Each
-    later word whose budget is at least s first walks ``LaneNfa(t, s)``
+    later word whose budget is at least s first walks ``core.LaneNfa(t, s)``
     through ``core._run_lanes``, ``run``'s lane route, which answers where
     ``verdict`` answers its report: accepted at lane j <= s, so ``run``
     accepts at j sweeps, or ``exhausted``, so no tape s + 1 exists and
     ``run`` exhausts too.  The tape search answers the other words, and
-    those on which the walk gives up at ``convert._LANE_TUPLE_CAP`` tuples.
+    those on which the walk gives up at ``core._LANE_TUPLE_CAP`` tuples.
     A deterministic machine keeps the tape search: it is one chain of
     tapes, so lanes have nothing to merge, and walking them is slower (on a
     fresh ``gen_copy``, 120 random words of 7 to 21 symbols took 17.6 ms
@@ -209,7 +209,7 @@ def _walk_word_tree(
     j of a level extends word j // |alphabet| of the level above by symbol
     j % |alphabet|, so each level is stepped from the one before (the last
     is not kept), through a memo that maps a set to its row: the
-    successor set by ``convert._set_step``, the one set step that ``run``'s
+    successor set by ``core._set_step``, the one set step that ``run``'s
     lane route takes too, and its answer, per symbol."""
     cols = [n.alphabet.index(x) for x in alphabet]
     rows: dict[frozenset, tuple[list, list]] = {}

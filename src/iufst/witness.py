@@ -85,7 +85,6 @@ def gen_unary(n: int, k: int) -> Transducer:
         accepting=(f"q{n-1}",),
         transitions=trans,
         sweep_bound=k,
-        meta={"family": "unary", "n": n, "k": k},
     )
 
 
@@ -143,7 +142,6 @@ def gen_e(n: int, k: int) -> Transducer:
         accepting=(f"q{n}",),
         transitions=trans,
         sweep_bound=k,
-        meta={"family": "e", "n": n, "k": k},
     )
 
 
@@ -261,7 +259,7 @@ def gen_block(k: int) -> Transducer:
         accepting=lambda s: s == ("ACC",),
         name_of=renderer("-", ("", "")),
         sweep_bound=k,
-        meta={"family": "block", "k": k, "state_envelope": (4, 19)},
+        meta={"state_envelope": (4, 19)},
     )
 
 
@@ -319,7 +317,6 @@ def gen_block_nfa(k: int) -> Nfa:
         initial="I",
         accepting=tuple(f"F{x}" for x in blocks),
         transitions=trans,
-        meta={"family": "block-nfa", "k": k},
     )
 
 
@@ -382,7 +379,6 @@ def gen_copy() -> Transducer:
         accepting=("ACC",),
         transitions=trans,
         sweep_bound="linear",
-        meta={"family": "copy", "sweeps": "|u| + 1"},
     )
 
 
@@ -426,7 +422,6 @@ def gen_uexpo() -> Transducer:
         accepting=("ACC",),
         transitions=trans,
         sweep_bound="log",
-        meta={"family": "uexpo", "sweeps": "max(1, lg n)"},
     )
 
 
@@ -886,5 +881,5 @@ def gen_d() -> Transducer:
         symbol_name=_d_name,
         accepting=lambda s: s == ("ACC",),
         sweep_bound="log",
-        meta={"family": "d", "sweep_envelope": "(1+k+k+1+2k) + 1", "extra_sweeps": 1},
+        meta={"extra_sweeps": 1},
     )

@@ -636,10 +636,25 @@ class TestPrunedSweep:
                     for w in words]
         t = make()
         assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
-        assert len(t._back[1]) > 2 and len(t._back[2]) > 2
-        # a cap of 2 empties the live pass's masks and the fork memo on most misses
+        assert len(t._live_rows) > 2 and len(t._forks) > 2
+        # e(2,3) members walk 3 and 4 lanes, filling each LaneNfa's walk and trace memos
+        members = [tuple(w) for w in ("baaaaaaa", "abbaaaaaaa", "bababaaaaaaa")]
+
+        def lane_runs(u):
+            return [(run(u, w, s), find_accepting_trace(u, w, s)) for w in members for s in (3, 4)]
+
+        u = gen_e(2, 3)
+        lanes = lane_runs(u)
+        assert all(report.accepted and report.tapes_explored == 0 for report, _ in lanes)
+        assert all(len(n._sets) > 2 and len(n._trace_memo) > 2 for n in u._lane_walk.values())
+        # a cap of 2 empties the live pass's masks, the fork memo and the
+        # lanes' walk and trace memos on most misses: one cap bounds them all
         monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
         t = make()
         assert [(run(t, w, sweeps), find_accepting_trace(t, w, sweeps)) for w in words] == expected
-        assert 0 < len(t._back[1]) <= 2
-        assert 0 < len(t._back[2]) <= 2
+        assert 0 < len(t._live_rows) <= 2
+        assert 0 < len(t._forks) <= 2
+        u = gen_e(2, 3)
+        assert lane_runs(u) == lanes
+        assert sorted(u._lane_walk) == [3, 4]
+        assert all(0 < len(n._sets) <= 2 and 0 < len(n._trace_memo) <= 2 for n in u._lane_walk.values())

@@ -1,14 +1,14 @@
 """Lint: every module-level import is used by some name in its file,
 every private module-level name of the library is read somewhere in it,
-and the library imports inside a function only where it must.
+and the library imports nothing inside a function.
 
 Covers the library modules (``__init__.py`` only re-exports) and the test
 files, with the stdlib ``ast`` module alone: a name bound by a top-level
 ``import`` or ``from ... import`` must be read somewhere in the file, and a
 function, class or constant that a library module defines at top level
 under a ``_`` name must be read, as a name or an attribute, somewhere in
-``src/iufst``.  The one function-level import of ``src/iufst`` is core's
-of ``convert.LaneNfa``, as convert builds on core.
+``src/iufst``.  ``src/iufst`` has no function-level import: each module
+imports only modules it builds on, at the top.
 """
 
 import ast
@@ -87,12 +87,11 @@ def function_imports(source: str) -> list[str]:
 
 
 def test_one_function_level_import():
-    # convert builds on core, so core imports convert's LaneNfa where it
-    # first walks lanes; every other import of the library is at the top
+    # the lane route lives in core, which imports no module of the library,
+    # so every import of the library is at the top
     library = sorted((ROOT / "src" / "iufst").glob("*.py"))
     found = {p.name: function_imports(p.read_text(encoding="utf-8")) for p in library}
-    assert {name: imports for name, imports in found.items() if imports} == {
-        "core.py": ["from .convert import LaneNfa"]}
+    assert {name: imports for name, imports in found.items() if imports} == {}
 
 
 def test_finds_function_level_imports():

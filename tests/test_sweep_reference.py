@@ -48,10 +48,9 @@ from iufst import (
     sweep,
     sweep_reduce,
 )
-from iufst import convert, core
+from iufst import core
 from iufst.cli import _d_corpus
-from iufst.convert import LaneNfa, _set_step
-from iufst.core import DEFAULT_TAPE_CAP, Tape, Word, _decode, _encode, _run_traced, _sweep
+from iufst.core import DEFAULT_TAPE_CAP, LaneNfa, Tape, Word, _decode, _encode, _run_traced, _set_step, _sweep
 
 from test_decide import fuzz_machine
 
@@ -583,10 +582,10 @@ class TestLaneRoute:
             run(t, w, k + 1)
             run(t, w, k)
         assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
-        monkeypatch.setattr(convert, "_LIVE_MEMO_CAP", 2)
+        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
         t = make()
         assert [find_accepting_trace(t, w, s) for w in words for s in (k, k + 1)] == fresh
-        assert all(len(n._sets) <= 2 and len(n._back) <= 2 for n in t._lane_walk.values())
+        assert all(len(n._sets) <= 2 and len(n._trace_memo) <= 2 for n in t._lane_walk.values())
 
     def test_validator_fails_mutated_traces(self, monkeypatch):
         # a trace whose first sweep writes back what it read at one cell
@@ -603,7 +602,7 @@ class TestLaneRoute:
             dropped = [trace[0], trace[1][:i] + trace[0][i:i + 1] + trace[1][i + 1:]] + trace[2:]
             with pytest.raises(AssertionError):
                 assert_trace(t, w, dropped, want, w)
-        chains = convert._lane_chains
+        chains = core._lane_chains
         mutants = {
             "dropped": lambda delta, state, x: [
                 (lanes, (x,) + out[1:]) for lanes, out in chains(delta, state, x)],
@@ -612,7 +611,7 @@ class TestLaneRoute:
                     chains(delta, state, x), chains(delta, state, x)[1:] + chains(delta, state, x)[:1])],
         }
         for name, mutant in mutants.items():
-            monkeypatch.setattr(convert, "_lane_chains", mutant)
+            monkeypatch.setattr(core, "_lane_chains", mutant)
             t, failed = gen_e(2, 3), 0
             for w in words:
                 try:
@@ -648,7 +647,7 @@ class TestLaneRoute:
         # e(2,3) has 9 lane tuples; past 4, the next step missing the memo
         # leaves the word to the tape search, whose report and trace are
         # the reference's
-        monkeypatch.setattr(convert, "_LANE_TUPLE_CAP", 4)
+        monkeypatch.setattr(core, "_LANE_TUPLE_CAP", 4)
         t, words = gen_e(2, 3), e_words(2, 3)
         searched = 0
         for w in words:
@@ -666,7 +665,7 @@ class TestLaneRoute:
 
     def test_memo_cleared_mid_word(self, monkeypatch):
         # a cap of 2 empties the set memo on most misses
-        monkeypatch.setattr(convert, "_LIVE_MEMO_CAP", 2)
+        monkeypatch.setattr(core, "_LIVE_MEMO_CAP", 2)
         make, k, words = LANE_FAMILIES["e(3,4)"]
         t = make()
         for w in words[::-1]:
@@ -684,12 +683,12 @@ class TestWarmMemo:
         t = make()
         words = [w for n in range(max_len + 1) for w in itertools.product(alphabet, repeat=n)]
         assert_same_runs(t, words[::-1], sweeps, (100_000,))
-        assert t._back[2]
+        assert t._forks
 
     def test_d_corpus(self):
         t, sweeps = gen_d(), FAMILIES["d"][3]
         assert_same_runs(t, _d_corpus(2)[:200][::-1], sweeps, (100_000,))
-        assert t._back[2]
+        assert t._forks
 
     def test_fuzz_machines(self, fuzz_machines):
         for t, k in fuzz_machines:
@@ -702,7 +701,7 @@ class TestWarmMemo:
         assert run(t, tuple("ab$ab"), 80).accepted
         tape = ("[_.>|_.a]", "[_.b]", "[_.$]", "[_.a]", "[_.b]", "[s1.<]")
         assert kernel_sweep(t, tape) == []
-        assert any(not kept for kept, _ in t._back[2].values())
+        assert any(not kept for kept, _ in t._forks.values())
         outcomes = sweep(t, tape)
         assert len(outcomes) == 46 and all(isinstance(o, Stuck) for o in outcomes)
         assert outcomes == ref_sweep(t, tape)
@@ -836,7 +835,7 @@ class TestTapeCode:
             at = sorted(rng.sample(range(len(tape) - 1), 2))
             tapes.append(tuple("d" if i in at else x for i, x in enumerate(tape)))
         assert_kernel_edges(t, tapes, 6)
-        assert set(t._back[3]) == {0, 1}  # both q and r skipped runs
+        assert set(t._runs) == {0, 1}  # both q and r skipped runs
 
     def test_class_metacharacters(self):
         # p's run pattern holds the characters a class treats specially
@@ -848,7 +847,7 @@ class TestTapeCode:
         tapes = [runs_tape(rng, xs, rng.randint(64, 120)) for _ in range(40)]
         tapes.append(tuple(xs[:100]) + ("<",))
         assert_kernel_edges(t, tapes, 4)
-        assert 0 in t._back[3]
+        assert 0 in t._runs
 
     def test_codes_above_255(self):
         # the compiled copy LBA has 554 symbols; tapes met by runs of long
@@ -873,7 +872,7 @@ class TestTapeCode:
         assert_same_order(t, tapes)
         assert_same_sweeps(t, tapes)
         assert_same_runs(t, words, 4 * len(words[0]) ** 2, (100_000,))
-        assert t._back[3]
+        assert t._runs
 
     @settings(max_examples=40, deadline=None)
     @given(names=st.lists(st.text(".^$*+?{}[]\\|()-&~", min_size=1, max_size=3),
