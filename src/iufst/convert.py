@@ -83,12 +83,12 @@ class _Fa(_Record):
     @cached_property
     def _view(self) -> SimpleNamespace:
         """The automaton through the four names of ``LaneNfa``, its states
-        numbered in declaration order."""
+        numbered in declaration order, and its ``rows`` for ``core._set_step``."""
         index = {q: i for i, q in enumerate(self.states)}
         step = [tuple(tuple(map(index.__getitem__, self._successors(q, x))) for x in self.alphabet)
                 for q in self.states]
         accepting = [q in self.accepting_set for q in self.states]
-        return SimpleNamespace(alphabet=self.alphabet, initial=index[self.initial],
+        return SimpleNamespace(alphabet=self.alphabet, initial=index[self.initial], rows=step,
                                step=step.__getitem__, accepting=accepting.__getitem__)
 
 
@@ -186,7 +186,8 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     symbols = tuple(dict.fromkeys(inputs + out_alpha))
     return materialize(
         start=(q0,) * i,
-        moves=lambda state: [(x, p, y) for x in symbols for p, y in _lane_step(delta, state, x)],
+        moves=lambda state: [(x, p, y) for x in symbols
+                             for p, y in dict.fromkeys(_lane_step(delta, state, x))],
         input_alphabet=inputs,
         output_alphabet=out_alpha,
         endmarker=enc[t.endmarker],

@@ -38,21 +38,23 @@ home.  The paper's reduction simulates several sweeps in parallel inside one,
 as lanes of tuple states with a dummy lane for branches that died.
 ``_lane_step`` gives the moves of a tuple of lanes over the machine's state
 indices; lanes read and write tape characters through the one move table, and
-the dummy symbol is an int, which no character equals.  ``LaneNfa`` expands
-the NFA of k lanes on demand, over input symbols, read through ``alphabet``,
-``initial``, ``step(q)`` and ``accepting(q)``; its ``report`` is the one rule
-for what a set of its tuples reached on a word answers, and its ``walk`` steps
-that set over a word in one pass by ``_set_step``, the one set step.  At a
-budget of s sweeps, for s up to ``_LANE_SWEEP_CAP``, ``run`` sweeps no tape:
-``_run_lanes``, the one lane route of ``run``, ``traced_run`` and the oracle's
-learned depth, walks the s-lane ``LaneNfa`` it keeps on the machine and lets
-the report stand where ``verdict``, the one rule for what a report answers,
-gives it an answer; elsewhere the tape search runs.  Traces take the route
-``run`` takes: ``LaneNfa.trace`` walks back over the sets the walk reached to
-what lanes wrote, choosing tuples by value, so a lane trace need not be the
-tape search's first hit in frontier order.  Accept-mode checks keep the tape
-search.  ``convert`` renders lanes: ``sweep_reduce`` as a transducer,
-``to_nfa`` as an ``Nfa`` with named states.
+the dummy symbol is an int, which no character equals.  ``LaneNfa`` is the NFA
+of k lanes over input symbols, read through ``alphabet``, ``initial``,
+``step(q)`` and ``accepting(q)``; its row store fills a (tuple, symbol) cell,
+or a tuple's endmarker entry, on its first read, so a walk steps a tuple only
+on the symbols it reads.  Its ``report`` is the one rule for what a set of its
+tuples reached on a word answers, and its ``walk`` steps that set over a word
+in one pass by ``_set_step``, the one set step, which reads one cell per
+tuple.  At a budget of s sweeps, for s up to ``_LANE_SWEEP_CAP``, ``run``
+sweeps no tape: ``_run_lanes``, the one lane route of ``run``, ``traced_run``
+and the oracle's learned depth, walks the s-lane ``LaneNfa`` it keeps on the
+machine and lets the report stand where ``verdict``, the one rule for what a
+report answers, gives it an answer; elsewhere the tape search runs.  Traces
+take the route ``run`` takes: ``LaneNfa.trace`` walks back over the sets the
+walk reached to what lanes wrote, choosing tuples by value, so a lane trace
+need not be the tape search's first hit in frontier order.  Accept-mode checks
+keep the tape search.  ``convert`` renders lanes: ``sweep_reduce`` as a
+transducer, ``to_nfa`` as an ``Nfa`` with named states.
 
 Constructions build machines through ``materialize``, which explores the
 enabled moves of abstract states breadth-first, in one pass.  A
@@ -87,6 +89,7 @@ from itertools import chain, product
 from operator import itemgetter, length_hint
 from types import SimpleNamespace
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from weakref import proxy
 
 Word = tuple[str, ...]
 # a tape as the public functions take and return it; inside, a ``str`` in the tape code
@@ -702,10 +705,12 @@ def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
     return q0, delta + [{}], acc + [False]
 
 
-def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
-    """The moves of lane tuple ``state`` reading tape character ``x``: the
-    distinct (next tuple, character the last lane writes) pairs, as the
-    keys of a dict, in choice order.
+def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], object]]:
+    """The moves of lane tuple ``state`` reading tape character ``x``: a
+    (next tuple, character the last lane writes) pair per branch, in
+    choice order.  Branches may repeat a pair; a caller merges what it
+    reads (a ``LaneNfa`` row its successor tuples, ``sweep_reduce`` the
+    pairs), so no step hashes pairs it does not need.
 
     Lane t of a tuple carries one sweep of a block of parallel sweeps and
     reads the character lane t-1 writes (lane 1 reads ``x``).  A lane
@@ -721,13 +726,13 @@ def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> dict:
             for r, z in row.get(y, _DEAD):
                 nxt.append((lanes + (r,), z))
         moves = nxt
-    return dict.fromkeys(moves)
+    return moves
 
 
 def _lane_chains(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], tuple]]:
-    """The branches behind ``_lane_step``, none merged, each with every
-    lane's written character: (next tuple, characters lanes 1, 2, ...
-    write), in choice order, so a trace can say what each sweep wrote."""
+    """The branches of ``_lane_step``, each with every lane's written
+    character: (next tuple, characters lanes 1, 2, ... write), in choice
+    order, so a trace can say what each sweep wrote."""
     moves = [((), (x,))]
     for s in state:
         row = delta[s]
@@ -737,16 +742,21 @@ def _lane_chains(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tup
 
 class LaneNfa:
     """The NFA of k sweeps run as k lanes of one sweep, over input
-    symbols, expanded on demand.
+    symbols, its rows filled per symbol read.
 
     States are ints numbering the lane tuples in discovery order, the
-    initial tuple being 0.  The first ``step``, ``accepting`` or ``report``
-    call on a tuple expands it and keeps the result: ``_lane_step`` on each
-    input symbol's character gives its successors, and one on the
-    endmarker's the least lane that can reach an accepting state there
-    (None when no lane can), so a tuple is ``accepting`` when it has one.
-    ``completes`` is computed on its first request only; ``walk`` and
-    ``trace`` keep memos of their own.
+    initial tuple being 0; a tuple is discovered when a cell that reaches
+    it is filled.  ``rows`` is the one row store: per tuple a
+    ``_LaneRow``, whose cell for symbol code c (the index of a symbol in
+    ``alphabet``) holds the successors, ``_lane_step`` on that symbol's
+    character, and whose entry under None holds the endmarker's: the
+    least lane that can reach an accepting state there (None when no lane
+    can) and whether some branch ``completes``.  Each is filled on its
+    first read, so a ``walk`` or ``trace`` that reads one symbol per step
+    fills one cell per step; ``step(q)`` fills the cells of ``q`` still
+    missing and gives the full row; ``accepting``, ``completes`` and
+    ``report`` read the endmarker entry.  ``walk`` and ``trace`` keep
+    memos of their own.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
@@ -754,9 +764,9 @@ class LaneNfa:
         q0, self._delta, self._acc = _lanes(t)
         self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
         self._tuples = [(q0,) * k]
-        self._ids = {self._tuples[0]: 0}
-        self._rows: dict[int, tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]] = {}
-        self._completes: dict[int, bool] = {}
+        ids = {self._tuples[0]: 0}
+        lanes = (self._delta, self._acc, self._end, self._codes, ids, self._tuples, proxy(self))
+        self.rows = [_LaneRow(lanes, self._tuples[0])]
         self._sets: dict[frozenset[int], dict] = {}  # ``walk``'s memo
         self._trace_memo: dict[tuple, tuple[int, tuple]] = {}
         self.alphabet = t.input_alphabet
@@ -764,20 +774,24 @@ class LaneNfa:
 
     @property
     def discovered(self) -> int:
-        """Lane tuples numbered so far."""
+        """Lane tuples numbered so far: the initial one and those a filled cell reaches."""
         return len(self._tuples)
 
     @property
     def expanded(self) -> int:
-        """Lane tuples whose successors and acceptance were computed."""
-        return len(self._rows)
+        """Lane tuples with a filled cell or endmarker entry in their row."""
+        return sum(map(bool, self.rows))
 
     def step(self, q: int) -> tuple[tuple[int, ...], ...]:
-        """Successors of ``q`` per symbol of ``alphabet``, in choice order."""
-        return (self._rows.get(q) or self._expand(q))[0]
+        """Successors of ``q`` per symbol of ``alphabet``, in choice order:
+        the cells of its row, the missing ones filled, kept as ``cells``."""
+        row = self.rows[q]
+        if row.cells is None:
+            row.cells = tuple(row.fill(range(len(self._codes))))
+        return row.cells
 
     def accepting(self, q: int) -> bool:
-        return (self._rows.get(q) or self._expand(q))[1]
+        return self.rows[q][None][0] is not None
 
     def report(self, s: frozenset[int]) -> RunReport:
         """What the set ``s`` of tuples reached on a word answers, as ``run``
@@ -786,41 +800,22 @@ class LaneNfa:
         rejected, ``exhausted`` exactly when no tuple ``completes`` its last
         lane, so no tape k + 1 exists.  No tape is kept: ``tapes_explored``
         is 0 and ``cap_hit`` False."""
-        rows = self._rows
-        lanes = [(rows.get(q) or self._expand(q))[2] for q in s]
-        least = min(filter(None, lanes), default=None)  # lanes count from 1: drops only None
-        return _lane_report(least, least is None and not any(map(self.completes, s)))
+        rows = self.rows
+        ends = [rows[q][None] for q in s]
+        least = min(filter(None, [lane for lane, _done in ends]), default=None)  # lanes count from 1
+        return _lane_report(least, least is None and not any(done for _lane, done in ends))
 
     def completes(self, q: int) -> bool:
         """Some branch of ``q`` steps on the endmarker in every lane."""
-        done = self._completes.get(q)
-        if done is None:
-            ends = _lane_step(self._delta, self._tuples[q], self._end)
-            done = self._completes[q] = any(p[-1] != _DUMMY_STATE for p, _y in ends)
-        return done
-
-    def _expand(self, q: int) -> tuple[tuple[tuple[int, ...], ...], bool, Optional[int]]:
-        state, delta, ids, tuples = self._tuples[q], self._delta, self._ids, self._tuples
-        row = []
-        for x in self._codes:
-            succ = []
-            for p in dict.fromkeys(p for p, _y in _lane_step(delta, state, x)):
-                i = ids.setdefault(p, len(tuples))
-                if i == len(tuples):
-                    tuples.append(p)
-                succ.append(i)
-            row.append(tuple(succ))
-        acc, ends = self._acc, _lane_step(delta, state, self._end)
-        least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
-        self._rows[q] = entry = (tuple(row), least is not None, least)
-        return entry
+        return self.rows[q][None][1]
 
     def walk(self, word: Sequence[str], sets: Optional[list[frozenset]] = None) -> Optional[RunReport]:
         """``report`` of the set of tuples reached on ``word``, over
         ``alphabet``, by Thompson's simulation made lazy: the set steps
-        through ``_set_step`` and the memo ``_sets``, a row per set from
-        input symbol to (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a
-        row's ``None`` entry caches its set's report.  With ``sets``, the set
+        through ``_set_step``, which fills only the cells of the symbol
+        read, and the memo ``_sets``, a row per set from input symbol to
+        (next set, its row), up to ``_LIVE_MEMO_CAP`` sets; a row's
+        ``None`` entry caches its set's report.  With ``sets``, the set
         reached after each symbol is appended to it.  None, the walk giving
         up, at a step missing the memo with more than ``_LANE_TUPLE_CAP``
         tuples discovered (they can grow like n^k).  The one walk loop."""
@@ -857,7 +852,7 @@ class LaneNfa:
         order, which depend on the words the walk saw before; it is memoized
         per (set, symbol, chosen tuple) in ``_trace_memo``, up to
         ``_LIVE_MEMO_CAP`` entries."""
-        tuples, delta, acc, back = self._tuples, self._delta, self._acc, self._trace_memo
+        tuples, rows, delta, acc, back = self._tuples, self.rows, self._delta, self._acc, self._trace_memo
         by_value = tuples.__getitem__
         path = [frozenset((self.initial,)), *sets]
         q, out = next((q, out) for q in sorted(path[-1], key=by_value)
@@ -867,7 +862,7 @@ class LaneNfa:
             hit = back.get((before, x, q))
             if hit is None:
                 c = self.alphabet.index(x)
-                p = min((p for p in before if q in self.step(p)[c]), key=by_value)
+                p = min((p for p in before if q in rows[p][c]), key=by_value)
                 target = tuples[q]
                 out = next(out for lanes, out in _lane_chains(delta, tuples[p], self._codes[c]) if lanes == target)
                 if len(back) >= _LIVE_MEMO_CAP:
@@ -884,11 +879,66 @@ class LaneNfa:
 _LANE_TUPLE_CAP = 1 << 14
 
 
+class _LaneRow(dict):
+    """A lane tuple's row in ``LaneNfa.rows``, each entry filled on its
+    first read: symbol code c -> the successors of the tuple ``state`` on
+    the automaton's ``alphabet[c]``, one ``_lane_step`` on its character,
+    numbered (a new tuple gets the next number and a row), and None -> the
+    endmarker entry, (least accepting lane or None, completes), from one
+    ``_lane_step`` on the endmarker's.  ``cells`` is None until
+    ``LaneNfa.step`` has read every cell, then their tuple, which ``step``
+    returns from then on.  ``lanes`` is shared by an automaton's rows: its
+    move table, accepting flags, endmarker and symbol characters, tuple
+    numbering, and the automaton by weak proxy, so rows and automaton form
+    no reference cycle and are freed without the cyclic collector."""
+
+    __slots__ = ("lanes", "state", "cells")
+
+    def __init__(self, lanes: tuple, state: tuple[int, ...]) -> None:
+        self.lanes, self.state, self.cells = lanes, state, None
+
+    def __missing__(self, c: Optional[int]) -> tuple:
+        if c is not None:
+            return self.fill((c,))[0]
+        delta, acc, end = self.lanes[:3]
+        ends = _lane_step(delta, self.state, end)
+        least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
+        for p, _y in ends:  # a loop, not any(): every row's first report or acceptance runs it
+            if p[-1] != _DUMMY_STATE:
+                done = True
+                break
+        else:
+            done = False
+        self[c] = entry = (least, done)
+        return entry
+
+    def fill(self, cs: Iterable[int]) -> list[tuple[int, ...]]:
+        """The cells of symbol codes ``cs``, the missing ones filled: the
+        one cell filler, for one cell on a read or for a whole row."""
+        delta, _acc, _end, codes, ids, tuples, nfa = self.lanes
+        state, get, out = self.state, self.get, []
+        for c in cs:
+            cell = get(c)
+            if cell is None:
+                succ = []
+                for p in dict.fromkeys([p for p, _y in _lane_step(delta, state, codes[c])]):
+                    i = ids.setdefault(p, len(tuples))
+                    if i == len(tuples):
+                        tuples.append(p)
+                        nfa.rows.append(_LaneRow(self.lanes, p))
+                    succ.append(i)
+                cell = self[c] = tuple(succ)
+            out.append(cell)
+        return out
+
+
 def _set_step(n, s: frozenset, c: int) -> frozenset:
-    """The states of the automaton ``n`` (read through ``LaneNfa``'s
-    ``step``) reached from the set ``s`` on ``n.alphabet[c]``: the one set
-    step."""
-    return frozenset([r for q in s for r in n.step(q)[c]])
+    """The states of the automaton ``n`` reached from the set ``s`` on
+    ``n.alphabet[c]``, read one cell per state from ``n.rows`` (a state's
+    successors per symbol code: ``LaneNfa`` fills the cell on its first
+    read, a ``_view`` holds every row): the one set step."""
+    rows = n.rows
+    return frozenset([r for q in s for r in rows[q][c]])
 
 
 @cache

@@ -4,10 +4,11 @@ sweep bound.
 A machine that runs at most k sweeps accepts the language of the NFA
 whose states are the lane tuples of k sweeps simulated in parallel in
 one.  Every procedure searches that NFA without naming its states:
-``core.LaneNfa`` expands a lane tuple, its successors on each input
-symbol and its acceptance, only when a search first visits it, and
-numbers the tuples as it discovers them (``convert.to_nfa`` renders the
-same NFA with named states).  The searches read an automaton through
+``core.LaneNfa`` fills a lane tuple's row per symbol read, its
+successors on an input symbol and its acceptance each when first read (a
+search reading ``step(q)`` fills the row's every symbol), and numbers
+the tuples as it discovers them (``convert.to_nfa`` renders the same NFA
+with named states).  The searches read an automaton through
 ``alphabet``, ``initial``, ``step(q)`` and ``accepting(q)`` only; a
 materialized ``Nfa`` or ``Dfa`` gives the same four names through its
 ``_view``.  Emptiness is a breadth-first search for an accepting
@@ -265,6 +266,6 @@ def _operands(
     t1: Transducer, k1: int, t2: Transducer, k2: int
 ) -> tuple[LaneNfa, LaneNfa]:
     """Both operands as lane NFAs; equal operands give the same object,
-    so their tuples are expanded once."""
+    so their rows are filled once."""
     n1 = LaneNfa(t1, k1)
     return n1, n1 if (t1, k1) == (t2, k2) else LaneNfa(t2, k2)

@@ -323,6 +323,23 @@ class TestVerifyMeasure:
         assert err.strip() == ("budget exhausted: the d:3 corpus holds 234,881,024 words, "
                                "more than the cap of 100,000")
 
+    def test_verify_d2_lane_steps(self, capsys, monkeypatch):
+        # the 11-lane walks fill one row cell per (tuple, symbol) they read
+        # and one endmarker entry per tuple a report reads; filling every
+        # cell of each tuple reached took 12,709 lane steps
+        from iufst import core
+
+        calls = []
+        lane_step = core._lane_step
+
+        def counted(*args):
+            calls.append(1)
+            return lane_step(*args)
+
+        monkeypatch.setattr(core, "_lane_step", counted)
+        assert run_cli(capsys, "verify", "--lang", "d:2")[:2] == (0, "ok\n")
+        assert len(calls) == 3144
+
     def test_parser_is_built_once(self, capsys):
         assert build_parser() is build_parser()
         assert run_cli(capsys, "verify", "--lang", "copy", "--max-len", "2")[:2] == (0, "ok\n")

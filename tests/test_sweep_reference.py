@@ -10,8 +10,10 @@ the same ``sweep`` outcome sets and the same accept-mode reports.
 kernel's completed pairs, which the search reads.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -514,6 +516,15 @@ LANE_FAMILIES = {
 }
 
 
+def rows_by_value(n: LaneNfa, states: Iterable[int]) -> dict:
+    """Each of ``states`` of ``n`` as its lane tuple, mapped to its
+    successor tuples per symbol, its acceptance and its completion: what
+    no tuple numbering changes."""
+    value = n._tuples.__getitem__
+    return {value(q): (tuple(tuple(map(value, rs)) for rs in n.step(q)), n.accepting(q), n.completes(q))
+            for q in states}
+
+
 class TestLaneRoute:
     """``run`` and ``find_accepting_trace`` at a budget of 1 <= s <=
     ``_LANE_SWEEP_CAP`` sweeps step the set of s-lane tuples over the word
@@ -561,6 +572,52 @@ class TestLaneRoute:
                     for x in w:
                         cur = _set_step(n, cur, n.alphabet.index(x))
                     assert_lane_run(n.report(cur), ref_run(t, w, s), (t, s, w))
+
+    def test_lazy_rows_equal_full_rows(self, fuzz_machines):
+        # walks fill only the cells they read, so walking the words in two
+        # orders numbers the tuples differently; by value, each discovered
+        # tuple's row, acceptance and completion are those of an automaton
+        # whose rows were all read up front, and those are one lane step of
+        # the tuple on each symbol's character and on the endmarker's
+        cases = [(t, k + 1, WORDS_TO_6) for t, k in fuzz_machines]
+        for name in ("e(2,3)", "e(3,2)", "block(2)"):
+            make, k, words = LANE_FAMILIES[name]
+            cases.append((make(), k + 1, words))
+        for t, most, words in cases:
+            _q0, delta, acc = core._lanes(t)
+            end, *codes = _encode(t, (t.endmarker, *t.input_alphabet))
+            for s in range(1, most + 1):
+                full = LaneNfa(t, s)
+                want = rows_by_value(full, core._bfs((full.initial,), core._edges(full))[0])
+                for value, (cells, accepting, completes) in want.items():
+                    ends = core._lane_step(delta, value, end)
+                    assert cells == tuple(tuple(dict.fromkeys(p for p, _y in core._lane_step(delta, value, x)))
+                                          for x in codes), (t, s, value)
+                    assert accepting == any(acc[q] for p, _y in ends for q in p), (t, s, value)
+                    assert completes == any(p[-1] != core._DUMMY_STATE for p, _y in ends), (t, s, value)
+                reports = []
+                for order in (words, words[::-1]):
+                    n = LaneNfa(t, s)
+                    reports.append(dict(zip(order, map(n.walk, order))))
+                    got = rows_by_value(n, range(n.discovered))
+                    assert got == {value: want[value] for value in got}, (t, s)
+                assert reports[0] == reports[1], (t, s)
+
+    def test_rows_form_no_cycle_with_their_automaton(self):
+        # a row reaches its automaton through a weak proxy, so an automaton
+        # whose walks filled rows is freed by reference counting alone
+        make, k, words = LANE_FAMILIES["e(2,3)"]
+        n = LaneNfa(make(), k)
+        for w in words:
+            n.walk(w)
+        assert n.discovered > 1
+        freed = weakref.ref(n)
+        gc.disable()
+        try:
+            del n
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_traces_take_the_lane_walk(self, monkeypatch):
         # a trace within the lane walk's budgets searches no tape, and takes
