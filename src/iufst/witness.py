@@ -491,6 +491,11 @@ _BITS = ("0", "1")
 _AB = ("a", "b")
 _T2 = ("a", "b", "0", "1", "-")
 _END = ("end",)
+# the modes of gen_d's shifting sweeps (marking, waiting, the adder) and of
+# its guess and comparison sweeps, as ``delta`` groups them
+_SHIFT_MODES = frozenset(("m", "mbn", "mbf", "mblk", "sh", "shx", "ad", "add",
+                          "adpay", "adfin", "adskip", "adskpay"))
+_GUESS_MODES = frozenset(("g", "c", "gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"))
 
 
 def _cell(base: str, m1=False, sel=False, m2=False, t2="-") -> tuple:
@@ -639,8 +644,7 @@ def gen_d() -> Transducer:
             return []
 
         # shifting sweeps (marking, waiting, and the adder) ----------------
-        if mode in ("m", "mbn", "mbf", "mblk", "sh", "shx", "ad", "add",
-                    "adpay", "adfin", "adskip", "adskpay"):
+        if mode in _SHIFT_MODES:
             carry = state[-1]
             if p[0] == "end":
                 return _shift_end(state)
@@ -726,7 +730,7 @@ def gen_d() -> Transducer:
             return [(go(nxt), w())] if nxt else []
 
         # guess and comparison sweeps ----------------------------------------
-        if mode in ("g", "c", "gbin", "gpay", "gpfin", "gfbin", "gfpay", "gdone"):
+        if mode in _GUESS_MODES:
             if p[0] == "end":
                 return [(("fin",), _END)] if mode == "gdone" else []
             base = p[1]

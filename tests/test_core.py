@@ -31,7 +31,7 @@ from iufst import (
     to_nfa,
 )
 from iufst import core
-from iufst.core import _check_token, _decode, _encode, _live, _run_traced, _search, verdict
+from iufst.core import _check_list, _check_token, _decode, _encode, _live, _run_traced, _search, verdict
 
 from test_decide import fuzz_machine
 from test_sweep_reference import (
@@ -61,9 +61,22 @@ def identity_machine(accepting=("q",)):
     )
 
 
-class TestCheckToken:
-    BLANK = "state must be a non-empty whitespace-free string, got {!r}"
+BLANK = "state must be a non-empty whitespace-free string, got {!r}"
+# each bad token, with the message the token rule gives it
+BAD_TOKENS = [
+    ("", BLANK.format("")),
+    (3, BLANK.format(3)),
+    (None, BLANK.format(None)),
+    (" q", BLANK.format(" q")),
+    ("q\u2028", BLANK.format("q\u2028")),
+    ("a%b", "state 'a%b' cannot be written in the text format"),
+    ("%", "state '%' cannot be written in the text format"),
+    ("->", "state '->' cannot be written in the text format"),
+]
+WHITESPACE = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
+
+class TestCheckToken:
     def test_rejects_exactly_the_whitespace_code_points(self):
         rejected = []
         for c in range(sys.maxunicode + 1):
@@ -73,23 +86,11 @@ class TestCheckToken:
             try:
                 _check_token(tok, "state")
             except MachineError as err:
-                assert str(err) == self.BLANK.format(tok)
+                assert str(err) == BLANK.format(tok)
                 rejected.append(c)
-        assert rejected == [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert rejected == WHITESPACE
 
-    @pytest.mark.parametrize(
-        "tok, message",
-        [
-            ("", BLANK.format("")),
-            (3, BLANK.format(3)),
-            (None, BLANK.format(None)),
-            (" q", BLANK.format(" q")),
-            ("q\u2028", BLANK.format("q\u2028")),
-            ("a%b", "state 'a%b' cannot be written in the text format"),
-            ("%", "state '%' cannot be written in the text format"),
-            ("->", "state '->' cannot be written in the text format"),
-        ],
-    )
+    @pytest.mark.parametrize("tok, message", BAD_TOKENS)
     def test_messages(self, tok, message):
         with pytest.raises(MachineError) as err:
             _check_token(tok, "state")
@@ -98,6 +99,41 @@ class TestCheckToken:
     def test_accepts_arrow_inside_a_token(self):
         _check_token("a->b", "state")
         _check_token("->>", "state")
+
+
+class TestCheckList:
+    """The joined pass accepts a list; the token rule names what it rejects."""
+
+    def raises(self, items):
+        with pytest.raises(MachineError) as err:
+            _check_list(items, "state")
+        return str(err.value)
+
+    @pytest.mark.parametrize("tok, message", BAD_TOKENS)
+    def test_bad_token_after_a_good_one(self, tok, message):
+        assert self.raises(["q", tok]) == message
+        assert self.raises(("q", tok, "r")) == message
+        # past the first slice the joined pass takes
+        assert self.raises([f"q{i}" for i in range(2 * core._LIST_CHUNK)] + [tok]) == message
+
+    def test_whitespace_after_a_good_one(self):
+        for c in WHITESPACE:
+            tok = "a" + chr(c) + "b"
+            assert self.raises(["q", tok]) == BLANK.format(tok)
+
+    def test_bad_token_named_before_a_duplicate(self):
+        assert self.raises(["q", "a%b", "q"]) == "state 'a%b' cannot be written in the text format"
+        assert self.raises(["q", "q", " "]) == BLANK.format(" ")
+
+    def test_accepts_good_tokens(self):
+        assert _check_list(("q", "a->b", "->>", "r"), "state") == {"q", "a->b", "->>", "r"}
+        assert _check_list([], "state") == set()
+
+    def test_first_repeat_of_many(self):
+        # a quadratic search for the repeat takes tens of seconds here
+        items = [f"q{i}" for i in range(50_000)]
+        assert self.raises(items + ["q17", items[-1]]) == "duplicate state 'q17'"
+        assert self.raises(items + [items[-1]]) == f"duplicate state {items[-1]!r}"
 
 
 # one valid record of each kind, each with the single state q
@@ -559,6 +595,29 @@ class TestMaterialize:
 
     def test_undeclared_read_skipped(self):
         t = self.build(lambda s: self.moves(s) + [(self.C, 7, ("out", "a"))])
+        assert t == self.build(self.moves)
+
+    def test_undeclared_read_skipped_before_its_write(self):
+        # the move is dropped on its read symbol: its undeclared write raises nothing
+        t = self.build(lambda s: [(self.C, 7, ("out", "d"))] + self.moves(s))
+        assert t == self.build(self.moves)
+        # nor is its next state or written symbol looked up: these cannot be
+        t = self.build(lambda s: [(self.C, [7], ["d"])] + self.moves(s))
+        assert t == self.build(self.moves)
+
+    def test_moves_and_name_of_called_once_per_state(self):
+        asked, named = [], []
+
+        def moves(s):
+            asked.append(s)
+            return self.moves(s)
+
+        def name_of(s):
+            named.append(s)
+            return f"q{s}"
+
+        t = self.build(moves, name_of=name_of)
+        assert asked == named == [0, 1, 2]
         assert t == self.build(self.moves)
 
     def test_undeclared_write_raises(self):
