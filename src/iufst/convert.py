@@ -8,9 +8,9 @@ reaches as a transducer, and ``to_nfa`` names ``LaneNfa``'s states.
 ``Nfa`` and ``Dfa`` share their header rules in ``_Fa`` and each
 keep their per-move rule and successor rule ``_successors`` (a 0- or
 1-tuple in a ``Dfa``), on which ``_Fa`` builds one ``accepts`` and one
-cached ``_view``: the same four names, states numbered in declaration
-order.  DFAs live in int tables (successor indices per symbol, accepting
-bits) between two kernels: ``_powerset`` determinizes an NFA over
+cached ``_view``: ``LaneNfa``'s four names, states numbered in
+declaration order.  DFAs live in int tables (successor indices per symbol,
+accepting bits) between two kernels: ``_powerset`` determinizes an NFA over
 bitmask subsets, one OR chain of packed per-state successor masks giving
 a subset's successors on every symbol, and ``_moore`` minimizes a table,
 hashing each state's signature once a round and naming only its result.
@@ -45,7 +45,6 @@ from .core import (
     _escapes,
     _fresh,
     _lane_step,
-    _lanes,
     materialize,
     renderer,
 )
@@ -82,14 +81,15 @@ class _Fa(_Record):
 
     @cached_property
     def _view(self) -> SimpleNamespace:
-        """The automaton through the four names of ``LaneNfa``, its states
-        numbered in declaration order, and its ``rows`` for ``core._set_step``."""
+        """The automaton through ``LaneNfa``'s four names, its states numbered
+        in declaration order; ``rows[q][c]``, the successors of state q on
+        ``alphabet[c]``, is built for every cell at once."""
         index = {q: i for i, q in enumerate(self.states)}
-        step = [tuple(tuple(map(index.__getitem__, self._successors(q, x))) for x in self.alphabet)
+        rows = [tuple(tuple(map(index.__getitem__, self._successors(q, x))) for x in self.alphabet)
                 for q in self.states]
         accepting = [q in self.accepting_set for q in self.states]
-        return SimpleNamespace(alphabet=self.alphabet, initial=index[self.initial], rows=step,
-                               step=step.__getitem__, accepting=accepting.__getitem__)
+        return SimpleNamespace(alphabet=self.alphabet, initial=index[self.initial], rows=rows,
+                               accepting=accepting.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def sweep_reduce(t: Transducer, k: int, i: int) -> Transducer:
     """
     _check_lanes(k, i)
     dummy_sym = _fresh(_DUMMY, set(t.input_alphabet) | set(t.output_alphabet))
-    q0, delta, acc = _lanes(t)
+    q0, delta, acc = t._indexed
     lanes, name = _lane_states(t), renderer()
     enc, dec, _ = t._code
     inputs = tuple(map(enc.__getitem__, t.input_alphabet))
@@ -214,14 +214,15 @@ def to_nfa(t: Transducer, k: int) -> Nfa:
     order, _ = _bfs((n.initial,), _edges(n))
     lanes, name = _lane_states(t), renderer()
     names = {q: name(tuple(map(lanes.__getitem__, n._tuples[q]))) for q in order}
+    rows, sigma = n.rows, n.alphabet
     return Nfa(
         states=tuple(names.values()),
-        alphabet=n.alphabet,
+        alphabet=sigma,
         initial=names[n.initial],
         accepting=tuple(names[q] for q in order if n.accepting(q)),
         transitions={
-            (names[q], x): tuple(map(names.__getitem__, rs))
-            for q in order for x, rs in zip(n.alphabet, n.step(q)) if rs
+            (names[q], x): tuple(map(names.__getitem__, rows[q][c]))
+            for q in order for c, x in enumerate(sigma) if rows[q][c]
         },
         meta={"universe_states": reduced_state_universe(len(t.states), k)},
     )
@@ -275,7 +276,7 @@ def _powerset(n: Nfa, state_cap: int) -> tuple[list[int], list[list[int]], list[
     width = len(n.states)
     shifts = range(0, width * len(n.alphabet), width)
     # packed[1 << i]: state i's successor masks on every symbol
-    packed = {1 << i: sum({1 << r + s for s, rs in zip(shifts, v.step(i)) for r in rs})
+    packed = {1 << i: sum({1 << r + s for s, rs in zip(shifts, v.rows[i]) for r in rs})
               for i in range(width)}
     full = (1 << width) - 1
     masks = [1 << v.initial]

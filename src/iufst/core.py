@@ -40,20 +40,22 @@ as lanes of tuple states with a dummy lane for branches that died.
 indices; lanes read and write tape characters through the one move table, and
 the dummy symbol is an int, which no character equals.  ``LaneNfa`` is the NFA
 of k lanes over input symbols, read through ``alphabet``, ``initial``,
-``step(q)`` and ``accepting(q)``; its row store fills a (tuple, symbol) cell,
-or a tuple's endmarker entry, on its first read, so a walk steps a tuple only
+``rows`` and ``accepting(q)``, where ``rows[q][c]`` holds the successors of
+state q on the automaton's c-th symbol: the one way every search and
+conversion reads an automaton.  Its row store fills a (tuple, symbol) cell, or
+a tuple's endmarker entry, on its first read, so a search steps a tuple only
 on the symbols it reads.  Its ``report`` is the one rule for what a set of its
 tuples reached on a word answers, and its ``walk`` steps that set over a word
 in one pass by ``_set_step``, the one set step, which reads one cell per
-tuple.  At a budget of s sweeps, for s up to ``_LANE_SWEEP_CAP``, ``run``
-sweeps no tape: ``_run_lanes``, the one lane route of ``run``, ``traced_run``
-and the oracle's learned depth, walks the s-lane ``LaneNfa`` it keeps on the
-machine and lets the report stand where ``verdict``, the one rule for what a
-report answers, gives it an answer; elsewhere the tape search runs.  Traces
-take the route ``run`` takes: ``LaneNfa.trace`` walks back over the sets the
-walk reached to what lanes wrote, choosing tuples by value, so a lane trace
-need not be the tape search's first hit in frontier order.  Accept-mode checks
-keep the tape search.  ``convert`` renders lanes: ``sweep_reduce`` as a
+tuple.  ``traced_run`` is the one route of ``run`` and traces: at a budget of
+s sweeps, for s up to ``_LANE_SWEEP_CAP``, it sweeps no tape: ``_run_lanes``,
+the lane route of ``traced_run`` and the oracle's learned depth, walks the
+s-lane ``LaneNfa`` it keeps on the machine and lets the report stand where
+``verdict``, the one rule for what a report answers, gives it an answer;
+elsewhere the tape search runs.  A lane trace, ``LaneNfa.trace``, walks back
+over the sets the walk reached to what lanes wrote, choosing tuples by value,
+so it need not be the tape search's first hit in frontier order.  Accept-mode
+checks keep the tape search.  ``convert`` renders lanes: ``sweep_reduce`` as a
 transducer, ``to_nfa`` as an ``Nfa`` with named states.
 
 Constructions build machines through ``materialize``, which explores the
@@ -269,17 +271,18 @@ class Transducer(_Record):
     def _indexed(self) -> tuple[int, list[dict[str, tuple[tuple[int, str], ...]]], list[bool]]:
         """(initial, delta, accepting) over indices into ``states``, the one move table:
         ``delta[q][c]`` holds the distinct (next state, character written) choices on tape
-        character ``c``, in order.  Built lazily: sweeps and lane tuples use it."""
+        character ``c``, in order; the dummy lane state, index -1 after the states, has no
+        moves and does not accept.  Built lazily: sweeps and lane tuples use it."""
         index = {q: i for i, q in enumerate(self.states)}
         enc = self._code[0]
-        delta: list[dict] = [{} for _ in self.states]
+        delta: list[dict] = [{} for _ in range(len(self.states) + 1)]
         for (q, x), choices in self.transitions.items():
             if len(choices) == 1:
                 (p, y), = choices
                 delta[index[q]][enc[x]] = ((index[p], enc[y]),)
             else:
                 delta[index[q]][enc[x]] = tuple(dict.fromkeys((index[p], enc[y]) for p, y in choices))
-        return index[self.initial], delta, [q in self.accepting_set for q in self.states]
+        return index[self.initial], delta, [q in self.accepting_set for q in self.states] + [False]
 
     @cached_property
     def _code(self) -> tuple[dict[str, str], dict[str, str], dict[int, str]]:
@@ -630,10 +633,9 @@ def run(
     order, so the first hit is minimal).  Branches finishing in
     non-accepting states continue with their output tape.  Tapes are
     deduplicated globally: the sweep relation depends only on the tape, so
-    a tape seen before yields nothing new.
+    a tape seen before yields nothing new.  The route is ``traced_run``'s.
     """
-    report = _run_lanes(t, word, max_sweeps) if _lane_budget(max_sweeps, tape_cap) else None
-    return report if report is not None else _run_traced(t, word, max_sweeps, tape_cap)[0]
+    return traced_run(t, word, max_sweeps, tape_cap)[0]
 
 
 def traced_run(
@@ -642,12 +644,17 @@ def traced_run(
     max_sweeps: int,
     tape_cap: int = DEFAULT_TAPE_CAP,
 ) -> tuple[RunReport, Callable[[], Optional[list[Tape]]]]:
-    """``run``'s report, from the route ``run`` takes, and a function
-    building ``find_accepting_trace``'s trace (None unless accepted): one
-    walk or search serves both, and only a caller that wants the trace pays
-    for building it.  The lane route keeps the set reached at each
-    position, shared objects of its memo, for ``_lane_trace``."""
-    if _lane_budget(max_sweeps, tape_cap):
+    """``run``'s report and a function building ``find_accepting_trace``'s
+    trace (None unless accepted): the one route of both, so one walk or
+    search serves both, and only a caller that wants the trace pays for
+    building it.  It checks the budgets, raising ``ValueError`` on those
+    the tape search rejects, then walks s lanes for 1 <= s <=
+    ``_LANE_SWEEP_CAP``, falling back to the tape search.  The lane route
+    keeps the set reached at each position, shared objects of its memo,
+    for ``_lane_trace``."""
+    if max_sweeps < 0 or tape_cap < 1:
+        raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
+    if 1 <= max_sweeps <= _LANE_SWEEP_CAP:
         sets: list[frozenset] = []
         report = _run_lanes(t, word, max_sweeps, sets)
         if report is not None:
@@ -674,19 +681,11 @@ def verdict(t: Transducer, report: RunReport, budget: int, bound: Optional[int] 
     return None
 
 
-def _lane_budget(s: int, tape_cap: int) -> bool:
-    """Whether ``run`` and ``traced_run`` walk s lanes first (1 <= s <= ``_LANE_SWEEP_CAP``);
-    the one budget check, raising ``ValueError`` on those the tape search rejects."""
-    if s < 0 or tape_cap < 1:
-        raise ValueError("max_sweeps must be >= 0 and tape_cap >= 1")
-    return 1 <= s <= _LANE_SWEEP_CAP
-
-
 def _run_lanes(
     t: Transducer, word: Sequence[str], s: int, sets: Optional[list[frozenset]] = None
 ) -> Optional[RunReport]:
-    """The one lane route, of ``run``, ``traced_run`` and the oracle's
-    learned depth, for any s >= 1: ``t``'s s-lane ``LaneNfa``, built
+    """The one lane route, of ``traced_run`` and the oracle's learned
+    depth, for any s >= 1: ``t``'s s-lane ``LaneNfa``, built
     on the first walk at s and kept in ``Transducer._lane_walk``, walks
     ``word`` (``LaneNfa.walk``, appending to ``sets``).  Its report where
     ``verdict`` answers it; None where the tape search answers instead: a
@@ -716,9 +715,9 @@ def _lane_trace(
 
 
 # The dummy lane state and the dummy symbol of ``_lane_step``.  The state is
-# index -1, which reads the entries ``_lanes`` appends to the machine's
-# per-state lists: no moves and not accepting.  The symbol is an int, which
-# no tape character equals, so no transition of the machine reads it.
+# index -1, which reads the entries ``Transducer._indexed`` appends to the
+# machine's per-state lists: no moves and not accepting.  The symbol is an
+# int, which no tape character equals, so no transition of the machine reads it.
 _DUMMY_STATE = -1
 _DUMMY_SYMBOL = -1
 _DEAD = ((_DUMMY_STATE, _DUMMY_SYMBOL),)
@@ -729,12 +728,6 @@ def _check_lanes(k: int, i: int) -> None:
         raise MachineError(f"declared sweep bound must be a positive integer, got {k!r}")
     if not 1 <= i <= k:
         raise MachineError(f"lane count i={i} must satisfy 1 <= i <= k={k}")
-
-
-def _lanes(t: Transducer) -> tuple[int, list[dict], list[bool]]:
-    """``t._indexed`` with the dummy lane state appended at index -1."""
-    q0, delta, acc = t._indexed
-    return q0, delta + [{}], acc + [False]
 
 
 def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple[int, ...], object]]:
@@ -748,7 +741,7 @@ def _lane_step(delta: list[dict], state: tuple[int, ...], x) -> list[tuple[tuple
     reads the character lane t-1 writes (lane 1 reads ``x``).  A lane
     without a move collapses to the dummy state and writes the dummy
     symbol, an int that no row is keyed by, so every later lane collapses
-    as well.  ``delta`` comes from ``_lanes``.
+    as well.  ``delta`` is ``Transducer._indexed``'s.
     """
     moves = [((), x)]
     for s in state:
@@ -778,22 +771,21 @@ class LaneNfa:
 
     States are ints numbering the lane tuples in discovery order, the
     initial tuple being 0; a tuple is discovered when a cell that reaches
-    it is filled.  ``rows`` is the one row store: per tuple a
-    ``_LaneRow``, whose cell for symbol code c (the index of a symbol in
-    ``alphabet``) holds the successors, ``_lane_step`` on that symbol's
-    character, and whose entry under None holds the endmarker's: the
-    least lane that can reach an accepting state there (None when no lane
-    can) and whether some branch ``completes``.  Each is filled on its
-    first read, so a ``walk`` or ``trace`` that reads one symbol per step
-    fills one cell per step; ``step(q)`` fills the cells of ``q`` still
-    missing and gives the full row; ``accepting``, ``completes`` and
-    ``report`` read the endmarker entry.  ``walk`` and ``trace`` keep
-    memos of their own.
+    it is filled.  ``rows`` is the one row store and the one way to read
+    successors: per tuple a ``_LaneRow``, whose cell ``rows[q][c]`` for
+    symbol code c (the index of a symbol in ``alphabet``) holds the
+    successors, ``_lane_step`` on that symbol's character, and whose entry
+    under None holds the endmarker's: the least lane that can reach an
+    accepting state there (None when no lane can) and whether some branch
+    ``completes``.  Each is filled on its first read, so a ``walk``,
+    ``trace`` or search that reads one symbol per step fills one cell per
+    step; ``accepting``, ``completes`` and ``report`` read the endmarker
+    entry.  ``walk`` and ``trace`` keep memos of their own.
     """
 
     def __init__(self, t: Transducer, k: int) -> None:
         _check_lanes(k, k)
-        q0, self._delta, self._acc = _lanes(t)
+        q0, self._delta, self._acc = t._indexed
         self._end, *self._codes = _encode(t, (t.endmarker, *t.input_alphabet))
         self._tuples = [(q0,) * k]
         ids = {self._tuples[0]: 0}
@@ -813,14 +805,6 @@ class LaneNfa:
     def expanded(self) -> int:
         """Lane tuples with a filled cell or endmarker entry in their row."""
         return sum(map(bool, self.rows))
-
-    def step(self, q: int) -> tuple[tuple[int, ...], ...]:
-        """Successors of ``q`` per symbol of ``alphabet``, in choice order:
-        the cells of its row, the missing ones filled, kept as ``cells``."""
-        row = self.rows[q]
-        if row.cells is None:
-            row.cells = tuple(row.fill(range(len(self._codes))))
-        return row.cells
 
     def accepting(self, q: int) -> bool:
         return self.rows[q][None][0] is not None
@@ -917,22 +901,29 @@ class _LaneRow(dict):
     the automaton's ``alphabet[c]``, one ``_lane_step`` on its character,
     numbered (a new tuple gets the next number and a row), and None -> the
     endmarker entry, (least accepting lane or None, completes), from one
-    ``_lane_step`` on the endmarker's.  ``cells`` is None until
-    ``LaneNfa.step`` has read every cell, then their tuple, which ``step``
-    returns from then on.  ``lanes`` is shared by an automaton's rows: its
+    ``_lane_step`` on the endmarker's.  ``__missing__`` is the one filler of
+    both.  ``lanes`` is shared by an automaton's rows: its
     move table, accepting flags, endmarker and symbol characters, tuple
     numbering, and the automaton by weak proxy, so rows and automaton form
     no reference cycle and are freed without the cyclic collector."""
 
-    __slots__ = ("lanes", "state", "cells")
+    __slots__ = ("lanes", "state")
 
     def __init__(self, lanes: tuple, state: tuple[int, ...]) -> None:
-        self.lanes, self.state, self.cells = lanes, state, None
+        self.lanes, self.state = lanes, state
 
     def __missing__(self, c: Optional[int]) -> tuple:
+        delta, acc, end, codes, ids, tuples, nfa = self.lanes
         if c is not None:
-            return self.fill((c,))[0]
-        delta, acc, end = self.lanes[:3]
+            succ = []
+            for p in dict.fromkeys([p for p, _y in _lane_step(delta, self.state, codes[c])]):
+                i = ids.setdefault(p, len(tuples))
+                if i == len(tuples):
+                    tuples.append(p)
+                    nfa.rows.append(_LaneRow(self.lanes, p))
+                succ.append(i)
+            self[c] = cell = tuple(succ)
+            return cell
         ends = _lane_step(delta, self.state, end)
         least = min((i for p, _y in ends for i, s in enumerate(p, 1) if acc[s]), default=None)
         for p, _y in ends:  # a loop, not any(): every row's first report or acceptance runs it
@@ -943,25 +934,6 @@ class _LaneRow(dict):
             done = False
         self[c] = entry = (least, done)
         return entry
-
-    def fill(self, cs: Iterable[int]) -> list[tuple[int, ...]]:
-        """The cells of symbol codes ``cs``, the missing ones filled: the
-        one cell filler, for one cell on a read or for a whole row."""
-        delta, _acc, _end, codes, ids, tuples, nfa = self.lanes
-        state, get, out = self.state, self.get, []
-        for c in cs:
-            cell = get(c)
-            if cell is None:
-                succ = []
-                for p in dict.fromkeys([p for p, _y in _lane_step(delta, state, codes[c])]):
-                    i = ids.setdefault(p, len(tuples))
-                    if i == len(tuples):
-                        tuples.append(p)
-                        nfa.rows.append(_LaneRow(self.lanes, p))
-                    succ.append(i)
-                cell = self[c] = tuple(succ)
-            out.append(cell)
-        return out
 
 
 def _set_step(n, s: frozenset, c: int) -> frozenset:
@@ -1313,6 +1285,11 @@ def _shortest_word(
 
 def _edges(n: LaneNfa | SimpleNamespace):
     """Successor function of ``n`` for ``_bfs``: a state's (successor,
-    symbol) edges in alphabet order, then choice order."""
-    sigma, step = n.alphabet, n.step
-    return lambda q: [(r, x) for x, rs in zip(sigma, step(q)) for r in rs]
+    symbol) edges in alphabet order, then choice order, read cell by cell
+    from ``n.rows``."""
+    sigma, rows = n.alphabet, n.rows
+
+    def edges(q):
+        row = rows[q]
+        return [(r, x) for c, x in enumerate(sigma) for r in row[c]]
+    return edges

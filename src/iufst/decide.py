@@ -5,11 +5,11 @@ A machine that runs at most k sweeps accepts the language of the NFA
 whose states are the lane tuples of k sweeps simulated in parallel in
 one.  Every procedure searches that NFA without naming its states:
 ``core.LaneNfa`` fills a lane tuple's row per symbol read, its
-successors on an input symbol and its acceptance each when first read (a
-search reading ``step(q)`` fills the row's every symbol), and numbers
-the tuples as it discovers them (``convert.to_nfa`` renders the same NFA
-with named states).  The searches read an automaton through
-``alphabet``, ``initial``, ``step(q)`` and ``accepting(q)`` only; a
+successors on an input symbol and its acceptance each when first read,
+and numbers the tuples as it discovers them (``convert.to_nfa`` renders
+the same NFA with named states).  The searches read an automaton through
+``alphabet``, ``initial``, ``rows`` and ``accepting(q)`` only, the
+successors of state q on the c-th symbol being the cell ``rows[q][c]``; a
 materialized ``Nfa`` or ``Dfa`` gives the same four names through its
 ``_view``.  Emptiness is a breadth-first search for an accepting
 state.  Finiteness looks for a cycle among the live states, those
@@ -31,7 +31,8 @@ from math import comb
 from types import SimpleNamespace
 from typing import Optional
 
-from .core import LaneNfa, MachineError, ResourceBudgetError, Transducer, Word, _bfs, _edges, _shortest_word
+from .core import LaneNfa, MachineError, ResourceBudgetError, Transducer, Word
+from .core import _bfs, _edges, _set_step, _shortest_word
 
 # Budget of nodes (NFA state, subset) of one inclusion search.
 DEFAULT_SEARCH_CAP = 2**20
@@ -143,7 +144,9 @@ def _inclusion_witness(
     witness stays the first one.  Kept subsets are stored per p by size:
     an equal set costs one lookup, and the smaller sets of each size are
     either scanned or looked up among S's own subsets of that size,
-    whichever are fewer.  Finding more than ``state_cap`` nodes raises
+    whichever are fewer.  S steps by ``core._set_step`` only on the
+    symbols where p has a successor, so b's cells on the others stay
+    unread.  Finding more than ``state_cap`` nodes raises
     ``ResourceBudgetError``.
     """
     if set(a.alphabet) != set(b.alphabet):
@@ -151,7 +154,7 @@ def _inclusion_witness(
     sigma = a.alphabet
     # position in b's rows of each symbol of sigma
     column = [b.alphabet.index(x) for x in sigma]
-    step1, step2, acc1, acc2 = a.step, b.step, a.accepting, b.accepting
+    rows, acc1, acc2 = a.rows, a.accepting, b.accepting
     # per state of a, the subsets kept so far by size
     kept: defaultdict[int, dict[int, set[frozenset[int]]]] = defaultdict(dict)
 
@@ -172,12 +175,14 @@ def _inclusion_witness(
 
     def succ(node):
         p, s = node
-        rows = [step2(q) for q in s]
-        for x, rs, j in zip(sigma, step1(p), column):
-            nxt = frozenset().union(*[row[j] for row in rows])
-            for r in rs:
-                if keep(r, nxt):
-                    yield (r, nxt), x
+        row = rows[p]
+        for c, x in enumerate(sigma):
+            rs = row[c]
+            if rs:
+                nxt = _set_step(b, s, column[c])
+                for r in rs:
+                    if keep(r, nxt):
+                        yield (r, nxt), x
 
     start = (a.initial, frozenset((b.initial,)))
     keep(*start)
@@ -196,8 +201,7 @@ def _inclusion_witness(
 def _sigma_star(alphabet: tuple[str, ...]) -> SimpleNamespace:
     """The one-state automaton of every word over ``alphabet``, through
     ``LaneNfa``'s four names."""
-    step = [((0,),) * len(alphabet)]
-    return SimpleNamespace(alphabet=alphabet, initial=0, step=step.__getitem__,
+    return SimpleNamespace(alphabet=alphabet, initial=0, rows=[((0,),) * len(alphabet)],
                            accepting=[True].__getitem__)
 
 

@@ -104,7 +104,7 @@ class TestToNfa:
         assert [len(reference_nfa(t, k).states) for t, k in cases] == [153, 704, 1380]
 
     def test_identity_acceptor_keeps_lambda(self):
-        from tests.test_core import identity_machine
+        from test_core import identity_machine
 
         nfa = to_nfa(identity_machine(), 1)
         assert nfa.accepts(())

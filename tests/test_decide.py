@@ -8,6 +8,7 @@ import pytest
 from conftest import reference_nfa
 
 from iufst import (
+    Nfa,
     Transducer,
     equivalent,
     gen_e,
@@ -22,6 +23,7 @@ from iufst import (
 from iufst.decide import (
     DEFAULT_SEARCH_CAP,
     LaneNfa,
+    _inclusion_witness,
     emptiness_witness,
     equivalence_witness,
     inclusion_witness,
@@ -624,6 +626,19 @@ class TestLazyExpansion:
         (n,) = made
         assert n.discovered < len(sweep_reduce(b5, 5, 5).states)
 
+    @pytest.mark.parametrize("left,right,witness", [
+        # the search ends on a, before any node reads b
+        (lambda: LaneNfa(word_machine([("a",)]), 1), no_accept_machine, ("a",)),
+        # the left automaton, a*, has no successor on b
+        (lambda: Nfa(("p",), ("a", "b"), "p", ("p",), {("p", "a"): ("p",)})._view, sigma_star_machine, None),
+    ], ids=["witness-on-a", "left-without-b"])
+    def test_inclusion_steps_the_right_subset_where_the_left_steps(self, left, right, witness):
+        # the right-hand subset steps only on symbols where the left-hand
+        # state has a successor, so no cell of the right automaton on b is filled
+        b = LaneNfa(right(), 1)
+        assert _inclusion_witness(left(), b, DEFAULT_SEARCH_CAP) == witness
+        assert not any(1 in row for row in b.rows)
+
 
 def test_completes_needs_every_lane_on_the_endmarker():
     # q rewrites a to b and has no move on b: on a, the first lane reads on
@@ -641,11 +656,11 @@ def test_completes_needs_every_lane_on_the_endmarker():
         sweep_bound=2,
     )
     n = LaneNfa(t, 2)
-    (after_a,), (after_b,) = n.step(n.initial)
+    (after_a,), (after_b,) = map(n.rows[n.initial].__getitem__, (0, 1))
     assert [n.completes(q) for q in (n.initial, after_a, after_b)] == [True, False, False]
     assert [n.accepting(q) for q in (n.initial, after_a, after_b)] == [True, True, False]
     one = LaneNfa(t, 1)
-    assert [one.completes(q) for (q,) in one.step(one.initial)] == [True, False]
+    assert [one.completes(q) for (q,) in map(one.rows[one.initial].__getitem__, (0, 1))] == [True, False]
 
 
 class TestCommaNamedStates:

@@ -210,6 +210,21 @@ class TestCombinators:
         bad = ("a",) * m + ("y",) + ("x",) * 4 + ("y",) + ("x",) * 3
         assert not run(c.machine, bad, 16, 4000).accepted
 
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    @pytest.mark.parametrize("f_bound,g_bound,bound", [
+        ("log", "log", "log"),
+        ("log", "linear", "linear"),
+        (3, "log", "linear"),
+        ("unbounded", "log", "unbounded"),
+        ("linear", "unbounded", "unbounded"),
+    ])
+    def test_combined_sweep_bound(self, op, f_bound, g_bound, bound):
+        # the weaker component's bound; a constant bound counts as linear
+        cf, cg = (replace(c, machine=replace(c.machine, sweep_bound=b))
+                  for c, b in ((identity_constructor(("x",)), f_bound), (identity_constructor(("y",)), g_bound)))
+        combine = {"add": combine_add, "mul": combine_mul}[op]
+        assert combine(cf, cg).machine.sweep_bound == bound
+
     def test_combined_sweeps_linearish(self):
         c = combine_add(identity_constructor(("x",)), identity_constructor(("y",)))
         rows = measure_sweep_growth(
@@ -248,6 +263,12 @@ class TestBuildLf:
         w = ("a", "b", "$", "a", "b") + ("x",) * 31
         report, _ = run_deterministic(lf, w, 60)
         assert not report.accepted
+
+    def test_reference_rejects_a_foreign_prefix_symbol(self):
+        # the prefix is u$u over a and b: the same word with c for a is out
+        cex = expo_constructor(("x",))
+        assert in_lf(cex.fn, ("x",), ("a", "$", "a") + ("x",) * 8)
+        assert not in_lf(cex.fn, ("x",), ("c", "$", "c") + ("x",) * 8)
 
     def test_full_enumeration(self, lf):
         cex = expo_constructor(("x",))

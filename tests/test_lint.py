@@ -8,7 +8,9 @@ files, with the stdlib ``ast`` module alone: a name bound by a top-level
 function, class or constant that a library module defines at top level
 under a ``_`` name must be read, as a name or an attribute, somewhere in
 ``src/iufst``.  ``src/iufst`` has no function-level import: each module
-imports only modules it builds on, at the top.
+imports only modules it builds on, at the top.  No test file imports through
+a ``tests.`` package path, which only resolves with the checkout on
+``sys.path``.
 """
 
 import ast
@@ -98,3 +100,33 @@ def test_finds_function_level_imports():
     source = ("import os\ndef f():\n    def g():\n        from re import match\n"
               "    if os:\n        import sys\nclass C:\n    def m(self):\n        import json\n")
     assert function_imports(source) == ["from re import match", "import json", "import sys"]
+
+
+def from_tests_package(source: str) -> list[str]:
+    """The imports of ``source``, at any depth, from the ``tests`` package,
+    as ``ast.unparse`` writes them, in sorted order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.partition(".")[0] == "tests" for name in names):
+            found.append(node)
+    return sorted(map(ast.unparse, found))
+
+
+def test_no_tests_package_imports():
+    # the ``pytest`` entry point puts tests/ on sys.path, not the checkout:
+    # a test imports another as a top-level module (``from test_core import ...``)
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    found = {p.name: from_tests_package(p.read_text(encoding="utf-8")) for p in tests}
+    assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def test_finds_tests_package_imports():
+    source = ("import tests.conftest\nfrom test_core import m\nfrom . import n\n"
+              "def f():\n    from tests.test_core import g\n")
+    assert from_tests_package(source) == ["from tests.test_core import g", "import tests.conftest"]

@@ -520,8 +520,8 @@ def rows_by_value(n: LaneNfa, states: Iterable[int]) -> dict:
     """Each of ``states`` of ``n`` as its lane tuple, mapped to its
     successor tuples per symbol, its acceptance and its completion: what
     no tuple numbering changes."""
-    value = n._tuples.__getitem__
-    return {value(q): (tuple(tuple(map(value, rs)) for rs in n.step(q)), n.accepting(q), n.completes(q))
+    value, codes = n._tuples.__getitem__, range(len(n.alphabet))
+    return {value(q): (tuple(tuple(map(value, n.rows[q][c])) for c in codes), n.accepting(q), n.completes(q))
             for q in states}
 
 
@@ -584,7 +584,7 @@ class TestLaneRoute:
             make, k, words = LANE_FAMILIES[name]
             cases.append((make(), k + 1, words))
         for t, most, words in cases:
-            _q0, delta, acc = core._lanes(t)
+            _q0, delta, acc = t._indexed
             end, *codes = _encode(t, (t.endmarker, *t.input_alphabet))
             for s in range(1, most + 1):
                 full = LaneNfa(t, s)
